@@ -316,6 +316,9 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
     // The bounded-BFS scratch serves the diameter bound here and the
     // per-cluster region collection below; it is allocated once per run.
     let mut region = BfsScratch::new(n);
+    // One components pass serves the diameter bound and, when the
+    // decomposition is trivial, its one-cluster-per-component classes.
+    let (comp, num_comp) = connected_components(csr, |_| true);
     let diameter_upper = {
         // Double-BFS upper bound per connected component. A single pass
         // collects every component's representative (its minimum vertex) —
@@ -324,7 +327,6 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
         // epoch-stamped scratch, touching only that component (a
         // whole-graph distance array per component would again be
         // O(n · num_components), ruinous on fragmented shards).
-        let (comp, num_comp) = connected_components(csr, |_| true);
         let mut repr: Vec<Option<VertexId>> = vec![None; num_comp];
         for v in csr.vertices() {
             let slot = &mut repr[comp[v.index()]];
@@ -353,7 +355,6 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
             "network decomposition of G^{2(R+R')} (trivial: radius exceeds diameter)",
             costs::network_decomposition(n, 1),
         );
-        let (comp, num_comp) = connected_components(csr, |_| true);
         let mut clusters: Vec<Vec<VertexId>> = vec![Vec::new(); num_comp];
         for v in csr.vertices() {
             clusters[comp[v.index()]].push(v);

@@ -17,6 +17,7 @@ use forest_graph::{
     ColorConnectivity, CsrRef, EdgeId, ForestDecomposition, GraphView, ListAssignment, MultiGraph,
     SimpleGraph,
 };
+use forest_obs::Span;
 use local_model::RoundLedger;
 use rand::rngs::SmallRng;
 use std::borrow::Cow;
@@ -242,7 +243,10 @@ fn decomposition_outcome<C: GraphView>(
     ledger: RoundLedger,
 ) -> EngineOutcome {
     let num_colors = decomposition.num_colors_used();
-    let max_diameter = max_forest_diameter(csr, &decomposition.to_partial());
+    let max_diameter = {
+        let _span = Span::enter("decomp.max_diameter");
+        max_forest_diameter(csr, &decomposition.to_partial())
+    };
     EngineOutcome {
         artifact: Artifact::Decomposition(decomposition),
         arboricity,

@@ -705,7 +705,10 @@ impl Decomposer {
         }
         let decomposition = forest_graph::ForestDecomposition::from_colors(colors);
         let num_colors = decomposition.num_colors_used();
-        let max_diameter = max_forest_diameter(csr, &decomposition.to_partial());
+        let max_diameter = {
+            let _span = Span::enter("decomp.max_diameter");
+            max_forest_diameter(csr, &decomposition.to_partial())
+        };
         let mut report = DecompositionReport {
             problem: request.problem,
             engine: request.engine,
@@ -724,6 +727,7 @@ impl Decomposer {
         FACADE_RUNS.inc();
         FACADE_RUN_NANOS.observe(start.elapsed_nanos());
         if request.validate {
+            let _span = Span::enter("decomp.validate");
             report.validate(csr)?;
             report.validation = ValidationStatus::Validated;
         }
@@ -776,6 +780,7 @@ impl Decomposer {
         FACADE_RUNS.inc();
         FACADE_RUN_NANOS.observe(start.elapsed_nanos());
         if request.validate {
+            let _span = Span::enter("decomp.validate");
             report.validate(&input.csr)?;
             report.validation = ValidationStatus::Validated;
         }

@@ -26,6 +26,7 @@ use forest_graph::decomposition::{
     validate_partial_forest_decomposition, PartialEdgeColoring,
 };
 use forest_graph::{Color, EdgeId, ForestDecomposition, GraphView, ListAssignment, MultiGraph};
+use forest_obs::Span;
 use local_model::RoundLedger;
 use rand::Rng;
 use std::collections::HashSet;
@@ -183,6 +184,7 @@ fn forest_decomposition_impl<C: GraphView, R: Rng + ?Sized>(
     validate_partial_forest_decomposition(csr, &decomposition.to_partial())?;
     let num_colors = decomposition.num_colors_used();
     let max_diameter = if measure_diameter {
+        let _span = Span::enter("decomp.max_diameter");
         max_forest_diameter(csr, &decomposition.to_partial())
     } else {
         0
@@ -356,7 +358,10 @@ pub(crate) fn list_forest_decomposition<C: GraphView, R: Rng + ?Sized>(
     validate_partial_forest_decomposition(csr, &coloring)?;
     validate_list_coloring(csr, &coloring, lists)?;
     let num_colors = coloring.num_colors_used();
-    let max_diameter = max_forest_diameter(csr, &coloring);
+    let max_diameter = {
+        let _span = Span::enter("decomp.max_diameter");
+        max_forest_diameter(csr, &coloring)
+    };
     Ok(LfdResult {
         coloring,
         num_colors,

@@ -4,37 +4,78 @@
 //! `Q(e)` of at least `k` allowed colors, and the chosen color must come from
 //! the palette while every color class stays a forest (Section 1 of the
 //! paper; Seymour showed `α(G)`-LFD always exists).
+//!
+//! # Layout
+//!
+//! All palettes live in one flat color array, edge after edge, and an
+//! offset array of `m + 1` entries marks where each one starts: the palette
+//! of edge `e` is `colors[offsets[e]..offsets[e + 1]]`. Building `m`
+//! palettes therefore costs two allocations rather than `m + 1`, and a scan
+//! over every palette walks one contiguous array. The offsets stay `usize`:
+//! the total palette length `m·k` can exceed `u32::MAX` even when `m`
+//! cannot. Replacing one palette with [`ListAssignment::set_palette`] costs
+//! `O(1)` per color when the length is unchanged and shifts the tail of both
+//! arrays otherwise.
 
 use crate::ids::{Color, EdgeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// A list (palette) assignment: one sorted, deduplicated palette per edge.
+/// A list (palette) assignment: one sorted, deduplicated palette per edge,
+/// stored flat (see the [module docs](self#layout)).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ListAssignment {
-    palettes: Vec<Vec<Color>>,
+    /// `offsets[e]..offsets[e + 1]` indexes edge `e`'s palette in `colors`.
+    offsets: Vec<usize>,
+    /// Every palette, concatenated in edge order.
+    colors: Vec<Color>,
 }
 
 impl ListAssignment {
+    /// An assignment of no palettes with room for `num_edges` of them.
+    fn with_capacity(num_edges: usize, num_colors: usize) -> Self {
+        let mut offsets = Vec::with_capacity(num_edges + 1);
+        offsets.push(0);
+        ListAssignment {
+            offsets,
+            colors: Vec::with_capacity(num_colors),
+        }
+    }
+
+    /// Closes the palette of the next edge: the colors pushed since the
+    /// previous one.
+    fn end_palette(&mut self) {
+        self.offsets.push(self.colors.len());
+    }
+
     /// Every edge receives the uniform palette `{0, .., k-1}`.
     ///
     /// This models ordinary (non-list) `k`-forest decomposition as the
     /// special case `Q(e) = C = [k]`.
     pub fn uniform(num_edges: usize, k: usize) -> Self {
-        let palette: Vec<Color> = (0..k).map(Color::new).collect();
-        ListAssignment {
-            palettes: vec![palette; num_edges],
+        let total = num_edges
+            .checked_mul(k)
+            .expect("uniform palettes overflow usize");
+        let mut lists = ListAssignment::with_capacity(num_edges, total);
+        for _ in 0..num_edges {
+            lists.colors.extend((0..k).map(Color::new));
+            lists.end_palette();
         }
+        lists
     }
 
     /// Builds an assignment from explicit palettes (they are sorted and
     /// deduplicated).
-    pub fn from_palettes(mut palettes: Vec<Vec<Color>>) -> Self {
-        for p in &mut palettes {
+    pub fn from_palettes(palettes: Vec<Vec<Color>>) -> Self {
+        let total = palettes.iter().map(Vec::len).sum();
+        let mut lists = ListAssignment::with_capacity(palettes.len(), total);
+        for mut p in palettes {
             p.sort_unstable();
             p.dedup();
+            lists.colors.extend_from_slice(&p);
+            lists.end_palette();
         }
-        ListAssignment { palettes }
+        lists
     }
 
     /// Every edge receives a uniformly random `palette_size`-subset of the
@@ -54,55 +95,61 @@ impl ListAssignment {
             "palette size cannot exceed the color space"
         );
         let all: Vec<Color> = (0..colorspace).map(Color::new).collect();
-        let palettes = (0..num_edges)
-            .map(|_| {
-                let mut p: Vec<Color> = all.choose_multiple(rng, palette_size).copied().collect();
-                p.sort_unstable();
-                p
-            })
-            .collect();
-        ListAssignment { palettes }
+        let total = num_edges
+            .checked_mul(palette_size)
+            .expect("random palettes overflow usize");
+        let mut lists = ListAssignment::with_capacity(num_edges, total);
+        for _ in 0..num_edges {
+            let start = lists.colors.len();
+            lists
+                .colors
+                .extend(all.choose_multiple(rng, palette_size).copied());
+            lists.colors[start..].sort_unstable();
+            lists.end_palette();
+        }
+        lists
     }
 
     /// Number of edges covered.
     pub fn num_edges(&self) -> usize {
-        self.palettes.len()
+        self.offsets.len() - 1
     }
 
     /// Returns `true` if no edges are covered.
     pub fn is_empty(&self) -> bool {
-        self.palettes.is_empty()
+        self.num_edges() == 0
     }
 
     /// The palette of edge `e`.
     #[inline]
     pub fn palette(&self, e: EdgeId) -> &[Color] {
-        &self.palettes[e.index()]
+        &self.colors[self.offsets[e.index()]..self.offsets[e.index() + 1]]
     }
 
     /// Returns `true` if color `c` is in the palette of `e`.
     #[inline]
     pub fn contains(&self, e: EdgeId, c: Color) -> bool {
-        self.palettes[e.index()].binary_search(&c).is_ok()
+        self.palette(e).binary_search(&c).is_ok()
+    }
+
+    /// Palette sizes in edge order.
+    fn sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.offsets.windows(2).map(|w| w[1] - w[0])
     }
 
     /// Size of the smallest palette (`usize::MAX` when there are no edges).
     pub fn min_palette_size(&self) -> usize {
-        self.palettes
-            .iter()
-            .map(Vec::len)
-            .min()
-            .unwrap_or(usize::MAX)
+        self.sizes().min().unwrap_or(usize::MAX)
     }
 
     /// Size of the largest palette (0 when there are no edges).
     pub fn max_palette_size(&self) -> usize {
-        self.palettes.iter().map(Vec::len).max().unwrap_or(0)
+        self.sizes().max().unwrap_or(0)
     }
 
     /// Number of distinct colors appearing in any palette.
     pub fn colorspace_size(&self) -> usize {
-        let mut all: Vec<Color> = self.palettes.iter().flatten().copied().collect();
+        let mut all = self.colors.clone();
         all.sort_unstable();
         all.dedup();
         all.len()
@@ -115,23 +162,28 @@ impl ListAssignment {
     where
         F: FnMut(EdgeId, Color) -> bool,
     {
-        let palettes = self
-            .palettes
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let e = EdgeId::new(i);
-                p.iter().copied().filter(|&c| keep(e, c)).collect()
-            })
-            .collect();
-        ListAssignment { palettes }
+        let mut kept = ListAssignment::with_capacity(self.num_edges(), 0);
+        for i in 0..self.num_edges() {
+            let e = EdgeId::new(i);
+            let palette = self.palette(e).iter().copied();
+            kept.colors.extend(palette.filter(|&c| keep(e, c)));
+            kept.end_palette();
+        }
+        kept
     }
 
     /// Replaces the palette of a single edge (sorted and deduplicated).
     pub fn set_palette(&mut self, e: EdgeId, mut palette: Vec<Color>) {
         palette.sort_unstable();
         palette.dedup();
-        self.palettes[e.index()] = palette;
+        let (start, end) = (self.offsets[e.index()], self.offsets[e.index() + 1]);
+        let new_end = start + palette.len();
+        self.colors.splice(start..end, palette);
+        if new_end != end {
+            for offset in &mut self.offsets[e.index() + 1..] {
+                *offset = *offset - end + new_end;
+            }
+        }
     }
 }
 

@@ -283,6 +283,14 @@ where
 /// the forest spanned by the accepted edges, i.e. the length of the longest
 /// path starting at that vertex. The filtered subgraph **must** be a forest.
 ///
+/// **Oracle note:** this BFS computation, and [`forest_diameter`] on top of
+/// it, is kept as the reference that tests and
+/// [`validate_diameter_bound`](crate::decomposition::validate_diameter_bound)
+/// check against. Each call scans the whole graph for one edge class;
+/// per-run code that measures every color class should call
+/// [`max_forest_diameter`](crate::decomposition::max_forest_diameter), whose
+/// leaf-peeling kernel measures all classes in one linear pass.
+///
 /// # Panics
 ///
 /// Panics in debug builds if the filtered subgraph contains a cycle.
@@ -355,6 +363,9 @@ where
 /// Maximum diameter over the trees of the forest spanned by the accepted
 /// edges. Returns 0 for an edgeless selection. The filtered subgraph must be
 /// a forest.
+///
+/// The reference measurement for one edge class (see the oracle note on
+/// [`forest_eccentricities`]).
 pub fn forest_diameter<G, F>(g: &G, edge_filter: F) -> usize
 where
     G: GraphView,
