@@ -6,7 +6,9 @@
 //! `ooc.*` in forest-decomp, `versioned.publish` in the service path) in
 //! a single chrome-trace JSON. A recorder-disabled run of the identical
 //! pipeline is asserted byte-identical first: the trace is free evidence,
-//! never an input.
+//! never an input. That run is also timed for the disabled-path bound:
+//! a recorder-off `Span::enter`, times the span sites the instrumented run
+//! visits, must cost under 3% of the recorder-off run's wall time.
 //!
 //! Usage: `obs_smoke [trace-output.json]` (default `obs_trace.json`).
 //! Exits non-zero on any violated contract; prints a one-line summary per
@@ -18,9 +20,16 @@ use forest_graph::extsort::{
     build_csr_from_edge_file, write_binary_edge_file, EdgeListFormat, ExtsortConfig,
 };
 use forest_graph::generators;
+use forest_obs::clock::Stopwatch;
 use forest_obs::export::{chrome_trace_json, prometheus_text, validate_trace};
-use forest_obs::{recorder, Registry, TraceEvent};
+use forest_obs::{recorder, Phase, Registry, Span, TraceEvent};
 use forest_serve::{GraphSource, Request, Response, ServerState};
+
+/// Recorder-off `Span::enter` calls timed to price one disabled span site.
+const PROBE_ITERS: u64 = 4_000_000;
+
+/// Ceiling, in percent of the recorder-off run, on what its span sites cost.
+const DISABLED_BOUND_PCT: f64 = 3.0;
 
 /// One full pipeline pass: build the CSR from the edge file, decompose it
 /// out of core, and return the canonical report bytes.
@@ -110,7 +119,10 @@ fn main() {
 
     // Baseline: recorder off (the default, asserted rather than assumed).
     assert!(!recorder().is_enabled(), "recorder must start disabled");
+    let quiet_clock = Stopwatch::start();
     let quiet_bytes = pipeline(&edge_file, &csr_file);
+    drive_server();
+    let quiet_nanos = quiet_clock.elapsed_nanos();
     eprintln!("obs_smoke: disabled-recorder pipeline done");
 
     // The instrumented pass: identical bytes, plus a trace.
@@ -151,6 +163,28 @@ fn main() {
         );
     }
     eprintln!("obs_smoke: trace validated, all three layers present");
+
+    // Disabled-path bound: every Begin or Instant event is one span site.
+    // `black_box` keeps the inert guard from being optimized away.
+    let span_sites = events
+        .iter()
+        .filter(|e| !matches!(e.phase, Phase::End))
+        .count();
+    let probe = Stopwatch::start();
+    for _ in 0..PROBE_ITERS {
+        let _ = std::hint::black_box(Span::enter("obs.disabled_probe"));
+    }
+    let ns_per_site = probe.elapsed_nanos() as f64 / PROBE_ITERS as f64;
+    let bound_pct = span_sites as f64 * ns_per_site / quiet_nanos as f64 * 100.0;
+    let detail = format!(
+        "{span_sites} sites x {ns_per_site:.2} ns over {:.1} ms",
+        quiet_nanos as f64 / 1e6
+    );
+    assert!(
+        bound_pct < DISABLED_BOUND_PCT,
+        "disabled-path bound {bound_pct:.4}% breaches {DISABLED_BOUND_PCT}% ({detail})"
+    );
+    eprintln!("obs_smoke: disabled-path bound {bound_pct:.4}% ({detail})");
 
     let json = chrome_trace_json(&events);
     std::fs::write(&trace_path, &json).expect("write trace");

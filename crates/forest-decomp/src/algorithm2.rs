@@ -28,17 +28,14 @@
 //!
 //! The decomposition of `G^{2(R+R')}` runs on the lazy
 //! [`PowerView`](local_model::PowerView) — no `O(n²)`-edge power graph is
-//! ever materialized (the engine falls back to
-//! [`power_graph`](local_model::power_graph) only above
-//! `PowerView::MAX_VERTICES`; the ledger charges are identical either way).
-//! Each cluster is then processed inside its own ball: the region BFS stops
-//! at radius `R + R'`, and all masks, scope lists and CUT working memory are
-//! carried in scratch buffers reset via touched-id lists
-//! ([`CutScratch`](crate::cut::CutScratch) and epoch-stamped sets), so a
-//! cluster costs time proportional to its ball, not to the whole graph. The
-//! output — colors, leftover, RNG consumption, ledger — is byte-identical to
-//! the historical whole-graph implementation; [`PipelineStats`] exposes the
-//! perf counters.
+//! ever materialized. Each cluster is then processed inside its own ball:
+//! the region BFS stops at radius `R + R'`, and all masks, scope lists and
+//! CUT working memory are carried in scratch buffers reset via touched-id
+//! lists ([`CutScratch`](crate::cut::CutScratch) and epoch-stamped sets), so
+//! a cluster costs time proportional to its ball, not to the whole graph.
+//! The output — colors, leftover, RNG consumption, ledger — is
+//! byte-identical to the historical whole-graph implementation;
+//! [`PipelineStats`] exposes the perf counters.
 
 use crate::augmenting::{AugmentationContext, ColorConnectivity};
 use crate::cut::{execute_cut_scoped, CutOutcome, CutScope, CutScratch, CutState, CutStrategy};
@@ -47,19 +44,16 @@ use crate::hpartition::{acyclic_orientation, h_partition};
 use forest_graph::decomposition::PartialEdgeColoring;
 use forest_graph::kernels::{self, StampSet};
 use forest_graph::traversal::{connected_components, BfsScratch};
-use forest_graph::{CsrGraph, EdgeId, GraphView, ListAssignment, MultiGraph, VertexId};
+use forest_graph::{EdgeId, GraphView, ListAssignment, VertexId};
 use forest_obs::{clock::Stopwatch, LazyCounter, Span};
 use local_model::rounds::costs;
-use local_model::{
-    network_decomposition, network_decomposition_with_probe, PowerView, RoundLedger,
-};
+use local_model::{network_decomposition, PowerView, RoundLedger};
 use rand::Rng;
 
-/// Typed mirrors of the [`PipelineStats`] counters in the `forest-obs`
-/// registry (cumulative across runs).
+/// Algorithm 2 counters in the `forest-obs` registry (cumulative across
+/// runs).
 static BFS_NANOS: LazyCounter = LazyCounter::new("algo2.cluster_bfs_nanos_total");
 static BALL_EXPANSIONS: LazyCounter = LazyCounter::new("algo2.ball_expansions_total");
-static CACHE_HITS: LazyCounter = LazyCounter::new("algo2.cache_hits_total");
 static CLUSTERS: LazyCounter = LazyCounter::new("algo2.clusters_total");
 static RUNS: LazyCounter = LazyCounter::new("algo2.runs_total");
 
@@ -129,42 +123,15 @@ impl Algorithm2Config {
 ///
 /// Pure observability: none of these influence the decomposition, the RNG
 /// consumption or the round ledger, and they are not part of any canonical
-/// report encoding. The benchmarks surface them to track the virtual
-/// power-graph path.
+/// report encoding.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineStats {
-    /// Nanoseconds spent in the per-cluster bounded region BFS.
-    pub cluster_bfs_nanos: u64,
     /// Ball expansions performed by the lazy [`PowerView`] (0 when the
-    /// trivial or materialized path ran).
+    /// trivial one-cluster-per-component path ran).
     pub power_ball_expansions: u64,
-    /// Ball-cache hits inside the lazy [`PowerView`].
+    /// Always 0: the [`PowerView`] memoizes no balls. The benchmark's
+    /// `local_model.ball_cache_hit_ratio` row still reads it.
     pub power_cache_hits: u64,
-    /// Per-class deltas of the [`PowerView`] counters during the network
-    /// decomposition (empty when the trivial or materialized path ran).
-    /// One ball cache serves every class, so later classes — which revisit
-    /// vertices deferred by earlier carving — show hits where the first
-    /// class shows expansions.
-    pub power_layer_deltas: Vec<PowerLayerDelta>,
-    /// Whether the network decomposition ran on the lazy [`PowerView`]
-    /// (as opposed to the trivial path or a materialized power graph).
-    pub used_power_view: bool,
-    /// Long-lived scratch buffers allocated by the cluster pipeline for the
-    /// whole run. The pre-virtual pipeline allocated several `O(n)` / `O(m)`
-    /// buffers *per cluster*; now the count is a per-run constant.
-    pub scratch_allocations: u64,
-}
-
-/// [`PowerView`] counter movement attributable to one network-decomposition
-/// class (pure observability, like the rest of [`PipelineStats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PowerLayerDelta {
-    /// The network-decomposition class the carving pass belonged to.
-    pub class: usize,
-    /// Balls expanded by a fresh bounded BFS while carving this class.
-    pub ball_expansions: u64,
-    /// Balls answered from the cache shared across classes.
-    pub cache_hits: u64,
 }
 
 /// Output of Algorithm 2.
@@ -204,10 +171,11 @@ fn derived_radius(n: usize, epsilon: f64) -> usize {
     ((ln_n / epsilon).ceil() as usize).max(2)
 }
 
-/// Runs Algorithm 2 on `g` with the given palettes, freezing the topology to
-/// CSR once and running every phase (BFS regions, CUT, augmentation) over the
-/// flat arrays. Callers that already hold a frozen topology should use
-/// [`algorithm2_frozen`].
+/// Runs Algorithm 2 with the given palettes over a frozen topology: any
+/// [`GraphView`] qualifies — an owned CSR, a borrowed shard view, an
+/// mmap-backed graph. The facade freezes once per request and threads the
+/// view through every engine phase (BFS regions, CUT, augmentation); the
+/// thaw-free sharded pipeline feeds `CsrRef` shards straight in.
 ///
 /// Every palette must contain at least `⌈(1+ε)α⌉` colors.
 ///
@@ -216,24 +184,6 @@ fn derived_radius(n: usize, epsilon: f64) -> usize {
 /// Returns an error for invalid `ε`, palettes that are too small, or when an
 /// augmentation cannot be completed even without locality restriction (which
 /// indicates the arboricity bound is wrong).
-pub fn algorithm2<R: Rng + ?Sized>(
-    g: &MultiGraph,
-    lists: &ListAssignment,
-    config: &Algorithm2Config,
-    rng: &mut R,
-) -> Result<Algorithm2Output, FdError> {
-    let csr = CsrGraph::from_multigraph(g);
-    algorithm2_frozen(&csr, lists, config, rng)
-}
-
-/// [`algorithm2`] over a pre-frozen topology: any [`GraphView`] qualifies —
-/// an owned CSR, a borrowed shard view, an mmap-backed graph. The facade
-/// freezes once per request and threads the view through every engine
-/// phase; the thaw-free sharded pipeline feeds `CsrRef` shards straight in.
-///
-/// # Errors
-///
-/// Same as [`algorithm2`].
 pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
     csr: &C,
     lists: &ListAssignment,
@@ -309,8 +259,8 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
 
     // Network decomposition of G^{2(R+R')}. When 2(R+R') reaches the graph
     // diameter the power graph is a disjoint union of cliques (one per
-    // connected component) and the decomposition is trivial, so we avoid
-    // materializing the power graph in that common case.
+    // connected component) and the decomposition is trivial, so the power
+    // view is skipped in that common case.
     let power = 2 * (cut_radius + locality_radius);
     let mut pipeline_stats = PipelineStats::default();
     // The bounded-BFS scratch serves the diameter bound here and the
@@ -369,37 +319,12 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
         );
         // The decomposition runs on the lazy PowerView — adjacency in
         // G^power is answered by bounded-radius BFS balls on demand, so the
-        // quadratic power graph is never materialized. Graphs beyond the
-        // view's u32 vertex-index capacity fall back to materializing; both
-        // paths produce identical clusters and identical ledger charges.
-        let nd = if n <= PowerView::<C>::MAX_VERTICES {
-            let pv = PowerView::new(csr, power);
-            // One ball cache spans all carving classes; snapshot the view's
-            // counters at each class boundary to attribute hits/expansions
-            // per layer.
-            let mut layer_deltas: Vec<PowerLayerDelta> = Vec::new();
-            let mut last = local_model::PowerViewStats::default();
-            let nd = network_decomposition_with_probe(&pv, &mut ledger, |class| {
-                let now = pv.stats();
-                layer_deltas.push(PowerLayerDelta {
-                    class,
-                    ball_expansions: now.ball_expansions - last.ball_expansions,
-                    cache_hits: now.cache_hits - last.cache_hits,
-                });
-                last = now;
-            });
-            let stats = pv.stats();
-            BALL_EXPANSIONS.add(stats.ball_expansions);
-            CACHE_HITS.add(stats.cache_hits);
-            pipeline_stats.power_ball_expansions = stats.ball_expansions;
-            pipeline_stats.power_cache_hits = stats.cache_hits;
-            pipeline_stats.power_layer_deltas = layer_deltas;
-            pipeline_stats.used_power_view = true;
-            nd
-        } else {
-            let pg = local_model::power_graph(csr, power);
-            network_decomposition(&pg, &mut ledger)
-        };
+        // quadratic power graph is never materialized.
+        let pv = PowerView::new(csr, power);
+        let nd = network_decomposition(&pv, &mut ledger);
+        let expansions = pv.stats().ball_expansions;
+        BALL_EXPANSIONS.add(expansions);
+        pipeline_stats.power_ball_expansions = expansions;
         let mut classes: Vec<Vec<Vec<VertexId>>> = vec![Vec::new(); nd.num_classes];
         for (cluster_id, members) in nd.clusters.iter().enumerate() {
             classes[nd.cluster_class[cluster_id]].push(members.clone());
@@ -432,7 +357,7 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
     let mut edge_seen = StampSet::new(m);
     let mut conn = ColorConnectivity::new(n);
     let unrestricted = AugmentationContext::new(csr, lists);
-    pipeline_stats.scratch_allocations = 12;
+    let mut bfs_nanos = 0u64;
     CLUSTERS.add(num_clusters_total as u64);
 
     let _cluster_span = Span::enter("algo2.cluster_loop");
@@ -468,7 +393,7 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
                 &mut edge_seen,
                 &mut scope_edges,
             );
-            pipeline_stats.cluster_bfs_nanos += ball_start.elapsed_nanos();
+            bfs_nanos += ball_start.elapsed_nanos();
             // CUT(C', R).
             let scope = CutScope {
                 core_vertices: &core_list,
@@ -563,7 +488,7 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
             }
         }
     }
-    BFS_NANOS.add(pipeline_stats.cluster_bfs_nanos);
+    BFS_NANOS.add(bfs_nanos);
 
     Ok(Algorithm2Output {
         coloring,
@@ -587,7 +512,7 @@ mod tests {
     use forest_graph::decomposition::{
         validate_list_coloring, validate_partial_forest_decomposition,
     };
-    use forest_graph::{generators, matroid};
+    use forest_graph::{generators, matroid, CsrGraph, MultiGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
@@ -612,7 +537,8 @@ mod tests {
         let alpha = matroid::arboricity(&g);
         let lists = ListAssignment::uniform(g.num_edges(), ((1.5) * alpha as f64).ceil() as usize);
         let config = Algorithm2Config::new(0.5, alpha);
-        let out = algorithm2(&g, &lists, &config, &mut rng).unwrap();
+        let csr = CsrGraph::from_multigraph(&g);
+        let out = algorithm2_frozen(&csr, &lists, &config, &mut rng).unwrap();
         check_output(&g, &lists, &out);
         // On a small planted graph the radii exceed the diameter, so there is
         // nothing to cut and everything gets colored.
@@ -629,7 +555,8 @@ mod tests {
         let k = ((1.5) * alpha as f64).ceil() as usize + 1;
         let lists = ListAssignment::random(g.num_edges(), 3 * k, k, &mut rng);
         let config = Algorithm2Config::new(0.5, alpha);
-        let out = algorithm2(&g, &lists, &config, &mut rng).unwrap();
+        let csr = CsrGraph::from_multigraph(&g);
+        let out = algorithm2_frozen(&csr, &lists, &config, &mut rng).unwrap();
         check_output(&g, &lists, &out);
     }
 
@@ -641,7 +568,8 @@ mod tests {
         let alpha = 2;
         let lists = ListAssignment::uniform(g.num_edges(), 3);
         let config = Algorithm2Config::new(0.5, alpha).with_radii(8, 4);
-        let out = algorithm2(&g, &lists, &config, &mut rng).unwrap();
+        let csr = CsrGraph::from_multigraph(&g);
+        let out = algorithm2_frozen(&csr, &lists, &config, &mut rng).unwrap();
         check_output(&g, &lists, &out);
         assert_eq!(out.radii, (8, 4));
         // CUT had real work to do (several classes / clusters).
@@ -664,29 +592,26 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_stats_attribute_power_counters_per_layer() {
+    fn pipeline_stats_count_ball_expansions_on_the_power_path_only() {
         let mut rng = StdRng::seed_from_u64(9);
+        // Forced radii far below the diameter: the network decomposition
+        // runs on the lazy PowerView.
         let g = generators::fat_path(120, 2);
         let lists = ListAssignment::uniform(g.num_edges(), 3);
         let config = Algorithm2Config::new(0.5, 2).with_radii(8, 4);
-        let out = algorithm2(&g, &lists, &config, &mut rng).unwrap();
-        let stats = &out.pipeline_stats;
-        assert!(stats.used_power_view);
-        assert!(stats.power_ball_expansions > 0);
-        // One delta per network-decomposition class, classes in order, and
-        // the deltas partition the run totals exactly.
-        assert_eq!(stats.power_layer_deltas.len(), out.num_classes);
-        let (exp, hits) = stats
-            .power_layer_deltas
-            .iter()
-            .fold((0u64, 0u64), |(e, h), d| {
-                (e + d.ball_expansions, h + d.cache_hits)
-            });
-        assert_eq!(exp, stats.power_ball_expansions);
-        assert_eq!(hits, stats.power_cache_hits);
-        for (i, d) in stats.power_layer_deltas.iter().enumerate() {
-            assert_eq!(d.class, i);
-        }
+        let csr = CsrGraph::from_multigraph(&g);
+        let out = algorithm2_frozen(&csr, &lists, &config, &mut rng).unwrap();
+        assert!(out.num_clusters > 1);
+        assert!(out.pipeline_stats.power_ball_expansions > 0);
+        // Derived radii beyond the diameter: the trivial one-cluster path
+        // never builds the view.
+        let g = generators::fat_path(8, 2);
+        let lists = ListAssignment::uniform(g.num_edges(), 3);
+        let config = Algorithm2Config::new(0.5, 2);
+        let csr = CsrGraph::from_multigraph(&g);
+        let out = algorithm2_frozen(&csr, &lists, &config, &mut rng).unwrap();
+        assert_eq!(out.num_clusters, 1);
+        assert_eq!(out.pipeline_stats.power_ball_expansions, 0);
     }
 
     #[test]
@@ -697,7 +622,8 @@ mod tests {
         let config = Algorithm2Config::new(0.5, 2)
             .with_conditioned_sampling()
             .with_radii(10, 5);
-        let out = algorithm2(&g, &lists, &config, &mut rng).unwrap();
+        let csr = CsrGraph::from_multigraph(&g);
+        let out = algorithm2_frozen(&csr, &lists, &config, &mut rng).unwrap();
         check_output(&g, &lists, &out);
     }
 
@@ -707,8 +633,9 @@ mod tests {
         let g = generators::planted_forest_union(20, 3, &mut rng);
         let lists = ListAssignment::uniform(g.num_edges(), 2);
         let config = Algorithm2Config::new(0.5, 3);
+        let csr = CsrGraph::from_multigraph(&g);
         assert!(matches!(
-            algorithm2(&g, &lists, &config, &mut rng),
+            algorithm2_frozen(&csr, &lists, &config, &mut rng),
             Err(FdError::PaletteTooSmall { .. })
         ));
     }
@@ -719,7 +646,8 @@ mod tests {
         let g = MultiGraph::new(7);
         let lists = ListAssignment::uniform(0, 1);
         let config = Algorithm2Config::new(0.5, 1);
-        let out = algorithm2(&g, &lists, &config, &mut rng).unwrap();
+        let csr = CsrGraph::from_multigraph(&g);
+        let out = algorithm2_frozen(&csr, &lists, &config, &mut rng).unwrap();
         assert!(out.leftover.is_empty());
         assert_eq!(out.num_clusters, 0);
     }
@@ -730,8 +658,9 @@ mod tests {
         let g = generators::path(4);
         let lists = ListAssignment::uniform(3, 2);
         let config = Algorithm2Config::new(1.5, 1);
+        let csr = CsrGraph::from_multigraph(&g);
         assert!(matches!(
-            algorithm2(&g, &lists, &config, &mut rng),
+            algorithm2_frozen(&csr, &lists, &config, &mut rng),
             Err(FdError::InvalidEpsilon { .. })
         ));
     }

@@ -118,7 +118,7 @@ static FACADE_RUN_NANOS: LazyHistogram = LazyHistogram::new("facade.run_nanos");
 /// its [`CsrGraph`] view, built once and reusable across any number of runs.
 ///
 /// [`Decomposer::run`] freezes internally, so one-off callers never see this
-/// type; freeze explicitly (and use [`Decomposer::run_frozen`] /
+/// type; freeze explicitly (and pass `&frozen` to [`Decomposer::run`] or
 /// [`Decomposer::run_batch_shared`]) when the same graph is decomposed more
 /// than once — repeated requests, seed sweeps, engine comparisons — to pay
 /// the `O(n + m)` conversion a single time.
@@ -369,18 +369,6 @@ impl Decomposer {
         self.run_seeded(input.resolve(&mut scratch), self.request.seed)
     }
 
-    /// Runs the request on an already-frozen graph (no per-run conversion).
-    ///
-    /// Byte-identical to [`Decomposer::run`] on the underlying multigraph:
-    /// freezing is a representation change, not an algorithmic one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Decomposer::run`].
-    pub fn run_frozen(&self, g: &FrozenGraph) -> Result<DecompositionReport, FdError> {
-        self.run_seeded(g.input(), self.request.seed)
-    }
-
     /// Runs the request across many graphs in parallel (one rayon task per
     /// graph), graph `i` using [`derive_seed`]`(request.seed, i)`. Results
     /// come back in input order; per-graph failures do not abort the batch.
@@ -400,23 +388,6 @@ impl Decomposer {
                     derive_seed(self.request.seed, *i),
                 )
             })
-            .collect()
-    }
-
-    /// [`Decomposer::run_batch`] over pre-frozen graphs: no conversions at
-    /// all on the hot path.
-    pub fn run_batch_frozen(
-        &self,
-        graphs: &[FrozenGraph],
-    ) -> Vec<Result<DecompositionReport, FdError>> {
-        let indexed: Vec<(u64, &FrozenGraph)> = graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (i as u64, g))
-            .collect();
-        indexed
-            .par_iter()
-            .map(|(i, g)| self.run_seeded(g.input(), derive_seed(self.request.seed, *i)))
             .collect()
     }
 
@@ -501,7 +472,7 @@ impl Decomposer {
 
     /// [`Decomposer::run_sharded`] over a pre-split graph: no split, no
     /// reordering pass, no conversions at all on the hot path — the sharded
-    /// analog of [`Decomposer::run_frozen`]. The [`ShardedGraph`]'s own
+    /// analog of running a [`FrozenGraph`]. The [`ShardedGraph`]'s own
     /// split (shard count and reorder) is what runs — the request's
     /// `reorder` only applies when `run_sharded` splits internally — while
     /// the [`StitchPolicy`] is a run-time knob that always comes from the

@@ -54,9 +54,9 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Typed mirrors of the [`OocStats`] phase/residency accounting in the
-/// `forest-obs` registry. Counters are cumulative across runs; the gauges
-/// report the latest run's plan and the high-watermark residency.
+/// Phase timings and [`OocStats`] residency accounting in the `forest-obs`
+/// registry. Counters are cumulative across runs; the gauges report the
+/// latest run's plan and the high-watermark residency.
 static OOC_RUNS: LazyCounter = LazyCounter::new("ooc.runs_total");
 static OOC_PLAN_NANOS: LazyCounter = LazyCounter::new("ooc.plan_nanos_total");
 static OOC_DECOMPOSE_NANOS: LazyCounter = LazyCounter::new("ooc.decompose_nanos_total");
@@ -107,8 +107,8 @@ impl OocConfig {
     }
 }
 
-/// What one out-of-core run measured: the budget accounting plus per-phase
-/// wall clock, the numbers `BENCH_pr8.json` records.
+/// What one out-of-core run measured: the budget and residency accounting.
+/// Phase wall-clock lives in the `ooc.*` spans and registry counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OocStats {
     /// Shards the run walked.
@@ -130,14 +130,6 @@ pub struct OocStats {
     pub boundary_edges: usize,
     /// Bytes of per-shard colorings spilled to disk.
     pub spilled_coloring_bytes: u64,
-    /// Wall-clock nanoseconds: planning (map + split + boundary scan).
-    pub plan_nanos: u64,
-    /// Wall-clock nanoseconds: the sequential shard walk.
-    pub decompose_nanos: u64,
-    /// Wall-clock nanoseconds: the boundary stitch.
-    pub stitch_nanos: u64,
-    /// Wall-clock nanoseconds: reading spills back and building the report.
-    pub assemble_nanos: u64,
 }
 
 /// An out-of-core run's result: the (byte-identical-to-`run_sharded`)
@@ -147,7 +139,7 @@ pub struct OocOutcome {
     /// The decomposition report, indistinguishable from the in-memory
     /// sharded run's.
     pub report: DecompositionReport,
-    /// Budget accounting and phase timings.
+    /// Budget and residency accounting.
     pub stats: OocStats,
 }
 
@@ -327,9 +319,8 @@ impl Decomposer {
             verts.dedup();
         }
         meter.alloc(boundary_verts.iter().map(|v| 4 * v.len() + 32).sum());
-        stats.plan_nanos = plan_start.elapsed_nanos();
+        OOC_PLAN_NANOS.add(plan_start.elapsed_nanos());
         drop(plan_span);
-        OOC_PLAN_NANOS.add(stats.plan_nanos);
         OOC_NUM_SHARDS.set(k as u64);
         OOC_BOUNDARY_EDGES.set(boundary as u64);
 
@@ -422,9 +413,8 @@ impl Decomposer {
             .flush()
             .map_err(|err| io_err(format!("flushing coloring spill: {err}")))?;
         drop(spill);
-        stats.decompose_nanos = walk_start.elapsed_nanos();
+        OOC_DECOMPOSE_NANOS.add(walk_start.elapsed_nanos());
         drop(walk_span);
-        OOC_DECOMPOSE_NANOS.add(stats.decompose_nanos);
 
         // --- phase 3: boundary stitch --------------------------------------
         // The same two-phase rule as run_sharded_prepared, over sparse
@@ -518,9 +508,8 @@ impl Decomposer {
             );
         }
         debug_assert_eq!(written, m, "every edge colored exactly once");
-        stats.stitch_nanos = stitch_start.elapsed_nanos();
+        OOC_STITCH_NANOS.add(stitch_start.elapsed_nanos());
         drop(stitch_span);
-        OOC_STITCH_NANOS.add(stats.stitch_nanos);
         stats.peak_resident_bytes = meter.peak;
         OOC_PEAK_RESIDENT.set_max(meter.peak as u64);
 
@@ -579,9 +568,8 @@ impl Decomposer {
             report.validate(&csr)?;
             report.validation = ValidationStatus::Validated;
         }
-        stats.assemble_nanos = assemble_start.elapsed_nanos();
+        OOC_ASSEMBLE_NANOS.add(assemble_start.elapsed_nanos());
         drop(assemble_span);
-        OOC_ASSEMBLE_NANOS.add(stats.assemble_nanos);
         OOC_RUNS.inc();
         Ok(OocOutcome { report, stats })
     }

@@ -135,9 +135,7 @@ pub use api::{
     Validate,
 };
 
-pub use algorithm2::{
-    algorithm2, Algorithm2Config, Algorithm2Output, CutStrategyKind, PipelineStats, PowerLayerDelta,
-};
+pub use algorithm2::{Algorithm2Config, Algorithm2Output, CutStrategyKind, PipelineStats};
 pub use augmenting::{AugmentationContext, AugmentingSequence, ColorConnectivity};
 pub use combine::{FdOptions, FdResult, LfdResult};
 pub use diameter_reduction::{reduce_diameter, DiameterTarget};

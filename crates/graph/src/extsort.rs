@@ -42,8 +42,8 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Typed mirrors of the [`BuildStats`] timing/spill fields in the
-/// `forest-obs` registry (cumulative across builds).
+/// Build phase timings and [`BuildStats`] spill counts in the `forest-obs`
+/// registry (cumulative across builds).
 static READ_SPILL_NANOS: LazyCounter = LazyCounter::new("extsort.read_spill_nanos_total");
 static MERGE_NANOS: LazyCounter = LazyCounter::new("extsort.merge_nanos_total");
 static SPILLED_RUNS: LazyCounter = LazyCounter::new("extsort.spilled_runs_total");
@@ -116,7 +116,8 @@ impl ExtsortConfig {
 }
 
 /// What one external-sort build measured: the degree/density watermark and
-/// the phase accounting the out-of-core benchmarks report.
+/// the buffer and spill accounting. Phase wall-clock lives in the
+/// `extsort.read_spill` / `extsort.merge` spans and registry counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BuildStats {
     /// Vertices in the output CSR.
@@ -134,10 +135,6 @@ pub struct BuildStats {
     /// Largest size the sort buffer reached, in bytes (≤ the configured
     /// ceiling, modulo the [`MIN_BUFFER_RECORDS`] floor).
     pub peak_buffer_bytes: usize,
-    /// Wall-clock of the read + sort + spill pass, nanoseconds.
-    pub read_spill_nanos: u64,
-    /// Wall-clock of the k-way merge + concatenation, nanoseconds.
-    pub merge_nanos: u64,
     /// Size of the finished CSR file in bytes.
     pub output_bytes: u64,
 }
@@ -417,9 +414,8 @@ where
     drop(endpoints_out);
     stats.peak_buffer_bytes = stats.peak_buffer_bytes.max(buffer.len() * RECORD_BYTES);
     stats.spilled_runs = run_paths.len();
-    stats.read_spill_nanos = read_start.elapsed_nanos();
+    READ_SPILL_NANOS.add(read_start.elapsed_nanos());
     drop(read_span);
-    READ_SPILL_NANOS.add(stats.read_spill_nanos);
     SPILLED_RUNS.add(stats.spilled_runs as u64);
     EDGES_READ.add(num_edges);
 
@@ -534,9 +530,8 @@ where
         io::copy(&mut reader, &mut out)?;
     }
     out.flush()?;
-    stats.merge_nanos = merge_start.elapsed_nanos();
+    MERGE_NANOS.add(merge_start.elapsed_nanos());
     drop(merge_span);
-    MERGE_NANOS.add(stats.merge_nanos);
     BUILDS.inc();
     stats.output_bytes = (HEADER_BYTES + 4 * ((n + 1) + 6 * m)) as u64;
     debug_assert_eq!(stats.output_bytes, std::fs::metadata(output)?.len());

@@ -180,7 +180,7 @@ reason = "audited kernels"
         let cfg = Config::parse(GOOD).unwrap();
         assert_eq!(cfg.allows.len(), 2);
         assert!(cfg.allows("FL005", "crates/bench/src/lib.rs"));
-        assert!(cfg.allows("FL005", "crates/bench/src/bin/bench_snapshot.rs"));
+        assert!(cfg.allows("FL005", "crates/bench/src/bin/obs_smoke.rs"));
         assert!(!cfg.allows("FL004", "crates/bench/src/lib.rs"));
         assert!(cfg.allows("FL004", "crates/graph/src/kernels.rs"));
         assert!(!cfg.allows("FL004", "crates/graph/src/kernels_extra.rs"));

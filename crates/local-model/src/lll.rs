@@ -1,7 +1,7 @@
 //! Distributed Lovász Local Lemma via parallel resampling.
 //!
 //! The paper repeatedly invokes the LLL algorithm of Chung–Pettie–Su [CPS17]
-//! under the polynomially-strengthened criterion `e·p·d² ≤ 1 − Ω(1)`: each
+//! under the polynomially-strengthened condition `e·p·d² ≤ 1 − Ω(1)`: each
 //! vertex draws private random variables, each *bad event* depends on the
 //! variables of a bounded neighborhood, and the algorithm finds an assignment
 //! avoiding every bad event in `O(log n)` rounds.
@@ -10,7 +10,7 @@
 //! round all currently-violated events resample their variables
 //! simultaneously (a superset of an independent set of violated events, which
 //! only helps convergence in practice), and the loop ends when no bad event
-//! holds. Under the paper's criterion the expected number of rounds is
+//! holds. Under the paper's condition the expected number of rounds is
 //! `O(log n)`; the simulator enforces a configurable round cap and reports
 //! failure if it is exceeded, mirroring the "with high probability" guarantee.
 

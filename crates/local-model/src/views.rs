@@ -15,11 +15,11 @@
 //! diameter exceeds `2(R+R')`. [`PowerView`] instead answers every
 //! adjacency query with a bounded-radius BFS from the queried vertex over
 //! an epoch-stamped scratch arena
-//! ([`BfsScratch`](forest_graph::traversal::BfsScratch)): no `O(n)` clears
-//! between queries, no allocation per query, and a small LRU of recently
-//! expanded balls so the repeated neighborhood probes of
-//! [`network_decomposition`](crate::network_decomposition) don't redo BFS
-//! work. Round-cost accounting is unchanged: simulating `G^r` is charged by
+//! ([`BfsScratch`](forest_graph::traversal::BfsScratch)), so no query pays
+//! an `O(n)` clear. Balls are not memoized: an LRU of them scored zero hits
+//! on the carving passes of
+//! [`network_decomposition`](crate::network_decomposition).
+//! Round-cost accounting is unchanged: simulating `G^r` is charged by
 //! the *caller* at the usual `O(r)` simulation overhead — the ledger prices
 //! LOCAL rounds, not the central materialization shortcut this view avoids.
 
@@ -27,8 +27,7 @@ use crate::rounds::RoundLedger;
 use forest_graph::traversal::{BfsScratch, UNREACHABLE};
 use forest_graph::{EdgeId, GraphView, MultiGraph, VertexId};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
+use std::collections::HashMap;
 
 /// The radius-`r` view around a set of center vertices: the vertices within
 /// distance `r` and the edges with both endpoints in that ball.
@@ -108,9 +107,8 @@ pub fn collect_view<G: GraphView>(
 /// Simulating one round of `G^r` costs `O(r)` rounds of `G`; callers charge
 /// that separately when they run algorithms on the power graph.
 ///
-/// **Engine note:** this materializer is kept as the ground-truth oracle
-/// for tests and for graphs beyond [`PowerView::MAX_VERTICES`]; the
-/// decomposition engines themselves route through [`PowerView`], which
+/// **Engine note:** this materializer is the ground-truth oracle for
+/// tests; the decomposition engines route through [`PowerView`], which
 /// answers the same adjacency lazily without the `O(n²)` edge blow-up.
 /// Prefer the view in any per-run code path.
 pub fn power_graph<G: GraphView>(g: &G, r: usize) -> MultiGraph {
@@ -133,78 +131,11 @@ pub fn power_graph<G: GraphView>(g: &G, r: usize) -> MultiGraph {
     pg
 }
 
-/// Running counters of a [`PowerView`]: how often a ball was answered from
-/// the LRU versus expanded by a fresh bounded BFS.
+/// Running counters of a [`PowerView`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PowerViewStats {
     /// Balls computed by a bounded BFS over the base graph.
     pub ball_expansions: u64,
-    /// Balls answered straight from the LRU cache.
-    pub cache_hits: u64,
-}
-
-/// LRU of recently expanded balls, capped by total cached words. Recency is
-/// tracked with lazy generation stamps: every touch pushes a `(vertex,
-/// generation)` pair and eviction skips pairs whose generation is stale, so
-/// a cache hit costs `O(1)` without any list splicing.
-#[derive(Debug)]
-struct BallCache {
-    entries: HashMap<u32, (Rc<Vec<u32>>, u64)>,
-    recency: VecDeque<(u32, u64)>,
-    next_generation: u64,
-    cached_words: usize,
-    budget_words: usize,
-}
-
-impl BallCache {
-    fn new(budget_words: usize) -> Self {
-        BallCache {
-            entries: HashMap::new(),
-            recency: VecDeque::new(),
-            next_generation: 0,
-            cached_words: 0,
-            budget_words,
-        }
-    }
-
-    fn touch(&mut self, v: u32) -> u64 {
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        self.recency.push_back((v, generation));
-        generation
-    }
-
-    fn get(&mut self, v: u32) -> Option<Rc<Vec<u32>>> {
-        let generation = self.next_generation;
-        let entry = self.entries.get_mut(&v)?;
-        entry.1 = generation;
-        let ball = entry.0.clone();
-        self.touch(v);
-        Some(ball)
-    }
-
-    fn insert(&mut self, v: u32, ball: Rc<Vec<u32>>) {
-        self.cached_words += ball.len().max(1);
-        let generation = self.touch(v);
-        self.entries.insert(v, (ball, generation));
-        while self.cached_words > self.budget_words && self.entries.len() > 1 {
-            let Some((candidate, generation)) = self.recency.pop_front() else {
-                break;
-            };
-            let current = self.entries.get(&candidate).map(|entry| entry.1);
-            if current != Some(generation) {
-                continue; // stale pair from an earlier touch
-            }
-            if candidate == v {
-                // Never evict the ball being inserted; keep its (single)
-                // fresh pair queued so it stays evictable later.
-                self.recency.push_back((candidate, generation));
-                continue;
-            }
-            let (ball, _) = self.entries.remove(&candidate).expect("present");
-            self.cached_words -= ball.len().max(1);
-        }
-    }
 }
 
 /// A lazy [`GraphView`] of the power graph `G^r` — adjacency on demand, no
@@ -212,8 +143,8 @@ impl BallCache {
 ///
 /// Every query about a vertex `v` is answered from the radius-`r` ball of
 /// `v` in the base graph, computed by a bounded BFS over a shared
-/// epoch-stamped scratch arena and memoized in a words-budgeted LRU (see
-/// the [module docs](self) for the design rationale).
+/// epoch-stamped scratch arena (see the [module docs](self) for the
+/// design rationale).
 ///
 /// # Identifier contract
 ///
@@ -239,7 +170,7 @@ impl BallCache {
 /// In both modes use [`edges`](GraphView::edges) (overridden to enumerate
 /// lazily from each smaller endpoint) when the actual edge set is required.
 ///
-/// The view holds interior mutability (scratch arena + cache + interner)
+/// The view holds interior mutability (scratch arena + interner)
 /// behind a [`RefCell`], so it is intentionally neither `Sync` nor `Send`:
 /// create one per run, like the scratch buffers it replaces.
 #[derive(Debug)]
@@ -275,7 +206,6 @@ impl EdgeInterner {
 #[derive(Debug)]
 struct PowerViewInner {
     scratch: BfsScratch,
-    cache: BallCache,
     stats: PowerViewStats,
     /// `Some` exactly when the base graph exceeds
     /// [`PowerView::PAIR_ENCODED_MAX`] vertices.
@@ -284,7 +214,7 @@ struct PowerViewInner {
 
 impl<'a, G: GraphView> PowerView<'a, G> {
     /// Largest supported base-graph vertex count (vertex ids must fit the
-    /// `u32` ball-cache index).
+    /// `u32` entries of a ball).
     pub const MAX_VERTICES: usize = u32::MAX as usize;
 
     /// Largest base-graph vertex count the *pair-encoded* edge ids support
@@ -298,25 +228,19 @@ impl<'a, G: GraphView> PowerView<'a, G> {
     /// # Panics
     ///
     /// Panics if `base` has more than [`PowerView::MAX_VERTICES`] vertices
-    /// (vertex ids would overflow the `u32` cache index); such graphs must
-    /// use the materializing [`power_graph`] instead.
+    /// (vertex ids would overflow the `u32` ball entries).
     pub fn new(base: &'a G, radius: usize) -> Self {
         let n = base.num_vertices();
         assert!(
             n <= Self::MAX_VERTICES,
-            "PowerView supports at most {} vertices (got {n}); use power_graph",
+            "PowerView supports at most {} vertices (got {n})",
             Self::MAX_VERTICES
         );
-        // Budget the ball cache at a few words per base vertex: enough to
-        // keep the working set of a carving pass hot, bounded well below
-        // materialization cost.
-        let budget_words = (8 * n).max(4096);
         PowerView {
             base,
             radius,
             inner: RefCell::new(PowerViewInner {
                 scratch: BfsScratch::new(n),
-                cache: BallCache::new(budget_words),
                 stats: PowerViewStats::default(),
                 interner: (n > Self::PAIR_ENCODED_MAX).then(EdgeInterner::default),
             }),
@@ -333,32 +257,27 @@ impl<'a, G: GraphView> PowerView<'a, G> {
         self.radius
     }
 
-    /// Snapshot of the expansion/cache counters.
+    /// Snapshot of the expansion counter.
     pub fn stats(&self) -> PowerViewStats {
         self.inner.borrow().stats
     }
 
     /// The sorted power-neighborhood of `v` (vertices at base distance
-    /// `1..=radius`), shared with the cache.
-    fn ball(&self, v: VertexId) -> Rc<Vec<u32>> {
-        let key = v.raw();
+    /// `1..=radius`), by one bounded BFS.
+    fn ball(&self, v: VertexId) -> Vec<u32> {
         let mut inner = self.inner.borrow_mut();
-        if let Some(ball) = inner.cache.get(key) {
-            inner.stats.cache_hits += 1;
-            return ball;
-        }
         inner.stats.ball_expansions += 1;
-        let PowerViewInner { scratch, cache, .. } = &mut *inner;
-        scratch.run_bounded(self.base, &[v], self.radius, |_| true);
-        let mut ball: Vec<u32> = scratch
+        inner
+            .scratch
+            .run_bounded(self.base, &[v], self.radius, |_| true);
+        let mut ball: Vec<u32> = inner
+            .scratch
             .visited()
             .iter()
             .filter(|&&w| w != v)
             .map(|w| w.raw())
             .collect();
         ball.sort_unstable();
-        let ball = Rc::new(ball);
-        cache.insert(key, ball.clone());
         ball
     }
 
@@ -375,36 +294,6 @@ impl<'a, G: GraphView> PowerView<'a, G> {
                 .expect("interner present above the pair-encoded cap")
                 .intern(lo, hi, n)
         }
-    }
-}
-
-/// Iterator over the power-graph incidences of one vertex; holds the cached
-/// ball alive via its [`Rc`], so each `next()` only takes a transient
-/// interior borrow of the view (to mint interned edge ids) — no borrow
-/// guard outlives the call.
-#[derive(Debug)]
-pub struct PowerIncidences<'v, 'a, G: GraphView> {
-    view: &'v PowerView<'a, G>,
-    ball: Rc<Vec<u32>>,
-    pos: usize,
-    center: u32,
-}
-
-impl<G: GraphView> Iterator for PowerIncidences<'_, '_, G> {
-    type Item = (VertexId, EdgeId);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let &w = self.ball.get(self.pos)?;
-        self.pos += 1;
-        Some((
-            VertexId::new(w as usize),
-            self.view.encode_edge(self.center, w),
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rest = self.ball.len() - self.pos;
-        (rest, Some(rest))
     }
 }
 
@@ -450,25 +339,24 @@ impl<'a, G: GraphView> GraphView for PowerView<'a, G> {
         self.ball(v).len()
     }
 
+    /// The ball is owned by the iterator, so each `next()` only takes a
+    /// transient interior borrow of the view (to mint interned edge ids).
     fn incidences(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
-        PowerIncidences {
-            view: self,
-            ball: self.ball(v),
-            pos: 0,
-            center: v.raw(),
-        }
+        let center = v.raw();
+        self.ball(v)
+            .into_iter()
+            .map(move |w| (VertexId::new(w as usize), self.encode_edge(center, w)))
     }
 
     /// Lazily enumerates each power edge once, from its smaller endpoint in
     /// ascending order.
     fn edges(&self) -> impl Iterator<Item = (EdgeId, VertexId, VertexId)> + '_ {
         self.vertices().flat_map(move |v| {
-            let ball = self.ball(v);
             let center = v.raw();
-            (0..ball.len()).filter_map(move |i| {
-                let w = ball[i];
-                (w > center).then(|| (self.encode_edge(center, w), v, VertexId::new(w as usize)))
-            })
+            self.ball(v)
+                .into_iter()
+                .filter(move |&w| w > center)
+                .map(move |w| (self.encode_edge(center, w), v, VertexId::new(w as usize)))
         })
     }
 
@@ -566,40 +454,10 @@ mod tests {
         for r in [0, 1, 2, 5, 10] {
             assert_matches_materialized(&grid, r);
         }
-    }
-
-    #[test]
-    fn power_view_cache_hits_on_repeat_queries() {
-        let g = generators::grid(5, 5);
-        let pv = PowerView::new(&g, 3);
-        let first: Vec<_> = pv.incidences(VertexId::new(12)).collect();
-        let again: Vec<_> = pv.incidences(VertexId::new(12)).collect();
-        assert_eq!(first, again);
-        let stats = pv.stats();
-        assert_eq!(stats.ball_expansions, 1);
-        assert!(stats.cache_hits >= 1);
-    }
-
-    #[test]
-    fn power_view_cache_evicts_under_budget_pressure() {
-        // A clique power view has balls of size n-1; a tiny budget forces
-        // evictions while answers stay correct.
-        let g = generators::complete_graph(40);
-        let pv = PowerView::new(&g, 2);
-        {
-            let mut inner = pv.inner.borrow_mut();
-            inner.cache.budget_words = 80; // room for ~2 balls
+        let clique = generators::complete_graph(40);
+        for r in [1, 2] {
+            assert_matches_materialized(&clique, r);
         }
-        for round in 0..3 {
-            for v in g.vertices() {
-                assert_eq!(pv.degree(v), 39, "round {round} vertex {v}");
-            }
-        }
-        let inner = pv.inner.borrow();
-        assert!(inner.cache.cached_words <= 80 + 39, "budget enforced");
-        drop(inner);
-        let stats = pv.stats();
-        assert!(stats.ball_expansions >= 40, "evictions force re-expansion");
     }
 
     #[test]

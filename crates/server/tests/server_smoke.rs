@@ -1,7 +1,7 @@
 //! End-to-end smoke test over a real socket: spawn the `forest-serve`
 //! binary on an OS-assigned port, register a tenant graph, stream 1 000
 //! edge updates through it in batches, and check every query answer —
-//! including the acceptance criterion that `SnapshotBytes` served over
+//! including the acceptance check that `SnapshotBytes` served over
 //! the wire is byte-identical to a local cold [`Decomposer::run`] on the
 //! same surviving edges. Ends with a clean `Shutdown` and asserts the
 //! process exits successfully (the CI smoke job runs exactly this test).
@@ -238,7 +238,7 @@ fn register_churn_query_snapshot_shutdown() {
     assert_eq!(stats.updates - stats0.updates, 1_000);
     assert_eq!(stats.live_edges, mirror.len() as u64);
 
-    // Acceptance criterion: the served snapshot bytes are byte-identical
+    // Acceptance check: the served snapshot bytes are byte-identical
     // to a cold local `Decomposer::run` on the same surviving edges.
     let mut expected = MultiGraph::new(N);
     for &(u, v) in mirror.values() {
