@@ -3,7 +3,7 @@
 //!
 //! The facade used to take `&MultiGraph` only; `GraphInput` generalizes the
 //! entrypoints without breaking them — `run(&graph)` still compiles via
-//! `From<&MultiGraph>` — while opening three new front doors:
+//! `From<&MultiGraph>` — while opening two more front doors:
 //!
 //! * [`GraphInput::from_mmap`] — an on-disk CSR file
 //!   ([`MmapCsr`](forest_graph::MmapCsr)): engines run straight over the
@@ -11,31 +11,32 @@
 //!   [`CsrRef`](forest_graph::CsrRef), and the run's
 //!   [`canonical_bytes`](super::DecompositionReport::canonical_bytes) are
 //!   byte-identical to the owned-storage run of the same request.
-//! * [`GraphInput::from_shard`] — one shard of a
-//!   [`CsrPartition`](forest_graph::CsrPartition), for driving a single
-//!   shard manually (the facade's
-//!   [`run_sharded`](super::Decomposer::run_sharded) does the whole
-//!   partition-decompose-stitch dance itself).
 //! * `From<FrozenGraph>` / `From<&FrozenGraph>` — pre-frozen graphs, owned
 //!   or borrowed.
 //!
-//! Mmap and shard inputs are **CSR-only**: no adjacency-list twin is ever
+//! Every `run*` entrypoint takes these conversions, including
+//! [`run_batch`](super::Decomposer::run_batch) (any iterator of them) and
+//! [`run_sharded`](super::Decomposer::run_sharded), which splits the input
+//! itself and stitches the shard boundaries through the private `stitch`
+//! module it shares with
+//! [`run_out_of_core`](super::Decomposer::run_out_of_core) (which reads a
+//! file path, not a `GraphInput`, and cuts the identity order only). Mmap
+//! inputs are **CSR-only**: no adjacency-list twin is ever
 //! materialized — forest and orientation pipelines are CSR-generic end to
 //! end, and the few simple-graph pipelines thaw on demand inside the run.
 
 use super::engines::FrozenInput;
 use super::FrozenGraph;
 use crate::error::FdError;
-use forest_graph::{CsrGraph, CsrPartition, GraphView, MmapCsr, MultiGraph, OwnedCsr};
+use forest_graph::{CsrGraph, GraphView, MmapCsr, MultiGraph, OwnedCsr};
 use std::path::Path;
 
 /// Any graph a [`Decomposer`](super::Decomposer) can run on.
 ///
 /// Construct one with the `From` conversions (`&MultiGraph`, `MultiGraph`,
-/// `&FrozenGraph`, `FrozenGraph`) or the named constructors
-/// ([`from_mmap`](GraphInput::from_mmap),
-/// [`from_shard`](GraphInput::from_shard)); the `run*` entrypoints take
-/// `impl Into<GraphInput>`, so call sites usually never name this type.
+/// `&FrozenGraph`, `FrozenGraph`) or [`from_mmap`](GraphInput::from_mmap);
+/// the `run*` entrypoints take `impl Into<GraphInput>`, so call sites
+/// usually never name this type.
 #[derive(Debug)]
 pub enum GraphInput<'a> {
     /// A borrowed multigraph, frozen once per run.
@@ -49,8 +50,6 @@ pub enum GraphInput<'a> {
     /// An mmap-backed CSR: engines consume the mapped arrays directly
     /// (zero-copy view); nothing is thawed.
     Mmap(Box<MmapCsr>),
-    /// A bare owned CSR with no adjacency twin (shard extractions).
-    Csr(Box<OwnedCsr>),
 }
 
 impl<'a> GraphInput<'a> {
@@ -69,38 +68,15 @@ impl<'a> GraphInput<'a> {
         Ok(GraphInput::Mmap(Box::new(csr)))
     }
 
-    /// Materializes shard `shard` of `partition` as a standalone input
-    /// (local vertex/edge ids — map results back through
-    /// [`CsrPartition::global_edge`](forest_graph::CsrPartition::global_edge)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FdError::ShardOutOfRange`] if `shard >= num_shards`.
-    pub fn from_shard(
-        partition: &CsrPartition,
-        shard: usize,
-    ) -> Result<GraphInput<'static>, FdError> {
-        if shard >= partition.num_shards() {
-            return Err(FdError::ShardOutOfRange {
-                shard,
-                num_shards: partition.num_shards(),
-            });
-        }
-        let view = partition.shard(shard);
-        // The partition already holds this shard's CSR: detach the arrays
-        // (memcpy) and run CSR-only — no thaw, no re-freeze.
-        Ok(GraphInput::Csr(Box::new(view.to_owned_storage())))
-    }
-
     /// The adjacency-list form of the input, when one exists (`None` for the
-    /// CSR-only mmap/shard variants, which never thaw).
+    /// CSR-only mmap variant, which never thaws).
     pub fn multigraph(&self) -> Option<&MultiGraph> {
         match self {
             GraphInput::Borrowed(g) => Some(g),
             GraphInput::Owned(g) => Some(g),
             GraphInput::Frozen(f) => Some(f.graph()),
             GraphInput::OwnedFrozen(f) => Some(f.graph()),
-            GraphInput::Mmap(_) | GraphInput::Csr(_) => None,
+            GraphInput::Mmap(_) => None,
         }
     }
 
@@ -112,7 +88,6 @@ impl<'a> GraphInput<'a> {
             GraphInput::Frozen(f) => f.csr().num_edges(),
             GraphInput::OwnedFrozen(f) => f.csr().num_edges(),
             GraphInput::Mmap(m) => m.num_edges(),
-            GraphInput::Csr(c) => c.num_edges(),
         }
     }
 
@@ -132,7 +107,6 @@ impl<'a> GraphInput<'a> {
             GraphInput::Frozen(f) => f.input(),
             GraphInput::OwnedFrozen(f) => f.input(),
             GraphInput::Mmap(m) => FrozenInput::from_csr(m.view()),
-            GraphInput::Csr(c) => FrozenInput::from_csr(c.view()),
         }
     }
 }
@@ -182,21 +156,6 @@ mod tests {
             assert_eq!(resolved.multigraph(), Some(&g));
             assert_eq!(resolved.csr, frozen.csr().view());
         }
-    }
-
-    #[test]
-    fn from_shard_checks_the_range() {
-        let g = generators::path(8);
-        let csr = CsrGraph::from_multigraph(&g);
-        let partition = CsrPartition::split(&csr, 2);
-        assert!(GraphInput::from_shard(&partition, 0).is_ok());
-        assert!(matches!(
-            GraphInput::from_shard(&partition, 5),
-            Err(FdError::ShardOutOfRange {
-                shard: 5,
-                num_shards: 2
-            })
-        ));
     }
 
     #[test]

@@ -21,33 +21,36 @@
 //! * [`GraphInput::from_mmap`] — an on-disk CSR file
 //!   ([`MmapCsr`](forest_graph::MmapCsr), versioned little-endian format);
 //!   engines run directly over the mapped arrays through a zero-copy
-//!   [`CsrRef`](forest_graph::CsrRef);
-//! * [`GraphInput::from_shard`] — one shard of a
-//!   [`CsrPartition`](forest_graph::CsrPartition).
+//!   [`CsrRef`](forest_graph::CsrRef).
 //!
-//! Mmap and shard inputs are CSR-only end to end: every forest and
-//! orientation pipeline is `GraphView`-generic, so no adjacency-list twin
-//! is ever materialized for them.
+//! Mmap inputs are CSR-only end to end: every forest and orientation
+//! pipeline is `GraphView`-generic, so no adjacency-list twin is ever
+//! materialized for them.
 //!
 //! # Scale: batching and sharding
 //!
 //! Reproducibility is first-class: a run derives an owned
 //! [`SmallRng`](rand::rngs::SmallRng) from the request seed, so the same
 //! request on the same graph produces a byte-identical report
-//! ([`DecompositionReport::canonical_bytes`]). Batch throughput is
-//! first-class too: [`Decomposer::run_batch`] fans one request across many
-//! graphs on all cores with per-graph derived seeds ([`derive_seed`]), and
-//! [`Decomposer::run_sharded`] decomposes one *large* graph by splitting its
-//! frozen topology into zero-copy shards — along an opt-in BFS/RCM locality
-//! order ([`ShardingSpec`], [`ReorderKind`]) when vertex ids are not already
-//! banded — decomposing them in parallel straight over the borrowed views
-//! (no per-shard thaw), and stitching the boundary through single-step
-//! augmentations plus a color-reusing residue recoloring (optionally
-//! finished by the [`StitchPolicy::ExactAlpha`] exchange pass, which closes
-//! the `α + 1` gap on capacity-tight workloads). Repeated sharded
-//! runs amortize the split through [`ShardedGraph`] and
-//! [`Decomposer::run_sharded_prepared`], exactly like [`FrozenGraph`]
-//! amortizes freezing.
+//! ([`DecompositionReport::canonical_bytes`]). There is one entry point per
+//! job:
+//!
+//! * [`Decomposer::run_batch`] fans one request across any iterator of
+//!   inputs on all cores, with per-input derived seeds ([`derive_seed`]) —
+//!   many graphs, or one [`FrozenGraph`] repeated for a seed sweep;
+//! * [`Decomposer::run_sharded`] decomposes one *large* graph by splitting
+//!   its frozen topology into zero-copy shards — along an opt-in BFS/RCM
+//!   locality order ([`ShardingSpec`], [`ReorderKind`]) when vertex ids are
+//!   not already banded — decomposing them in parallel straight over the
+//!   borrowed views (no per-shard thaw);
+//! * [`Decomposer::run_out_of_core`] does the same from an on-disk CSR file
+//!   under a memory budget, one shard at a time (identity order only).
+//!
+//! Both sharded drivers share one boundary stitch (the private `stitch`
+//! module): boundary edges join the shard forests where they fit, the
+//! residue is recolored reusing colors, and the optional
+//! [`StitchPolicy::ExactAlpha`] exchange pass closes the `α + 1` gap on
+//! capacity-tight workloads.
 //!
 //! # Streams: the [`DynamicDecomposer`]
 //!
@@ -83,6 +86,7 @@ mod input;
 pub mod oocore;
 mod report;
 mod request;
+mod stitch;
 pub mod versioned;
 
 pub use dynamic::{
@@ -100,15 +104,12 @@ pub use versioned::{ArboricityWatermark, ColoringSnapshot, SnapshotReader, Versi
 pub use forest_graph::ReorderKind;
 
 use crate::error::FdError;
-use forest_graph::decomposition::max_forest_diameter;
-use forest_graph::{
-    CsrGraph, CsrPartition, CsrRef, GraphView, ListAssignment, MultiGraph, OwnedCsr,
-};
+use forest_graph::{Color, CsrGraph, CsrPartition, CsrRef, GraphView, ListAssignment, MultiGraph};
 use forest_obs::{clock::Stopwatch, LazyCounter, LazyHistogram, Span};
-use local_model::RoundLedger;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use stitch::Stitch;
 
 /// Facade-level run accounting in the `forest-obs` registry.
 static FACADE_RUNS: LazyCounter = LazyCounter::new("facade.runs_total");
@@ -118,10 +119,14 @@ static FACADE_RUN_NANOS: LazyHistogram = LazyHistogram::new("facade.run_nanos");
 /// its [`CsrGraph`] view, built once and reusable across any number of runs.
 ///
 /// [`Decomposer::run`] freezes internally, so one-off callers never see this
-/// type; freeze explicitly (and pass `&frozen` to [`Decomposer::run`] or
-/// [`Decomposer::run_batch_shared`]) when the same graph is decomposed more
-/// than once — repeated requests, seed sweeps, engine comparisons — to pay
-/// the `O(n + m)` conversion a single time.
+/// type; freeze explicitly (and pass `&frozen` to [`Decomposer::run`], or
+/// `iter::repeat_n(&frozen, n)` to [`Decomposer::run_batch`]) when the same
+/// graph is decomposed more than once — repeated requests, seed sweeps,
+/// engine comparisons — to pay the `O(n + m)` conversion a single time.
+/// [`Decomposer::run_sharded`] takes `&frozen` too and splits it per call;
+/// [`Decomposer::run_out_of_core`] reads an on-disk CSR file instead and
+/// cuts the identity order only. Both stitch shard boundaries through the
+/// one private `stitch` module.
 #[derive(Clone, Debug)]
 pub struct FrozenGraph {
     graph: MultiGraph,
@@ -155,160 +160,6 @@ impl From<MultiGraph> for FrozenGraph {
     fn from(graph: MultiGraph) -> Self {
         FrozenGraph::freeze(graph)
     }
-}
-
-/// A graph split once for repeated sharded decomposition: the
-/// [`CsrPartition`] analog of [`FrozenGraph`].
-///
-/// [`Decomposer::run_sharded`] splits internally, so one-off callers never
-/// see this type; split explicitly (and use
-/// [`Decomposer::run_sharded_prepared`]) when the same graph is decomposed
-/// more than once — repeated requests, seed sweeps, engine comparisons — to
-/// pay the `O(n + m)` split (and the optional BFS/RCM reordering pass) a
-/// single time, exactly like freezing amortizes the CSR conversion.
-#[derive(Clone, Debug)]
-pub struct ShardedGraph {
-    csr: OwnedCsr,
-    partition: CsrPartition,
-    reorder: ReorderKind,
-}
-
-impl ShardedGraph {
-    /// Splits `input` into `num_shards` zero-copy shards along
-    /// `spec.reorder` (one `O(n + m)` pass plus the order computation).
-    /// Only the reorder half of the spec matters here: the
-    /// [`StitchPolicy`] never affects how the graph is cut and is read
-    /// from the *request* at run time
-    /// ([`Decomposer::run_sharded_prepared`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FdError::InvalidShardCount`] for `num_shards == 0`.
-    pub fn split<'a>(
-        input: impl Into<GraphInput<'a>>,
-        num_shards: usize,
-        spec: ShardingSpec,
-    ) -> Result<ShardedGraph, FdError> {
-        if num_shards == 0 {
-            return Err(FdError::InvalidShardCount { requested: 0 });
-        }
-        let input = input.into();
-        let mut scratch = None;
-        let frozen = input.resolve(&mut scratch);
-        let csr = frozen.csr.to_owned_storage();
-        let partition = match spec.reorder.order(&csr) {
-            None => CsrPartition::split(&csr, num_shards),
-            Some(perm) => CsrPartition::split_ordered(&csr, num_shards, &perm),
-        };
-        Ok(ShardedGraph {
-            csr,
-            partition,
-            reorder: spec.reorder,
-        })
-    }
-
-    /// The frozen full-graph topology the shards were cut from.
-    pub fn csr(&self) -> &OwnedCsr {
-        &self.csr
-    }
-
-    /// The partition: per-shard zero-copy views plus the boundary list.
-    pub fn partition(&self) -> &CsrPartition {
-        &self.partition
-    }
-
-    /// The locality order the split was cut along.
-    pub fn reorder(&self) -> ReorderKind {
-        self.reorder
-    }
-
-    /// Number of shards (after the splitter's documented clamp).
-    pub fn num_shards(&self) -> usize {
-        self.partition.num_shards()
-    }
-}
-
-/// BFS pop bound per overflow-edge exchange in the exact-α stitch: the pass
-/// is *bounded* — an exchange that trips the bound leaves its edge on the
-/// overflow color instead of stalling the stitch.
-const EXACT_STITCH_POP_LIMIT: usize = 4096;
-
-/// The [`StitchPolicy::ExactAlpha`] finishing pass: move every edge colored
-/// outside `0..target` back inside the budget through bounded augmenting
-/// exchanges, with per-color connectivity riding on the dynamic subsystem
-/// ([`DynamicColorConnectivity`](forest_graph::DynamicColorConnectivity))
-/// so each recoloring is a cut-and-link edit instead of a cache rebuild.
-/// Edges whose exchange fails (a genuinely denser-than-`target` residue, or
-/// the pop bound) keep their overflow color — the pass improves, never
-/// breaks.
-fn exact_alpha_stitch(
-    csr: &CsrRef<'_>,
-    colors: &mut [forest_graph::Color],
-    target: usize,
-    ledger: &mut RoundLedger,
-) {
-    let overflow: Vec<forest_graph::EdgeId> = colors
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.index() >= target)
-        .map(|(i, _)| forest_graph::EdgeId::new(i))
-        .collect();
-    let total = overflow.len();
-    let (mut moved, mut stuck) = (0usize, 0usize);
-    if total > 0 && target > 0 {
-        let mut coloring = forest_graph::decomposition::PartialEdgeColoring::from_colors(
-            colors.iter().map(|&c| Some(c)).collect(),
-        );
-        let mut conn = forest_graph::DynamicColorConnectivity::from_coloring(csr, &coloring, None);
-        for e in overflow {
-            let (u, v) = csr.endpoints(e);
-            let old = coloring.color(e).expect("stitched colorings are complete");
-            coloring.clear(e);
-            conn.remove(e);
-            // The cheap query first; the bounded exchange only when every
-            // in-budget forest already connects the endpoints.
-            if let Some(c) = conn.first_free_color(target, u, v) {
-                coloring.set(e, c);
-                conn.insert(e, c, u, v);
-                moved += 1;
-                continue;
-            }
-            match forest_graph::matroid::try_augment_traced(
-                csr,
-                &mut coloring,
-                e,
-                target,
-                EXACT_STITCH_POP_LIMIT,
-            ) {
-                Some(steps) => {
-                    for (f, _, new) in steps {
-                        let (fu, fv) = csr.endpoints(f);
-                        conn.recolor(f, new, fu, fv);
-                    }
-                    moved += 1;
-                }
-                None => {
-                    coloring.set(e, old);
-                    conn.insert(e, old, u, v);
-                    stuck += 1;
-                }
-            }
-        }
-        for (i, c) in colors.iter_mut().enumerate() {
-            *c = coloring
-                .color(forest_graph::EdgeId::new(i))
-                .expect("exchanges keep the coloring complete");
-        }
-    }
-    // Always charged, so the pass is observable even when the greedy stitch
-    // already landed inside the budget.
-    ledger.charge(
-        format!(
-            "exact-alpha stitch: {moved} of {total} overflow edges exchanged into the \
-             alpha={target} budget ({stuck} kept an overflow color)"
-        ),
-        moved,
-    );
 }
 
 /// Derives the seed used for graph `index` of a batch run with base seed
@@ -348,8 +199,8 @@ impl Decomposer {
     }
 
     /// Runs the request on any [`GraphInput`] — `&MultiGraph`,
-    /// `&FrozenGraph`, [`GraphInput::from_mmap`] /
-    /// [`GraphInput::from_shard`] outputs — with the request's own seed.
+    /// `&FrozenGraph`, [`GraphInput::from_mmap`] outputs — with the
+    /// request's own seed.
     ///
     /// The input is frozen at most once (not at all when it arrives frozen),
     /// and identical topologies produce byte-identical reports regardless of
@@ -369,43 +220,33 @@ impl Decomposer {
         self.run_seeded(input.resolve(&mut scratch), self.request.seed)
     }
 
-    /// Runs the request across many graphs in parallel (one rayon task per
-    /// graph), graph `i` using [`derive_seed`]`(request.seed, i)`. Results
-    /// come back in input order; per-graph failures do not abort the batch.
-    /// Each graph is frozen exactly once, inside its own task.
-    pub fn run_batch(&self, graphs: &[MultiGraph]) -> Vec<Result<DecompositionReport, FdError>> {
-        let indexed: Vec<(u64, &MultiGraph)> = graphs
-            .iter()
+    /// Runs the request across many inputs in parallel (one rayon task per
+    /// input), input `i` using [`derive_seed`]`(request.seed, i)`. Any
+    /// iterator of [`GraphInput`] conversions works: `&graphs` for a slice
+    /// of multigraphs, `iter::repeat_n(&frozen, n)` for a seed sweep over
+    /// one [`FrozenGraph`] (frozen once for the whole sweep), or a mix of
+    /// kinds. Results come back in input order; per-input failures do not
+    /// abort the batch. Each unfrozen input is frozen exactly once, inside
+    /// its own task.
+    pub fn run_batch<'a, I>(&self, inputs: I) -> Vec<Result<DecompositionReport, FdError>>
+    where
+        I: IntoIterator,
+        I::Item: Into<GraphInput<'a>>,
+    {
+        let indexed: Vec<(u64, GraphInput<'a>)> = inputs
+            .into_iter()
             .enumerate()
-            .map(|(i, g)| (i as u64, g))
+            .map(|(i, input)| (i as u64, input.into()))
             .collect();
         indexed
             .par_iter()
-            .map(|(i, g)| {
-                let csr = CsrGraph::from_multigraph(g);
+            .map(|(i, input)| {
+                let mut scratch = None;
                 self.run_seeded(
-                    FrozenInput::new(g, csr.view()),
+                    input.resolve(&mut scratch),
                     derive_seed(self.request.seed, *i),
                 )
             })
-            .collect()
-    }
-
-    /// Fans `runs` executions of the request across all cores, **sharing one
-    /// frozen topology**: run `i` uses [`derive_seed`]`(request.seed, i)`.
-    /// This is the seed-sweep / same-graph batch shape — the topology is
-    /// frozen once for the whole sweep.
-    pub fn run_batch_shared(
-        &self,
-        g: &FrozenGraph,
-        runs: usize,
-    ) -> Vec<Result<DecompositionReport, FdError>> {
-        let seeds: Vec<u64> = (0..runs as u64)
-            .map(|i| derive_seed(self.request.seed, i))
-            .collect();
-        seeds
-            .par_iter()
-            .map(|&seed| self.run_seeded(g.input(), seed))
             .collect()
     }
 
@@ -417,27 +258,17 @@ impl Decomposer {
     /// straight over the borrowed `CsrRef` views (no per-shard thaw; shard
     /// `i` seeded with [`derive_seed`]`(seed, i)`), merges the per-shard
     /// forests directly (shards are vertex-disjoint, so same-colored trees
-    /// never touch), and stitches the explicit boundary-edge list — the
-    /// paper's compose-per-part-partitions-plus-leftover shape.
-    ///
-    /// Stitching is two phases. Phase 1 is the augmenting search's
-    /// single-step fast path (the shared per-color union-find cache): each
-    /// boundary edge joins the first existing forest that keeps its
-    /// endpoints apart — linear, and almost always successful because
-    /// per-shard forests of different shards start out disconnected. Phase 2
-    /// rebuilds the connectivity cache and recolors the residue by the same
-    /// first-free-forest rule over *all* colors allocated so far — existing
-    /// shard colors are retried before a fresh color is opened, and every
-    /// fresh color is reused for later residue edges — so the stitch opens
-    /// only as many colors beyond the shard budget as the residue's own
-    /// density forces (Theorem 4.6-style: the leftover is sparse, so few).
+    /// never touch), and stitches the explicit boundary-edge list through
+    /// the two-phase stitch of the private `stitch` module — the paper's
+    /// compose-per-part-partitions-plus-leftover shape, shared with
+    /// [`Decomposer::run_out_of_core`].
     ///
     /// The returned report carries the per-shard round ledgers (prefixed
     /// `shard i:`) and the stitch charges in one
     /// [`DecompositionReport::ledger`]. `leftover_edges` counts only edges
     /// that actually went through a leftover/recoloring phase: per-shard
-    /// leftovers plus the phase-2 residue — boundary edges placed by the
-    /// phase-1 fast path are *not* leftovers, so a cleanly stitched run
+    /// leftovers plus the stitch residue — boundary edges placed by the
+    /// single-step fast path are *not* leftovers, so a cleanly stitched run
     /// reports 0. The report's `arboricity` is the caller's bound when the
     /// request fixes one, otherwise a *lower* bound on the global arboricity
     /// (max per-shard value, floored at the Nash-Williams whole-graph
@@ -450,60 +281,31 @@ impl Decomposer {
     ///
     /// # Errors
     ///
-    /// Returns [`FdError::InvalidShardCount`] for `num_shards == 0`,
-    /// [`FdError::ShardingUnsupported`] for problems other than
+    /// Returns [`FdError::ShardingUnsupported`] for problems other than
     /// [`ProblemKind::Forest`] (per-shard star forests / orientations do not
     /// merge safely across boundary recoloring),
     /// [`FdError::UnsupportedCombination`] for an engine that cannot solve
-    /// forests, and propagates any per-shard or stitch failure.
+    /// forests, [`FdError::InvalidShardCount`] for `num_shards == 0`, and
+    /// propagates any per-shard or validation failure.
     pub fn run_sharded<'a>(
         &self,
         input: impl Into<GraphInput<'a>>,
         num_shards: usize,
     ) -> Result<DecompositionReport, FdError> {
-        if self.request.problem != ProblemKind::Forest {
-            return Err(FdError::ShardingUnsupported {
-                problem: self.request.problem,
-            });
-        }
-        let sharded = ShardedGraph::split(input, num_shards, self.request.sharding)?;
-        self.run_sharded_prepared(&sharded)
-    }
-
-    /// [`Decomposer::run_sharded`] over a pre-split graph: no split, no
-    /// reordering pass, no conversions at all on the hot path — the sharded
-    /// analog of running a [`FrozenGraph`]. The [`ShardedGraph`]'s own
-    /// split (shard count and reorder) is what runs — the request's
-    /// `reorder` only applies when `run_sharded` splits internally — while
-    /// the [`StitchPolicy`] is a run-time knob that always comes from the
-    /// request (it does not affect how the graph was cut).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Decomposer::run_sharded`], minus the shard-count check the
-    /// split already performed.
-    pub fn run_sharded_prepared(
-        &self,
-        sharded: &ShardedGraph,
-    ) -> Result<DecompositionReport, FdError> {
         let _span = Span::enter("decomp.run_sharded");
         let start = Stopwatch::start();
         let request = &self.request;
-        if request.problem != ProblemKind::Forest {
-            return Err(FdError::ShardingUnsupported {
-                problem: request.problem,
-            });
+        let engine = stitch::sharded_engine(request)?;
+        if num_shards == 0 {
+            return Err(FdError::InvalidShardCount { requested: 0 });
         }
-        let engine = engines::engine_for(request.engine);
-        if !engine.supports(request.problem) {
-            return Err(FdError::UnsupportedCombination {
-                problem: request.problem,
-                engine: request.engine,
-            });
-        }
-        let csr = &sharded.csr.view();
-        let m = csr.num_edges();
-        let partition = &sharded.partition;
+        let input = input.into();
+        let mut scratch = None;
+        let csr = input.resolve(&mut scratch).csr;
+        let partition = match request.sharding.reorder.order(&csr) {
+            None => CsrPartition::split(&csr, num_shards),
+            Some(perm) => CsrPartition::split_ordered(&csr, num_shards, &perm),
+        };
         let k = partition.num_shards();
         // Decompose every shard in parallel over zero-copy views — no thaw,
         // no adjacency twin; results come back in shard order, so the merge
@@ -516,192 +318,43 @@ impl Decomposer {
                 engine.decompose_shard(partition.shard(s), request, &mut rng)
             })
             .collect();
-        // Merge: shards are vertex-disjoint, so reusing the same color space
-        // across shards keeps every class a forest. Colors land straight in
-        // the final per-edge array (every edge is written exactly once: the
-        // partition covers internal edges shard-by-shard, the stitch covers
-        // the boundary). Connectivity is two-level: each shard hands back
-        // per-color union-finds over its *local* vertices (built while the
-        // shard was cache-hot), and the stitch works over component
-        // representatives — two vertices are connected in color `c` iff the
-        // stitch forest joins the representatives of their shard-local
-        // components — so no whole-graph union pass ever runs here.
         let per_shard = per_shard
             .into_iter()
             .collect::<Result<Vec<ShardOutcome>, FdError>>()?;
-        let boundary = partition.boundary_edges().len();
-        // The stitch budget must span every color *index* any shard used —
-        // HSV colorings leave index gaps, so this is the max color span,
-        // not a distinct-color count (gap colors are legal, empty forests).
-        let budget = per_shard.iter().map(|o| o.color_span).max().unwrap_or(0);
-        let mut colors = vec![forest_graph::Color::new(0); m];
+        // Merge: shards are vertex-disjoint, so reusing the same color space
+        // across shards keeps every class a forest. Every edge is written
+        // exactly once: the partition covers internal edges shard by shard,
+        // the stitch covers the boundary.
+        let boundary = partition.boundary_edges();
+        let by_shard = stitch::boundary_vertices(&csr, boundary, k, |v| partition.shard_of(v));
+        let mut colors = vec![Color::new(0); csr.num_edges()];
         let mut written = 0usize;
-        let mut ledger = RoundLedger::new();
-        let mut arboricity = 0usize;
-        // Only edges that actually go through a leftover/recoloring phase
-        // count: per-shard leftovers now, the phase-2 stitch residue below.
-        let mut leftover_edges = 0usize;
-        let mut shard_conns = Vec::with_capacity(per_shard.len());
+        let mut stitch = Stitch::default();
         for (s, outcome) in per_shard.into_iter().enumerate() {
-            let fd = outcome.decomposition;
-            for (&global, &color) in partition.global_edges(s).iter().zip(fd.colors()) {
+            for (&global, &color) in partition
+                .global_edges(s)
+                .iter()
+                .zip(outcome.decomposition.colors())
+            {
                 colors[global as usize] = color;
                 written += 1;
             }
-            shard_conns.push(outcome.connectivity);
-            arboricity = arboricity.max(outcome.arboricity);
-            leftover_edges += outcome.leftover_edges;
-            ledger.absorb(&format!("shard {s}"), outcome.ledger);
+            stitch.absorb(
+                s,
+                outcome,
+                &by_shard[s],
+                |v| partition.local_vertex(v),
+                |local| partition.global_vertex(s, local),
+            );
         }
-        if boundary > 0 {
-            let mut stitch = forest_graph::ColorConnectivity::new(csr.num_vertices());
-            stitch.prime(budget);
-            // The representative of `v`'s component in its shard's color-`c`
-            // forest, as a global vertex id (fresh stitch colors have no
-            // shard edges, so `v` represents itself).
-            let rep = |shard_conns: &mut [forest_graph::ColorConnectivity],
-                       c: usize,
-                       v: forest_graph::VertexId| {
-                if c >= budget {
-                    return v;
-                }
-                let s = partition.shard_of(v);
-                match shard_conns[s].cached_forest(forest_graph::Color::new(c)) {
-                    Some(uf) => {
-                        let root = uf.find(partition.local_vertex(v).index());
-                        partition.global_vertex(s, forest_graph::VertexId::new(root))
-                    }
-                    // A shard that used fewer colors than the budget has no
-                    // forest for `c`: every vertex is its own component.
-                    None => v,
-                }
-            };
-            // Phase 1: single-step augmentations into the existing shard
-            // forests, queried through component representatives.
-            let mut stitched_fast = 0usize;
-            let mut remaining: Vec<forest_graph::EdgeId> = Vec::new();
-            let place = |shard_conns: &mut [forest_graph::ColorConnectivity],
-                         stitch: &mut forest_graph::ColorConnectivity,
-                         e: forest_graph::EdgeId,
-                         total: usize|
-             -> Option<forest_graph::Color> {
-                let (u, v) = csr.endpoints(e);
-                for c in 0..total {
-                    let gu = rep(shard_conns, c, u);
-                    let gv = rep(shard_conns, c, v);
-                    let uf = stitch
-                        .cached_forest(forest_graph::Color::new(c))
-                        .expect("stitch forests are primed");
-                    if gu != gv && !uf.connected(gu.index(), gv.index()) {
-                        uf.union(gu.index(), gv.index());
-                        return Some(forest_graph::Color::new(c));
-                    }
-                }
-                None
-            };
-            for &e in partition.boundary_edges() {
-                match place(&mut shard_conns, &mut stitch, e, budget) {
-                    Some(c) => {
-                        colors[e.index()] = c;
-                        written += 1;
-                        stitched_fast += 1;
-                    }
-                    None => remaining.push(e),
-                }
-            }
-            if stitched_fast > 0 {
-                ledger.charge(
-                    format!(
-                        "stitch {stitched_fast} of {boundary} boundary edges into existing \
-                         forests (single-step augmentations)"
-                    ),
-                    stitched_fast,
-                );
-            }
-            // Phase 2: the residue. Each residue edge retries every existing
-            // color — the shard budget first, then the stitch colors opened
-            // so far — and joins the first forest that keeps its endpoints
-            // apart, opening a fresh color only when every existing forest
-            // connects them. (The two-level connectivity is exact across
-            // both phases — shard forests are final and the stitch forests
-            // grow only through the placements above — which supersedes the
-            // bulk rebuild a lazily-built cache would need before this
-            // retry.) Reusing stitch colors across the residue keeps the
-            // sharded color count near the shard budget instead of paying a
-            // fresh star-forest palette per run.
-            if !remaining.is_empty() {
-                leftover_edges += remaining.len();
-                let mut total_colors = budget;
-                for &e in &remaining {
-                    let c = match place(&mut shard_conns, &mut stitch, e, total_colors) {
-                        Some(c) => c,
-                        None => {
-                            let fresh = forest_graph::Color::new(total_colors);
-                            total_colors += 1;
-                            stitch.prime(total_colors);
-                            let (u, v) = csr.endpoints(e);
-                            stitch
-                                .cached_forest(fresh)
-                                .expect("freshly primed")
-                                .union(u.index(), v.index());
-                            fresh
-                        }
-                    };
-                    colors[e.index()] = c;
-                    written += 1;
-                }
-                ledger.charge(
-                    format!(
-                        "stitch leftover ({} residue boundary edges recolored, {} fresh \
-                         colors beyond the shard budget)",
-                        remaining.len(),
-                        total_colors - budget
-                    ),
-                    remaining.len(),
-                );
-            }
+        for (&e, c) in boundary.iter().zip(stitch.stitch(&csr, boundary)) {
+            colors[e.index()] = c;
+            written += 1;
         }
-        debug_assert_eq!(written, m, "every edge colored exactly once");
-        // The per-shard maxima exclude boundary edges, so they can under-shoot
-        // the global arboricity (e.g. K4 split in two: each shard sees one
-        // edge). Report the caller's bound when given; otherwise at least the
-        // Nash-Williams whole-graph lower bound — still a lower bound on the
-        // true global alpha, which only an exact full-graph partition could
-        // pin down.
-        let arboricity = request
-            .alpha
-            .unwrap_or_else(|| arboricity.max(forest_graph::matroid::arboricity_lower_bound(csr)));
-        if request.sharding.stitch == StitchPolicy::ExactAlpha {
-            exact_alpha_stitch(csr, &mut colors, arboricity, &mut ledger);
-        }
-        let decomposition = forest_graph::ForestDecomposition::from_colors(colors);
-        let num_colors = decomposition.num_colors_used();
-        let max_diameter = {
-            let _span = Span::enter("decomp.max_diameter");
-            max_forest_diameter(csr, &decomposition.to_partial())
-        };
-        let mut report = DecompositionReport {
-            problem: request.problem,
-            engine: request.engine,
-            seed: request.seed,
-            num_edges: m,
-            artifact: Artifact::Decomposition(decomposition),
-            lists: None,
-            arboricity,
-            num_colors,
-            max_diameter,
-            leftover_edges,
-            ledger,
-            wall_clock: start.elapsed(),
-            validation: ValidationStatus::Skipped,
-        };
+        debug_assert_eq!(written, csr.num_edges(), "every edge colored exactly once");
+        let report = stitch.finish(request, &csr, colors, &start)?;
         FACADE_RUNS.inc();
         FACADE_RUN_NANOS.observe(start.elapsed_nanos());
-        if request.validate {
-            let _span = Span::enter("decomp.validate");
-            report.validate(csr)?;
-            report.validation = ValidationStatus::Validated;
-        }
         Ok(report)
     }
 

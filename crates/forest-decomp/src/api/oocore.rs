@@ -12,19 +12,21 @@
 //!    [`ShardPlan`](forest_graph::ShardPlan) — the `O(k)`-resident twin of
 //!    `CsrPartition` that cuts in exactly the same places — with `k` either
 //!    given or derived from the budget so one shard's working set fits.
+//!    The plan supports only the identity order: a BFS/RCM reorder needs
+//!    the `O(n)` permutation the plan exists to avoid, so a request asking
+//!    for one fails with [`FdError::ReorderUnsupported`].
 //! 2. **Walk.** Shards are decomposed *sequentially* through the same
 //!    thaw-free `decompose_shard` path `run_sharded` fans out in parallel:
 //!    one shard's CSR is extracted, decomposed, its coloring **spilled to
-//!    disk**, and — before everything is dropped — the per-color component
-//!    representatives of its *boundary* vertices are recorded (a few words
-//!    per boundary endpoint). Per-shard seeds, ledgers and outcomes are
-//!    identical to the in-memory run because the extracted shard bytes are.
-//! 3. **Stitch.** The boundary edges are stitched with the same two-phase
-//!    single-step-augmentation + residue-recoloring rule as `run_sharded`,
-//!    but over *sparse* union-finds keyed by the recorded representatives —
-//!    `O(boundary)` resident instead of `O(n · colors)`. Connectivity
-//!    answers are representation-independent, so the stitch places every
-//!    boundary edge on exactly the color the in-memory stitch picks.
+//!    disk**, and — before everything is dropped — the shared stitch
+//!    records the per-color component representatives of its *boundary*
+//!    vertices (a few words per boundary endpoint). Per-shard seeds,
+//!    ledgers and outcomes are identical to the in-memory run because the
+//!    extracted shard bytes are.
+//! 3. **Stitch.** The boundary edges go through the one two-phase stitch
+//!    both sharded drivers share (the private `stitch` module), over
+//!    sparse union-finds keyed by the recorded representatives —
+//!    `O(boundary)` resident — followed by the same report tail.
 //!
 //! The returned [`DecompositionReport`] is **byte-identical**
 //! ([`canonical_bytes`](DecompositionReport::canonical_bytes)) to
@@ -38,17 +40,13 @@
 //! scratch is proportional to one shard and rides inside the same budget
 //! headroom; mapped file pages are the kernel's to evict and are not heap).
 
-use super::engines::{self, ShardOutcome};
-use super::{derive_seed, Decomposer, DecompositionReport, StitchPolicy};
-use super::{Artifact, ProblemKind, Validate, ValidationStatus};
+use super::stitch::{self, Stitch};
+use super::{derive_seed, Decomposer, DecompositionReport};
 use crate::error::FdError;
-use forest_graph::decomposition::max_forest_diameter;
-use forest_graph::{Color, CsrGraph, EdgeId, GraphView, ShardPlan, VertexId};
+use forest_graph::{Color, CsrGraph, EdgeId, GraphView, ReorderKind, ShardPlan};
 use forest_obs::{clock::Stopwatch, LazyCounter, LazyGauge, Span};
-use local_model::RoundLedger;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -161,49 +159,6 @@ impl ResidentMeter {
     }
 }
 
-/// Union-find over a sparse set of `u32` keys: absent keys are their own
-/// roots. Connectivity answers match a dense `UnionFind` over the same
-/// unions, which is all the stitch observes — only boundary-endpoint
-/// representatives ever enter, so this is `O(touched)` instead of `O(n)`
-/// per color.
-#[derive(Default)]
-struct SparseUf {
-    parent: HashMap<u32, u32>,
-}
-
-impl SparseUf {
-    fn find(&mut self, x: u32) -> u32 {
-        let mut root = x;
-        while let Some(&p) = self.parent.get(&root) {
-            root = p;
-        }
-        // Path compression: point the chain straight at the root.
-        let mut cur = x;
-        while cur != root {
-            let next = self.parent[&cur];
-            self.parent.insert(cur, root);
-            cur = next;
-        }
-        root
-    }
-
-    fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        // Entry + hash-table overhead, conservatively.
-        self.parent.len() * 48
-    }
-}
-
 /// Derives a shard count whose per-shard working set fits inside two fifths
 /// of the budget (the rest covers the plan, boundary state, spill buffers
 /// and engine scratch). Per-shard transients: the extracted CSR
@@ -242,15 +197,19 @@ impl Decomposer {
     /// shard walk with colorings spilled to disk, boundary-only stitch. See
     /// the [module docs](self) for the phase breakdown; the report is
     /// byte-identical to [`run_sharded`](Decomposer::run_sharded) with the
-    /// same request and shard count.
+    /// same request and shard count. The split is always the identity
+    /// order.
     ///
     /// # Errors
     ///
     /// Returns [`FdError::Io`] for I/O failures (loading the file, spilling
-    /// colorings), [`FdError::InvalidShardCount`] for an explicit shard
-    /// count of 0, [`FdError::ShardingUnsupported`] for problems other than
-    /// [`ProblemKind::Forest`], [`FdError::UnsupportedCombination`] for an
-    /// engine that cannot solve forests, and propagates per-shard failures.
+    /// colorings), [`FdError::ShardingUnsupported`] for problems other than
+    /// [`ProblemKind::Forest`](super::ProblemKind::Forest),
+    /// [`FdError::UnsupportedCombination`] for an engine that cannot solve
+    /// forests, [`FdError::InvalidShardCount`] for an explicit shard count
+    /// of 0, [`FdError::ReorderUnsupported`] for a request whose
+    /// [`ShardingSpec`](super::ShardingSpec) asks for a BFS or RCM order,
+    /// and propagates per-shard failures.
     pub fn run_out_of_core<P: AsRef<Path>>(
         &self,
         path: P,
@@ -260,20 +219,15 @@ impl Decomposer {
         let _run_span = Span::enter("ooc.run");
         let start = Stopwatch::start();
         let request = self.request();
-        if request.problem != ProblemKind::Forest {
-            return Err(FdError::ShardingUnsupported {
-                problem: request.problem,
-            });
-        }
-        let engine = engines::engine_for(request.engine);
-        if !engine.supports(request.problem) {
-            return Err(FdError::UnsupportedCombination {
-                problem: request.problem,
-                engine: request.engine,
-            });
-        }
+        let engine = stitch::sharded_engine(request)?;
         if config.num_shards == Some(0) {
             return Err(FdError::InvalidShardCount { requested: 0 });
+        }
+        // The plan cuts contiguous id ranges; a reordered cut needs the
+        // O(n) permutation the bounded plan exists to avoid.
+        let reorder = request.sharding.reorder;
+        if reorder != ReorderKind::Identity {
+            return Err(FdError::ReorderUnsupported { reorder });
         }
 
         let mut stats = OocStats {
@@ -305,19 +259,8 @@ impl Decomposer {
         let boundary = boundary_list.len();
         stats.boundary_edges = boundary;
         meter.alloc(boundary_list.len() * std::mem::size_of::<EdgeId>());
-        // Boundary endpoints grouped by owning shard: the vertices whose
-        // per-color representatives must be recorded before each shard's
-        // connectivity is dropped.
-        let mut boundary_verts: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for &e in &boundary_list {
-            let (u, v) = csr.endpoints(e);
-            boundary_verts[plan.shard_of(u)].push(u.raw());
-            boundary_verts[plan.shard_of(v)].push(v.raw());
-        }
-        for verts in &mut boundary_verts {
-            verts.sort_unstable();
-            verts.dedup();
-        }
+        let boundary_verts =
+            stitch::boundary_vertices(&csr, &boundary_list, k, |v| plan.shard_of(v));
         meter.alloc(boundary_verts.iter().map(|v| 4 * v.len() + 32).sum());
         OOC_PLAN_NANOS.add(plan_start.elapsed_nanos());
         drop(plan_span);
@@ -349,21 +292,14 @@ impl Decomposer {
         })?);
 
         // --- phase 2: sequential shard walk --------------------------------
-        // Mirrors run_sharded_prepared's parallel fan-out: per-shard derived
-        // seeds over byte-identical shard CSRs give identical outcomes, and
+        // Mirrors run_sharded's parallel fan-out: per-shard derived seeds
+        // over byte-identical shard CSRs give identical outcomes, and
         // walking in index order reproduces the merge/ledger order.
         let walk_span = Span::enter("ooc.shard_walk");
         let walk_start = Stopwatch::start();
-        let mut ledger = RoundLedger::new();
-        let mut budget_span = 0usize;
-        let mut arboricity = 0usize;
-        let mut leftover_edges = 0usize;
+        let mut stitch = Stitch::default();
         let mut written = 0usize;
-        // Boundary vertex → its component representative in each shard color
-        // (indices `0..span_s`); colors the shard never cached map to the
-        // vertex itself, exactly like the dense stitch's missing-forest arm.
-        let mut reps: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (s, shard_boundary) in boundary_verts.iter().enumerate().take(k) {
+        for (s, shard_boundary) in boundary_verts.iter().enumerate() {
             let _shard_span = Span::enter("ooc.shard");
             let extracted = plan.extract_shard(&mapped, s);
             let shard_n = extracted.csr.num_vertices();
@@ -372,8 +308,7 @@ impl Decomposer {
                 4 * ((shard_n + 1) + 6 * shard_m) + 4 * extracted.global_edges.len();
             meter.alloc(extracted_bytes);
             let mut rng = SmallRng::seed_from_u64(derive_seed(request.seed, s as u64));
-            let outcome: ShardOutcome =
-                engine.decompose_shard(extracted.csr.view(), request, &mut rng)?;
+            let outcome = engine.decompose_shard(extracted.csr.view(), request, &mut rng)?;
             // Outcome working set: the shard coloring plus the per-color
             // union-finds (estimated; dropped at the end of this iteration).
             let outcome_bytes = 4 * shard_m + 16 * outcome.color_span * shard_n;
@@ -388,25 +323,16 @@ impl Decomposer {
                 written += 1;
             }
             stats.spilled_coloring_bytes += 8 * extracted.global_edges.len() as u64;
-            let mut connectivity = outcome.connectivity;
-            for &gv in shard_boundary {
-                let local = plan.local_vertex(VertexId::new(gv as usize));
-                let per_color: Vec<u32> = (0..outcome.color_span)
-                    .map(|c| match connectivity.cached_forest(Color::new(c)) {
-                        Some(uf) => {
-                            let root = uf.find(local.index());
-                            plan.global_vertex(s, VertexId::new(root)).raw()
-                        }
-                        None => gv,
-                    })
-                    .collect();
-                meter.alloc(48 + 4 * per_color.len());
-                reps.insert(gv, per_color);
-            }
-            budget_span = budget_span.max(outcome.color_span);
-            arboricity = arboricity.max(outcome.arboricity);
-            leftover_edges += outcome.leftover_edges;
-            ledger.absorb(&format!("shard {s}"), outcome.ledger);
+            // The recorded representatives outlive the shard: one entry per
+            // boundary vertex, one word per shard color.
+            meter.alloc(shard_boundary.len() * (48 + 4 * outcome.color_span));
+            stitch.absorb(
+                s,
+                outcome,
+                shard_boundary,
+                |v| plan.local_vertex(v),
+                |local| plan.global_vertex(s, local),
+            );
             meter.free(extracted_bytes + outcome_bytes);
         }
         spill
@@ -417,96 +343,11 @@ impl Decomposer {
         drop(walk_span);
 
         // --- phase 3: boundary stitch --------------------------------------
-        // The same two-phase rule as run_sharded_prepared, over sparse
-        // union-finds seeded from the recorded representatives. Shard
-        // forests are final, so representative lookups are read-only and
-        // the stitch forests grow only through the placements below —
-        // connectivity answers (hence colors) match the dense stitch.
         let stitch_span = Span::enter("ooc.stitch");
         let stitch_start = Stopwatch::start();
-        let mut boundary_colors: Vec<(u32, Color)> = Vec::with_capacity(boundary);
-        if boundary > 0 {
-            let mut stitch: Vec<SparseUf> = (0..budget_span).map(|_| SparseUf::default()).collect();
-            let rep = |reps: &HashMap<u32, Vec<u32>>, c: usize, v: VertexId| -> u32 {
-                let v = v.raw();
-                if c >= budget_span {
-                    return v;
-                }
-                reps.get(&v)
-                    .and_then(|per_color| per_color.get(c))
-                    .copied()
-                    .unwrap_or(v)
-            };
-            let place = |stitch: &mut Vec<SparseUf>,
-                         reps: &HashMap<u32, Vec<u32>>,
-                         e: EdgeId,
-                         total: usize|
-             -> Option<Color> {
-                let (u, v) = csr.endpoints(e);
-                for (c, uf) in stitch.iter_mut().enumerate().take(total) {
-                    let gu = rep(reps, c, u);
-                    let gv = rep(reps, c, v);
-                    if gu != gv && !uf.connected(gu, gv) {
-                        uf.union(gu, gv);
-                        return Some(Color::new(c));
-                    }
-                }
-                None
-            };
-            let mut stitched_fast = 0usize;
-            let mut remaining: Vec<EdgeId> = Vec::new();
-            for &e in &boundary_list {
-                match place(&mut stitch, &reps, e, budget_span) {
-                    Some(c) => {
-                        boundary_colors.push((e.raw(), c));
-                        written += 1;
-                        stitched_fast += 1;
-                    }
-                    None => remaining.push(e),
-                }
-            }
-            if stitched_fast > 0 {
-                ledger.charge(
-                    format!(
-                        "stitch {stitched_fast} of {boundary} boundary edges into existing \
-                         forests (single-step augmentations)"
-                    ),
-                    stitched_fast,
-                );
-            }
-            if !remaining.is_empty() {
-                leftover_edges += remaining.len();
-                let mut total_colors = budget_span;
-                for &e in &remaining {
-                    let c = match place(&mut stitch, &reps, e, total_colors) {
-                        Some(c) => c,
-                        None => {
-                            let fresh = Color::new(total_colors);
-                            total_colors += 1;
-                            stitch.push(SparseUf::default());
-                            let (u, v) = csr.endpoints(e);
-                            stitch[fresh.index()].union(u.raw(), v.raw());
-                            fresh
-                        }
-                    };
-                    boundary_colors.push((e.raw(), c));
-                    written += 1;
-                }
-                ledger.charge(
-                    format!(
-                        "stitch leftover ({} residue boundary edges recolored, {} fresh \
-                         colors beyond the shard budget)",
-                        remaining.len(),
-                        total_colors - budget_span
-                    ),
-                    remaining.len(),
-                );
-            }
-            meter.alloc(
-                stitch.iter().map(SparseUf::resident_bytes).sum::<usize>()
-                    + 8 * boundary_colors.len(),
-            );
-        }
+        let boundary_colors = stitch.stitch(&csr, &boundary_list);
+        written += boundary_colors.len();
+        meter.alloc(stitch.forest_bytes() + 8 * boundary_colors.len());
         debug_assert_eq!(written, m, "every edge colored exactly once");
         OOC_STITCH_NANOS.add(stitch_start.elapsed_nanos());
         drop(stitch_span);
@@ -516,9 +357,6 @@ impl Decomposer {
         // --- report assembly (after the bounded phases) --------------------
         let assemble_span = Span::enter("ooc.assemble");
         let assemble_start = Stopwatch::start();
-        let arboricity = request
-            .alpha
-            .unwrap_or_else(|| arboricity.max(forest_graph::matroid::arboricity_lower_bound(&csr)));
         let mut colors = vec![Color::new(0); m];
         let mut spill_in = BufReader::new(File::open(&spill_path).map_err(|err| {
             io_err(format!(
@@ -527,47 +365,18 @@ impl Decomposer {
             ))
         })?);
         let mut pair = [0u8; 8];
-        loop {
-            match read_exact_or_eof(&mut spill_in, &mut pair)
-                .map_err(|err| io_err(format!("reading coloring spill: {err}")))?
-            {
-                false => break,
-                true => {
-                    let edge = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]);
-                    let color = u32::from_le_bytes([pair[4], pair[5], pair[6], pair[7]]);
-                    colors[edge as usize] = Color::new(color as usize);
-                }
-            }
+        while read_exact_or_eof(&mut spill_in, &mut pair)
+            .map_err(|err| io_err(format!("reading coloring spill: {err}")))?
+        {
+            let edge = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]);
+            let color = u32::from_le_bytes([pair[4], pair[5], pair[6], pair[7]]);
+            colors[edge as usize] = Color::new(color as usize);
         }
-        for &(e, c) in &boundary_colors {
-            colors[e as usize] = c;
+        for (&e, &c) in boundary_list.iter().zip(&boundary_colors) {
+            colors[e.index()] = c;
         }
-        if request.sharding.stitch == StitchPolicy::ExactAlpha {
-            super::exact_alpha_stitch(&csr, &mut colors, arboricity, &mut ledger);
-        }
-        let decomposition = forest_graph::ForestDecomposition::from_colors(colors);
-        let num_colors = decomposition.num_colors_used();
-        let max_diameter = max_forest_diameter(&csr, &decomposition.to_partial());
         stats.report_assembly_bytes = 12 * m;
-        let mut report = DecompositionReport {
-            problem: request.problem,
-            engine: request.engine,
-            seed: request.seed,
-            num_edges: m,
-            artifact: Artifact::Decomposition(decomposition),
-            lists: None,
-            arboricity,
-            num_colors,
-            max_diameter,
-            leftover_edges,
-            ledger,
-            wall_clock: start.elapsed(),
-            validation: ValidationStatus::Skipped,
-        };
-        if request.validate {
-            report.validate(&csr)?;
-            report.validation = ValidationStatus::Validated;
-        }
+        let report = stitch.finish(request, &csr, colors, &start)?;
         OOC_ASSEMBLE_NANOS.add(assemble_start.elapsed_nanos());
         drop(assemble_span);
         OOC_RUNS.inc();
@@ -599,7 +408,7 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{DecompositionRequest, Engine};
+    use crate::api::{DecompositionRequest, Engine, ProblemKind, StitchPolicy};
     use forest_graph::generators;
     use rand::rngs::StdRng;
 
@@ -699,6 +508,20 @@ mod tests {
             forest.run_out_of_core(&path, &OocConfig::with_budget(1024).num_shards(0)),
             Err(FdError::InvalidShardCount { requested: 0 })
         ));
+        // The plan cuts the identity order only; a reordered request is
+        // refused instead of silently cutting a different split than
+        // run_sharded would.
+        for reorder in [ReorderKind::Bfs, ReorderKind::Rcm] {
+            let reordered = Decomposer::new(
+                DecompositionRequest::new(ProblemKind::Forest).with_shard_reorder(reorder),
+            );
+            assert_eq!(
+                reordered
+                    .run_out_of_core(&path, &OocConfig::with_budget(1024))
+                    .unwrap_err(),
+                FdError::ReorderUnsupported { reorder }
+            );
+        }
         let star = Decomposer::new(DecompositionRequest::new(ProblemKind::StarForest));
         assert!(matches!(
             star.run_out_of_core(&path, &OocConfig::with_budget(1024)),

@@ -4,8 +4,7 @@
 use super::{Engine, ProblemKind};
 use crate::error::FdError;
 use forest_graph::decomposition::{
-    max_forest_diameter, validate_forest_decomposition, validate_list_coloring,
-    validate_star_forest_decomposition,
+    validate_forest_decomposition, validate_list_coloring, validate_star_forest_decomposition,
 };
 use forest_graph::{ForestDecomposition, GraphView, ListAssignment, Orientation};
 use local_model::RoundLedger;
@@ -162,15 +161,6 @@ impl DecompositionReport {
             ValidationStatus::Skipped => 0,
         });
         bytes
-    }
-
-    /// Recomputes the maximum tree diameter from the artifact (0 for
-    /// orientations, whose trees were already measured before orienting).
-    pub fn recompute_max_diameter<G: GraphView>(&self, g: &G) -> usize {
-        match &self.artifact {
-            Artifact::Decomposition(fd) => max_forest_diameter(g, &fd.to_partial()),
-            Artifact::Orientation { .. } => self.max_diameter,
-        }
     }
 }
 

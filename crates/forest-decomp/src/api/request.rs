@@ -142,7 +142,11 @@ pub enum StitchPolicy {
 /// locality-improving order instead, which shrinks the boundary fraction
 /// (the quantity that governs stitch cost and sharded color quality).
 /// [`ShardingSpec::stitch`] picks between the greedy finish and the
-/// exact-α exchange pass.
+/// exact-α exchange pass. Set both through
+/// [`DecompositionRequest::with_shard_reorder`] and
+/// [`DecompositionRequest::with_stitch_policy`]. The out-of-core driver
+/// honors the stitch policy but cuts the identity order only (any other
+/// `reorder` is a typed `FdError::ReorderUnsupported`).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardingSpec {
     /// The locality-improving order to split along
@@ -150,22 +154,6 @@ pub struct ShardingSpec {
     pub reorder: ReorderKind,
     /// How the stitch finishes ([`StitchPolicy::Greedy`] by default).
     pub stitch: StitchPolicy,
-}
-
-impl ShardingSpec {
-    /// A spec splitting along `reorder` (greedy stitch).
-    pub fn with_reorder(reorder: ReorderKind) -> Self {
-        ShardingSpec {
-            reorder,
-            ..ShardingSpec::default()
-        }
-    }
-
-    /// Sets the stitch policy.
-    pub fn with_stitch(mut self, stitch: StitchPolicy) -> Self {
-        self.stitch = stitch;
-        self
-    }
 }
 
 /// A complete, self-contained description of one decomposition run.
@@ -259,12 +247,6 @@ impl DecompositionRequest {
     /// Sets the palette source for list problems.
     pub fn with_palettes(mut self, palettes: PaletteSpec) -> Self {
         self.palettes = palettes;
-        self
-    }
-
-    /// Sets how `run_sharded` cuts the graph into shards.
-    pub fn with_sharding(mut self, sharding: ShardingSpec) -> Self {
-        self.sharding = sharding;
         self
     }
 

@@ -303,7 +303,7 @@ impl ColoringSnapshot {
     ///
     /// Whatever the cold run returns (cached too: the run is attempted
     /// once per snapshot).
-    pub fn cold_report(&self) -> Result<DecompositionReport, FdError> {
+    fn cold_report(&self) -> Result<DecompositionReport, FdError> {
         Decomposer::new(self.request.clone()).run(&self.graph)
     }
 

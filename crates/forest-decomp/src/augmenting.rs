@@ -28,9 +28,8 @@ pub use forest_graph::connectivity::ColorConnectivity;
 
 /// The fully-dynamic per-color cache: recolorings are two `O(log² n)` edits
 /// instead of an invalidate-and-rebuild, so multi-step augmentations stop
-/// paying `O(m)` per touched color. Used by
-/// [`AugmentationContext::augment_edge_dynamic`], the exact-α stitch, and
-/// the streaming `DynamicDecomposer`.
+/// paying `O(m)` per touched color. Used by the exact-α stitch and the
+/// streaming `DynamicDecomposer`.
 pub use forest_graph::connectivity::DynamicColorConnectivity;
 
 /// One augmenting sequence: the ordered `(edge, color)` steps.
@@ -149,7 +148,7 @@ impl<'a, G: GraphView> AugmentationContext<'a, G> {
     /// # Panics
     ///
     /// Panics if `start` is already colored.
-    pub fn find_almost_augmenting_sequence(
+    fn find_almost_augmenting_sequence(
         &self,
         coloring: &PartialEdgeColoring,
         start: EdgeId,
@@ -272,7 +271,7 @@ impl<'a, G: GraphView> AugmentationContext<'a, G> {
     /// Proposition 3.4: short-circuits an almost augmenting sequence into a
     /// genuine augmenting sequence (restoring property (A3)) by repeatedly
     /// splicing out detours.
-    pub fn short_circuit(
+    fn short_circuit(
         &self,
         coloring: &PartialEdgeColoring,
         sequence: AugmentingSequence,
@@ -427,61 +426,6 @@ impl<'a, G: GraphView> AugmentationContext<'a, G> {
                 conn.invalidate(old);
             }
             conn.invalidate(c);
-        }
-        apply_augmentation(coloring, &sequence);
-        Ok(sequence)
-    }
-
-    /// [`AugmentationContext::augment_edge_connected`] on the fully-dynamic
-    /// cache: the fast path is the same union-query shortcut, but when the
-    /// full search *does* recolor a multi-step sequence, every step is
-    /// replayed into `conn` as a cheap cut-and-link edit
-    /// ([`DynamicColorConnectivity::recolor`]) instead of invalidating the
-    /// touched colors for an `O(m)`-per-color rebuild on next use. This is
-    /// the right variant when augmentations are frequent relative to edges
-    /// — exchange-heavy recoloring over **list palettes**. (The Forest-only
-    /// streaming `DynamicDecomposer` has no palettes and drives the uniform
-    /// matroid exchange `forest_graph::matroid::try_augment_traced`
-    /// directly; this method is its palette-constrained counterpart, for
-    /// list workloads that repair under churn.)
-    ///
-    /// `conn` must mirror this context's `(coloring, allowed)` evolution:
-    /// seed it with
-    /// [`DynamicColorConnectivity::from_coloring`] (passing the same
-    /// restriction) and it stays exact across any number of calls.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AugmentationContext::augment_edge`].
-    pub fn augment_edge_dynamic(
-        &self,
-        coloring: &mut PartialEdgeColoring,
-        conn: &mut DynamicColorConnectivity,
-        start: EdgeId,
-        max_iterations: usize,
-    ) -> Result<AugmentingSequence, FdError> {
-        assert!(
-            coloring.color(start).is_none(),
-            "augmenting sequences start at an uncolored edge"
-        );
-        let (u, v) = self.graph.endpoints(start);
-        for &c in self.lists.palette(start) {
-            if !conn.connected(c, u, v) {
-                coloring.set(start, c);
-                conn.insert(start, c, u, v);
-                return Ok(AugmentingSequence {
-                    steps: vec![(start, c)],
-                });
-            }
-        }
-        // Every palette color is blocked: run the full search and replay the
-        // applied steps as dynamic edits.
-        let sequence = self
-            .find_augmenting_sequence(coloring, start, max_iterations)
-            .ok_or(FdError::AugmentationFailed { edge: start })?;
-        for &(e, c) in &sequence.steps {
-            let (eu, ev) = self.graph.endpoints(e);
-            conn.recolor(e, c, eu, ev);
         }
         apply_augmentation(coloring, &sequence);
         Ok(sequence)
@@ -653,37 +597,6 @@ mod tests {
             }
         }
         assert_eq!(c_mg, c_csr);
-    }
-
-    #[test]
-    fn dynamic_and_union_find_fast_paths_agree() {
-        // The dynamic cache answers the same connectivity questions as the
-        // lazily-rebuilt union-find cache, so both variants color the graph
-        // identically — the dynamic one just pays O(log² n) per recoloring
-        // instead of an O(m) rebuild per touched color.
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = generators::planted_forest_union(26, 3, &mut rng);
-        let alpha = matroid::arboricity(&g);
-        let lists = ListAssignment::uniform(g.num_edges(), alpha + 1);
-        let ctx = AugmentationContext::new(&g, &lists);
-        let mut c_uf = PartialEdgeColoring::new_uncolored(g.num_edges());
-        let mut c_dyn = c_uf.clone();
-        let mut uf_conn = ColorConnectivity::new(g.num_vertices());
-        let mut dyn_conn = DynamicColorConnectivity::new(g.num_vertices());
-        for e in g.edge_ids() {
-            if c_uf.color(e).is_some() {
-                continue;
-            }
-            let a = ctx
-                .augment_edge_connected(&mut c_uf, &mut uf_conn, e, ITER)
-                .unwrap();
-            let b = ctx
-                .augment_edge_dynamic(&mut c_dyn, &mut dyn_conn, e, ITER)
-                .unwrap();
-            assert_eq!(a, b);
-        }
-        assert_eq!(c_uf, c_dyn);
-        validate_partial_forest_decomposition(&g, &c_dyn).expect("valid decomposition");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!   point of Open Problem 11.10 that the paper improves on.
 //! * [`two_color_star_forests`]: the folklore `α_star ≤ 2α` bound obtained by
 //!   two-coloring the vertices of each tree by depth parity.
-//! * [`exact_centralized_decomposition`]: the Gabow–Westermann-style exact
-//!   `α`-forest decomposition (matroid partition), the centralized ground
-//!   truth.
+//! * The Gabow–Westermann-style exact `α`-forest decomposition (matroid
+//!   partition), the centralized ground truth, is
+//!   [`forest_graph::matroid::exact_forest_decomposition`].
 
 use crate::error::FdError;
 use crate::hpartition::{acyclic_orientation, h_partition, out_edge_labels};
@@ -83,14 +83,6 @@ pub fn two_color_star_forests<G: GraphView>(
     ForestDecomposition::from_colors(colors)
 }
 
-/// The exact centralized `α`-forest decomposition (matroid partition); a thin
-/// convenience re-export so benchmark code only needs this crate. Generic
-/// over [`GraphView`], so it runs directly on CSR and zero-copy shard views.
-pub fn exact_centralized_decomposition<G: GraphView>(g: &G) -> (ForestDecomposition, usize) {
-    let exact = forest_graph::matroid::exact_forest_decomposition(g);
-    (exact.decomposition, exact.arboricity)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,17 +135,18 @@ mod tests {
     #[test]
     fn two_coloring_on_a_deep_path() {
         let g = generators::path(100);
-        let (fd, alpha) = exact_centralized_decomposition(&g);
-        assert_eq!(alpha, 1);
-        let stars = two_color_star_forests(&g, &fd);
+        let exact = forest_graph::matroid::exact_forest_decomposition(&g);
+        assert_eq!(exact.arboricity, 1);
+        let stars = two_color_star_forests(&g, &exact.decomposition);
         validate_star_forest_decomposition(&g, &stars, Some(2)).expect("2-SFD of a path");
     }
 
     #[test]
     fn exact_baseline_roundtrip() {
         let g = generators::complete_graph(7);
-        let (fd, alpha) = exact_centralized_decomposition(&g);
-        assert_eq!(alpha, 4);
-        validate_forest_decomposition(&g, &fd, Some(4)).expect("exact decomposition");
+        let exact = forest_graph::matroid::exact_forest_decomposition(&g);
+        assert_eq!(exact.arboricity, 4);
+        validate_forest_decomposition(&g, &exact.decomposition, Some(4))
+            .expect("exact decomposition");
     }
 }

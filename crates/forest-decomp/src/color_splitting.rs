@@ -7,16 +7,15 @@
 //! `Q_i(uv) = Q(uv) ∩ C_{u,i} ∩ C_{v,i}`, and Proposition 4.8 shows that any
 //! two list-forest decompositions built on the two sides combine into one.
 //!
-//! Theorem 4.9 gives two randomized constructions:
-//! 1. (for `α ≥ Ω(log n)`) one MPX partial network decomposition per color,
-//!    with each cluster flipping a biased coin for the whole cluster;
-//! 2. (for `ε²α ≥ Ω(log Δ)`) fully independent per-(vertex, color) coins,
-//!    repaired with the Lovász Local Lemma when some edge's induced palettes
-//!    come out too small.
+//! Theorem 4.9 gives two randomized constructions. The list pipeline uses
+//! the first, implemented here: (for `α ≥ Ω(log n)`) one MPX partial
+//! network decomposition per color, with each cluster flipping a biased
+//! coin for the whole cluster. The second (for `ε²α ≥ Ω(log Δ)`: fully
+//! independent per-(vertex, color) coins repaired with the Lovász Local
+//! Lemma) is not implemented.
 
 use crate::error::{check_epsilon, FdError};
 use forest_graph::{Color, EdgeId, ListAssignment, MultiGraph, VertexId};
-use local_model::rounds::costs;
 use local_model::{partial_network_decomposition, RoundLedger};
 use rand::Rng;
 use std::collections::HashSet;
@@ -102,100 +101,6 @@ pub fn split_colors_clustered<R: Rng + ?Sized>(
     Ok(VertexColorSplitting { side1 })
 }
 
-/// Theorem 4.9(2): fully independent per-(vertex, color) coins, with an
-/// LLL-style repair loop that resamples the vertices incident to edges whose
-/// induced palettes are below the targets `(k0_target, k1_target)`.
-/// Intended for `ε²α ≥ Ω(log Δ)`.
-///
-/// # Errors
-///
-/// Returns [`FdError::NotConverged`] if the repair loop cannot reach the
-/// targets within `max_rounds` rounds (the targets are then unachievable or
-/// the precondition on `α` is badly violated).
-#[allow(clippy::too_many_arguments)]
-pub fn split_colors_independent<R: Rng + ?Sized>(
-    g: &MultiGraph,
-    lists: &ListAssignment,
-    epsilon: f64,
-    k0_target: usize,
-    k1_target: usize,
-    max_rounds: usize,
-    rng: &mut R,
-    ledger: &mut RoundLedger,
-) -> Result<VertexColorSplitting, FdError> {
-    check_epsilon(epsilon)?;
-    let p_side1 = (epsilon / 10.0).clamp(0.0, 1.0);
-    let colors = all_colors(lists);
-    let resample = |rng: &mut R, side1: &mut HashSet<Color>| {
-        side1.clear();
-        for &c in &colors {
-            if rng.gen_bool(p_side1) {
-                side1.insert(c);
-            }
-        }
-    };
-    let mut splitting = VertexColorSplitting {
-        side1: vec![HashSet::new(); g.num_vertices()],
-    };
-    for v in g.vertices() {
-        resample(rng, &mut splitting.side1[v.index()]);
-    }
-    let edge_ok = |splitting: &VertexColorSplitting, e: EdgeId| -> bool {
-        let (u, v) = g.endpoints(e);
-        let mut q0 = 0usize;
-        let mut q1 = 0usize;
-        for &c in lists.palette(e) {
-            let su = splitting.side(u, c);
-            let sv = splitting.side(v, c);
-            if su == 0 && sv == 0 {
-                q0 += 1;
-            } else if su == 1 && sv == 1 {
-                q1 += 1;
-            }
-        }
-        q0 >= k0_target && q1 >= k1_target
-    };
-    let mut rounds = 0usize;
-    loop {
-        let bad: Vec<EdgeId> = g.edge_ids().filter(|&e| !edge_ok(&splitting, e)).collect();
-        if bad.is_empty() {
-            break;
-        }
-        if rounds >= max_rounds {
-            ledger.charge(
-                "vertex-color splitting (LLL repair)",
-                costs::lll(g.num_vertices(), 1),
-            );
-            return Err(FdError::NotConverged {
-                phase: format!(
-                    "vertex-color splitting: {} edges below targets ({k0_target}, {k1_target})",
-                    bad.len()
-                ),
-            });
-        }
-        // Resample in ascending vertex order: the RNG draws below must not
-        // depend on hash-set iteration order, or the same seed would produce
-        // different splittings across runs.
-        let mut to_resample: Vec<VertexId> = Vec::with_capacity(2 * bad.len());
-        for e in bad {
-            let (u, v) = g.endpoints(e);
-            to_resample.push(u);
-            to_resample.push(v);
-        }
-        to_resample.sort_unstable();
-        to_resample.dedup();
-        for v in to_resample {
-            resample(rng, &mut splitting.side1[v.index()]);
-        }
-        rounds += 1;
-    }
-    ledger.charge(
-        "vertex-color splitting (LLL repair)",
-        costs::lll(g.num_vertices(), 1).max(rounds),
-    );
-    Ok(splitting)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,41 +146,13 @@ mod tests {
     }
 
     #[test]
-    fn independent_split_reaches_targets_with_large_palettes() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = generators::planted_forest_union(40, 3, &mut rng);
-        // Theorem 4.9(2) needs eps^2 * |Q| = Omega(log Delta): a color on side
-        // 1 of an *edge* requires both endpoints to pick it (probability
-        // (eps/10)^2 each), so the palettes must be large for k1 >= 1.
-        let lists = ListAssignment::uniform(g.num_edges(), 800);
-        let mut ledger = RoundLedger::new();
-        let splitting =
-            split_colors_independent(&g, &lists, 0.8, 500, 1, 300, &mut rng, &mut ledger).unwrap();
-        let (k0, k1) = splitting.sizes(&g, &lists);
-        assert!(k0 >= 500);
-        assert!(k1 >= 1);
-    }
-
-    #[test]
-    fn independent_split_fails_for_impossible_targets() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let g = generators::path(10);
-        let lists = ListAssignment::uniform(g.num_edges(), 4);
-        let mut ledger = RoundLedger::new();
-        let result = split_colors_independent(&g, &lists, 0.5, 4, 4, 20, &mut rng, &mut ledger);
-        assert!(matches!(result, Err(FdError::NotConverged { .. })));
-    }
-
-    #[test]
     fn rejects_invalid_epsilon() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::path(5);
         let lists = ListAssignment::uniform(g.num_edges(), 3);
         let mut ledger = RoundLedger::new();
         assert!(split_colors_clustered(&g, &lists, 0.0, &mut rng, &mut ledger).is_err());
-        assert!(
-            split_colors_independent(&g, &lists, 1.5, 1, 1, 10, &mut rng, &mut ledger).is_err()
-        );
+        assert!(split_colors_clustered(&g, &lists, 1.5, &mut rng, &mut ledger).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Error type for the decomposition algorithms.
 
 use crate::api::{Engine, ProblemKind};
-use forest_graph::{EdgeId, GraphError, ValidationError};
+use forest_graph::{EdgeId, GraphError, ReorderKind, ValidationError};
 use std::error::Error;
 use std::fmt;
 
@@ -93,12 +93,12 @@ pub enum FdError {
         /// The shard count that was requested.
         requested: usize,
     },
-    /// A shard index beyond the partition's shard count.
-    ShardOutOfRange {
-        /// The requested shard.
-        shard: usize,
-        /// How many shards the partition has.
-        num_shards: usize,
+    /// `run_out_of_core` cuts along the identity vertex order only: a
+    /// BFS/RCM reorder needs the `O(n)` permutation its bounded shard plan
+    /// exists to avoid. (`run_sharded` supports every order.)
+    ReorderUnsupported {
+        /// The order the request asked for.
+        reorder: ReorderKind,
     },
     /// The `DynamicDecomposer` only maintains problems whose coloring stays
     /// valid under edge-local recoloring (currently: `Forest`).
@@ -174,9 +174,10 @@ impl fmt::Display for FdError {
                 f,
                 "run_sharded requires at least one shard (got {requested})"
             ),
-            FdError::ShardOutOfRange { shard, num_shards } => write!(
+            FdError::ReorderUnsupported { reorder } => write!(
                 f,
-                "shard {shard} out of range: the partition has {num_shards} shards"
+                "run_out_of_core splits along the identity vertex order only (got \
+                 {reorder:?}); use run_sharded for a reordered split"
             ),
             FdError::DynamicUnsupported { problem } => write!(
                 f,

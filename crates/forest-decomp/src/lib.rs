@@ -75,15 +75,17 @@
 //! Every end-to-end pipeline runs over a frozen
 //! [`CsrGraph`](forest_graph::CsrGraph): [`api::Decomposer::run`] freezes the
 //! input once per request and threads the `(MultiGraph, CsrRef)` pair
-//! through the engine phases, and [`api::Decomposer::run_batch_shared`]
-//! shares one [`api::FrozenGraph`] across a whole seed sweep. The CSR side
-//! is storage-generic ([`forest_graph::CsrStorage`]): engines consume a
-//! type-erased zero-copy [`CsrRef`](forest_graph::CsrRef), so the same code
-//! runs over owned arrays, an mmap-backed on-disk graph
-//! ([`api::GraphInput::from_mmap`]) or one shard of a
-//! [`CsrPartition`](forest_graph::CsrPartition) —
+//! through the engine phases, and [`api::Decomposer::run_batch`] over
+//! `iter::repeat_n(&frozen, n)` shares one [`api::FrozenGraph`] across a
+//! whole seed sweep. The CSR side is storage-generic
+//! ([`forest_graph::CsrStorage`]): engines consume a type-erased zero-copy
+//! [`CsrRef`](forest_graph::CsrRef), so the same code runs over owned
+//! arrays, an mmap-backed on-disk graph ([`api::GraphInput::from_mmap`]) or
+//! one shard of a [`CsrPartition`](forest_graph::CsrPartition).
 //! [`api::Decomposer::run_sharded`] decomposes shards in parallel and
-//! stitches the boundary through the leftover/augmenting machinery.
+//! [`api::Decomposer::run_out_of_core`] walks them one at a time from disk
+//! (identity order only); both stitch the boundary through one shared
+//! module, the paper's compose-per-part-plus-leftover step.
 //! Phase-level entrypoints ([`algorithm2`], [`augmenting`], [`cut`],
 //! [`hpartition`]) are generic over [`forest_graph::GraphView`], so they
 //! accept any representation and produce identical output on all of them.

@@ -36,7 +36,7 @@ use std::collections::HashSet;
 /// # Errors
 ///
 /// Returns [`FdError::PaletteTooSmall`] if some palette runs out of colors.
-pub fn greedy_lsfd_from_orientation<G: GraphView>(
+fn greedy_lsfd_from_orientation<G: GraphView>(
     g: &G,
     orientation: &Orientation,
     lists: &ListAssignment,

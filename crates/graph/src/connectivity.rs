@@ -200,17 +200,6 @@ impl ColorConnectivity {
         }
     }
 
-    /// [`ColorConnectivity::rebuild_colors`] for a single color.
-    pub fn rebuild_color<G: GraphView>(
-        &mut self,
-        g: &G,
-        coloring: &PartialEdgeColoring,
-        filter: Option<&dyn Fn(EdgeId) -> bool>,
-        c: Color,
-    ) {
-        self.rebuild_colors(g, coloring, filter, [c]);
-    }
-
     /// Rebuilds the forests of colors `0..num_colors` eagerly in one edge
     /// scan (cheaper than `num_colors` lazy builds after an exchange that
     /// touched many colors). Colors outside the range are dropped.
@@ -487,7 +476,7 @@ mod tests {
         // Recolor inside color 0 and rebuild only it.
         coloring.clear(e(0));
         coloring.set(e(1), c(0));
-        conn.rebuild_color(&g, &coloring, None, c(0));
+        conn.rebuild_colors(&g, &coloring, None, [c(0)]);
         assert!(!conn.connected(&g, &coloring, None, c(0), v(0), v(1)));
         assert!(conn.connected(&g, &coloring, None, c(0), v(1), v(2)));
         // Color 1's insert-only state survived the color-0 rebuild.

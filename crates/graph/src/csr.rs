@@ -156,7 +156,6 @@ pub(crate) const HEADER_BYTES: usize = 32;
 /// let csr = CsrGraph::from_multigraph(&g);
 /// assert_eq!(csr.num_edges(), 3);
 /// assert_eq!(csr.degree(1.into()), 3);
-/// assert_eq!(csr.neighbor_slice(0.into()), &[1, 1]);
 /// assert_eq!(csr.to_multigraph(), g);
 /// // A zero-copy borrowed view runs the same algorithms unchanged.
 /// let view = csr.view();
@@ -300,8 +299,7 @@ impl MmapCsr {
     /// on disk until a scan reaches them. The trade-off is that per-word
     /// range checks on those arrays are deferred: a corrupted neighbor or
     /// endpoint value surfaces as an index panic at use, not as an error
-    /// here. Call [`MmapCsr::load_mmap_validated`] to restore the eager full
-    /// structural scan of earlier versions (touching every page).
+    /// here.
     ///
     /// # Errors
     ///
@@ -338,21 +336,6 @@ impl MmapCsr {
             endpoints: segment(bounds.endpoints.clone()),
         };
         validate_offsets_section(csr.offsets.as_u32s(), 2 * m)?;
-        Ok(csr)
-    }
-
-    /// [`MmapCsr::load_mmap`] followed by the full structural scan of every
-    /// array (neighbors, edge ids, endpoints in range) — the pre-demand-
-    /// paging behavior. Touches every page of the file; use it when the
-    /// input is untrusted and the graph fits the page cache comfortably.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`MmapCsr::load_mmap`] returns, plus
-    /// [`io::ErrorKind::InvalidData`] for any out-of-range array word.
-    pub fn load_mmap_validated<P: AsRef<Path>>(path: P) -> io::Result<MmapCsr> {
-        let csr = Self::load_mmap(path)?;
-        validate_structure(&csr)?;
         Ok(csr)
     }
 
@@ -488,18 +471,6 @@ impl<S: CsrStorage> CsrGraph<S> {
         }
     }
 
-    /// Copies the arrays into owned storage (a memcpy, not a re-freeze):
-    /// how a borrowed shard view or an mmap-backed graph is detached from
-    /// its backing storage.
-    pub fn to_owned_storage(&self) -> OwnedCsr {
-        CsrGraph {
-            offsets: self.offsets.as_u32s().to_vec(),
-            neighbors: self.neighbors.as_u32s().to_vec(),
-            edge_ids: self.edge_ids.as_u32s().to_vec(),
-            endpoints: self.endpoints.as_u32s().to_vec(),
-        }
-    }
-
     /// Thaws back into a [`MultiGraph`] (edges re-added in id order).
     ///
     /// Round-trips exactly: `CsrGraph::from_multigraph(&g).to_multigraph()`
@@ -527,19 +498,6 @@ impl<S: CsrStorage> CsrGraph<S> {
     pub fn incidence_range(&self, v: VertexId) -> std::ops::Range<usize> {
         let offsets = self.offsets.as_u32s();
         offsets[v.index()] as usize..offsets[v.index() + 1] as usize
-    }
-
-    /// The neighbors of `v` as a raw `u32` slice (with multiplicity,
-    /// incidence order) — the SIMD-friendly view of the adjacency.
-    #[inline]
-    pub fn neighbor_slice(&self, v: VertexId) -> &[u32] {
-        &self.neighbors.as_u32s()[self.incidence_range(v)]
-    }
-
-    /// The incident edges of `v` as a raw `u32` slice (incidence order).
-    #[inline]
-    pub fn edge_slice(&self, v: VertexId) -> &[u32] {
-        &self.edge_ids.as_u32s()[self.incidence_range(v)]
     }
 
     /// Total number of incidence slots, i.e. `2m`.
@@ -698,8 +656,6 @@ mod tests {
             let mg: Vec<_> = g.incidences(x).collect();
             let cs: Vec<_> = csr.incidences(x).collect();
             assert_eq!(mg, cs);
-            assert_eq!(csr.neighbor_slice(x).len(), csr.degree(x));
-            assert_eq!(csr.edge_slice(x).len(), csr.degree(x));
         }
         for e in g.edge_ids() {
             assert_eq!(csr.endpoints(e), g.endpoints(e));
@@ -757,17 +713,16 @@ mod tests {
     }
 
     #[test]
-    fn slot_accessors_match_slices() {
+    fn slot_accessors_match_incidences() {
         let g = MultiGraph::from_pairs(3, &[(0, 2), (2, 1)]).unwrap();
         let csr = CsrGraph::from_multigraph(&g);
         let r = csr.incidence_range(v(2));
         assert_eq!(r.len(), 2);
-        for slot in r {
-            assert!(csr
-                .neighbor_slice(v(2))
-                .contains(&csr.slot_neighbor(slot).raw()));
-            assert!(csr.edge_slice(v(2)).contains(&csr.slot_edge(slot).raw()));
-        }
+        let slots: Vec<_> = r
+            .map(|s| (csr.slot_neighbor(s), csr.slot_edge(s)))
+            .collect();
+        let incidences: Vec<_> = csr.incidences(v(2)).collect();
+        assert_eq!(slots, incidences);
     }
 
     #[test]
@@ -874,19 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn to_owned_storage_detaches_views() {
-        let g = MultiGraph::from_pairs(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let csr = CsrGraph::from_multigraph(&g);
-        let detached = csr.view().to_owned_storage();
-        assert_eq!(detached, csr);
-        let path = temp_path("detach");
-        csr.save(&path).unwrap();
-        let mapped = MmapCsr::load_mmap(&path).unwrap();
-        assert_eq!(mapped.to_owned_storage(), csr);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn load_mmap_is_demand_paged_and_defers_array_checks() {
         let g = MultiGraph::from_pairs(3, &[(0, 1), (1, 2)]).unwrap();
         let mut bytes = CsrGraph::from_multigraph(&g).to_bytes();
@@ -898,14 +840,13 @@ mod tests {
             mapped.is_demand_paged(),
             "little-endian unix must serve the payload straight from the mapping"
         );
-        assert_eq!(MmapCsr::load_mmap_validated(&path).unwrap(), mapped);
         // Corrupt a neighbor word: the lazy loader (header + offsets only)
-        // accepts the file, the validated loader rejects it.
+        // accepts the file, while the eager byte decoder rejects it.
         let neighbors_start = HEADER_BYTES + 4 * 4; // offsets has n + 1 = 4 words
         bytes[neighbors_start] = 9;
         std::fs::write(&path, &bytes).unwrap();
         assert!(MmapCsr::load_mmap(&path).is_ok());
-        let err = MmapCsr::load_mmap_validated(&path).unwrap_err();
+        let err = CsrGraph::from_bytes(&bytes).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // A broken offsets array is caught even lazily.
         let mut broken_offsets = CsrGraph::from_multigraph(&g).to_bytes();

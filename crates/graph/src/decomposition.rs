@@ -232,30 +232,6 @@ impl ForestDecomposition {
             colors: self.colors.iter().map(|&c| Some(c)).collect(),
         }
     }
-
-    /// Relabels colors to the dense range `0..k` (preserving the relative
-    /// order of the original color labels) and returns `k`.
-    pub fn relabel_colors_dense(&mut self) -> usize {
-        let used: BTreeSet<Color> = self.colors.iter().copied().collect();
-        let map: BTreeMap<Color, Color> = used
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (c, Color::new(i)))
-            .collect();
-        for c in &mut self.colors {
-            *c = map[c];
-        }
-        map.len()
-    }
-
-    /// Sizes of each color class, keyed by color.
-    pub fn class_sizes(&self) -> BTreeMap<Color, usize> {
-        let mut sizes = BTreeMap::new();
-        for &c in &self.colors {
-            *sizes.entry(c).or_insert(0) += 1;
-        }
-        sizes
-    }
 }
 
 fn check_length<G: GraphView>(g: &G, len: usize) -> Result<(), ValidationError> {
@@ -538,34 +514,6 @@ pub fn validate_diameter_bound<G: GraphView>(
     Ok(())
 }
 
-/// Summary statistics of a complete forest decomposition.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DecompositionStats {
-    /// Number of distinct colors used.
-    pub num_colors: usize,
-    /// Maximum tree diameter over all color classes.
-    pub max_diameter: usize,
-    /// Size of the largest color class.
-    pub max_class_size: usize,
-    /// `true` if every color class is a star-forest.
-    pub is_star_forest: bool,
-}
-
-/// Computes [`DecompositionStats`] for a complete decomposition that is
-/// already known to be a valid forest decomposition.
-pub fn decomposition_stats<G: GraphView>(g: &G, fd: &ForestDecomposition) -> DecompositionStats {
-    let num_colors = fd.num_colors_used();
-    let max_diameter = max_forest_diameter(g, &fd.to_partial());
-    let max_class_size = fd.class_sizes().values().copied().max().unwrap_or(0);
-    let is_star_forest = validate_star_forest_decomposition(g, fd, None).is_ok();
-    DecompositionStats {
-        num_colors,
-        max_diameter,
-        max_class_size,
-        is_star_forest,
-    }
-}
-
 /// Merges two partial colorings over disjoint edge sets (used by
 /// Proposition 4.8's combination step). Colors in `second` are shifted by
 /// `color_offset` to keep the color spaces disjoint when desired (pass 0 to
@@ -596,29 +544,6 @@ pub fn merge_disjoint_colorings(
         }
     }
     merged
-}
-
-/// Finds a vertex witnessing that the color class of `color` is not a star,
-/// or `None` if it is one. Used as a diagnostic helper in tests.
-pub fn star_violation_witness<G: GraphView>(
-    g: &G,
-    fd: &ForestDecomposition,
-    color: Color,
-) -> Option<VertexId> {
-    let edges = fd.edges_with_color(color);
-    let mut class_degree = vec![0usize; g.num_vertices()];
-    for &e in &edges {
-        let (u, v) = g.endpoints(e);
-        class_degree[u.index()] += 1;
-        class_degree[v.index()] += 1;
-    }
-    for &e in &edges {
-        let (u, v) = g.endpoints(e);
-        if class_degree[u.index()] >= 2 && class_degree[v.index()] >= 2 {
-            return Some(u);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -717,11 +642,9 @@ mod tests {
         let fd = ForestDecomposition::from_colors(vec![c(0), c(0), c(0)]);
         assert!(validate_forest_decomposition(&g, &fd, None).is_ok());
         assert!(validate_star_forest_decomposition(&g, &fd, None).is_err());
-        assert!(star_violation_witness(&g, &fd, c(0)).is_some());
         // Split the middle edge into its own color: both classes become stars.
         let fd = ForestDecomposition::from_colors(vec![c(0), c(1), c(0)]);
         assert!(validate_star_forest_decomposition(&g, &fd, None).is_ok());
-        assert!(star_violation_witness(&g, &fd, c(0)).is_none());
         // A star with many leaves is fine in one color.
         let g = MultiGraph::from_pairs(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
         let fd = ForestDecomposition::from_colors(vec![c(0); 4]);
@@ -774,32 +697,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_summarize_decomposition() {
-        let g = triangle();
-        let fd = ForestDecomposition::from_colors(vec![c(0), c(0), c(1)]);
-        let stats = decomposition_stats(&g, &fd);
-        assert_eq!(stats.num_colors, 2);
-        assert_eq!(stats.max_diameter, 2);
-        assert_eq!(stats.max_class_size, 2);
-        assert!(stats.is_star_forest);
-    }
-
-    #[test]
-    fn relabeling_compresses_colors() {
-        let mut fd = ForestDecomposition::from_colors(vec![c(7), c(3), c(7)]);
-        let k = fd.relabel_colors_dense();
-        assert_eq!(k, 2);
-        assert_eq!(fd.color(e(0)), c(1));
-        assert_eq!(fd.color(e(1)), c(0));
-        assert_eq!(fd.color(e(2)), c(1));
-    }
-
-    #[test]
-    fn class_sizes_counts_edges() {
+    fn edges_with_color_lists_the_class() {
         let fd = ForestDecomposition::from_colors(vec![c(0), c(1), c(0), c(0)]);
-        let sizes = fd.class_sizes();
-        assert_eq!(sizes[&c(0)], 3);
-        assert_eq!(sizes[&c(1)], 1);
+        assert_eq!(fd.edges_with_color(c(0)), vec![e(0), e(2), e(3)]);
         assert_eq!(fd.edges_with_color(c(1)), vec![e(1)]);
     }
 

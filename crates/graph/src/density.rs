@@ -115,11 +115,6 @@ pub fn densest_subgraph<G: GraphView>(g: &G) -> DensestSubgraph {
     }
 }
 
-/// Exact maximum density `max_H |E(H)| / |V(H)|`.
-pub fn maximum_density<G: GraphView>(g: &G) -> f64 {
-    densest_subgraph(g).density
-}
-
 /// Exact pseudo-arboricity `α* = ⌈max_H |E(H)| / |V(H)|⌉`, computed from the
 /// minimum-out-degree orientation (cross-validated against
 /// [`densest_subgraph`] in tests).
@@ -130,36 +125,6 @@ pub fn pseudoarboricity<G: GraphView>(g: &G) -> usize {
 /// Exact arboricity (delegates to the matroid-partition baseline).
 pub fn arboricity<G: GraphView>(g: &G) -> usize {
     crate::matroid::arboricity(g)
-}
-
-/// The full set of exact sparsity measures of a graph, computed once and
-/// reported by the benchmark harness.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SparsityProfile {
-    /// Number of vertices.
-    pub num_vertices: usize,
-    /// Number of edges.
-    pub num_edges: usize,
-    /// Maximum degree `Δ`.
-    pub max_degree: usize,
-    /// Exact arboricity `α`.
-    pub arboricity: usize,
-    /// Exact pseudo-arboricity `α*`.
-    pub pseudoarboricity: usize,
-    /// Exact maximum subgraph density.
-    pub max_density: f64,
-}
-
-/// Computes a [`SparsityProfile`] (exact; intended for bench-scale graphs).
-pub fn sparsity_profile<G: GraphView>(g: &G) -> SparsityProfile {
-    SparsityProfile {
-        num_vertices: g.num_vertices(),
-        num_edges: g.num_edges(),
-        max_degree: g.max_degree(),
-        arboricity: arboricity(g),
-        pseudoarboricity: pseudoarboricity(g),
-        max_density: maximum_density(g),
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +170,7 @@ mod tests {
     fn max_density_of_cycle_is_one() {
         let pairs: Vec<(usize, usize)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
         let g = MultiGraph::from_pairs(6, &pairs).unwrap();
-        assert!((maximum_density(&g) - 1.0).abs() < 1e-9);
+        assert!((densest_subgraph(&g).density - 1.0).abs() < 1e-9);
         assert_eq!(pseudoarboricity(&g), 1);
     }
 
@@ -213,7 +178,7 @@ mod tests {
     fn pseudoarboricity_matches_ceiling_of_density() {
         for n in 2..=6usize {
             let g = complete_graph(n);
-            let d = maximum_density(&g);
+            let d = densest_subgraph(&g).density;
             assert_eq!(pseudoarboricity(&g), d.ceil() as usize, "K_{n}");
         }
     }
@@ -229,18 +194,6 @@ mod tests {
             assert!(a <= 2 * ps);
             assert!(a <= ps + 1, "simple graph bound");
         }
-    }
-
-    #[test]
-    fn sparsity_profile_is_consistent() {
-        let g = complete_graph(5);
-        let p = sparsity_profile(&g);
-        assert_eq!(p.num_vertices, 5);
-        assert_eq!(p.num_edges, 10);
-        assert_eq!(p.max_degree, 4);
-        assert_eq!(p.arboricity, 3);
-        assert_eq!(p.pseudoarboricity, 2);
-        assert!((p.max_density - 2.0).abs() < 1e-9);
     }
 
     #[test]

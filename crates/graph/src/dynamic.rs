@@ -129,8 +129,7 @@ pub struct ForestEdge {
 /// The structure is deliberately minimal — it does not check that `link`
 /// keeps the forest acyclic beyond a debug assertion, because its one
 /// production consumer ([`DynamicConnectivity`]) guards every `link` with a
-/// `connected` query. Use [`DynamicForest::try_link`] when the caller does
-/// not already know.
+/// `connected` query.
 ///
 /// ```
 /// use forest_graph::dynamic::DynamicForest;
@@ -361,19 +360,9 @@ impl DynamicForest {
     /// # Panics
     ///
     /// Debug-panics if `u` and `v` are already connected (the forest would
-    /// stop being one); use [`DynamicForest::try_link`] when unsure.
+    /// stop being one).
     pub fn link(&mut self, u: VertexId, v: VertexId) -> ForestEdge {
         self.link_keyed(u, v, NIL)
-    }
-
-    /// [`DynamicForest::link`] that refuses (returning `None`) when `u` and
-    /// `v` are already connected.
-    pub fn try_link(&mut self, u: VertexId, v: VertexId) -> Option<ForestEdge> {
-        if self.connected(u, v) {
-            None
-        } else {
-            Some(self.link_keyed(u, v, NIL))
-        }
     }
 
     pub(crate) fn link_keyed(&mut self, u: VertexId, v: VertexId, edge: u32) -> ForestEdge {
@@ -1106,14 +1095,6 @@ mod tests {
         assert!(f.connected(v(1), v(3)));
         f.cut(e);
         assert!(!f.connected(v(1), v(3)));
-    }
-
-    #[test]
-    fn forest_try_link_refuses_cycles() {
-        let mut f = DynamicForest::new(3);
-        assert!(f.try_link(v(0), v(1)).is_some());
-        assert!(f.try_link(v(1), v(2)).is_some());
-        assert!(f.try_link(v(0), v(2)).is_none());
     }
 
     #[test]

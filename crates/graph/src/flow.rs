@@ -47,11 +47,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Adds a directed edge `from -> to` with the given capacity and returns a
     /// handle `(from, index)` that can later be passed to [`Self::flow_on`].
     ///

@@ -3,7 +3,7 @@
 //! The paper has no empirical section, so the benchmark harness measures the
 //! algorithms on synthetic families whose arboricity is known (or cheaply
 //! computable exactly): planted forest unions, fat paths (the Proposition C.1
-//! lower-bound instance), Erdős–Rényi graphs, cliques, grids, hypercubes and
+//! lower-bound instance), cliques, grids, hypercubes and
 //! preferential-attachment graphs.
 
 use crate::ids::VertexId;
@@ -66,18 +66,6 @@ pub fn complete_graph(n: usize) -> MultiGraph {
     g
 }
 
-/// The complete bipartite graph `K_{a,b}`.
-pub fn complete_bipartite(a: usize, b: usize) -> MultiGraph {
-    let mut g = MultiGraph::new(a + b);
-    for i in 0..a {
-        for j in 0..b {
-            g.add_edge(VertexId::new(i), VertexId::new(a + j))
-                .expect("valid bipartite edge");
-        }
-    }
-    g
-}
-
 /// An `rows × cols` grid graph (arboricity 2 for non-degenerate sizes).
 pub fn grid(rows: usize, cols: usize) -> MultiGraph {
     let mut g = MultiGraph::new(rows * cols);
@@ -123,28 +111,6 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> MultiGraph {
     g
 }
 
-/// A random spanning forest over a random subset of vertices: each vertex is
-/// kept with probability `keep_prob` and attached to a random earlier kept
-/// vertex. Returns the forest's edge list (useful for planting partial
-/// decompositions in tests and workloads).
-pub fn random_partial_forest<R: Rng + ?Sized>(
-    n: usize,
-    keep_prob: f64,
-    rng: &mut R,
-) -> Vec<(usize, usize)> {
-    let mut kept: Vec<usize> = Vec::new();
-    let mut edges = Vec::new();
-    for v in 0..n {
-        if rng.gen_bool(keep_prob) {
-            if let Some(&parent) = kept.as_slice().choose(rng) {
-                edges.push((v, parent));
-            }
-            kept.push(v);
-        }
-    }
-    edges
-}
-
 /// A multigraph obtained as the union of `k` random spanning trees on `n`
 /// vertices. Its arboricity is at most `k` and, for `n` not too small, almost
 /// always exactly `k`. Parallel edges may occur (it is a multigraph).
@@ -177,55 +143,6 @@ pub fn planted_simple_arboricity<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut 
             // Skip duplicates silently: the union stays a union of forests.
             let _ = g.add_edge(VertexId::new(order[i]), VertexId::new(order[j]));
         }
-    }
-    g
-}
-
-/// An Erdős–Rényi `G(n, m)` simple graph with exactly `m` distinct edges
-/// (requires `m ≤ n(n-1)/2`).
-///
-/// # Panics
-///
-/// Panics if `m` exceeds the number of possible edges.
-pub fn gnm<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> SimpleGraph {
-    let max_edges = n * n.saturating_sub(1) / 2;
-    assert!(
-        m <= max_edges,
-        "too many edges requested for a simple graph"
-    );
-    let mut g = SimpleGraph::new(n);
-    let mut added = 0;
-    while added < m {
-        let u = rng.gen_range(0..n);
-        let v = rng.gen_range(0..n);
-        if u == v {
-            continue;
-        }
-        if g.add_edge(VertexId::new(u), VertexId::new(v)).is_ok() {
-            added += 1;
-        }
-    }
-    g
-}
-
-/// A random multigraph with exactly `m` edges chosen uniformly (parallel
-/// edges allowed, self-loops skipped).
-pub fn random_multigraph<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> MultiGraph {
-    assert!(
-        n >= 2 || m == 0,
-        "need at least two vertices to place edges"
-    );
-    let mut g = MultiGraph::new(n);
-    let mut added = 0;
-    while added < m {
-        let u = rng.gen_range(0..n);
-        let v = rng.gen_range(0..n);
-        if u == v {
-            continue;
-        }
-        g.add_edge(VertexId::new(u), VertexId::new(v))
-            .expect("valid random edge");
-        added += 1;
     }
     g
 }
@@ -316,9 +233,6 @@ mod tests {
         let g = complete_graph(6);
         assert_eq!(g.num_edges(), 15);
         assert!(g.is_simple());
-        let b = complete_bipartite(3, 4);
-        assert_eq!(b.num_edges(), 12);
-        assert_eq!(b.max_degree(), 4);
     }
 
     #[test]
@@ -363,29 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn gnm_has_exact_edge_count() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = gnm(30, 100, &mut rng);
-        assert_eq!(g.graph().num_edges(), 100);
-        assert!(g.graph().is_simple());
-    }
-
-    #[test]
-    #[should_panic(expected = "too many edges")]
-    fn gnm_rejects_impossible_request() {
-        let mut rng = StdRng::seed_from_u64(9);
-        gnm(4, 100, &mut rng);
-    }
-
-    #[test]
-    fn random_multigraph_counts() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let g = random_multigraph(10, 200, &mut rng);
-        assert_eq!(g.num_edges(), 200);
-        assert_eq!(g.num_vertices(), 10);
-    }
-
-    #[test]
     fn preferential_attachment_is_connected_and_simple() {
         let mut rng = StdRng::seed_from_u64(4);
         let g = preferential_attachment(80, 3, &mut rng);
@@ -393,13 +284,5 @@ mod tests {
         let (_, comps) = connected_components(g.graph(), |_| true);
         assert_eq!(comps, 1);
         assert!(g.graph().num_edges() >= 79);
-    }
-
-    #[test]
-    fn random_partial_forest_is_forest() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let edges = random_partial_forest(50, 0.7, &mut rng);
-        let g = MultiGraph::from_pairs(50, &edges).unwrap();
-        assert!(is_forest(&g, |_| true));
     }
 }

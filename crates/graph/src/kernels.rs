@@ -1,9 +1,9 @@
 //! Flat-array scan kernels written for auto-vectorization.
 //!
 //! The decomposition hot loops spend much of their time in dense linear
-//! scans over per-vertex or per-edge arrays: "largest degree", "all active
-//! vertices whose degree dropped below the peel threshold", "reset exactly
-//! the entries this cluster touched". These kernels centralize those scans
+//! scans over per-vertex or per-edge arrays: "all active vertices whose
+//! degree dropped below the peel threshold", "the edges whose endpoints are
+//! both required". These kernels centralize those scans
 //! over flat `u32` / `u8` arrays in a shape LLVM reliably vectorizes:
 //! fixed-width [`chunks_exact`](slice::chunks_exact) bodies with branchless
 //! per-lane masks, and a scalar tail for the remainder. Callers keep their
@@ -22,39 +22,6 @@
 /// vector units after unrolling; the exact value only affects performance,
 /// never results.
 const LANES: usize = 16;
-
-/// Maximum of a `u32` slice (`0` for an empty slice).
-///
-/// Equivalent to `values.iter().copied().max().unwrap_or(0)` but folded
-/// through per-lane accumulators so the loop vectorizes.
-pub fn max_value(values: &[u32]) -> u32 {
-    let mut acc = [0u32; LANES];
-    let chunks = values.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for (a, &v) in acc.iter_mut().zip(chunk) {
-            *a = (*a).max(v);
-        }
-    }
-    let mut best = acc.iter().copied().fold(0, u32::max);
-    for &v in tail {
-        best = best.max(v);
-    }
-    best
-}
-
-/// Histogram of a `u32` slice: `hist[d]` counts the entries equal to `d`.
-///
-/// The histogram has `max_value(values) + 1` buckets (a single zero bucket
-/// for an empty slice), so degree arrays map to degree histograms without
-/// the caller sizing anything.
-pub fn degree_histogram(values: &[u32]) -> Vec<u32> {
-    let mut hist = vec![0u32; max_value(values) as usize + 1];
-    for &v in values {
-        hist[v as usize] += 1;
-    }
-    hist
-}
 
 /// Collects the indices `i` with `active[i] != 0` and
 /// `values[i] <= threshold` into `out` (cleared first), in ascending order.
@@ -165,38 +132,6 @@ pub fn select_edges_masked<T, I, P>(
     }
 }
 
-/// Number of nonzero entries of a `u8` mask.
-pub fn count_nonzero(mask: &[u8]) -> usize {
-    let mut acc = [0u32; LANES];
-    let chunks = mask.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for (a, &b) in acc.iter_mut().zip(chunk) {
-            *a += u32::from(b != 0);
-        }
-    }
-    acc.iter().map(|&a| a as usize).sum::<usize>() + tail.iter().filter(|&&b| b != 0).count()
-}
-
-/// Sets `mask[i] = 1` for every index in `indices`.
-///
-/// Paired with [`clear_indices`], this is the sparse-touch discipline the
-/// cluster pipeline uses for its reusable dense masks: mark exactly the
-/// entries a cluster reaches, run over the mask, then clear exactly those
-/// entries again — never an `O(n)` `fill(false)` between clusters.
-pub fn mark_indices(mask: &mut [u8], indices: &[u32]) {
-    for &i in indices {
-        mask[i as usize] = 1;
-    }
-}
-
-/// Resets `mask[i] = 0` for every index in `indices` (see [`mark_indices`]).
-pub fn clear_indices(mask: &mut [u8], indices: &[u32]) {
-    for &i in indices {
-        mask[i as usize] = 0;
-    }
-}
-
 /// An epoch-stamped membership set over ids `0..len`: `O(1)` logical clear,
 /// one load per membership test, no per-reset allocation.
 ///
@@ -279,28 +214,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn max_value_matches_iterator_max() {
-        assert_eq!(max_value(&[]), 0);
-        assert_eq!(max_value(&[7]), 7);
-        let values: Vec<u32> = (0..1000)
-            .map(|i| (i * 2654435761u64 % 997) as u32)
-            .collect();
-        assert_eq!(
-            max_value(&values),
-            values.iter().copied().max().unwrap_or(0)
-        );
-    }
-
-    #[test]
-    fn degree_histogram_counts_every_entry() {
-        assert_eq!(degree_histogram(&[]), vec![0]);
-        let values = [3u32, 0, 3, 1, 3];
-        assert_eq!(degree_histogram(&values), vec![1, 1, 0, 3]);
-        let total: u32 = degree_histogram(&values).iter().sum();
-        assert_eq!(total as usize, values.len());
-    }
-
-    #[test]
     fn select_le_masked_matches_filter() {
         let n = 531; // exercises both the chunked body and the tail
         let values: Vec<u32> = (0..n).map(|i| (i * 37 % 100) as u32).collect();
@@ -366,27 +279,6 @@ mod tests {
         // Edge (0,1) is core-internal, (1,3) leaves the view, (2,4) is
         // filtered by the predicate: only edge 1 (0,2) survives.
         assert_eq!(out, vec![1]);
-    }
-
-    #[test]
-    fn count_nonzero_matches_filter_count() {
-        let mask: Vec<u8> = (0..321).map(|i| u8::from(i % 7 == 0)).collect();
-        assert_eq!(
-            count_nonzero(&mask),
-            mask.iter().filter(|&&b| b != 0).count()
-        );
-        assert_eq!(count_nonzero(&[]), 0);
-    }
-
-    #[test]
-    fn mark_and_clear_round_trip() {
-        let mut mask = vec![0u8; 10];
-        let touched = [2u32, 5, 9];
-        mark_indices(&mut mask, &touched);
-        assert_eq!(count_nonzero(&mask), 3);
-        assert_eq!(mask[5], 1);
-        clear_indices(&mut mask, &touched);
-        assert_eq!(mask, vec![0u8; 10]);
     }
 
     #[test]

@@ -103,12 +103,12 @@ mod view;
 
 pub use connectivity::{ColorConnectivity, DynamicColorConnectivity};
 pub use csr::{CsrGraph, CsrRef, CsrStorage, MmapCsr, MmapStorage, OwnedCsr};
-pub use decomposition::{DecompositionStats, ForestDecomposition, PartialEdgeColoring};
+pub use decomposition::{ForestDecomposition, PartialEdgeColoring};
 pub use dynamic::{DynamicConnectivity, DynamicForest, DynamicGraph, EdgeIdRemap};
 pub use error::{GraphError, ValidationError};
 pub use flow::FlowNetwork;
 pub use ids::{u32_of, Color, EdgeId, VertexId};
-pub use multigraph::{edge_subgraph, InducedSubgraph, MultiGraph, SimpleGraph};
+pub use multigraph::{edge_subgraph, MultiGraph, SimpleGraph};
 pub use orientation::Orientation;
 pub use palette::ListAssignment;
 pub use partition::{CsrPartition, ExtractedShard, ShardPlan};

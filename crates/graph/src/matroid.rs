@@ -118,58 +118,11 @@ pub fn try_augment_traced<G: GraphView>(
     None
 }
 
-/// [`try_augment_traced`] without the trace or the bound: returns `true` on
-/// success, `false` certifying that the already-colored edges plus `edge`
-/// cannot be partitioned into `k` forests.
-pub fn try_augment<G: GraphView>(
-    g: &G,
-    coloring: &mut PartialEdgeColoring,
-    edge: EdgeId,
-    k: usize,
-) -> bool {
-    try_augment_traced(g, coloring, edge, k, usize::MAX).is_some()
-}
-
 /// The colors an exchange touched: every old and new color of its steps.
 fn touched_colors(steps: &[ExchangeStep]) -> impl Iterator<Item = Color> + '_ {
     steps
         .iter()
         .flat_map(|&(_, old, new)| old.into_iter().chain(std::iter::once(new)))
-}
-
-/// Attempts to partition all edges of `g` into at most `k` forests.
-///
-/// Returns `None` if no such partition exists (i.e. `k < α(G)`), otherwise a
-/// complete forest decomposition using colors `0..k`.
-pub fn forest_partition_with<G: GraphView>(g: &G, k: usize) -> Option<ForestDecomposition> {
-    if g.num_edges() == 0 {
-        return Some(ForestDecomposition::from_colors(Vec::new()));
-    }
-    if k == 0 {
-        return None;
-    }
-    let mut coloring = PartialEdgeColoring::new_uncolored(g.num_edges());
-    let mut connectivity = ColorConnectivity::new(g.num_vertices());
-    for (e, u, v) in g.edges() {
-        // Fast path: some forest keeps u and v apart, so e slots right in.
-        if let Some(c) = connectivity.first_free_color(g, &coloring, None, k, u, v) {
-            coloring.set(e, c);
-            connectivity.insert(c, u, v);
-            continue;
-        }
-        match try_augment_traced(g, &mut coloring, e, k, usize::MAX) {
-            None => return None,
-            Some(steps) => {
-                // Only the colors the exchange walked through are stale.
-                connectivity.rebuild_colors(g, &coloring, None, touched_colors(&steps));
-            }
-        }
-    }
-    Some(
-        coloring
-            .into_complete()
-            .expect("all edges colored by construction"),
-    )
 }
 
 /// Result of the exact minimum forest partition.
@@ -262,12 +215,6 @@ pub fn arboricity_lower_bound<G: GraphView>(g: &G) -> usize {
     }
 }
 
-/// Decomposes the graph into the minimum number of forests and reports how
-/// many vertices each rooted tree spans. Convenience wrapper used by examples.
-pub fn minimum_forest_count<G: GraphView>(g: &G) -> usize {
-    arboricity(g)
-}
-
 /// A vertex-labelled witness that the arboricity is at least `bound`:
 /// a subgraph `H` with `|E(H)| > (bound - 1) * (|V(H)| - 1)`.
 ///
@@ -332,9 +279,8 @@ mod tests {
     fn cycle_has_arboricity_two() {
         let g = MultiGraph::from_pairs(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         assert_eq!(arboricity(&g), 2);
-        assert!(forest_partition_with(&g, 1).is_none());
-        let fd = forest_partition_with(&g, 2).unwrap();
-        assert!(validate_forest_decomposition(&g, &fd, Some(2)).is_ok());
+        let exact = exact_forest_decomposition(&g);
+        assert!(validate_forest_decomposition(&g, &exact.decomposition, Some(2)).is_ok());
     }
 
     #[test]
@@ -359,22 +305,6 @@ mod tests {
         let exact = exact_forest_decomposition(&g);
         assert_eq!(exact.arboricity, 3);
         assert!(validate_forest_decomposition(&g, &exact.decomposition, Some(3)).is_ok());
-    }
-
-    #[test]
-    fn partition_with_extra_colors_succeeds() {
-        let g = complete_graph(6);
-        let fd = forest_partition_with(&g, 5).unwrap();
-        assert!(validate_forest_decomposition(&g, &fd, Some(5)).is_ok());
-        assert!(forest_partition_with(&g, 2).is_none());
-    }
-
-    #[test]
-    fn partition_with_zero_colors_only_for_empty() {
-        let g = MultiGraph::new(3);
-        assert!(forest_partition_with(&g, 0).is_some());
-        let g = MultiGraph::from_pairs(2, &[(0, 1)]).unwrap();
-        assert!(forest_partition_with(&g, 0).is_none());
     }
 
     #[test]
@@ -409,11 +339,5 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(arboricity(&g), 2);
-    }
-
-    #[test]
-    fn minimum_forest_count_alias() {
-        let g = complete_graph(4);
-        assert_eq!(minimum_forest_count(&g), 2);
     }
 }

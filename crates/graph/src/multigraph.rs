@@ -222,37 +222,6 @@ impl MultiGraph {
         edge_subgraph(self, keep)
     }
 
-    /// Returns the subgraph induced by the given vertex set.
-    ///
-    /// Vertices are renumbered densely in the order given by `vertices`;
-    /// the returned maps translate new vertex ids to old ones and new edge
-    /// ids to old ones.
-    pub fn induced_subgraph(&self, vertices: &[VertexId]) -> InducedSubgraph {
-        let mut old_of_new = Vec::with_capacity(vertices.len());
-        let mut new_of_old = vec![usize::MAX; self.num_vertices()];
-        for (i, &v) in vertices.iter().enumerate() {
-            new_of_old[v.index()] = i;
-            old_of_new.push(v);
-        }
-        let mut graph = MultiGraph::new(vertices.len());
-        let mut edge_map = Vec::new();
-        for (e, u, v) in self.edges() {
-            let nu = new_of_old[u.index()];
-            let nv = new_of_old[v.index()];
-            if nu != usize::MAX && nv != usize::MAX {
-                graph
-                    .add_edge(VertexId::new(nu), VertexId::new(nv))
-                    .expect("induced endpoints valid");
-                edge_map.push(e);
-            }
-        }
-        InducedSubgraph {
-            graph,
-            original_vertex: old_of_new,
-            original_edge: edge_map,
-        }
-    }
-
     /// Total number of incidences, i.e. `2m`.
     pub fn total_degree(&self) -> usize {
         2 * self.num_edges()
@@ -326,18 +295,6 @@ where
     (sub, back)
 }
 
-/// Result of [`MultiGraph::induced_subgraph`]: the subgraph plus id mappings
-/// back to the original graph.
-#[derive(Clone, Debug)]
-pub struct InducedSubgraph {
-    /// The induced subgraph with dense vertex ids.
-    pub graph: MultiGraph,
-    /// `original_vertex[new_vertex]` is the vertex id in the original graph.
-    pub original_vertex: Vec<VertexId>,
-    /// `original_edge[new_edge]` is the edge id in the original graph.
-    pub original_edge: Vec<EdgeId>,
-}
-
 /// A simple graph: no self-loops, no parallel edges.
 ///
 /// The star-forest decomposition results of the paper (Section 5) require a
@@ -400,19 +357,13 @@ impl SimpleGraph {
         Ok(id)
     }
 
-    /// Returns `true` if the edge `{u, v}` is present.
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.present.contains(&key)
-    }
-
     /// Borrows the underlying multigraph view (which is guaranteed simple).
     pub fn graph(&self) -> &MultiGraph {
         &self.inner
     }
 
     /// Consumes the wrapper and returns the underlying multigraph.
-    pub fn into_multigraph(self) -> MultiGraph {
+    fn into_multigraph(self) -> MultiGraph {
         self.inner
     }
 
@@ -514,16 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_renumbers_vertices() {
-        let g = MultiGraph::from_pairs(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
-        let sub = g.induced_subgraph(&[v(1), v(2), v(3)]);
-        assert_eq!(sub.graph.num_vertices(), 3);
-        assert_eq!(sub.graph.num_edges(), 2);
-        assert_eq!(sub.original_vertex, vec![v(1), v(2), v(3)]);
-        assert_eq!(sub.original_edge.len(), 2);
-    }
-
-    #[test]
     fn iterators_cover_all_elements() {
         let g = MultiGraph::from_pairs(3, &[(0, 1), (1, 2)]).unwrap();
         assert_eq!(g.vertices().count(), 3);
@@ -542,9 +483,6 @@ mod tests {
             g.add_edge(v(1), v(0)),
             Err(GraphError::ParallelEdge { .. })
         ));
-        assert!(g.has_edge(v(0), v(1)));
-        assert!(g.has_edge(v(1), v(0)));
-        assert!(!g.has_edge(v(1), v(2)));
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl Orientation {
 
     /// Returns `true` if `e` is oriented out of `v`.
     #[inline]
-    pub fn is_out_edge(&self, e: EdgeId, v: VertexId) -> bool {
+    fn is_out_edge(&self, e: EdgeId, v: VertexId) -> bool {
         self.tail(e) == v
     }
 
@@ -107,13 +107,6 @@ impl Orientation {
     pub fn out_edges<G: GraphView>(&self, g: &G, v: VertexId) -> Vec<EdgeId> {
         g.incident_edges(v)
             .filter(|&e| self.is_out_edge(e, v))
-            .collect()
-    }
-
-    /// In-edges of `v`.
-    pub fn in_edges<G: GraphView>(&self, g: &G, v: VertexId) -> Vec<EdgeId> {
-        g.incident_edges(v)
-            .filter(|&e| !self.is_out_edge(e, v))
             .collect()
     }
 
@@ -269,7 +262,6 @@ mod tests {
         assert_eq!(o.out_degrees(&g), vec![2, 1, 0]);
         assert_eq!(o.max_out_degree(&g), 2);
         assert_eq!(o.out_edges(&g, v(0)).len(), 2);
-        assert_eq!(o.in_edges(&g, v(2)).len(), 2);
         assert_eq!(o.out_neighbors(&g, v(1)), vec![v(2)]);
     }
 

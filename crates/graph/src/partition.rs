@@ -143,7 +143,7 @@ impl ShardPlan {
     }
 
     /// Global vertex-id range `[start, end)` of shard `s`.
-    pub fn vertex_range(&self, s: usize) -> std::ops::Range<usize> {
+    fn vertex_range(&self, s: usize) -> std::ops::Range<usize> {
         self.vertex_base[s] as usize..self.vertex_base[s + 1] as usize
     }
 
@@ -423,7 +423,8 @@ impl CsrPartition {
     /// identity order (plain [`CsrPartition::split`]) positions coincide
     /// with global vertex ids; under [`CsrPartition::split_ordered`] map a
     /// position through [`CsrPartition::global_vertex`].
-    pub fn vertex_range(&self, s: usize) -> std::ops::Range<usize> {
+    #[cfg(test)]
+    fn vertex_range(&self, s: usize) -> std::ops::Range<usize> {
         self.vertex_base[s] as usize..self.vertex_base[s + 1] as usize
     }
 
@@ -439,7 +440,7 @@ impl CsrPartition {
     }
 
     /// Total number of internal (non-boundary) edges across all shards.
-    pub fn num_internal_edges(&self) -> usize {
+    fn num_internal_edges(&self) -> usize {
         self.edge_global.iter().map(|v| v.len()).sum()
     }
 

@@ -85,14 +85,6 @@ impl VertexPermutation {
         self.new_of_old.is_empty()
     }
 
-    /// Whether the permutation maps every vertex to itself.
-    pub fn is_identity(&self) -> bool {
-        self.new_of_old
-            .iter()
-            .enumerate()
-            .all(|(old, &new)| u32_of(old) == new)
-    }
-
     /// The new id of old vertex `v`.
     pub fn new_id(&self, v: VertexId) -> VertexId {
         VertexId::new(self.new_of_old[v.index()] as usize)
@@ -107,14 +99,6 @@ impl VertexPermutation {
     /// `pos`.
     pub fn as_new_order(&self) -> &[u32] {
         &self.old_of_new
-    }
-
-    /// The inverse permutation (swaps the two directions).
-    pub fn inverse(&self) -> VertexPermutation {
-        VertexPermutation {
-            new_of_old: self.old_of_new.clone(),
-            old_of_new: self.new_of_old.clone(),
-        }
     }
 }
 
@@ -273,8 +257,6 @@ mod tests {
     #[test]
     fn identity_round_trips() {
         let p = VertexPermutation::identity(5);
-        assert!(p.is_identity());
-        assert_eq!(p.inverse(), p);
         for i in 0..5 {
             let v = VertexId::new(i);
             assert_eq!(p.new_id(v), v);

@@ -140,7 +140,8 @@ where
 }
 
 /// Multi-source BFS: every vertex in `sources` starts at distance 0.
-pub fn multi_source_bfs<G, F>(g: &G, sources: &[VertexId], mut edge_filter: F) -> Vec<usize>
+#[cfg(test)]
+fn multi_source_bfs<G, F>(g: &G, sources: &[VertexId], mut edge_filter: F) -> Vec<usize>
 where
     G: GraphView,
     F: FnMut(EdgeId) -> bool,
@@ -169,14 +170,6 @@ where
 /// `radius`-neighborhood `N^r(source)` of the paper's Section 1.1).
 pub fn ball<G: GraphView>(g: &G, source: VertexId, radius: usize) -> Vec<VertexId> {
     let dist = bfs_distances(g, source, |_| true);
-    g.vertices()
-        .filter(|v| dist[v.index()] != UNREACHABLE && dist[v.index()] <= radius)
-        .collect()
-}
-
-/// Returns all vertices within distance `radius` of any vertex in `sources`.
-pub fn ball_of_set<G: GraphView>(g: &G, sources: &[VertexId], radius: usize) -> Vec<VertexId> {
-    let dist = multi_source_bfs(g, sources, |_| true);
     g.vertices()
         .filter(|v| dist[v.index()] != UNREACHABLE && dist[v.index()] <= radius)
         .collect()
@@ -294,7 +287,7 @@ where
 /// # Panics
 ///
 /// Panics in debug builds if the filtered subgraph contains a cycle.
-pub fn forest_eccentricities<G, F>(g: &G, mut edge_filter: F) -> Vec<usize>
+fn forest_eccentricities<G, F>(g: &G, mut edge_filter: F) -> Vec<usize>
 where
     G: GraphView,
     F: FnMut(EdgeId) -> bool,
@@ -513,10 +506,6 @@ mod tests {
         let mut got: Vec<usize> = b.iter().map(|x| x.index()).collect();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 3, 4, 5]);
-        let b = ball_of_set(&g, &[v(0), v(6)], 1);
-        let mut got: Vec<usize> = b.iter().map(|x| x.index()).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 5, 6]);
     }
 
     #[test]

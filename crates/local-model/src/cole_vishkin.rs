@@ -172,7 +172,8 @@ pub fn cole_vishkin_three_coloring(
 
 /// Checks that a coloring is proper on the rooted forest (every non-root
 /// differs from its parent).
-pub fn is_proper_coloring(forest: &RootedForestView, color: &[u8]) -> bool {
+#[cfg(test)]
+fn is_proper_coloring(forest: &RootedForestView, color: &[u8]) -> bool {
     forest
         .parent
         .iter()

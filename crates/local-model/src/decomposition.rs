@@ -38,13 +38,6 @@ pub struct NetworkDecomposition {
 }
 
 impl NetworkDecomposition {
-    /// Clusters belonging to a given class.
-    pub fn clusters_in_class(&self, class: usize) -> Vec<usize> {
-        (0..self.clusters.len())
-            .filter(|&c| self.cluster_class[c] == class)
-            .collect()
-    }
-
     /// Maximum *weak* diameter over all clusters: distances are measured in
     /// the whole graph `g`, not inside the cluster.
     pub fn max_weak_diameter<G: GraphView>(&self, g: &G) -> usize {
@@ -207,20 +200,15 @@ pub struct PartialNetworkDecomposition {
 }
 
 impl PartialNetworkDecomposition {
-    /// Returns `true` if both endpoints of the edge landed in the same
-    /// cluster.
-    pub fn same_cluster(&self, u: VertexId, v: VertexId) -> bool {
-        self.center_of[u.index()] == self.center_of[v.index()]
-    }
-
     /// Fraction of edges of `g` whose endpoints lie in different clusters.
-    pub fn cut_fraction(&self, g: &MultiGraph) -> f64 {
+    #[cfg(test)]
+    fn cut_fraction(&self, g: &MultiGraph) -> f64 {
         if g.num_edges() == 0 {
             return 0.0;
         }
         let cut = g
             .edges()
-            .filter(|(_, u, v)| !self.same_cluster(*u, *v))
+            .filter(|(_, u, v)| self.center_of[u.index()] != self.center_of[v.index()])
             .count();
         cut as f64 / g.num_edges() as f64
     }
@@ -352,11 +340,8 @@ mod tests {
         let g = generators::grid(6, 6);
         let mut ledger = RoundLedger::new();
         let nd = network_decomposition(&g, &mut ledger);
-        let mut count = 0;
-        for class in 0..nd.num_classes {
-            count += nd.clusters_in_class(class).len();
-        }
-        assert_eq!(count, nd.clusters.len());
+        assert_eq!(nd.cluster_class.len(), nd.clusters.len());
+        assert!(nd.cluster_class.iter().all(|&c| c < nd.num_classes));
     }
 
     #[test]

@@ -16,13 +16,9 @@
 //! incidence (`2m` slots total): composing writes slot-by-slot in CSR order
 //! and delivery is a fixed permutation of that array
 //! ([`CsrGraph::mirror_slots`]), so a round performs zero per-vertex
-//! allocations. [`SyncNetwork::round_parallel`] runs the same compose and
-//! update functions fanned across all cores; because both phases are pure
-//! per-vertex functions evaluated in the same slot order, its results are
-//! bit-identical to the sequential [`SyncNetwork::round`].
+//! allocations.
 
-use forest_graph::{u32_of, CsrGraph, CsrStorage, EdgeId, GraphView, VertexId};
-use rayon::prelude::*;
+use forest_graph::{CsrGraph, CsrStorage, EdgeId, GraphView, VertexId};
 
 /// Identifier material available to a vertex: its id and a globally unique
 /// `O(log n)`-bit label (here simply the vertex index, as permitted by the
@@ -42,9 +38,8 @@ pub struct NodeInfo {
 /// `S` is the per-node state; `St` is where the frozen topology's arrays
 /// live ([`CsrStorage`]: owned by default, but a borrowed shard view or an
 /// mmap-backed graph freezes just as well via [`SyncNetwork::from_csr`]).
-/// The caller drives the simulation with [`SyncNetwork::round`] (or
-/// [`SyncNetwork::round_parallel`]); the number of executed rounds is
-/// available from [`SyncNetwork::rounds_executed`].
+/// The caller drives the simulation with [`SyncNetwork::round`], one
+/// synchronous round per call.
 #[derive(Debug)]
 pub struct SyncNetwork<S, St: CsrStorage = Vec<u32>> {
     csr: CsrGraph<St>,
@@ -99,7 +94,8 @@ impl<S, St: CsrStorage> SyncNetwork<S, St> {
     }
 
     /// Read-only access to every node state.
-    pub fn states(&self) -> &[S] {
+    #[cfg(test)]
+    fn states(&self) -> &[S] {
         &self.states
     }
 
@@ -109,7 +105,8 @@ impl<S, St: CsrStorage> SyncNetwork<S, St> {
     }
 
     /// Number of synchronous rounds executed so far.
-    pub fn rounds_executed(&self) -> usize {
+    #[cfg(test)]
+    fn rounds_executed(&self) -> usize {
         self.rounds
     }
 
@@ -148,93 +145,6 @@ impl<S, St: CsrStorage> SyncNetwork<S, St> {
             update(v, &mut self.states[v.index()], &inbox);
         }
         self.rounds += 1;
-    }
-
-    /// Executes one synchronous round with compose and update fanned across
-    /// all cores.
-    ///
-    /// Requires pure (`Fn`) closures and clonable messages/states; under
-    /// those constraints the result is **bit-identical** to
-    /// [`SyncNetwork::round`] with the same closures, because both phases
-    /// evaluate the same per-vertex functions against the same state
-    /// snapshot in the same slot order — parallelism only changes *who*
-    /// computes each slot, never its value.
-    pub fn round_parallel<M, FCompose, FUpdate>(&mut self, compose: FCompose, update: FUpdate)
-    where
-        S: Clone + Send + Sync,
-        St: Sync,
-        M: Clone + Send + Sync,
-        FCompose: Fn(VertexId, &S, EdgeId, VertexId) -> M + Sync,
-        FUpdate: Fn(VertexId, &mut S, &[(EdgeId, VertexId, M)]) + Sync,
-    {
-        let ids: Vec<u32> = (0..u32_of(self.csr.num_vertices())).collect();
-        let csr = &self.csr;
-        let states = &self.states;
-        // Phase 1: all outgoing messages, one Vec per vertex in slot order.
-        let per_vertex: Vec<Vec<M>> = ids
-            .par_iter()
-            .map(|&v| {
-                let v = VertexId::new(v as usize);
-                let state = &states[v.index()];
-                csr.incidences(v)
-                    .map(|(neighbor, edge)| compose(v, state, edge, neighbor))
-                    .collect()
-            })
-            .collect();
-        // Exchange: flatten to the slot-indexed outbox (cheap, O(2m)).
-        let outbox: Vec<M> = per_vertex.into_iter().flatten().collect();
-        let mirror = &self.mirror;
-        // Phase 2: every vertex updates from its delivered slice.
-        let new_states: Vec<S> = ids
-            .par_iter()
-            .map(|&v| {
-                let v = VertexId::new(v as usize);
-                let inbox: Vec<(EdgeId, VertexId, M)> = csr
-                    .incidence_range(v)
-                    .map(|slot| {
-                        (
-                            csr.slot_edge(slot),
-                            csr.slot_neighbor(slot),
-                            outbox[mirror[slot] as usize].clone(),
-                        )
-                    })
-                    .collect();
-                let mut state = states[v.index()].clone();
-                update(v, &mut state, &inbox);
-                state
-            })
-            .collect();
-        self.states = new_states;
-        self.rounds += 1;
-    }
-
-    /// Runs rounds until `done` returns true for every state or `max_rounds`
-    /// is reached; returns the number of rounds executed in this call.
-    pub fn run_until<M, FCompose, FUpdate, FDone>(
-        &mut self,
-        max_rounds: usize,
-        mut compose: FCompose,
-        mut update: FUpdate,
-        mut done: FDone,
-    ) -> usize
-    where
-        FCompose: FnMut(VertexId, &S, EdgeId, VertexId) -> M,
-        FUpdate: FnMut(VertexId, &mut S, &[(EdgeId, VertexId, M)]),
-        FDone: FnMut(&S) -> bool,
-    {
-        let start = self.rounds;
-        for _ in 0..max_rounds {
-            if self.states.iter().all(&mut done) {
-                break;
-            }
-            self.round(&mut compose, &mut update);
-        }
-        self.rounds - start
-    }
-
-    /// Consumes the network and returns the final states.
-    pub fn into_states(self) -> Vec<S> {
-        self.states
     }
 }
 
@@ -281,29 +191,9 @@ mod tests {
             );
         }
         assert_eq!(net.rounds_executed(), 5);
-        let states = net.into_states();
-        for (i, s) in states.iter().enumerate() {
+        for (i, s) in net.states().iter().enumerate() {
             assert_eq!(*s, Some(i));
         }
-    }
-
-    #[test]
-    fn run_until_stops_early() {
-        let g = generators::path(4);
-        let mut net = SyncNetwork::new(&g, |info| info.vertex.index() == 0);
-        // Propagate a "token" from vertex 0 outward; done when all have it.
-        let used = net.run_until(
-            100,
-            |_, state, _, _| *state,
-            |_, state, inbox| {
-                if inbox.iter().any(|(_, _, m)| *m) {
-                    *state = true;
-                }
-            },
-            |state| *state,
-        );
-        assert_eq!(used, 3);
-        assert!(net.states().iter().all(|s| *s));
     }
 
     #[test]
@@ -323,10 +213,9 @@ mod tests {
         assert_eq!(net.rounds_executed(), 1);
     }
 
-    /// The compose/update pair used by the sequential-vs-parallel equivalence
-    /// tests: a nontrivial deterministic aggregation that is sensitive to
-    /// message-to-edge attribution.
-    fn gossip_round(net: &mut SyncNetwork<u64>, parallel: bool) {
+    /// One round of a nontrivial deterministic aggregation that is
+    /// sensitive to message-to-edge attribution.
+    fn gossip_round(net: &mut SyncNetwork<u64>) {
         let compose = |v: VertexId, state: &u64, e: EdgeId, u: VertexId| {
             state
                 .wrapping_mul(31)
@@ -342,51 +231,7 @@ mod tests {
                     .wrapping_add(e.index() as u64 ^ ((u.index() as u64) << 16));
             }
         };
-        if parallel {
-            net.round_parallel(compose, update);
-        } else {
-            net.round(compose, update);
-        }
-    }
-
-    #[test]
-    fn parallel_round_is_bit_identical_to_sequential() {
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-        for (i, g) in [
-            generators::path(40),
-            generators::grid(8, 8),
-            generators::planted_forest_union(64, 3, &mut rng),
-            generators::star(17),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut seq = SyncNetwork::new(&g, |info| info.unique_id.wrapping_mul(0x9E37));
-            let mut par = SyncNetwork::new(&g, |info| info.unique_id.wrapping_mul(0x9E37));
-            for round in 0..6 {
-                gossip_round(&mut seq, false);
-                gossip_round(&mut par, true);
-                assert_eq!(
-                    seq.states(),
-                    par.states(),
-                    "graph {i} diverged at round {round}"
-                );
-            }
-            assert_eq!(seq.rounds_executed(), par.rounds_executed());
-        }
-    }
-
-    #[test]
-    fn parallel_round_on_edgeless_and_empty_graphs() {
-        let g = forest_graph::MultiGraph::new(5);
-        let mut net = SyncNetwork::new(&g, |info| info.unique_id);
-        net.round_parallel(|_, s, _, _| *s, |_, _, _: &[(EdgeId, VertexId, u64)]| {});
-        assert_eq!(net.rounds_executed(), 1);
-        assert_eq!(net.states().len(), 5);
-        let empty = forest_graph::MultiGraph::new(0);
-        let mut net = SyncNetwork::new(&empty, |info| info.unique_id);
-        net.round_parallel(|_, s, _, _| *s, |_, _, _: &[(EdgeId, VertexId, u64)]| {});
-        assert!(net.states().is_empty());
+        net.round(compose, update);
     }
 
     #[test]
@@ -407,7 +252,7 @@ mod tests {
         let mut owned = SyncNetwork::from_csr(csr.clone(), |info| info.unique_id);
         let mut borrowed = SyncNetwork::from_csr(csr.view(), |info| info.unique_id);
         for _ in 0..4 {
-            gossip_round(&mut owned, false);
+            gossip_round(&mut owned);
             let compose = |v: VertexId, state: &u64, e: EdgeId, u: VertexId| {
                 state
                     .wrapping_mul(31)

@@ -109,11 +109,6 @@ impl fmt::Display for RoundLedger {
 /// Standard round-cost formulas shared by the algorithms, so that the charged
 /// quantities stay consistent with the paper's statements.
 pub mod costs {
-    /// Rounds needed to collect the radius-`r` neighborhood of every vertex
-    /// (simulating `G^r` costs `O(r)` rounds of `G`).
-    pub fn collect_radius(r: usize) -> usize {
-        r.max(1)
-    }
 
     /// Rounds charged for an `(O(log n), O(log n))` network decomposition of
     /// the power graph `G^d`: `O(d · log² n)` (Elkin–Neiman style construction
@@ -222,6 +217,5 @@ mod tests {
                 >= costs::partial_network_decomposition(1024, 0.5)
         );
         assert!(costs::lll(1 << 20, 3) >= costs::lll(1 << 10, 3));
-        assert!(costs::collect_radius(0) >= 1);
     }
 }

@@ -47,19 +47,6 @@ pub struct NeighborhoodView {
     pub edges: Vec<EdgeId>,
 }
 
-impl NeighborhoodView {
-    /// Returns `true` if the vertex is inside the view.
-    pub fn contains_vertex(&self, v: VertexId) -> bool {
-        self.distance[v.index()] != UNREACHABLE
-    }
-
-    /// Returns `true` if the edge is inside the view.
-    pub fn contains_edge<G: GraphView>(&self, g: &G, e: EdgeId) -> bool {
-        let (u, v) = g.endpoints(e);
-        self.contains_vertex(u) && self.contains_vertex(v)
-    }
-}
-
 /// Collects the radius-`r` neighborhood of `centers`, charging `r` rounds to
 /// the ledger (gathering a radius-`r` view costs `r` LOCAL rounds).
 ///
@@ -381,10 +368,10 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3, 4, 5]);
         // Edges fully inside the ball: (1,2),(2,3),(3,4),(4,5).
         assert_eq!(view.edges.len(), 4);
-        assert!(view.contains_vertex(VertexId::new(5)));
-        assert!(!view.contains_vertex(VertexId::new(6)));
-        assert!(view.contains_edge(&g, EdgeId::new(2)));
-        assert!(!view.contains_edge(&g, EdgeId::new(6)));
+        assert_ne!(view.distance[5], UNREACHABLE);
+        assert_eq!(view.distance[6], UNREACHABLE);
+        assert!(view.edges.contains(&EdgeId::new(2)));
+        assert!(!view.edges.contains(&EdgeId::new(6)));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * the byte-determinism contract is auditable: timings flow into stats
 //!   ledgers and traces, which are excluded from `canonical_bytes`, and the
 //!   lint proves nothing else can sneak a clock read into an artifact path;
-//! * tests can swap in a deterministic [`ManualClock`] and drive "time"
-//!   explicitly, so timing-derived observability (histograms, span
+//! * this crate's tests swap in a deterministic manual clock and drive
+//!   "time" explicitly, so timing-derived observability (histograms, span
 //!   durations) is testable to the nanosecond.
 //!
 //! Readings are **monotonic nanoseconds anchored at the first read** of the
@@ -41,7 +41,7 @@ fn anchor() -> &'static Instant {
 
 /// Nanoseconds since the process anchor (first clock read), from whichever
 /// source is installed. Monotonic: never decreases under the real clock;
-/// under a [`ManualClock`] it reads exactly what the test set.
+/// under the manual test clock it reads exactly what the test set.
 pub fn now_nanos() -> u64 {
     match MODE.load(Ordering::Relaxed) {
         MODE_MANUAL => MANUAL_NANOS.load(Ordering::Relaxed),
@@ -70,33 +70,31 @@ impl MonotonicClock {
 /// Install with [`ManualClock::install`]; dropping the handle restores the
 /// monotonic clock. Tests sharing a process must serialize installs (the
 /// clock is process-global by design — that is the whole point).
+#[cfg(test)]
 #[derive(Debug)]
-pub struct ManualClock(());
+struct ManualClock(());
 
+#[cfg(test)]
 impl ManualClock {
     /// Switches the process clock to manual mode, starting at 0 ns.
-    pub fn install() -> ManualClock {
+    fn install() -> ManualClock {
         MANUAL_NANOS.store(0, Ordering::Relaxed);
         MODE.store(MODE_MANUAL, Ordering::Relaxed);
         ManualClock(())
     }
 
     /// Sets the manual reading.
-    pub fn set(&self, nanos: u64) {
+    fn set(&self, nanos: u64) {
         MANUAL_NANOS.store(nanos, Ordering::Relaxed);
     }
 
     /// Advances the manual reading.
-    pub fn advance(&self, nanos: u64) {
+    fn advance(&self, nanos: u64) {
         MANUAL_NANOS.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// The current manual reading.
-    pub fn now_nanos(&self) -> u64 {
-        MANUAL_NANOS.load(Ordering::Relaxed)
     }
 }
 
+#[cfg(test)]
 impl Drop for ManualClock {
     fn drop(&mut self) {
         MODE.store(MODE_MONOTONIC, Ordering::Relaxed);
@@ -135,11 +133,6 @@ impl Stopwatch {
     /// [`elapsed_nanos`](Stopwatch::elapsed_nanos) as a `Duration`.
     pub fn elapsed(&self) -> Duration {
         Duration::from_nanos(self.elapsed_nanos())
-    }
-
-    /// The reading this stopwatch started at (a trace timestamp).
-    pub fn started_at_nanos(&self) -> u64 {
-        self.start_nanos
     }
 }
 

@@ -7,7 +7,7 @@
 //! same events/snapshot (metric lines come out in registry name order,
 //! trace lines in drain order).
 
-use crate::metrics::{MetricDetail, MetricSnapshot, Registry};
+use crate::metrics::{MetricDetail, MetricSnapshot};
 use crate::trace::{Phase, TraceEvent};
 
 /// Escapes a string for a JSON literal. Names here are static Rust string
@@ -186,20 +186,6 @@ pub fn validate_trace(events: &[TraceEvent]) -> Result<(), TraceError> {
     Ok(())
 }
 
-/// Convenience: validates that every `MetricId` in `ids` is registered in
-/// `registry` (the obs-smoke schema checker's metric leg).
-pub fn validate_metric_ids(
-    registry: &Registry,
-    ids: &[crate::metrics::MetricId],
-) -> Result<(), String> {
-    for id in ids {
-        if !registry.contains(*id) {
-            return Err(format!("metric id {} not registered", id.index()));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,14 +277,5 @@ mod tests {
             ev("b", Phase::End, 2, 1, 2),
         ];
         assert_eq!(validate_trace(&threads), Ok(()));
-    }
-
-    #[test]
-    fn metric_id_validation() {
-        let reg = Registry::new();
-        let c = reg.counter("v.count");
-        assert!(validate_metric_ids(&reg, &[c.id()]).is_ok());
-        let other = Registry::new();
-        assert!(validate_metric_ids(&other, &[c.id()]).is_err());
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! * [`clock`] — the workspace's **single wall-clock module** (the only
 //!   FL005-allowed `Instant::now` site). [`clock::Stopwatch`] replaces the
-//!   `Instant::now()/elapsed()` idiom everywhere; [`clock::ManualClock`]
-//!   makes timing-derived behavior deterministic in tests.
+//!   `Instant::now()/elapsed()` idiom everywhere; a manual test clock
+//!   makes timing-derived behavior deterministic in this crate's tests.
 //! * [`metrics`] — always-on counters, gauges and log₂-bucketed
 //!   histograms addressed by [`metrics::MetricId`]s, registered through
 //!   `Lazy*` statics so hot paths never take a lock. Snapshots are
@@ -56,7 +56,7 @@ pub mod export;
 pub mod metrics;
 pub mod trace;
 
-pub use clock::{ManualClock, MonotonicClock, Stopwatch};
+pub use clock::{MonotonicClock, Stopwatch};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, LazyCounter, LazyGauge, LazyHistogram, MetricId,
     MetricKind, MetricSnapshot, Registry,

@@ -350,7 +350,8 @@ impl Registry {
 
     /// The value of the metric named `name`, if registered (counter/gauge
     /// reading; histogram sum).
-    pub fn value_of(&self, name: &str) -> Option<u64> {
+    #[cfg(test)]
+    fn value_of(&self, name: &str) -> Option<u64> {
         let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         let &idx = inner.by_name.get(name)?;
         let core = &inner.metrics[idx as usize];

@@ -3,7 +3,7 @@
 
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, GraphSource, Request, Response,
-    WireError, WireStats,
+    WireError,
 };
 use forest_decomp::api::EdgeUpdate;
 use forest_decomp::Engine;
@@ -287,25 +287,11 @@ impl Client {
         }
     }
 
-    /// Cumulative stream counters at the published epoch.
-    ///
-    /// # Errors
-    ///
-    /// See [`call`](Client::call).
-    pub fn stats(&mut self, tenant: &str, graph: &str) -> Result<(u64, WireStats), ClientError> {
-        match self.call(&Request::Stats {
-            tenant: tenant.into(),
-            graph: graph.into(),
-        })? {
-            Response::StatsReport { epoch, stats } => Ok((epoch, stats)),
-            other => Err(unexpected("StatsReport", &other)),
-        }
-    }
-
-    /// The tenant's service counters as `(name, value)` pairs in
-    /// ascending name order, with the answering epoch. Counters are
-    /// monotonically non-decreasing; clients must tolerate new names
-    /// appearing between calls.
+    /// The tenant's service counters and the answering epoch's cumulative
+    /// stream counters (`stream.*`) as `(name, value)` pairs in ascending
+    /// name order, with the answering epoch. Counters are monotonically
+    /// non-decreasing; clients must tolerate new names appearing between
+    /// calls.
     ///
     /// # Errors
     ///

@@ -35,6 +35,6 @@ pub mod server;
 pub mod state;
 
 pub use client::{Applied, Client, ClientError, Watermark};
-pub use protocol::{ErrorCode, GraphSource, Opcode, Request, Response, WireError, WireStats};
+pub use protocol::{ErrorCode, GraphSource, Opcode, Request, Response, WireError};
 pub use server::Server;
 pub use state::{GraphEntry, ServerState};

@@ -25,11 +25,17 @@ use std::io::{self, Read, Write};
 
 /// `"FSRV"` little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"FSRV");
-/// Protocol version this build speaks.
-pub const VERSION: u16 = 1;
+/// Protocol version this build speaks. Version 2 retired the `Stats` op
+/// (opcode 8): its stream counters travel in `Metrics`, its live totals in
+/// `ArboricityWatermark`.
+pub const VERSION: u16 = 2;
 /// Hard cap on one frame's payload (64 MiB): bounds what a malformed or
 /// hostile length prefix can make the server allocate.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
+/// What [`read_frame`] reserves before any payload byte arrives: every
+/// ordinary frame fits in one allocation, while a length prefix with no
+/// payload behind it costs at most this much.
+const FRAME_PREALLOC: usize = 64 << 10;
 
 /// Request opcodes (also echoed in ok responses).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,11 +55,9 @@ pub enum Opcode {
     ArboricityWatermark = 6,
     /// The epoch's reproducible cold-run report bytes.
     SnapshotBytes = 7,
-    /// Cumulative stream counters.
-    Stats = 8,
     /// Stop the server (drains, then exits the accept loop).
     Shutdown = 9,
-    /// Per-tenant observability counters (name/value pairs).
+    /// The graph's service and stream counters (name/value pairs).
     Metrics = 10,
 }
 
@@ -67,7 +71,6 @@ impl Opcode {
             5 => Opcode::OrientationOut,
             6 => Opcode::ArboricityWatermark,
             7 => Opcode::SnapshotBytes,
-            8 => Opcode::Stats,
             9 => Opcode::Shutdown,
             10 => Opcode::Metrics,
             _ => return None,
@@ -180,15 +183,9 @@ pub enum Request {
         /// Graph id.
         graph: String,
     },
-    /// Cumulative stream counters.
-    Stats {
-        /// Tenant id.
-        tenant: String,
-        /// Graph id.
-        graph: String,
-    },
-    /// The graph's observability counters (`forest-obs`-style name/value
-    /// pairs: requests served, updates applied, publishes, queries …).
+    /// The graph's counters as name/value pairs: the service counters
+    /// (requests served, updates applied, publishes, queries …) and the
+    /// answering epoch's cumulative stream counters (`stream.*`).
     Metrics {
         /// Tenant id.
         tenant: String,
@@ -197,32 +194,6 @@ pub enum Request {
     },
     /// Stop the server.
     Shutdown,
-}
-
-/// Cumulative stream counters as served (a wire copy of
-/// `DynamicStats` plus the live totals).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Total updates applied.
-    pub updates: u64,
-    /// Inserts placed by the free-color fast path.
-    pub fast_inserts: u64,
-    /// Inserts placed by an augmenting exchange.
-    pub exchanges: u64,
-    /// Edges recolored across all exchanges.
-    pub exchange_recolorings: u64,
-    /// Inserts that opened a fresh color.
-    pub budget_raises: u64,
-    /// Deletes that needed only the cut.
-    pub fast_deletes: u64,
-    /// Deletes that retired a color by compaction.
-    pub compactions: u64,
-    /// Edges recolored by compaction drains.
-    pub compaction_recolorings: u64,
-    /// Live edges at the published epoch.
-    pub live_edges: u64,
-    /// Color budget at the published epoch.
-    pub color_budget: u64,
 }
 
 /// One response frame (`Error` travels with status byte 1, everything
@@ -297,13 +268,6 @@ pub enum Response {
         /// `DecompositionReport::canonical_bytes` of the epoch's cold run.
         bytes: Vec<u8>,
     },
-    /// `Stats` answer.
-    StatsReport {
-        /// The answering epoch.
-        epoch: u64,
-        /// The counters.
-        stats: WireStats,
-    },
     /// `Metrics` answer: the graph's counters as sorted name/value pairs.
     MetricsReport {
         /// The answering epoch.
@@ -337,7 +301,7 @@ pub enum ErrorCode {
     OutOfRange = 5,
     /// The requested engine/problem combination is unsupported
     /// (`FdError::UnsupportedCombination` / `DynamicUnsupported` /
-    /// `ShardingUnsupported`).
+    /// `ShardingUnsupported` / `ReorderUnsupported`).
     Unsupported = 6,
     /// The request was structurally valid but semantically rejected
     /// (`FdError::InvalidEpsilon`, bad bounds, mismatched artifacts …).
@@ -419,10 +383,10 @@ impl From<FdError> for WireError {
             FdError::Graph(_) => ErrorCode::Graph,
             FdError::DynamicUnsupported { .. }
             | FdError::UnsupportedCombination { .. }
-            | FdError::ShardingUnsupported { .. } => ErrorCode::Unsupported,
+            | FdError::ShardingUnsupported { .. }
+            | FdError::ReorderUnsupported { .. } => ErrorCode::Unsupported,
             FdError::InvalidEpsilon { .. }
             | FdError::InvalidShardCount { .. }
-            | FdError::ShardOutOfRange { .. }
             | FdError::GraphMismatch { .. }
             | FdError::MissingPalettes { .. }
             | FdError::ArboricityBoundTooSmall { .. }
@@ -435,7 +399,7 @@ impl From<FdError> for WireError {
 }
 
 /// The engine's wire byte.
-pub fn engine_to_wire(engine: Engine) -> u8 {
+fn engine_to_wire(engine: Engine) -> u8 {
     match engine {
         Engine::HarrisSuVu => 0,
         Engine::BarenboimElkin => 1,
@@ -445,7 +409,7 @@ pub fn engine_to_wire(engine: Engine) -> u8 {
 }
 
 /// The engine a wire byte names.
-pub fn engine_from_wire(b: u8) -> Option<Engine> {
+fn engine_from_wire(b: u8) -> Option<Engine> {
     Some(match b {
         0 => Engine::HarrisSuVu,
         1 => Engine::BarenboimElkin,
@@ -480,12 +444,17 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 
 /// Reads one frame's payload.
 ///
+/// The payload buffer grows as bytes arrive rather than being sized by the
+/// declared length up front, so a peer that sends only a length prefix
+/// costs the reader no more than the bytes it actually sent.
+///
 /// # Errors
 ///
 /// Propagates the reader's I/O errors (including clean EOF before the
-/// length prefix as `UnexpectedEof`); rejects length prefixes over
-/// [`MAX_FRAME_LEN`] with `InvalidData` — the connection is not
-/// recoverable after that, since the stream position is ambiguous.
+/// length prefix, or a stream that ends before the declared length, as
+/// `UnexpectedEof`); rejects length prefixes over [`MAX_FRAME_LEN`] with
+/// `InvalidData` — the connection is not recoverable after that, since the
+/// stream position is ambiguous.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -496,8 +465,17 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
             format!("frame length {len} exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity((len as usize).min(FRAME_PREALLOC));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "frame declared {len} bytes, stream ended after {}",
+                payload.len()
+            ),
+        ));
+    }
     Ok(payload)
 }
 
@@ -808,12 +786,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             e.str(graph);
             e
         }
-        Request::Stats { tenant, graph } => {
-            let mut e = op(Opcode::Stats);
-            e.str(tenant);
-            e.str(graph);
-            e
-        }
         Request::Metrics { tenant, graph } => {
             let mut e = op(Opcode::Metrics);
             e.str(tenant);
@@ -925,10 +897,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
             tenant: d.str()?,
             graph: d.str()?,
         },
-        Opcode::Stats => Request::Stats {
-            tenant: d.str()?,
-            graph: d.str()?,
-        },
         Opcode::Metrics => Request::Metrics {
             tenant: d.str()?,
             graph: d.str()?,
@@ -954,7 +922,6 @@ impl Response {
             Response::OutEdges { .. } => Opcode::OrientationOut,
             Response::Watermark { .. } => Opcode::ArboricityWatermark,
             Response::Snapshot { .. } => Opcode::SnapshotBytes,
-            Response::StatsReport { .. } => Opcode::Stats,
             Response::MetricsReport { .. } => Opcode::Metrics,
             Response::ShuttingDown => Opcode::Shutdown,
             Response::Error(_) => return None,
@@ -1029,23 +996,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Snapshot { epoch, bytes } => {
             e.u64(*epoch);
             e.bytes(bytes);
-        }
-        Response::StatsReport { epoch, stats } => {
-            e.u64(*epoch);
-            for v in [
-                stats.updates,
-                stats.fast_inserts,
-                stats.exchanges,
-                stats.exchange_recolorings,
-                stats.budget_raises,
-                stats.fast_deletes,
-                stats.compactions,
-                stats.compaction_recolorings,
-                stats.live_edges,
-                stats.color_budget,
-            ] {
-                e.u64(v);
-            }
         }
         Response::MetricsReport { epoch, entries } => {
             e.u64(*epoch);
@@ -1130,26 +1080,6 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, WireError> {
                     epoch: d.u64()?,
                     bytes: d.bytes()?,
                 },
-                Opcode::Stats => {
-                    let epoch = d.u64()?;
-                    // Field order matches encode_response's `for v in [...]`
-                    // loop; reading sequentially keeps the decode total.
-                    Response::StatsReport {
-                        epoch,
-                        stats: WireStats {
-                            updates: d.u64()?,
-                            fast_inserts: d.u64()?,
-                            exchanges: d.u64()?,
-                            exchange_recolorings: d.u64()?,
-                            budget_raises: d.u64()?,
-                            fast_deletes: d.u64()?,
-                            compactions: d.u64()?,
-                            compaction_recolorings: d.u64()?,
-                            live_edges: d.u64()?,
-                            color_budget: d.u64()?,
-                        },
-                    }
-                }
                 Opcode::Metrics => {
                     let epoch = d.u64()?;
                     // Min bytes per entry: a 4-byte (possibly empty-string)

@@ -12,9 +12,9 @@
 //! readers never block on a concurrent update batch — the property the
 //! concurrent-reader test and the `BENCH_pr6.json` service rows pin down.
 
-use crate::protocol::{ErrorCode, GraphSource, Request, Response, WireError, WireStats};
+use crate::protocol::{ErrorCode, GraphSource, Request, Response, WireError};
 use forest_decomp::api::versioned::{ColoringSnapshot, SnapshotReader, VersionedDecomposer};
-use forest_decomp::api::{DecompositionRequest, EdgeUpdate, ProblemKind};
+use forest_decomp::api::{DecompositionRequest, DynamicStats, EdgeUpdate, ProblemKind};
 use forest_decomp::{Engine, FdError};
 use forest_graph::{Color, EdgeId, MmapCsr, MultiGraph, VertexId};
 use std::collections::HashMap;
@@ -22,7 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Per-`(tenant, graph)` service counters, maintained by the request
-/// handler and served over the wire by the `Metrics` op.
+/// handler and served over the wire by the `Metrics` op (next to the
+/// answering epoch's stream counters).
 ///
 /// These are *service-level* counters (what did this tenant ask of the
 /// server), distinct from the process-wide `forest-obs` registry that
@@ -54,24 +55,39 @@ impl TenantMetrics {
         counter.fetch_add(by, Ordering::Relaxed);
     }
 
-    /// The counters as `(name, value)` pairs in ascending name order —
-    /// the wire contract of [`Response::MetricsReport`].
-    fn entries(&self) -> Vec<(String, u64)> {
+    /// The service counters plus `stream`'s cumulative `DynamicStats`
+    /// counters (named `stream.<field>`) as `(name, value)` pairs in
+    /// ascending name order — the wire contract of
+    /// [`Response::MetricsReport`]. Every entry only ever grows.
+    fn entries(&self, stream: &DynamicStats) -> Vec<(String, u64)> {
         let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        vec![
-            ("errors_total".to_string(), read(&self.errors_total)),
-            ("publishes_total".to_string(), read(&self.publishes_total)),
-            ("queries_total".to_string(), read(&self.queries_total)),
-            ("requests_total".to_string(), read(&self.requests_total)),
+        let mut entries = [
+            ("errors_total", read(&self.errors_total)),
+            ("publishes_total", read(&self.publishes_total)),
+            ("queries_total", read(&self.queries_total)),
+            ("requests_total", read(&self.requests_total)),
+            ("update_batches_total", read(&self.update_batches_total)),
+            ("updates_applied_total", read(&self.updates_applied_total)),
+            ("stream.budget_raises", stream.budget_raises as u64),
             (
-                "update_batches_total".to_string(),
-                read(&self.update_batches_total),
+                "stream.compaction_recolorings",
+                stream.compaction_recolorings as u64,
             ),
+            ("stream.compactions", stream.compactions as u64),
             (
-                "updates_applied_total".to_string(),
-                read(&self.updates_applied_total),
+                "stream.exchange_recolorings",
+                stream.exchange_recolorings as u64,
             ),
-        ]
+            ("stream.exchanges", stream.exchanges as u64),
+            ("stream.fast_deletes", stream.fast_deletes as u64),
+            ("stream.fast_inserts", stream.fast_inserts as u64),
+            ("stream.updates", stream.updates as u64),
+        ];
+        entries.sort_unstable_by_key(|&(name, _)| name);
+        entries
+            .iter()
+            .map(|&(name, value)| (name.to_string(), value))
+            .collect()
     }
 }
 
@@ -318,24 +334,6 @@ impl ServerState {
                     bytes,
                 })
             }),
-            Request::Stats { tenant, graph } => self.query(tenant, graph, |snap| {
-                let s = snap.stats();
-                Ok(Response::StatsReport {
-                    epoch: snap.epoch(),
-                    stats: WireStats {
-                        updates: s.updates as u64,
-                        fast_inserts: s.fast_inserts as u64,
-                        exchanges: s.exchanges as u64,
-                        exchange_recolorings: s.exchange_recolorings as u64,
-                        budget_raises: s.budget_raises as u64,
-                        fast_deletes: s.fast_deletes as u64,
-                        compactions: s.compactions as u64,
-                        compaction_recolorings: s.compaction_recolorings as u64,
-                        live_edges: snap.live_edges() as u64,
-                        color_budget: snap.color_budget() as u64,
-                    },
-                })
-            }),
             Request::Metrics { tenant, graph } => {
                 let Some(entry) = self.lookup(tenant, graph) else {
                     return Response::Error(unknown_graph(tenant, graph));
@@ -344,9 +342,10 @@ impl ServerState {
                 // Read the counters *after* counting this request, so a
                 // client polling only `Metrics` still observes strictly
                 // increasing `requests_total`.
+                let snap = entry.reader().current();
                 Response::MetricsReport {
-                    epoch: entry.reader().current().epoch(),
-                    entries: entry.metrics.entries(),
+                    epoch: snap.epoch(),
+                    entries: entry.metrics.entries(&snap.stats()),
                 }
             }
             Request::Shutdown => Response::ShuttingDown,
@@ -453,7 +452,7 @@ mod tests {
             "{resp:?}"
         );
         // Unknown graph is a typed error.
-        let resp = state.handle(&Request::Stats {
+        let resp = state.handle(&Request::SnapshotBytes {
             tenant: "acme".into(),
             graph: "nope".into(),
         });
@@ -558,15 +557,18 @@ mod tests {
             "{resp:?}"
         );
         // The prefix was applied AND published.
-        let resp = state.handle(&Request::Stats {
+        let resp = state.handle(&Request::ArboricityWatermark {
             tenant: "acme".into(),
             graph: "g".into(),
         });
-        let Response::StatsReport { epoch, stats } = resp else {
+        let Response::Watermark {
+            epoch, live_edges, ..
+        } = resp
+        else {
             panic!("{resp:?}");
         };
         assert_eq!(epoch, 1);
-        assert_eq!(stats.live_edges, 4);
+        assert_eq!(live_edges, 4);
     }
 
     fn metric(entries: &[(String, u64)], name: &str) -> u64 {
@@ -595,13 +597,14 @@ mod tests {
         assert_eq!(names, sorted, "entries arrive in ascending name order");
         assert_eq!(metric(&entries, "requests_total"), 1);
         assert_eq!(metric(&entries, "update_batches_total"), 0);
+        let updates_before = metric(&entries, "stream.updates");
         // One update batch + one query + one failed query.
         state.handle(&Request::ApplyUpdates {
             tenant: "acme".into(),
             graph: "g".into(),
             updates: vec![EdgeUpdate::insert(0, 2)],
         });
-        state.handle(&Request::Stats {
+        state.handle(&Request::ArboricityWatermark {
             tenant: "acme".into(),
             graph: "g".into(),
         });
@@ -621,6 +624,11 @@ mod tests {
         assert_eq!(metric(&entries, "publishes_total"), 1);
         assert_eq!(metric(&entries, "queries_total"), 2);
         assert_eq!(metric(&entries, "errors_total"), 1);
+        // The stream counters ride along: one insert, published at epoch 1.
+        assert_eq!(metric(&entries, "stream.updates"), updates_before + 1);
+        let names: Vec<&str> = entries.iter().map(|(n, _)| n.as_str()).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        assert_eq!(names.len(), 14);
         // Unknown graph stays a typed error.
         let resp = state.handle(&Request::Metrics {
             tenant: "acme".into(),

@@ -4,12 +4,12 @@
 //! as a typed [`ErrorCode::Malformed`] (or a different well-formed
 //! message), never a panic.
 
-use forest_decomp::api::EdgeUpdate;
-use forest_decomp::Engine;
+use forest_decomp::api::{EdgeUpdate, ReorderKind};
+use forest_decomp::{Engine, FdError};
 use forest_graph::EdgeId;
 use forest_serve::protocol::{
     decode_request, decode_response, encode_request, encode_response, GraphSource, Request,
-    Response, WireError, WireStats, MAGIC, VERSION,
+    Response, WireError, MAGIC, VERSION,
 };
 use forest_serve::ErrorCode;
 use proptest::prelude::*;
@@ -39,7 +39,7 @@ const CODES: [ErrorCode; 10] = [
 /// Every request variant, driven by one flat tuple of draws.
 fn arb_request() -> impl Strategy<Value = Request> {
     (
-        (0..10usize, 0..NAMES.len(), 0..NAMES.len(), 0..ENGINES.len()),
+        (0..9usize, 0..NAMES.len(), 0..NAMES.len(), 0..ENGINES.len()),
         (1..99u64, 0..1_000_000u64, 0..3usize),
         proptest::collection::vec((0..2usize, 0..64u64, 0..64u64), 8),
         (0..5usize, 0..64u64, 0..64u64),
@@ -98,8 +98,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
                     },
                     5 => Request::ArboricityWatermark { tenant, graph },
                     6 => Request::SnapshotBytes { tenant, graph },
-                    7 => Request::Stats { tenant, graph },
-                    8 => Request::Metrics { tenant, graph },
+                    7 => Request::Metrics { tenant, graph },
                     _ => Request::Shutdown,
                 }
             },
@@ -109,7 +108,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
 /// Every response variant, including well-formed error frames.
 fn arb_response() -> impl Strategy<Value = Response> {
     (
-        (0..11usize, 0..50u64, 0..100u64, 0..100u64),
+        (0..10usize, 0..50u64, 0..100u64, 0..100u64),
         proptest::collection::vec(0..1_000u64, 6),
         (0..CODES.len(), 0..NAMES.len(), 0..7usize),
     )
@@ -149,23 +148,8 @@ fn arb_response() -> impl Strategy<Value = Response> {
                     epoch,
                     bytes: vals[..len].iter().map(|&v| v as u8).collect(),
                 },
-                7 => Response::StatsReport {
-                    epoch,
-                    stats: WireStats {
-                        updates: vals[0],
-                        fast_inserts: vals[1],
-                        exchanges: vals[2],
-                        exchange_recolorings: vals[3],
-                        budget_raises: vals[4],
-                        fast_deletes: vals[5],
-                        compactions: x,
-                        compaction_recolorings: y,
-                        live_edges: epoch,
-                        color_budget: x,
-                    },
-                },
-                8 => Response::ShuttingDown,
-                9 => Response::MetricsReport {
+                7 => Response::ShuttingDown,
+                8 => Response::MetricsReport {
                     epoch,
                     entries: vals[..len]
                         .iter()
@@ -273,16 +257,68 @@ fn oversized_counts_are_rejected_without_allocating() {
 }
 
 /// Same hostile-count discipline for the `Metrics` response decoder: a
-/// claimed 4-billion-entry report in a 21-byte frame fails typed before
+/// claimed 4-billion-entry report in a 23-byte frame fails typed before
 /// the entries `Vec` is ever sized.
 #[test]
 fn oversized_metrics_report_is_rejected_without_allocating() {
     let mut buf = Vec::new();
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.push(0); // status: ok
     buf.push(10); // Metrics
     buf.extend_from_slice(&0u64.to_le_bytes()); // epoch
     buf.extend_from_slice(&u32::MAX.to_le_bytes()); // entry count
     let err = decode_response(&buf).expect_err("hostile count accepted");
     assert_eq!(err.code, ErrorCode::Malformed);
+}
+
+/// Version 2 retired the `Stats` op: opcode 8 is now an unknown opcode and
+/// decodes to the typed malformed error, in requests and in responses.
+#[test]
+fn retired_stats_opcode_is_malformed() {
+    let mut req = Vec::new();
+    req.extend_from_slice(&MAGIC.to_le_bytes());
+    req.extend_from_slice(&VERSION.to_le_bytes());
+    req.push(8);
+    req.extend_from_slice(&0u32.to_le_bytes()); // tenant ""
+    req.extend_from_slice(&0u32.to_le_bytes()); // graph ""
+    req.push(0); // reserved trailer
+    let err = decode_request(&req).expect_err("opcode 8 accepted");
+    assert_eq!(err.code, ErrorCode::Malformed);
+    assert!(err.message.contains("opcode 8"), "{err}");
+
+    let mut resp = Vec::new();
+    resp.extend_from_slice(&MAGIC.to_le_bytes());
+    resp.extend_from_slice(&VERSION.to_le_bytes());
+    resp.push(0); // status: ok
+    resp.push(8);
+    resp.extend_from_slice(&[0u8; 88]); // the old epoch + ten counters
+    let err = decode_response(&resp).expect_err("opcode 8 accepted");
+    assert_eq!(err.code, ErrorCode::Malformed);
+}
+
+/// A version-1 header is refused typed: the Stats op changed the opcode
+/// table, so a v1 peer must not be half-understood.
+#[test]
+fn version_one_header_is_malformed() {
+    assert_eq!(VERSION, 2);
+    let mut buf = encode_request(&Request::Shutdown);
+    buf[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let err = decode_request(&buf).expect_err("v1 request accepted");
+    assert_eq!(err.code, ErrorCode::Malformed);
+    assert!(err.message.contains("version 1"), "{err}");
+    let mut buf = encode_response(&Response::ShuttingDown);
+    buf[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let err = decode_response(&buf).expect_err("v1 response accepted");
+    assert_eq!(err.code, ErrorCode::Malformed);
+}
+
+/// Out-of-core's typed refusal of a reordered split travels as
+/// `Unsupported`, not as the `Internal` catch-all.
+#[test]
+fn reorder_refusal_maps_to_unsupported() {
+    let err = WireError::from(FdError::ReorderUnsupported {
+        reorder: ReorderKind::Rcm,
+    });
+    assert_eq!(err.code, ErrorCode::Unsupported);
 }

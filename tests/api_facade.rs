@@ -4,10 +4,11 @@
 //! `run_batch` fan-out semantics.
 
 use forest_decomp::api::{
-    derive_seed, Decomposer, DecompositionRequest, Engine, ProblemKind, Validate, ValidationStatus,
+    derive_seed, Decomposer, DecompositionRequest, Engine, FrozenGraph, GraphInput, ProblemKind,
+    Validate, ValidationStatus,
 };
 use forest_decomp::FdError;
-use forest_graph::{generators, MultiGraph};
+use forest_graph::{generators, CsrGraph, MultiGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -134,6 +135,57 @@ fn run_batch_matches_per_graph_derived_seeds() {
             single.canonical_bytes(),
             "graph {i}: batch result differs from single run"
         );
+    }
+}
+
+/// `run_batch` takes any iterator of inputs: a mix of `&MultiGraph`,
+/// `&FrozenGraph` and an mmap `GraphInput` in one call, and one frozen
+/// topology repeated for a seed sweep. Input `i` always carries the bytes of
+/// a plain `run` seeded with `derive_seed(seed, i)`.
+#[test]
+fn run_batch_over_mixed_and_repeated_inputs_matches_derived_seed_runs() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let graphs: Vec<MultiGraph> = (0..3)
+        .map(|i| generators::planted_forest_union(40 + 8 * i, 3, &mut rng))
+        .collect();
+    let frozen = FrozenGraph::freeze(graphs[1].clone());
+    let path = std::env::temp_dir().join(format!("api-facade-batch-{}.csr", std::process::id()));
+    CsrGraph::from_multigraph(&graphs[2]).save(&path).unwrap();
+    let request = DecompositionRequest::new(ProblemKind::Forest)
+        .with_epsilon(0.5)
+        .with_alpha(3)
+        .with_seed(17);
+    let decomposer = Decomposer::new(request.clone());
+    let expect = |i: usize, g: &MultiGraph, got: &Result<_, FdError>| {
+        let got: &forest_decomp::DecompositionReport = got.as_ref().expect("batch member failed");
+        let seed = derive_seed(17, i as u64);
+        let single = Decomposer::new(request.clone().with_seed(seed))
+            .run(g)
+            .unwrap();
+        assert_eq!(got.seed, seed);
+        assert_eq!(
+            got.canonical_bytes(),
+            single.canonical_bytes(),
+            "input {i}: batch result differs from its derived-seed run"
+        );
+    };
+
+    let mixed: Vec<GraphInput<'_>> = vec![
+        (&graphs[0]).into(),
+        (&frozen).into(),
+        GraphInput::from_mmap(&path).unwrap(),
+    ];
+    let batch = decomposer.run_batch(mixed);
+    assert_eq!(batch.len(), 3);
+    for (i, (g, result)) in graphs.iter().zip(&batch).enumerate() {
+        expect(i, g, result);
+    }
+    std::fs::remove_file(&path).unwrap();
+
+    let sweep = decomposer.run_batch(std::iter::repeat_n(&frozen, 4));
+    assert_eq!(sweep.len(), 4);
+    for (i, result) in sweep.iter().enumerate() {
+        expect(i, frozen.graph(), result);
     }
 }
 

@@ -159,35 +159,6 @@ fn same_seed_is_byte_identical_across_repeated_runs() {
 }
 
 #[test]
-fn shared_topology_batch_matches_individual_runs() {
-    let g = generators::planted_forest_union(
-        64,
-        3,
-        &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3),
-    );
-    let frozen = FrozenGraph::freeze(g);
-    let decomposer = Decomposer::new(
-        DecompositionRequest::new(ProblemKind::Forest)
-            .with_alpha(3)
-            .with_seed(42),
-    );
-    let batch = decomposer.run_batch_shared(&frozen, 4);
-    assert_eq!(batch.len(), 4);
-    // Index 0 uses the request seed itself, so it equals a plain run.
-    let single = decomposer.run(&frozen).unwrap();
-    assert_eq!(
-        batch[0].as_ref().unwrap().canonical_bytes(),
-        single.canonical_bytes()
-    );
-    // Different derived seeds are actually different runs (seeds recorded).
-    let seeds: Vec<u64> = batch.iter().map(|r| r.as_ref().unwrap().seed).collect();
-    let mut unique = seeds.clone();
-    unique.sort_unstable();
-    unique.dedup();
-    assert_eq!(unique.len(), seeds.len(), "derived seeds must be distinct");
-}
-
-#[test]
 fn frozen_graph_accessors_are_consistent() {
     let g = generators::grid(5, 5);
     let frozen = FrozenGraph::freeze(g.clone());

@@ -6,8 +6,7 @@
 //! stitched decompositions.
 
 use forest_decomp::api::{
-    Decomposer, DecompositionRequest, Engine, FrozenGraph, GraphInput, ProblemKind, Validate,
-    ValidationStatus,
+    Decomposer, DecompositionRequest, Engine, GraphInput, ProblemKind, Validate, ValidationStatus,
 };
 use forest_decomp::FdError;
 use forest_graph::{
@@ -256,31 +255,6 @@ fn run_sharded_works_from_an_mmap_input() {
     let direct = decomposer.run_sharded(&g, 3).unwrap();
     assert_eq!(sharded.canonical_bytes(), direct.canonical_bytes());
     std::fs::remove_file(&path).unwrap();
-}
-
-/// `GraphInput::from_shard` yields a standalone, runnable input whose
-/// report validates against the thawed shard graph.
-#[test]
-fn from_shard_inputs_decompose_standalone() {
-    let g = generators::fat_path(60, 2);
-    let csr = CsrGraph::from_multigraph(&g);
-    let part = CsrPartition::split(&csr, 3);
-    let decomposer = Decomposer::new(
-        DecompositionRequest::new(ProblemKind::Forest)
-            .with_engine(Engine::ExactMatroid)
-            .with_seed(4),
-    );
-    for s in 0..part.num_shards() {
-        let shard_graph = part.shard(s).to_multigraph();
-        let input = GraphInput::from_shard(&part, s).unwrap();
-        let report = decomposer.run(input).unwrap();
-        report.validate(&shard_graph).unwrap();
-        // The shard input is byte-identical to freezing the thawed shard.
-        let via_frozen = decomposer
-            .run(FrozenGraph::freeze(shard_graph.clone()))
-            .unwrap();
-        assert_eq!(report.canonical_bytes(), via_frozen.canonical_bytes());
-    }
 }
 
 /// Typed failures: non-forest sharding and malformed mmap files.

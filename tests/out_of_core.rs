@@ -5,7 +5,7 @@
 //! memory budgets.
 
 use forest_decomp::api::oocore::OocConfig;
-use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind};
+use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind, StitchPolicy};
 use forest_graph::extsort::{
     build_csr_from_edge_file, write_binary_edge_file, EdgeListFormat, ExtsortConfig,
 };
@@ -143,21 +143,25 @@ proptest! {
     }
 
     /// An out-of-core run over the saved CSR reproduces the in-memory
-    /// sharded run byte-for-byte, for any graph and shard count.
+    /// sharded run byte-for-byte, for any graph, shard count, engine and
+    /// stitch policy: both drivers share one stitch and one report tail.
     #[test]
     fn out_of_core_canonical_bytes_match_run_sharded(
-        input in (arb_edges(20, 50), 1usize..6, 0u64..500)
+        input in (arb_edges(20, 50), 1usize..6, 0u64..500, 0usize..4)
     ) {
-        let ((n, edges), num_shards, seed) = input;
+        let ((n, edges), num_shards, seed, pick) = input;
         let g = multigraph_of(n, &edges);
         let alpha = matroid::arboricity(&g).max(1);
         let csr_file = temp_path("parity.csr");
         CsrGraph::from_multigraph(&g).save(&csr_file).unwrap();
+        let engine = [Engine::HarrisSuVu, Engine::ExactMatroid][pick % 2];
+        let stitch = [StitchPolicy::Greedy, StitchPolicy::ExactAlpha][pick / 2];
         let decomposer = Decomposer::new(
             DecompositionRequest::new(ProblemKind::Forest)
-                .with_engine(Engine::HarrisSuVu)
+                .with_engine(engine)
                 .with_alpha(alpha)
-                .with_seed(seed),
+                .with_seed(seed)
+                .with_stitch_policy(stitch),
         );
         let sharded = decomposer.run_sharded(&g, num_shards).unwrap();
         let ooc = decomposer

@@ -2,16 +2,15 @@
 //! permutations, a permuted run is equivalent to the unpermuted run modulo
 //! relabeling (edge ids round-trip untouched), sharded color counts stay
 //! within the Theorem 4.6-style budget and are non-increasing in locality,
-//! and the pre-split [`ShardedGraph`] path is byte-identical to the one-call
-//! `run_sharded` path.
+//! and the exact-α stitch closes the `α + 1` gap.
 
 use forest_decomp::api::{
-    Decomposer, DecompositionRequest, Engine, FrozenGraph, ProblemKind, ReorderKind, ShardedGraph,
-    ShardingSpec, StitchPolicy, Validate,
+    Decomposer, DecompositionRequest, Engine, FrozenGraph, OocConfig, ProblemKind, ReorderKind,
+    StitchPolicy, Validate,
 };
 use forest_decomp::FdError;
 use forest_graph::reorder::{bfs_order, permute, rcm_order};
-use forest_graph::{generators, CsrGraph, GraphView, MultiGraph, VertexId};
+use forest_graph::{generators, CsrGraph, CsrPartition, GraphView, MultiGraph, VertexId};
 use proptest::prelude::*;
 
 /// Strategy: a random multigraph with up to `max_n` vertices and `max_m`
@@ -120,23 +119,20 @@ fn sharded_colors_bounded_and_non_increasing_in_locality() {
         .with_alpha(alpha)
         .with_seed(17);
     for k in [2usize, 4] {
-        let identity = ShardedGraph::split(
-            &frozen,
-            k,
-            ShardingSpec::with_reorder(ReorderKind::Identity),
-        )
-        .unwrap();
-        let rcm =
-            ShardedGraph::split(&frozen, k, ShardingSpec::with_reorder(ReorderKind::Rcm)).unwrap();
+        let identity = CsrPartition::split(frozen.csr(), k);
+        let rcm = CsrPartition::split_ordered(frozen.csr(), k, &rcm_order(frozen.csr()));
         assert!(
-            rcm.partition().boundary_fraction() < identity.partition().boundary_fraction(),
+            rcm.boundary_fraction() < identity.boundary_fraction(),
             "k = {k}: rcm boundary fraction {} must beat identity {}",
-            rcm.partition().boundary_fraction(),
-            identity.partition().boundary_fraction()
+            rcm.boundary_fraction(),
+            identity.boundary_fraction()
         );
-        let decomposer = Decomposer::new(base.clone());
-        let identity_report = decomposer.run_sharded_prepared(&identity).unwrap();
-        let rcm_report = decomposer.run_sharded_prepared(&rcm).unwrap();
+        let identity_report = Decomposer::new(base.clone())
+            .run_sharded(&frozen, k)
+            .unwrap();
+        let rcm_report = Decomposer::new(base.clone().with_shard_reorder(ReorderKind::Rcm))
+            .run_sharded(&frozen, k)
+            .unwrap();
         identity_report.validate(frozen.graph()).unwrap();
         rcm_report.validate(frozen.graph()).unwrap();
         assert!(
@@ -150,28 +146,6 @@ fn sharded_colors_bounded_and_non_increasing_in_locality() {
             rcm_report.num_colors,
             identity_report.num_colors
         );
-    }
-}
-
-/// The pre-split path is the one-call path: `run_sharded_prepared` over a
-/// `ShardedGraph` built with the request's spec produces byte-identical
-/// reports to `run_sharded`.
-#[test]
-fn prepared_sharded_runs_match_one_call_runs() {
-    let g = generators::grid(20, 14);
-    let frozen = FrozenGraph::freeze(g);
-    for reorder in [ReorderKind::Identity, ReorderKind::Rcm] {
-        let decomposer = Decomposer::new(
-            DecompositionRequest::new(ProblemKind::Forest)
-                .with_engine(Engine::ExactMatroid)
-                .with_seed(9)
-                .with_shard_reorder(reorder),
-        );
-        let sharded = ShardedGraph::split(&frozen, 3, ShardingSpec::with_reorder(reorder)).unwrap();
-        assert_eq!(sharded.reorder(), reorder);
-        let prepared = decomposer.run_sharded_prepared(&sharded).unwrap();
-        let one_call = decomposer.run_sharded(&frozen, 3).unwrap();
-        assert_eq!(prepared.canonical_bytes(), one_call.canonical_bytes());
     }
 }
 
@@ -254,9 +228,10 @@ fn exact_alpha_stitch_composes_with_reordering() {
     assert_eq!(exact.num_colors, alpha, "planted α is reachable");
 }
 
-/// Zero shards is a typed facade error on both front doors, while the
-/// low-level splitter keeps its documented clamp (covered in
-/// `forest_graph`'s partition tests).
+/// Zero shards is a typed facade error on both sharded front doors (the
+/// out-of-core driver checks before it opens the file), while the low-level
+/// splitter keeps its documented clamp (covered in `forest_graph`'s
+/// partition tests).
 #[test]
 fn zero_shards_is_a_typed_error() {
     let g = generators::path(8);
@@ -268,7 +243,10 @@ fn zero_shards_is_a_typed_error() {
         Err(FdError::InvalidShardCount { requested: 0 })
     ));
     assert!(matches!(
-        ShardedGraph::split(&g, 0, ShardingSpec::default()),
+        decomposer.run_out_of_core(
+            "/definitely/not/a/file.csr",
+            &OocConfig::with_budget(1024).num_shards(0)
+        ),
         Err(FdError::InvalidShardCount { requested: 0 })
     ));
 }
