@@ -27,11 +27,11 @@
 //! # Ball-local execution
 //!
 //! The decomposition of `G^{2(R+R')}` runs on the lazy
-//! [`PowerView`](local_model::PowerView) — no `O(n²)`-edge power graph is
+//! [`PowerView`] — no `O(n²)`-edge power graph is
 //! ever materialized. Each cluster is then processed inside its own ball:
 //! the region BFS stops at radius `R + R'`, and all masks, scope lists and
 //! CUT working memory are carried in scratch buffers reset via touched-id
-//! lists ([`CutScratch`](crate::cut::CutScratch) and epoch-stamped sets), so
+//! lists ([`CutScratch`] and epoch-stamped sets), so
 //! a cluster costs time proportional to its ball, not to the whole graph.
 //! The output — colors, leftover, RNG consumption, ledger — is
 //! byte-identical to the historical whole-graph implementation;

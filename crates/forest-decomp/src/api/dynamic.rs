@@ -6,10 +6,10 @@
 //! ([`EdgeUpdate`]), and after every [`DynamicDecomposer::apply`] the live
 //! coloring is a valid partition of the current edges into forests —
 //! usually repaired by recoloring only along the augmenting exchange the
-//! update touched, with per-color connectivity riding on the
-//! Holm–de Lichtenberg–Thorup subsystem
-//! ([`DynamicColorConnectivity`](forest_graph::DynamicColorConnectivity))
-//! so a recoloring is two `O(log² n)` edits, never a rebuild.
+//! update touched. Every color class is a forest, and per-color
+//! connectivity keeps each one as an Euler-tour forest
+//! ([`DynamicColorConnectivity`]), so a recoloring is a cut and a link,
+//! never a rebuild.
 //!
 //! The color budget tracks the stream's arboricity **with the paper's
 //! `(1+ε)` slack**, from both sides. Upward: a blocked insert first tries a
@@ -51,7 +51,7 @@ use super::{Decomposer, DecompositionRequest, ProblemKind};
 use crate::error::FdError;
 use forest_graph::decomposition::{validate_partial_forest_decomposition, PartialEdgeColoring};
 use forest_graph::dynamic::{DynamicGraph, EdgeIdRemap};
-use forest_graph::matroid::try_augment_traced;
+use forest_graph::matroid::{try_augment_traced, ExchangeStep};
 use forest_graph::{
     Color, DynamicColorConnectivity, EdgeId, GraphError, GraphView, MultiGraph, VertexId,
 };
@@ -334,8 +334,7 @@ impl DynamicDecomposer {
         self.counts.len()
     }
 
-    /// The live graph (stable edge ids; see
-    /// [`DynamicGraph`](forest_graph::DynamicGraph)).
+    /// The live graph (stable edge ids; see [`DynamicGraph`]).
     pub fn live_graph(&self) -> &DynamicGraph {
         &self.graph
     }
@@ -440,7 +439,7 @@ impl DynamicDecomposer {
     /// Compacts the edge-id space (see
     /// [`DynamicGraph::compact_ids`](forest_graph::DynamicGraph::compact_ids))
     /// and rebuilds the per-color structures — the coloring array and the
-    /// per-color dynamic connectivity — under the new dense ids. The
+    /// per-color connectivity — under the new dense ids. The
     /// coloring itself is untouched (every surviving edge keeps its color,
     /// so the budget and per-color counts carry over), and because the
     /// renumbering preserves insertion order,
@@ -455,7 +454,7 @@ impl DynamicDecomposer {
             colors[new.index()] = self.coloring.color(old);
         }
         self.coloring = PartialEdgeColoring::from_colors(colors);
-        self.conn = DynamicColorConnectivity::from_coloring(&self.graph, &self.coloring, None);
+        self.conn = DynamicColorConnectivity::from_coloring(&self.graph, &self.coloring);
         remap
     }
 
@@ -513,7 +512,7 @@ impl DynamicDecomposer {
         };
         if let Some(steps) = try_augment_traced(&self.graph, &mut self.coloring, e, k, pop_limit) {
             let recolored = steps.len() - 1;
-            self.replay_exchange(steps);
+            self.replay_exchange(&steps);
             self.stats.exchanges += 1;
             self.stats.exchange_recolorings += recolored;
             return Ok((e, UpdatePath::Exchange, recolored));
@@ -560,13 +559,12 @@ impl DynamicDecomposer {
         }
     }
 
-    /// Mirrors an applied exchange into the dynamic connectivity and the
+    /// Mirrors an applied exchange into the per-color connectivity and the
     /// per-color counts — the one place the three structures are kept in
     /// lockstep (used by the insert path and the compaction drain alike).
-    fn replay_exchange(&mut self, steps: Vec<forest_graph::matroid::ExchangeStep>) {
-        for (f, old, new) in steps {
-            let (fu, fv) = self.graph.endpoints(f);
-            self.conn.recolor(f, new, fu, fv);
+    fn replay_exchange(&mut self, steps: &[ExchangeStep]) {
+        self.conn.apply_exchange(&self.graph, steps);
+        for &(_, old, new) in steps {
             if let Some(old) = old {
                 self.counts[old.index()] -= 1;
             }
@@ -632,7 +630,7 @@ impl DynamicDecomposer {
                 try_augment_traced(&self.graph, &mut self.coloring, f, k - 1, COMPACT_POP_LIMIT)
             {
                 recolored += steps.len();
-                self.replay_exchange(steps);
+                self.replay_exchange(&steps);
                 continue;
             }
             // Blocked (or bound tripped): put the straggler back and stop —

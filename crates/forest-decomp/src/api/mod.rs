@@ -21,7 +21,7 @@
 //! * [`GraphInput::from_mmap`] — an on-disk CSR file
 //!   ([`MmapCsr`](forest_graph::MmapCsr), versioned little-endian format);
 //!   engines run directly over the mapped arrays through a zero-copy
-//!   [`CsrRef`](forest_graph::CsrRef).
+//!   [`CsrRef`].
 //!
 //! Mmap inputs are CSR-only end to end: every forest and orientation
 //! pipeline is `GraphView`-generic, so no adjacency-list twin is ever
@@ -30,7 +30,7 @@
 //! # Scale: batching and sharding
 //!
 //! Reproducibility is first-class: a run derives an owned
-//! [`SmallRng`](rand::rngs::SmallRng) from the request seed, so the same
+//! [`SmallRng`] from the request seed, so the same
 //! request on the same graph produces a byte-identical report
 //! ([`DecompositionReport::canonical_bytes`]). There is one entry point per
 //! job:
@@ -56,9 +56,9 @@
 //!
 //! Graphs that mutate between queries don't re-freeze: the
 //! [`dynamic`] module's [`DynamicDecomposer`] ingests [`EdgeUpdate`]s and
-//! keeps a valid forest coloring alive after every update — per-color
-//! connectivity riding on `forest_graph`'s Holm–de Lichtenberg–Thorup
-//! subsystem, repairs confined to one augmenting exchange, color budget
+//! keeps a valid forest coloring alive after every update — one Euler-tour
+//! forest per color class for connectivity, repairs confined to one
+//! augmenting exchange, color budget
 //! tracking the stream's arboricity in both directions — while
 //! [`DynamicDecomposer::snapshot`] reproduces the cold pipeline
 //! byte-identically on the surviving edges.
@@ -252,7 +252,7 @@ impl Decomposer {
 
     /// Decomposes one *large* graph by sharding it: splits the frozen
     /// topology into `num_shards` zero-copy shards
-    /// ([`CsrPartition`](forest_graph::CsrPartition)) — along a
+    /// ([`CsrPartition`]) — along a
     /// locality-improving BFS/RCM order when the request's [`ShardingSpec`]
     /// asks for one — decomposes every shard's internal edges in parallel
     /// straight over the borrowed `CsrRef` views (no per-shard thaw; shard

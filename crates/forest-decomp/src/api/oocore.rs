@@ -9,7 +9,7 @@
 //!
 //! 1. **Plan.** The file is demand-page mapped
 //!    ([`MmapCsr::load_mmap`](forest_graph::MmapCsr)) and split with a
-//!    [`ShardPlan`](forest_graph::ShardPlan) — the `O(k)`-resident twin of
+//!    [`ShardPlan`] — the `O(k)`-resident twin of
 //!    `CsrPartition` that cuts in exactly the same places — with `k` either
 //!    given or derived from the budget so one shard's working set fits.
 //!    The plan supports only the identity order: a BFS/RCM reorder needs

@@ -57,7 +57,7 @@ pub enum Engine {
     /// The paper's `(1+ε)α` pipelines (Algorithm 2 + CUT, augmentation,
     /// matching-based star forests). Supports every [`ProblemKind`].
     HarrisSuVu,
-    /// The classical `(2+ε)α*` H-partition baseline [BE10]. Supports
+    /// The classical `(2+ε)α*` H-partition baseline \[BE10\]. Supports
     /// [`ProblemKind::Forest`] and [`ProblemKind::Orientation`].
     BarenboimElkin,
     /// The folklore `2α` star-forest construction (exact decomposition plus

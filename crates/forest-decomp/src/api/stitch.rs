@@ -320,7 +320,7 @@ const EXACT_STITCH_POP_LIMIT: usize = 4096;
 
 /// The [`StitchPolicy::ExactAlpha`] finishing pass: move every edge colored
 /// outside `0..target` back inside the budget through bounded augmenting
-/// exchanges, with per-color connectivity riding on the dynamic subsystem
+/// exchanges, with one Euler-tour forest per color
 /// ([`DynamicColorConnectivity`]) so each recoloring is a cut-and-link edit
 /// instead of a cache rebuild. Edges whose exchange fails (a genuinely
 /// denser-than-`target` residue, or the pop bound) keep their overflow
@@ -342,7 +342,7 @@ fn exact_alpha_stitch(
     if total > 0 && target > 0 {
         let mut coloring =
             PartialEdgeColoring::from_colors(colors.iter().map(|&c| Some(c)).collect());
-        let mut conn = DynamicColorConnectivity::from_coloring(csr, &coloring, None);
+        let mut conn = DynamicColorConnectivity::from_coloring(csr, &coloring);
         for e in overflow {
             let (u, v) = csr.endpoints(e);
             let old = coloring.color(e).expect("stitched colorings are complete");
@@ -364,10 +364,7 @@ fn exact_alpha_stitch(
                 EXACT_STITCH_POP_LIMIT,
             ) {
                 Some(steps) => {
-                    for (f, _, new) in steps {
-                        let (fu, fv) = csr.endpoints(f);
-                        conn.recolor(f, new, fu, fv);
-                    }
+                    conn.apply_exchange(csr, &steps);
                     moved += 1;
                 }
                 None => {

@@ -17,7 +17,7 @@
 //!   clone, `Send + Sync`) answers [`current`](SnapshotReader::current)
 //!   by cloning the latest published `Arc` out of a publication ring —
 //!   a handful of atomic operations with no wait on a concurrent publish,
-//!   however fast the writer churns (see [`SnapshotCell`]). The clone
+//!   however fast the writer churns. The clone
 //!   pins that epoch for as long as the reader holds it: every query it
 //!   answers is consistent with exactly that publication, however far the
 //!   writer has moved on.
@@ -307,9 +307,9 @@ impl ColoringSnapshot {
         Decomposer::new(self.request.clone()).run(&self.graph)
     }
 
-    /// [`DecompositionReport::canonical_bytes`] of
-    /// [`cold_report`](ColoringSnapshot::cold_report), computed once and
-    /// cached in the snapshot.
+    /// [`DecompositionReport::canonical_bytes`] of the cold run over this
+    /// snapshot's graph with its request, computed once and cached in the
+    /// snapshot.
     ///
     /// # Errors
     ///

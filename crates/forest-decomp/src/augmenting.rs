@@ -26,12 +26,6 @@ use std::collections::VecDeque;
 /// consumer and its original home.
 pub use forest_graph::connectivity::ColorConnectivity;
 
-/// The fully-dynamic per-color cache: recolorings are two `O(log² n)` edits
-/// instead of an invalidate-and-rebuild, so multi-step augmentations stop
-/// paying `O(m)` per touched color. Used by the exact-α stitch and the
-/// streaming `DynamicDecomposer`.
-pub use forest_graph::connectivity::DynamicColorConnectivity;
-
 /// One augmenting sequence: the ordered `(edge, color)` steps.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AugmentingSequence {

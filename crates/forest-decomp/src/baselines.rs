@@ -1,7 +1,7 @@
 //! Baseline algorithms the paper compares against.
 //!
 //! * [`barenboim_elkin_forest_decomposition`]: the classical
-//!   `(2+ε)α`-forest decomposition from the H-partition [BE10] — the starting
+//!   `(2+ε)α`-forest decomposition from the H-partition \[BE10\] — the starting
 //!   point of Open Problem 11.10 that the paper improves on.
 //! * [`two_color_star_forests`]: the folklore `α_star ≤ 2α` bound obtained by
 //!   two-coloring the vertices of each tree by depth parity.

@@ -40,10 +40,10 @@
 //! cores) and uniformly validated (the [`api::Validate`] trait wires every
 //! artifact to the `forest_graph::decomposition` validators). Graphs that
 //! mutate between queries stream through the [`api::DynamicDecomposer`]
-//! instead: every [`api::EdgeUpdate`] repairs the live coloring in
-//! amortized polylog time (per-color connectivity on the
-//! Holm–de Lichtenberg–Thorup subsystem), and its `snapshot()` reproduces
-//! the cold pipeline byte-identically on the surviving edges.
+//! instead: every [`api::EdgeUpdate`] repairs the live coloring, usually
+//! with one free-color query (per-color connectivity keeps each color class
+//! as an Euler-tour forest), and its `snapshot()` reproduces the cold
+//! pipeline byte-identically on the surviving edges.
 //!
 //! # Algorithm modules
 //!

@@ -13,20 +13,20 @@
 //!
 //! Coloring an edge is an incremental union ([`ColorConnectivity::insert`]);
 //! recolorings invalidate the affected colors, which rebuild on next use
-//! ([`ColorConnectivity::invalidate`]), per color in one shared pass
+//! ([`ColorConnectivity::invalidate`]), or per color in one shared pass
 //! ([`ColorConnectivity::rebuild_colors`]) when an exchange touched a known
-//! set of colors, or wholesale ([`ColorConnectivity::rebuild`]) when the
-//! touch set is unknown.
+//! set of colors.
 //!
 //! Union-find is the right backing as long as forests only *grow*. When
-//! they shrink too — streaming deletions, CUT removals, exchange-heavy
-//! recoloring — use [`DynamicColorConnectivity`], which rides each color
-//! class on a fully-dynamic [`DynamicConnectivity`] so a recoloring is two
-//! `O(log² n)` edits instead of an `O(m)` rebuild.
+//! they shrink too — streaming deletions, exchange-heavy recoloring — use
+//! [`DynamicColorConnectivity`], which keeps each color class (a forest) as
+//! a [`DynamicForest`] so a recoloring is a cut and a link instead of an
+//! `O(m)` rebuild.
 
 use crate::decomposition::PartialEdgeColoring;
-use crate::dynamic::{DynamicConnectivity, EdgeKey};
+use crate::dynamic::{DynamicForest, ForestEdge};
 use crate::ids::{Color, EdgeId, VertexId};
+use crate::matroid::ExchangeStep;
 use crate::union_find::UnionFind;
 use crate::view::GraphView;
 use std::collections::BTreeMap;
@@ -36,7 +36,6 @@ use std::collections::BTreeMap;
 /// The structure is tied to one `(coloring, filter)` evolution: the lazily
 /// built forests are snapshots of the coloring at build time plus the
 /// [`insert`](ColorConnectivity::insert)s applied since. Create it fresh (or
-/// [`rebuild`](ColorConnectivity::rebuild) /
 /// [`invalidate_all`](ColorConnectivity::invalidate_all)) whenever the edge
 /// filter changes or colors are cleared behind its back.
 ///
@@ -163,12 +162,9 @@ impl ColorConnectivity {
 
     /// Rebuilds exactly the forests of `colors` in one shared edge scan,
     /// **preserving every other color's cached forest** — the per-color
-    /// invalidation an exchange with a known touch set wants.
-    ///
-    /// [`ColorConnectivity::rebuild`] resets the whole cache: colors the
-    /// exchange never touched lose their incrementally-maintained state
-    /// (including forests built under an edge filter) and pay a fresh lazy
-    /// build each. This entry point drops only what actually changed.
+    /// invalidation an exchange with a known touch set wants. Colors the
+    /// exchange never touched keep their incrementally-maintained state
+    /// (including forests built under an edge filter).
     pub fn rebuild_colors<G, I>(
         &mut self,
         g: &G,
@@ -199,49 +195,24 @@ impl ColorConnectivity {
             }
         }
     }
-
-    /// Rebuilds the forests of colors `0..num_colors` eagerly in one edge
-    /// scan (cheaper than `num_colors` lazy builds after an exchange that
-    /// touched many colors). Colors outside the range are dropped.
-    pub fn rebuild<G: GraphView>(
-        &mut self,
-        g: &G,
-        coloring: &PartialEdgeColoring,
-        filter: Option<&dyn Fn(EdgeId) -> bool>,
-        num_colors: usize,
-    ) {
-        self.forests.clear();
-        for c in 0..num_colors {
-            self.forests
-                .insert(Color::new(c), UnionFind::new(self.num_vertices));
-        }
-        for (e, u, v) in g.edges() {
-            if let Some(c) = coloring.color(e) {
-                if c.index() < num_colors && filter.is_none_or(|keep| keep(e)) {
-                    if let Some(uf) = self.forests.get_mut(&c) {
-                        uf.union(u.index(), v.index());
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Per-color connectivity over a partial coloring that supports **removal**:
-/// each color class rides on a fully-dynamic
-/// [`DynamicConnectivity`](crate::dynamic::DynamicConnectivity), so
-/// recoloring an edge (an exchange step, a CUT removal, a streaming delete)
-/// is two amortized-`O(log² n)` edits instead of invalidating the color and
-/// paying an `O(m)` rebuild on next use.
+/// every color class of a forest decomposition is a forest, so each rides on
+/// its own [`DynamicForest`], and recoloring an edge (an exchange step, a
+/// streaming delete) is a cut and a link, amortized `O(log n)` each,
+/// instead of invalidating the color and paying an `O(m)` rebuild on next
+/// use.
 ///
 /// Unlike [`ColorConnectivity`], this structure never scans a graph: it is
 /// maintained *purely* through [`insert`](DynamicColorConnectivity::insert) /
 /// [`remove`](DynamicColorConnectivity::remove) /
-/// [`recolor`](DynamicColorConnectivity::recolor) mirroring every coloring
-/// edit, which makes it exact at all times — the natural cache for
-/// update-stream workloads (`DynamicDecomposer`) and exchange-heavy passes
-/// (exact-α stitching), where union-find's insert-only model forces repeated
-/// rebuilds.
+/// [`apply_exchange`](DynamicColorConnectivity::apply_exchange) mirroring
+/// every coloring edit, which makes it exact at all times — the natural
+/// cache for update-stream workloads (`DynamicDecomposer`) and
+/// exchange-heavy passes (exact-α stitching), where union-find's
+/// insert-only model forces repeated rebuilds. The mirrored classes must
+/// stay forests; a link that would close a cycle debug-panics.
 ///
 /// ```
 /// use forest_graph::connectivity::DynamicColorConnectivity;
@@ -256,67 +227,32 @@ impl ColorConnectivity {
 #[derive(Clone, Debug)]
 pub struct DynamicColorConnectivity {
     num_vertices: usize,
-    colors: Vec<DynamicConnectivity>,
-    /// For every edge id: which color structure holds it, under which key.
-    keys: Vec<Option<(Color, EdgeKey)>>,
+    colors: Vec<DynamicForest>,
+    /// For every edge id: which color's forest holds it, under which handle.
+    edges: Vec<Option<(Color, ForestEdge)>>,
 }
 
 impl DynamicColorConnectivity {
     /// An empty structure over `num_vertices` vertices and no colors yet
-    /// (color structures materialize as they are first used).
+    /// (color forests materialize as they are first used).
     pub fn new(num_vertices: usize) -> Self {
         DynamicColorConnectivity {
             num_vertices,
             colors: Vec::new(),
-            keys: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
-    /// Seeds a structure from an existing complete or partial coloring: one
-    /// pass inserting every colored edge that passes `filter`.
-    pub fn from_coloring<G: GraphView>(
-        g: &G,
-        coloring: &PartialEdgeColoring,
-        filter: Option<&dyn Fn(EdgeId) -> bool>,
-    ) -> Self {
+    /// Seeds a structure from an existing complete or partial forest
+    /// coloring: one pass inserting every colored edge.
+    pub fn from_coloring<G: GraphView>(g: &G, coloring: &PartialEdgeColoring) -> Self {
         let mut conn = DynamicColorConnectivity::new(g.num_vertices());
         for (e, u, v) in g.edges() {
             if let Some(c) = coloring.color(e) {
-                if filter.is_none_or(|keep| keep(e)) {
-                    conn.insert(e, c, u, v);
-                }
+                conn.insert(e, c, u, v);
             }
         }
         conn
-    }
-
-    /// Number of vertices every color class spans.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Number of materialized color structures (an upper bound on the
-    /// colors in use).
-    pub fn num_colors(&self) -> usize {
-        self.colors.len()
-    }
-
-    /// The color currently holding `e`, if any.
-    pub fn color_of(&self, e: EdgeId) -> Option<Color> {
-        self.keys.get(e.index()).copied().flatten().map(|(c, _)| c)
-    }
-
-    fn ensure_color(&mut self, c: Color) {
-        while self.colors.len() <= c.index() {
-            self.colors
-                .push(DynamicConnectivity::new(self.num_vertices));
-        }
-    }
-
-    fn ensure_edge(&mut self, e: EdgeId) {
-        if self.keys.len() <= e.index() {
-            self.keys.resize(e.index() + 1, None);
-        }
     }
 
     /// Whether the color-`c` forest connects `u` and `v` (`false` for a
@@ -326,17 +262,8 @@ impl DynamicColorConnectivity {
             return true;
         }
         match self.colors.get_mut(c.index()) {
-            Some(dc) => dc.connected(u, v),
+            Some(forest) => forest.connected(u, v),
             None => false,
-        }
-    }
-
-    /// Number of vertices in `v`'s component of the color-`c` class (1 for
-    /// a color never used).
-    pub fn component_size(&mut self, c: Color, v: VertexId) -> usize {
-        match self.colors.get_mut(c.index()) {
-            Some(dc) => dc.component_size(v),
-            None => 1,
         }
     }
 
@@ -345,37 +272,53 @@ impl DynamicColorConnectivity {
         (0..k).map(Color::new).find(|&c| !self.connected(c, u, v))
     }
 
-    /// Records that edge `e = {u, v}` was colored `c`. Amortized
-    /// `O(log n)`.
+    /// Records that edge `e = {u, v}` was colored `c`: links it into the
+    /// color-`c` forest. Amortized `O(log n)`.
     ///
     /// # Panics
     ///
-    /// Debug-panics if `e` is already tracked (recolor through
-    /// [`DynamicColorConnectivity::recolor`] instead).
+    /// Debug-panics if `e` is already tracked (move it through
+    /// [`DynamicColorConnectivity::apply_exchange`] instead) or if the
+    /// color-`c` forest already connects `u` and `v`.
     pub fn insert(&mut self, e: EdgeId, c: Color, u: VertexId, v: VertexId) {
-        self.ensure_color(c);
-        self.ensure_edge(e);
-        debug_assert!(self.keys[e.index()].is_none(), "edge {e} already tracked");
-        let key = self.colors[c.index()].insert_edge(u, v);
-        self.keys[e.index()] = Some((c, key));
+        while self.colors.len() <= c.index() {
+            self.colors.push(DynamicForest::new(self.num_vertices));
+        }
+        if self.edges.len() <= e.index() {
+            self.edges.resize(e.index() + 1, None);
+        }
+        debug_assert!(self.edges[e.index()].is_none(), "edge {e} already tracked");
+        let handle = self.colors[c.index()].link(u, v);
+        self.edges[e.index()] = Some((c, handle));
     }
 
-    /// Records that edge `e` was uncolored (deleted or cleared): removes it
-    /// from its class. Returns the color it held, `None` if untracked.
-    /// Amortized `O(log² n)`.
+    /// Records that edge `e` was uncolored (deleted or cleared): cuts it out
+    /// of its class. Returns the color it held, `None` if untracked.
+    /// Amortized `O(log n)`.
     pub fn remove(&mut self, e: EdgeId) -> Option<Color> {
-        let (c, key) = self.keys.get_mut(e.index())?.take()?;
-        self.colors[c.index()].delete_edge(key);
+        let (c, handle) = self.edges.get_mut(e.index())?.take()?;
+        self.colors[c.index()].cut(handle);
         Some(c)
     }
 
-    /// Records that edge `e = {u, v}` moved to color `c` (an exchange
-    /// step): a removal plus an insertion, two cheap edits. Returns the
-    /// previous color, if any.
-    pub fn recolor(&mut self, e: EdgeId, c: Color, u: VertexId, v: VertexId) -> Option<Color> {
-        let old = self.remove(e);
-        self.insert(e, c, u, v);
-        old
+    /// Mirrors an exchange that was already applied to the coloring (the
+    /// steps [`try_augment_traced`](crate::matroid::try_augment_traced)
+    /// returns): first every moved edge leaves its old class, then each
+    /// joins its new one.
+    ///
+    /// Replaying the steps one by one would not work: the first step adds
+    /// the searched edge to a color whose forest still connects its
+    /// endpoints, through the very edge a later step moves out. After the
+    /// cuts every class is a subset of its final class, and the exchange
+    /// leaves every final class a forest, so no link closes a cycle.
+    pub fn apply_exchange<G: GraphView>(&mut self, g: &G, steps: &[ExchangeStep]) {
+        for &(e, _, _) in steps {
+            self.remove(e);
+        }
+        for &(e, _, new) in steps {
+            let (u, v) = g.endpoints(e);
+            self.insert(e, new, u, v);
+        }
     }
 }
 
@@ -517,18 +460,50 @@ mod tests {
         conn.insert(e(2), c(1), v(2), v(3));
         assert!(conn.connected(c(0), v(0), v(2)));
         assert_eq!(conn.first_free_color(2, v(0), v(2)), Some(c(1)));
-        assert_eq!(conn.color_of(e(1)), Some(c(0)));
-        // Exchange: move e1 to color 1.
-        assert_eq!(conn.recolor(e(1), c(1), v(1), v(2)), Some(c(0)));
+        // Move e1 to color 1: a cut and a link.
+        assert_eq!(conn.remove(e(1)), Some(c(0)));
+        conn.insert(e(1), c(1), v(1), v(2));
         assert!(!conn.connected(c(0), v(0), v(2)));
         assert!(conn.connected(c(1), v(1), v(3)));
-        assert_eq!(conn.component_size(c(1), v(1)), 3);
         // Removal uncolors.
         assert_eq!(conn.remove(e(2)), Some(c(1)));
         assert_eq!(conn.remove(e(2)), None);
+        assert!(!conn.connected(c(1), v(1), v(3)));
         // Unused colors answer conservatively.
         assert!(!conn.connected(c(9), v(0), v(1)));
-        assert_eq!(conn.component_size(c(9), v(0)), 1);
+    }
+
+    /// The smallest exchange whose steps cannot be replayed in order: the
+    /// triangle 0–1–2 colored {e0, e1} / {e2}, plus a second 0–2 edge e3,
+    /// with k = 2. The exchange is (e3 → color 0, then e0: color 0 → 1);
+    /// linking e3 before e0 leaves would close the cycle 0–1–2 in color 0.
+    #[test]
+    fn apply_exchange_cuts_before_it_links() {
+        let g = MultiGraph::from_pairs(3, &[(0, 1), (1, 2), (2, 0), (0, 2)]).unwrap();
+        let mut coloring = PartialEdgeColoring::new_uncolored(4);
+        for (i, color) in [(0, 0), (1, 0), (2, 1)] {
+            coloring.set(e(i), c(color));
+        }
+        let mut conn = DynamicColorConnectivity::from_coloring(&g, &coloring);
+        let steps = crate::matroid::try_augment_traced(&g, &mut coloring, e(3), 2, usize::MAX)
+            .expect("two forests cover the triangle plus a parallel edge");
+        assert_eq!(steps, vec![(e(3), None, c(0)), (e(0), Some(c(0)), c(1))]);
+        conn.apply_exchange(&g, &steps);
+        for color in [c(0), c(1)] {
+            let class = g
+                .edges()
+                .filter(|&(f, _, _)| coloring.color(f) == Some(color))
+                .map(|(_, a, b)| (a.index(), b.index()));
+            let mut uf = UnionFind::from_edges(3, class);
+            for a in g.vertices() {
+                for b in g.vertices() {
+                    assert_eq!(
+                        conn.connected(color, a, b),
+                        uf.connected(a.index(), b.index())
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -538,7 +513,7 @@ mod tests {
         for i in 0..4 {
             coloring.set(e(i), c(i % 2));
         }
-        let mut dynamic = DynamicColorConnectivity::from_coloring(&g, &coloring, None);
+        let mut dynamic = DynamicColorConnectivity::from_coloring(&g, &coloring);
         let mut lazy = ColorConnectivity::new(g.num_vertices());
         for color in [c(0), c(1)] {
             for a in g.vertices() {
@@ -546,28 +521,6 @@ mod tests {
                     assert_eq!(
                         dynamic.connected(color, a, b),
                         lazy.connected(&g, &coloring, None, color, a, b)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bulk_rebuild_equals_fresh_cache() {
-        let g = generators::grid(3, 3);
-        let mut coloring = PartialEdgeColoring::new_uncolored(g.num_edges());
-        for (i, edge) in g.edge_ids().enumerate() {
-            coloring.set(edge, c(i % 2));
-        }
-        let mut rebuilt = ColorConnectivity::new(g.num_vertices());
-        rebuilt.rebuild(&g, &coloring, None, 2);
-        let mut fresh = ColorConnectivity::new(g.num_vertices());
-        for color in [c(0), c(1)] {
-            for a in g.vertices() {
-                for b in g.vertices() {
-                    assert_eq!(
-                        rebuilt.connected(&g, &coloring, None, color, a, b),
-                        fresh.connected(&g, &coloring, None, color, a, b)
                     );
                 }
             }

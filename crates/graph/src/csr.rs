@@ -148,7 +148,7 @@ pub const FORMAT_VERSION: u64 = 1;
 pub(crate) const HEADER_BYTES: usize = 32;
 
 /// A frozen-topology compressed-sparse-row graph over storage `S`
-/// (see the [module docs](self) for the storage menu).
+/// ([`OwnedCsr`], [`CsrRef`] or [`MmapCsr`]).
 ///
 /// ```
 /// use forest_graph::{CsrGraph, GraphView, MultiGraph};
@@ -262,8 +262,8 @@ impl OwnedCsr {
         }
     }
 
-    /// Decodes a graph from the on-disk byte format (see the
-    /// [module docs](self)).
+    /// Decodes a graph from the on-disk byte format that
+    /// [`to_bytes`](CsrGraph::to_bytes) writes.
     ///
     /// # Errors
     ///
@@ -539,9 +539,11 @@ impl<S: CsrStorage> CsrGraph<S> {
         mirror
     }
 
-    /// Encodes the graph in the versioned on-disk byte format (see the
-    /// [module docs](self)). Identical graphs produce identical bytes
-    /// regardless of storage, so save → load → save round-trips exactly.
+    /// Encodes the graph in the versioned little-endian on-disk format: a
+    /// 32-byte header (`magic`, `version`, `n`, `m` as `u64`) followed by the
+    /// `offsets`, `neighbors`, `edge_ids` and `endpoints` arrays as `u32`
+    /// words. Identical graphs produce identical bytes regardless of
+    /// storage, so save → load → save round-trips exactly.
     pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.num_vertices() as u64;
         let m = self.num_edges() as u64;

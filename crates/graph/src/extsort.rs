@@ -133,7 +133,7 @@ pub struct BuildStats {
     /// Reiher–Sauermann counting watermark, free in one streaming pass.
     pub nash_williams_watermark: usize,
     /// Largest size the sort buffer reached, in bytes (≤ the configured
-    /// ceiling, modulo the [`MIN_BUFFER_RECORDS`] floor).
+    /// ceiling, except that the buffer never holds fewer than 64 records).
     pub peak_buffer_bytes: usize,
     /// Size of the finished CSR file in bytes.
     pub output_bytes: u64,

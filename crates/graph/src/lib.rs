@@ -24,20 +24,17 @@
 //!   orders (BFS / reverse Cuthill–McKee as [`VertexPermutation`]s) that
 //!   [`CsrPartition::split_ordered`] cuts along when vertex ids are not
 //!   already banded.
-//! * [`dynamic`] — fully-dynamic connectivity for graphs that *mutate*:
-//!   splay-backed Euler-tour trees ([`DynamicForest`]: `link` / `cut` /
-//!   `connected` / `component_size` in amortized `O(log n)`) and the
-//!   Holm–de Lichtenberg–Thorup level structure ([`DynamicConnectivity`]:
-//!   `insert_edge` / `delete_edge` in amortized `O(log² n)`), plus
-//!   [`DynamicGraph`] — a mutable adjacency container with stable edge ids
-//!   implementing [`GraphView`] over its live edges, the substrate of
-//!   streaming decomposition.
+//! * [`dynamic`] — structures for graphs that *mutate*: splay-backed
+//!   Euler-tour trees ([`DynamicForest`]: `link` / `cut` / `connected` in
+//!   amortized `O(log n)`), plus [`DynamicGraph`] — a mutable adjacency
+//!   container with stable edge ids implementing [`GraphView`] over its
+//!   live edges, the substrate of streaming decomposition.
 //! * [`connectivity`] — the per-color union-find cache (with optional edge
 //!   filter and per-color [`rebuild_colors`](ColorConnectivity::rebuild_colors)
 //!   invalidation) shared by the augmenting search, the matroid partition
 //!   and shard-boundary stitching — and [`DynamicColorConnectivity`], its
-//!   deletion-capable sibling riding each color class on the [`dynamic`]
-//!   subsystem for exchange-heavy and streaming workloads.
+//!   deletion-capable sibling keeping each color class as a
+//!   [`DynamicForest`] for exchange-heavy and streaming workloads.
 //! * [`decomposition`] — forest / star-forest decompositions and their
 //!   validators, the central result types of the whole workspace.
 //! * [`palette`] — per-edge color lists for list-forest decompositions.
@@ -104,7 +101,7 @@ mod view;
 pub use connectivity::{ColorConnectivity, DynamicColorConnectivity};
 pub use csr::{CsrGraph, CsrRef, CsrStorage, MmapCsr, MmapStorage, OwnedCsr};
 pub use decomposition::{ForestDecomposition, PartialEdgeColoring};
-pub use dynamic::{DynamicConnectivity, DynamicForest, DynamicGraph, EdgeIdRemap};
+pub use dynamic::{DynamicForest, DynamicGraph, EdgeIdRemap};
 pub use error::{GraphError, ValidationError};
 pub use flow::FlowNetwork;
 pub use ids::{u32_of, Color, EdgeId, VertexId};

@@ -1,6 +1,6 @@
 //! Exact centralized forest decomposition via matroid partition.
 //!
-//! Gabow and Westermann [GW92] showed that an exact `α`-forest decomposition
+//! Gabow and Westermann \[GW92\] showed that an exact `α`-forest decomposition
 //! can be computed in polynomial time using matroid partition for the graphic
 //! matroid. This module implements the classical augmenting-path matroid
 //! partition algorithm: edges are inserted one at a time, and when an edge
@@ -33,8 +33,8 @@ pub type ExchangeStep = (EdgeId, Option<Color>, Color);
 /// On success the coloring is updated in place (remaining a valid partial
 /// forest partition) and the applied [`ExchangeStep`]s come back in
 /// application order, `edge` first — callers maintaining per-color
-/// connectivity replay them as cheap edits
-/// ([`DynamicColorConnectivity::recolor`](crate::DynamicColorConnectivity))
+/// connectivity mirror them as cuts and links
+/// ([`DynamicColorConnectivity::apply_exchange`](crate::DynamicColorConnectivity::apply_exchange))
 /// or invalidate only the touched colors
 /// ([`ColorConnectivity::rebuild_colors`]).
 ///

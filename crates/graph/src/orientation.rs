@@ -13,7 +13,7 @@ use crate::flow::FlowNetwork;
 use crate::ids::{EdgeId, VertexId};
 use crate::view::GraphView;
 
-/// An orientation of every edge of a [`MultiGraph`]: each edge is directed
+/// An orientation of every edge of a [`MultiGraph`](crate::MultiGraph): each edge is directed
 /// away from its *tail* vertex.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Orientation {
@@ -151,11 +151,6 @@ impl Orientation {
             None
         }
     }
-
-    /// Reverses the orientation of a single edge.
-    pub fn flip<G: GraphView>(&mut self, g: &G, e: EdgeId) {
-        self.tail[e.index()] = g.other_endpoint(e, self.tail[e.index()]);
-    }
 }
 
 /// Tries to orient `g` so that every vertex has out-degree at most `k`, using
@@ -277,15 +272,6 @@ mod tests {
         assert!(o.is_acyclic(&g));
         let order = o.topological_order(&g).unwrap();
         assert_eq!(order.len(), 3);
-    }
-
-    #[test]
-    fn flip_reverses_edge() {
-        let g = MultiGraph::from_pairs(2, &[(0, 1)]).unwrap();
-        let mut o = Orientation::from_fn(&g, |_, u, _| u);
-        assert_eq!(o.tail(EdgeId::new(0)), v(0));
-        o.flip(&g, EdgeId::new(0));
-        assert_eq!(o.tail(EdgeId::new(0)), v(1));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The decomposition algorithms constantly need to answer questions such as
 //! "what is the path between `u` and `v` inside the color-`c` forest?" or
 //! "how deep is this tree?". These helpers all accept an optional edge filter
-//! so that a single [`MultiGraph`] can be traversed per color class without
-//! materializing subgraphs.
+//! so that a single [`MultiGraph`](crate::MultiGraph) can be traversed per
+//! color class without materializing subgraphs.
 
 use crate::ids::{u32_of, EdgeId, VertexId};
 use crate::view::GraphView;
@@ -276,13 +276,8 @@ where
 /// the forest spanned by the accepted edges, i.e. the length of the longest
 /// path starting at that vertex. The filtered subgraph **must** be a forest.
 ///
-/// **Oracle note:** this BFS computation, and [`forest_diameter`] on top of
-/// it, is kept as the reference that tests and
-/// [`validate_diameter_bound`](crate::decomposition::validate_diameter_bound)
-/// check against. Each call scans the whole graph for one edge class;
-/// per-run code that measures every color class should call
-/// [`max_forest_diameter`](crate::decomposition::max_forest_diameter), whose
-/// leaf-peeling kernel measures all classes in one linear pass.
+/// The BFS behind [`forest_diameter`], the reference measurement (see the
+/// oracle note there).
 ///
 /// # Panics
 ///
@@ -357,8 +352,13 @@ where
 /// edges. Returns 0 for an edgeless selection. The filtered subgraph must be
 /// a forest.
 ///
-/// The reference measurement for one edge class (see the oracle note on
-/// [`forest_eccentricities`]).
+/// **Oracle note:** this BFS computation is kept as the reference that
+/// tests and
+/// [`validate_diameter_bound`](crate::decomposition::validate_diameter_bound)
+/// check against. Each call scans the whole graph for one edge class;
+/// per-run code that measures every color class should call
+/// [`max_forest_diameter`](crate::decomposition::max_forest_diameter), whose
+/// leaf-peeling kernel measures all classes in one linear pass.
 pub fn forest_diameter<G, F>(g: &G, edge_filter: F) -> usize
 where
     G: GraphView,

@@ -15,7 +15,6 @@ use crate::ids::u32_of;
 /// assert!(!uf.union(1, 0)); // already connected
 /// assert!(uf.connected(0, 1));
 /// assert!(!uf.connected(0, 2));
-/// assert_eq!(uf.num_components(), 2);
 /// ```
 #[derive(Clone, Debug)]
 pub struct UnionFind {
@@ -25,7 +24,6 @@ pub struct UnionFind {
     /// `u32`-indexed throughout the workspace anyway).
     parent: Vec<u32>,
     rank: Vec<u8>,
-    components: usize,
 }
 
 impl UnionFind {
@@ -40,7 +38,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..u32_of(n)).collect(),
             rank: vec![0; n],
-            components: n,
         }
     }
 
@@ -101,27 +98,12 @@ impl UnionFind {
         if self.rank[hi] == self.rank[lo] {
             self.rank[hi] += 1;
         }
-        self.components -= 1;
         true
     }
 
     /// Returns `true` if `x` and `y` are in the same set.
     pub fn connected(&mut self, x: usize, y: usize) -> bool {
         self.find(x) == self.find(y)
-    }
-
-    /// Number of disjoint sets.
-    pub fn num_components(&self) -> usize {
-        self.components
-    }
-
-    /// Resets the structure to `n` singletons, reusing allocations.
-    pub fn reset(&mut self) {
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = u32_of(i);
-        }
-        self.rank.fill(0);
-        self.components = self.parent.len();
     }
 }
 
@@ -134,7 +116,6 @@ mod tests {
         let mut uf = UnionFind::new(5);
         assert_eq!(uf.len(), 5);
         assert!(!uf.is_empty());
-        assert_eq!(uf.num_components(), 5);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
         }
@@ -148,7 +129,6 @@ mod tests {
         assert!(!uf.union(0, 2));
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
-        assert_eq!(uf.num_components(), 4);
     }
 
     #[test]
@@ -158,24 +138,12 @@ mod tests {
         for i in 0..n - 1 {
             assert!(uf.union(i, i + 1));
         }
-        assert_eq!(uf.num_components(), 1);
         assert!(uf.connected(0, n - 1));
-    }
-
-    #[test]
-    fn reset_restores_singletons() {
-        let mut uf = UnionFind::new(4);
-        uf.union(0, 1);
-        uf.union(2, 3);
-        uf.reset();
-        assert_eq!(uf.num_components(), 4);
-        assert!(!uf.connected(0, 1));
     }
 
     #[test]
     fn empty_structure() {
         let uf = UnionFind::new(0);
         assert!(uf.is_empty());
-        assert_eq!(uf.num_components(), 0);
     }
 }

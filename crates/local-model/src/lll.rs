@@ -1,6 +1,6 @@
 //! Distributed Lovász Local Lemma via parallel resampling.
 //!
-//! The paper repeatedly invokes the LLL algorithm of Chung–Pettie–Su [CPS17]
+//! The paper repeatedly invokes the LLL algorithm of Chung–Pettie–Su \[CPS17\]
 //! under the polynomially-strengthened condition `e·p·d² ≤ 1 − Ω(1)`: each
 //! vertex draws private random variables, each *bad event* depends on the
 //! variables of a bounded neighborhood, and the algorithm finds an assignment
@@ -65,7 +65,7 @@ pub struct LllOutcome {
 /// Runs the parallel resampling LLL solver.
 ///
 /// `max_rounds` caps the number of resampling rounds (use
-/// `O(log n)`-proportional values to mirror [CPS17]). Rounds are charged to
+/// `O(log n)`-proportional values to mirror \[CPS17\]). Rounds are charged to
 /// `ledger` with the given dependency radius (each resampling round costs
 /// `dependency_radius` LOCAL rounds, since an event must inspect the
 /// variables in its neighborhood).

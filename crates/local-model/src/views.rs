@@ -15,7 +15,7 @@
 //! diameter exceeds `2(R+R')`. [`PowerView`] instead answers every
 //! adjacency query with a bounded-radius BFS from the queried vertex over
 //! an epoch-stamped scratch arena
-//! ([`BfsScratch`](forest_graph::traversal::BfsScratch)), so no query pays
+//! ([`BfsScratch`]), so no query pays
 //! an `O(n)` clear. Balls are not memoized: an LRU of them scored zero hits
 //! on the carving passes of
 //! [`network_decomposition`](crate::network_decomposition).

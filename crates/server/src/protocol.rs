@@ -119,8 +119,7 @@ pub enum Request {
         tenant: String,
         /// Graph id within the tenant.
         graph: String,
-        /// Engine used by snapshot reports (wire-coded; see
-        /// [`engine_to_wire`]).
+        /// Engine used by snapshot reports (one wire byte).
         engine: Engine,
         /// Slack parameter `ε ∈ (0, 1)`.
         epsilon: f64,

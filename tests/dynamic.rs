@@ -1,17 +1,22 @@
-//! Contract tests for the dynamic subsystem: the HDT connectivity structure
-//! agrees with a from-scratch union-find under arbitrary insert/delete
-//! interleavings, the streaming [`DynamicDecomposer`] keeps a valid forest
-//! coloring alive through churn, and its `snapshot()` is byte-identical to
-//! a cold [`Decomposer::run`] on the same final graph — including after the
-//! acceptance-criteria 10k-update stream.
+//! Contract tests for the dynamic subsystem: per-color Euler-tour
+//! connectivity agrees with a from-scratch per-color union-find under
+//! arbitrary interleavings of inserts, exchanges and deletes, the streaming
+//! [`DynamicDecomposer`] keeps a valid forest coloring alive through churn,
+//! and its `snapshot()` is byte-identical to a cold [`Decomposer::run`] on
+//! the same final graph — including after a 10k-update stream. Goldens pin
+//! the live coloring itself.
 
 use forest_decomp::api::{
     Decomposer, DecompositionRequest, DynamicDecomposer, EdgeUpdate, Engine, ProblemKind,
     UpdatePath, Validate,
 };
 use forest_decomp::FdError;
-use forest_graph::dynamic::{DynamicConnectivity, EdgeKey};
-use forest_graph::{generators, EdgeId, MultiGraph, UnionFind, VertexId};
+use forest_graph::decomposition::PartialEdgeColoring;
+use forest_graph::matroid::try_augment_traced;
+use forest_graph::{
+    generators, Color, DynamicColorConnectivity, DynamicGraph, EdgeId, MultiGraph, UnionFind,
+    VertexId,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,31 +40,65 @@ fn arb_script(n: usize, len: usize) -> impl Strategy<Value = (usize, Script)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A random interleaving of inserts and deletes through
-    /// `DynamicConnectivity` agrees with a from-scratch `UnionFind` on
-    /// `connected` at every step (and on the component count).
+    /// Per-color connectivity under a random script on at most 12
+    /// vertices: each insert takes the first free color in `0..k`, else an
+    /// exact exchange mirrored through `apply_exchange`, else the first
+    /// color `≥ k` whose forest keeps its endpoints apart; deletes are
+    /// random. After every step, `connected` agrees with a per-color
+    /// `UnionFind` over the coloring on every vertex pair.
     #[test]
-    fn dynamic_connectivity_agrees_with_union_find((n, script) in arb_script(24, 120)) {
-        let mut dc = DynamicConnectivity::new(n);
-        let mut live: Vec<(usize, usize, EdgeKey)> = Vec::new();
+    fn dynamic_connectivity_agrees_with_union_find(
+        ((n, script), k) in (arb_script(13, 60), 1..4usize)
+    ) {
+        let mut g = DynamicGraph::new(n);
+        let mut coloring = PartialEdgeColoring::new_uncolored(0);
+        let mut conn = DynamicColorConnectivity::new(n);
+        let mut live: Vec<EdgeId> = Vec::new();
         for (u, v, delete) in script {
             if delete && !live.is_empty() {
-                let slot = u % live.len();
-                let (_, _, key) = live.swap_remove(slot);
-                dc.delete_edge(key);
+                let e = live.swap_remove(u % live.len());
+                g.delete_edge(e).unwrap();
+                coloring.clear(e);
+                conn.remove(e);
             } else if u != v {
-                let key = dc.insert_edge(VertexId::new(u), VertexId::new(v));
-                live.push((u, v, key));
+                let (u, v) = (VertexId::new(u), VertexId::new(v));
+                let e = g.insert_edge(u, v).unwrap();
+                coloring.grow_to(g.edge_id_span());
+                live.push(e);
+                if let Some(c) = conn.first_free_color(k, u, v) {
+                    coloring.set(e, c);
+                    conn.insert(e, c, u, v);
+                } else if let Some(steps) = try_augment_traced(&g, &mut coloring, e, k, usize::MAX)
+                {
+                    conn.apply_exchange(&g, &steps);
+                } else {
+                    let fresh = (k..)
+                        .map(Color::new)
+                        .find(|&c| !conn.connected(c, u, v))
+                        .unwrap();
+                    coloring.set(e, fresh);
+                    conn.insert(e, fresh, u, v);
+                }
             }
-            let mut uf = UnionFind::from_edges(n, live.iter().map(|&(a, b, _)| (a, b)));
-            prop_assert_eq!(dc.num_components(), uf.num_components());
-            prop_assert_eq!(dc.num_edges(), live.len());
-            for a in 0..n {
-                for b in 0..n {
-                    prop_assert_eq!(
-                        dc.connected(VertexId::new(a), VertexId::new(b)),
-                        uf.connected(a, b)
-                    );
+            let span = live
+                .iter()
+                .filter_map(|&e| coloring.color(e))
+                .map(|c| c.index() + 1)
+                .max()
+                .unwrap_or(0);
+            for c in (0..=span).map(Color::new) {
+                let class = g
+                    .live_edges()
+                    .filter(|&(e, _, _)| coloring.color(e) == Some(c))
+                    .map(|(_, a, b)| (a.index(), b.index()));
+                let mut uf = UnionFind::from_edges(n, class);
+                for a in 0..n {
+                    for b in 0..n {
+                        prop_assert_eq!(
+                            conn.connected(c, VertexId::new(a), VertexId::new(b)),
+                            uf.connected(a, b)
+                        );
+                    }
                 }
             }
         }
@@ -303,4 +342,80 @@ fn deletions_shrink_the_budget_on_a_thinning_graph() {
     assert_eq!(dyn_dec.num_live_edges(), g.num_edges() / 3);
     assert_eq!(dyn_dec.color_budget(), 1, "budget followed arboricity down");
     assert!(dyn_dec.stats().compactions > 0 || dyn_dec.stats().fast_deletes > 0);
+}
+
+/// FNV-1a over a byte string, as in `tests/power_view.rs`.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// Golden: the live coloring itself, not a cold snapshot. A seeded churn on
+/// `grid(12, 12)` thickens the grid with random edges, thins it almost to
+/// nothing, then thickens it again; the hash covers every live edge's id
+/// and color plus the eight
+/// [`DynamicStats`](forest_decomp::api::DynamicStats) counters. The script
+/// takes both exchange paths (insert and compaction drain), so any change
+/// to how an exchange is mirrored into per-color connectivity that alters
+/// a later `first_free_color` answer moves the hash.
+#[test]
+fn golden_live_coloring_after_grid_churn() {
+    let g = generators::grid(12, 12);
+    let n = g.num_vertices();
+    let request = DecompositionRequest::new(ProblemKind::Forest)
+        .with_engine(Engine::ExactMatroid)
+        .with_seed(4);
+    let mut dyn_dec = DynamicDecomposer::from_graph(request, &g).unwrap();
+    let mut live: Vec<EdgeId> = dyn_dec
+        .live_graph()
+        .live_edges()
+        .map(|(e, _, _)| e)
+        .collect();
+    let mut rng = StdRng::seed_from_u64(12);
+    for (delete_bias, steps) in [(0.2, 600), (0.95, 800), (0.3, 400)] {
+        for _ in 0..steps {
+            if !live.is_empty() && rng.gen_bool(delete_bias) {
+                let e = live.swap_remove(rng.gen_range(0..live.len()));
+                dyn_dec.apply(EdgeUpdate::delete(e)).unwrap();
+            } else {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    live.push(dyn_dec.apply(EdgeUpdate::insert(u, v)).unwrap().edge);
+                }
+            }
+        }
+    }
+    dyn_dec.validate_live().unwrap();
+    let stats = dyn_dec.stats();
+    assert!(
+        stats.exchanges > 0,
+        "the script must exercise insert exchanges"
+    );
+    assert!(
+        stats.compactions > 0,
+        "the script must exercise compaction drains"
+    );
+    let mut bytes = Vec::new();
+    for (e, _, _) in dyn_dec.live_graph().live_edges() {
+        let c = dyn_dec.live_coloring().color(e).unwrap();
+        bytes.extend((e.index() as u64).to_le_bytes());
+        bytes.extend((c.index() as u64).to_le_bytes());
+    }
+    for counter in [
+        stats.updates,
+        stats.fast_inserts,
+        stats.exchanges,
+        stats.exchange_recolorings,
+        stats.budget_raises,
+        stats.fast_deletes,
+        stats.compactions,
+        stats.compaction_recolorings,
+    ] {
+        bytes.extend((counter as u64).to_le_bytes());
+    }
+    assert_eq!(fnv(&bytes), 0xa04d8303dcfead14);
 }

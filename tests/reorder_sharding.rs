@@ -250,3 +250,46 @@ fn zero_shards_is_a_typed_error() {
         Err(FdError::InvalidShardCount { requested: 0 })
     ));
 }
+
+/// FNV-1a over a byte string, as in `tests/power_view.rs`.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// Golden: the exact-α stitch's bytes on the planted case of
+/// `exact_alpha_stitch_composes_with_reordering`. The grid case of
+/// `exact_alpha_stitch_closes_the_grid_gap` never reaches the
+/// exchange pass (its greedy stitch already lands on α, so no edge
+/// overflows); this one moves 106 overflow edges, many through multi-step
+/// exchanges, so the hash pins how an exchange is replayed into per-color
+/// connectivity.
+#[test]
+fn golden_exact_alpha_stitch_moves_overflow_edges() {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(29);
+    let g = generators::planted_forest_union(800, 3, &mut rng);
+    let frozen = FrozenGraph::freeze(g);
+    let request = DecompositionRequest::new(ProblemKind::Forest)
+        .with_engine(Engine::ExactMatroid)
+        .with_alpha(3)
+        .with_seed(21)
+        .with_shard_reorder(ReorderKind::Rcm)
+        .with_stitch_policy(StitchPolicy::ExactAlpha);
+    let report = Decomposer::new(request).run_sharded(&frozen, 4).unwrap();
+    let pass = report
+        .ledger
+        .charges()
+        .iter()
+        .find(|c| c.label.starts_with("exact-alpha stitch"))
+        .expect("the exact-α pass charges the ledger");
+    assert!(
+        pass.rounds > 0,
+        "the pass must move an edge: {}",
+        pass.label
+    );
+    assert_eq!(fnv(&report.canonical_bytes()), 0x42d3fb717733f489);
+}
