@@ -3,7 +3,8 @@
 //! decomposition → in-process server publish/query (including the PR 10
 //! `Metrics` op) — whose drained spans must validate structurally and
 //! cover all three instrumented layers (`extsort.*` in forest-graph,
-//! `ooc.*` in forest-decomp, `versioned.publish` in the service path) in
+//! `ooc.*` in forest-decomp, `versioned.publish` and the lazy
+//! `SnapshotBytes` cold run's `versioned.cold_run` in the service path) in
 //! a single chrome-trace JSON. A recorder-disabled run of the identical
 //! pipeline is asserted byte-identical first: the trace is free evidence,
 //! never an input. That run is also timed for the disabled-path bound:
@@ -98,6 +99,11 @@ fn drive_server() {
         });
         assert!(matches!(resp, Response::EdgeColor { .. }), "{resp:?}");
     }
+    let resp = state.handle(&Request::SnapshotBytes {
+        tenant: "ci".into(),
+        graph: "smoke".into(),
+    });
+    assert!(matches!(resp, Response::Snapshot { .. }), "{resp:?}");
     let (epoch, after) = metrics(&state);
     assert_eq!(epoch, 2, "two published batches");
     for ((name, then), (name2, now)) in before.iter().zip(after.iter()) {
@@ -156,6 +162,7 @@ fn main() {
         "ooc.stitch",
         "ooc.assemble",
         "versioned.publish", // the service layer
+        "versioned.cold_run",
     ] {
         assert!(
             events.iter().any(|e| e.name == required),
@@ -204,6 +211,12 @@ fn main() {
     assert!(
         snapshot.iter().any(|m| m.name == "ooc.runs_total"),
         "registry missing out-of-core counters"
+    );
+    assert!(
+        snapshot
+            .iter()
+            .any(|m| m.name == "versioned.cold_run_nanos"),
+        "registry missing the snapshot cold-run histogram"
     );
     let text = prometheus_text(&snapshot);
     for line in text.lines().take(12) {

@@ -647,16 +647,10 @@ impl DynamicDecomposer {
         recolored
     }
 
-    /// The current live edges compacted into a [`MultiGraph`] (ascending
-    /// id order) plus the map from compact ids back to the stream's stable
-    /// ids — the canonical "final graph" the snapshot contract is defined
-    /// against.
-    pub fn snapshot_graph(&self) -> (MultiGraph, Vec<EdgeId>) {
-        self.graph.to_multigraph()
-    }
-
-    /// Runs the cold [`Decomposer`] pipeline over the current live graph
-    /// and returns its report: **byte-identical**
+    /// Runs the cold [`Decomposer`] pipeline over the current live edges
+    /// compacted into a [`MultiGraph`] (ascending id order — the canonical
+    /// "final graph" the snapshot contract is defined against) and returns
+    /// its report: **byte-identical**
     /// ([`DecompositionReport::canonical_bytes`]) to `Decomposer::run` on
     /// the same final graph, because it *is* that run — the live coloring
     /// answers queries between snapshots, this report is the reproducible
@@ -666,7 +660,7 @@ impl DynamicDecomposer {
     ///
     /// Whatever the cold run returns.
     pub fn snapshot(&self) -> Result<DecompositionReport, FdError> {
-        let (g, _) = self.snapshot_graph();
+        let (g, _) = self.graph.to_multigraph();
         Decomposer::new(self.request.clone()).run(g)
     }
 

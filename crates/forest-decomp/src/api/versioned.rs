@@ -12,7 +12,10 @@
 //!   bare [`DynamicDecomposer`]; nothing a reader can reach changes until
 //!   the writer calls [`publish`](VersionedDecomposer::publish), which
 //!   freezes the live coloring into an `Arc<ColoringSnapshot>` stamped
-//!   with the next epoch id and swaps it into the shared cell.
+//!   with the next epoch id and swaps it into the shared cell. The freeze
+//!   is one O(k·n + m) pass over flat arrays (k colors, n vertices, m live
+//!   edges): no per-vertex allocation and no sort beyond each vertex's at
+//!   most k out-edges.
 //! * **Readers pin an epoch, lock-free.** A [`SnapshotReader`] (cheap to
 //!   clone, `Send + Sync`) answers [`current`](SnapshotReader::current)
 //!   by cloning the latest published `Arc` out of a publication ring —
@@ -23,17 +26,19 @@
 //!   writer has moved on.
 //! * **Snapshots answer everything the wire protocol asks.** Per-edge
 //!   colors ([`color_of_edge`](ColoringSnapshot::color_of_edge)),
-//!   per-color forest roots precomputed from the union-find so lookups
-//!   need no mutation
+//!   per-color forest roots, each tree's minimum vertex, found at publish
+//!   time by one DFS per tree so lookups are a single array read
 //!   ([`forest_of_vertex`](ColoringSnapshot::forest_of_vertex)), the
 //!   `≤ color_budget` out-degree orientation each color-forest induces
-//!   ([`orientation_out`](ColoringSnapshot::orientation_out)), the live
-//!   Nash-Williams arboricity watermark
-//!   ([`watermark`](ColoringSnapshot::watermark)), and the reproducible
-//!   cold-run report bytes
+//!   when rooted there ([`orientation_out`](ColoringSnapshot::orientation_out)),
+//!   the live Nash-Williams arboricity watermark
+//!   ([`watermark`](ColoringSnapshot::watermark)), the compact final graph
+//!   ([`compact_graph`](ColoringSnapshot::compact_graph), built on first
+//!   use) and the reproducible cold-run report bytes
 //!   ([`canonical_bytes`](ColoringSnapshot::canonical_bytes), computed
 //!   lazily and cached — byte-identical to [`Decomposer::run`] on the
-//!   surviving edges, because it *is* that run).
+//!   surviving edges, because it *is* that run; its coloring is the cold
+//!   run's, not the live one the other queries answer from).
 //!
 //! Every snapshot carries a content [`fingerprint`](ColoringSnapshot::fingerprint)
 //! computed at publish time; [`verify`](ColoringSnapshot::verify)
@@ -59,7 +64,6 @@
 //! ```
 
 use super::dynamic::{BatchReport, DeltaReport, DynamicDecomposer, DynamicStats, EdgeUpdate};
-use super::report::DecompositionReport;
 use super::{Decomposer, DecompositionRequest};
 use crate::error::FdError;
 use forest_graph::dynamic::EdgeIdRemap;
@@ -99,108 +103,124 @@ pub struct ColoringSnapshot {
     /// Per stable edge id (dead ids `None`), length = the id span at
     /// publish time.
     colors: Vec<Option<Color>>,
-    /// `forest_roots[c][v]` = the canonical root (minimum vertex) of `v`'s
-    /// tree in color `c`'s forest; `v` itself when isolated in that color.
-    forest_roots: Vec<Vec<u32>>,
+    /// `forest_roots[c · n + v]` = the canonical root (minimum vertex) of
+    /// `v`'s tree in color `c`'s forest; `v` itself when isolated in that
+    /// color. One flat `k · n` array.
+    forest_roots: Vec<u32>,
     /// CSR over vertices: `out_edges[out_offsets[v]..out_offsets[v+1]]`
     /// are the edges `v` points along toward its parent, one per color
     /// whose forest attaches `v` — hence out-degree ≤ `color_budget`
-    /// (Corollary 1.1's orientation shape).
+    /// (Corollary 1.1's orientation shape) — in ascending id order.
     out_offsets: Vec<u32>,
     out_edges: Vec<EdgeId>,
     max_out_degree: usize,
     stats: DynamicStats,
-    /// The surviving edges compacted in insertion order (the canonical
-    /// "final graph") plus compact→stable ids: what the lazy cold run
-    /// decomposes and what `SnapshotBytes` is defined against.
-    graph: MultiGraph,
+    /// The surviving edges' endpoints in insertion order (compact id =
+    /// position) and their stable ids: the canonical "final graph" the
+    /// lazy cold run decomposes and `SnapshotBytes` is defined against.
+    compact_endpoints: Vec<(VertexId, VertexId)>,
     compact_to_stable: Vec<EdgeId>,
+    /// `compact_endpoints` as a [`MultiGraph`], built on first use.
+    graph: OnceLock<MultiGraph>,
     request: DecompositionRequest,
     fingerprint: u64,
     cold: OnceLock<Result<Vec<u8>, FdError>>,
 }
 
 impl ColoringSnapshot {
-    /// Freezes the decomposer's current state as epoch `epoch`.
+    /// Freezes the decomposer's current state as epoch `epoch` in
+    /// O(k·n + m), all in flat arrays.
     fn build(dec: &DynamicDecomposer, epoch: u64) -> Self {
-        let graph_view = dec.live_graph();
-        let n = graph_view.num_vertices();
+        /// Marks an unvisited root slot and an absent parent edge.
+        const NONE: u32 = u32::MAX;
+        let live = dec.live_graph();
+        let coloring = dec.live_coloring();
+        let n = live.num_vertices();
         let k = dec.color_budget();
-        let span = graph_view.edge_id_span();
-        let mut colors = vec![None; span];
-        let mut per_color: Vec<Vec<(EdgeId, VertexId, VertexId)>> = vec![Vec::new(); k];
-        for (e, u, v) in graph_view.live_edges() {
-            let c = dec
-                .live_coloring()
-                .color(e)
-                .expect("every live edge carries a color");
+        let m = live.num_live_edges();
+
+        // Colors by stable id, the compact edge list, and the number of
+        // color-c edges at each vertex v (bucket c·n + v).
+        let mut colors = vec![None; live.edge_id_span()];
+        let mut compact_endpoints = Vec::with_capacity(m);
+        let mut compact_to_stable = Vec::with_capacity(m);
+        let mut bucket_ends = vec![0u32; k * n + 1];
+        for (e, u, v) in live.live_edges() {
+            let c = coloring.color(e).expect("every live edge carries a color");
             colors[e.index()] = Some(c);
-            per_color[c.index()].push((e, u, v));
+            compact_endpoints.push((u, v));
+            compact_to_stable.push(e);
+            bucket_ends[c.index() * n + u.index()] += 1;
+            bucket_ends[c.index() * n + v.index()] += 1;
+        }
+        // Inclusive prefix sums, then fill each bucket from its end down:
+        // afterwards `bucket_ends[b]` is bucket b's start and
+        // `bucket_ends[b + 1]` its end.
+        let mut total = 0;
+        for end in &mut bucket_ends {
+            total += *end;
+            *end = total;
+        }
+        let mut incidences = vec![(0u32, 0u32); 2 * m];
+        for (&(u, v), &e) in compact_endpoints.iter().zip(&compact_to_stable) {
+            let c = colors[e.index()].expect("colored above");
+            for (x, y) in [(u, v), (v, u)] {
+                let slot = &mut bucket_ends[c.index() * n + x.index()];
+                *slot -= 1;
+                incidences[*slot as usize] = (y.raw(), e.raw());
+            }
         }
 
-        // Root every color-class tree at its minimum vertex and orient
-        // each edge child→parent: one DFS per component, per color, with
-        // the scratch arrays reused across colors (clear only what was
-        // touched, so the whole build is O(k·n + m)).
-        let mut forest_roots = Vec::with_capacity(k);
-        let mut out: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-        let mut adj: Vec<Vec<(VertexId, EdgeId)>> = vec![Vec::new(); n];
-        let mut visited = vec![false; n];
-        let mut touched: Vec<usize> = Vec::new();
+        // Root every color-class tree at its minimum vertex (the ascending
+        // scan reaches it first) and record each other vertex's parent
+        // edge: one iterative DFS per tree, per color.
+        let mut forest_roots = vec![NONE; k * n];
+        let mut parent = vec![NONE; k * n];
         let mut stack: Vec<usize> = Vec::new();
-        for class in &per_color {
-            for &(e, u, v) in class {
-                adj[u.index()].push((v, e));
-                adj[v.index()].push((u, e));
-                touched.push(u.index());
-                touched.push(v.index());
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            let mut roots: Vec<u32> = (0..u32_of(n)).collect();
-            // Ascending scan: the first unvisited vertex of a component is
-            // its minimum, so roots are canonical regardless of insertion
-            // order.
-            for &s in &touched {
-                if visited[s] {
+        for base in (0..k).map(|c| c * n) {
+            for s in 0..n {
+                if forest_roots[base + s] != NONE {
                     continue;
                 }
-                visited[s] = true;
+                let root = u32_of(s);
+                forest_roots[base + s] = root;
                 stack.push(s);
                 while let Some(x) = stack.pop() {
-                    for &(w, e) in &adj[x] {
-                        if !visited[w.index()] {
-                            visited[w.index()] = true;
-                            roots[w.index()] = u32_of(s);
-                            out[w.index()].push(e);
-                            stack.push(w.index());
+                    let (lo, hi) = (bucket_ends[base + x], bucket_ends[base + x + 1]);
+                    for &(w, e) in &incidences[lo as usize..hi as usize] {
+                        let slot = base + w as usize;
+                        if forest_roots[slot] == NONE {
+                            forest_roots[slot] = root;
+                            parent[slot] = e;
+                            stack.push(w as usize);
                         }
                     }
                 }
             }
-            for &t in &touched {
-                adj[t].clear();
-                visited[t] = false;
-            }
-            touched.clear();
-            forest_roots.push(roots);
         }
+
+        // Each vertex's parent edges, one per color at most, ascending.
         let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_edges = Vec::with_capacity(graph_view.num_live_edges());
+        let mut out_edges = Vec::with_capacity(m);
         let mut max_out_degree = 0;
         out_offsets.push(0u32);
-        for v in &mut out {
-            v.sort_unstable_by_key(|e| e.index());
-            max_out_degree = max_out_degree.max(v.len());
-            out_edges.extend_from_slice(v);
+        for v in 0..n {
+            let start = out_edges.len();
+            out_edges.extend(
+                (0..k)
+                    .map(|c| parent[c * n + v])
+                    .filter(|&e| e != NONE)
+                    .map(|e| EdgeId::new(e as usize)),
+            );
+            out_edges[start..].sort_unstable();
+            max_out_degree = max_out_degree.max(out_edges.len() - start);
             out_offsets.push(u32_of(out_edges.len()));
         }
 
-        let (graph, compact_to_stable) = dec.snapshot_graph();
         let mut snap = ColoringSnapshot {
             epoch,
             num_vertices: n,
-            live_edges: graph_view.num_live_edges(),
+            live_edges: m,
             color_budget: k,
             lower_bound: dec.arboricity_lower_bound(),
             colors,
@@ -209,8 +229,9 @@ impl ColoringSnapshot {
             out_edges,
             max_out_degree,
             stats: dec.stats(),
-            graph,
+            compact_endpoints,
             compact_to_stable,
+            graph: OnceLock::new(),
             request: dec.request().clone(),
             fingerprint: 0,
             cold: OnceLock::new(),
@@ -251,13 +272,16 @@ impl ColoringSnapshot {
     /// vertices are connected in forest `c` iff they report the same root.
     /// `None` when `c` is outside the budget or `v` out of range.
     pub fn forest_of_vertex(&self, c: Color, v: VertexId) -> Option<VertexId> {
-        let roots = self.forest_roots.get(c.index())?;
-        roots.get(v.index()).map(|&r| VertexId::new(r as usize))
+        if c.index() >= self.color_budget || v.index() >= self.num_vertices {
+            return None;
+        }
+        let root = self.forest_roots[c.index() * self.num_vertices + v.index()];
+        Some(VertexId::new(root as usize))
     }
 
     /// The edges `v` points along toward its parents, one per color whose
-    /// forest attaches `v` — the `≤ color_budget` out-degree orientation.
-    /// `None` when `v` is out of range.
+    /// forest attaches `v` — the `≤ color_budget` out-degree orientation —
+    /// in ascending id order. `None` when `v` is out of range.
     pub fn orientation_out(&self, v: VertexId) -> Option<&[EdgeId]> {
         let lo = *self.out_offsets.get(v.index())? as usize;
         let hi = *self.out_offsets.get(v.index() + 1)? as usize;
@@ -288,35 +312,50 @@ impl ColoringSnapshot {
 
     /// The surviving edges compacted in insertion order — the canonical
     /// final graph the reproducibility contract is defined against — plus
-    /// the compact→stable id map.
+    /// the compact→stable id map. Publish stores only the endpoint list;
+    /// the [`MultiGraph`] is built from it on the first call (here or in
+    /// [`canonical_bytes`](ColoringSnapshot::canonical_bytes)) and kept.
     pub fn compact_graph(&self) -> (&MultiGraph, &[EdgeId]) {
-        (&self.graph, &self.compact_to_stable)
+        let graph = self.graph.get_or_init(|| {
+            MultiGraph::with_edges(self.num_vertices, self.compact_endpoints.iter().copied())
+                .expect("live edges are valid")
+        });
+        (graph, &self.compact_to_stable)
     }
 
-    /// The reproducible report for this epoch: the cold [`Decomposer`]
-    /// pipeline over the surviving edges, run lazily on first call and
-    /// cached — so `SnapshotBytes` requests after the first are a memcpy,
-    /// and the bytes are identical to what [`Decomposer::run`] returns on
-    /// the same graph with the same request.
+    /// The [`canonical_bytes`](super::DecompositionReport::canonical_bytes)
+    /// of the cold [`Decomposer`] run over this snapshot's
+    /// [`compact_graph`](ColoringSnapshot::compact_graph) with its request:
+    /// identical to what [`Decomposer::run`] returns on the same graph with
+    /// the same request, because it *is* that run. It runs once, on the
+    /// first call (the `versioned.cold_run` span, timed into the
+    /// `versioned.cold_run_nanos` histogram, building the compact graph too
+    /// if nothing has yet), and is cached — so `SnapshotBytes` requests
+    /// after the first are a memcpy.
+    ///
+    /// The report carries the *cold run's* coloring, which in general
+    /// differs from the live coloring that
+    /// [`color_of_edge`](ColoringSnapshot::color_of_edge) and the other
+    /// queries answer from: the live coloring is maintained update by
+    /// update, the cold run decomposes the final graph from scratch.
     ///
     /// # Errors
     ///
-    /// Whatever the cold run returns (cached too: the run is attempted
+    /// Whatever the cold run returned (cached too: the run is attempted
     /// once per snapshot).
-    fn cold_report(&self) -> Result<DecompositionReport, FdError> {
-        Decomposer::new(self.request.clone()).run(&self.graph)
-    }
-
-    /// [`DecompositionReport::canonical_bytes`] of the cold run over this
-    /// snapshot's graph with its request, computed once and cached in the
-    /// snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the cold run returned.
     pub fn canonical_bytes(&self) -> Result<Vec<u8>, FdError> {
+        /// Wall time of each snapshot's one cold run.
+        static COLD_RUN_NANOS: LazyHistogram = LazyHistogram::new("versioned.cold_run_nanos");
         self.cold
-            .get_or_init(|| self.cold_report().map(|r| r.canonical_bytes()))
+            .get_or_init(|| {
+                let _span = Span::enter("versioned.cold_run");
+                let clock = Stopwatch::start();
+                let bytes = Decomposer::new(self.request.clone())
+                    .run(self.compact_graph().0)
+                    .map(|r| r.canonical_bytes());
+                COLD_RUN_NANOS.observe(clock.elapsed_nanos());
+                bytes
+            })
             .clone()
     }
 
@@ -333,23 +372,36 @@ impl ColoringSnapshot {
         self.compute_fingerprint() == self.fingerprint
     }
 
-    /// FNV-1a over every queryable field (the cold cache excluded — it is
-    /// derived and computed lazily).
+    /// The FNV-1a-style [`Fnv`] hash over every stored field a query
+    /// reads: the scalars, the stream counters, the colors, roots and
+    /// orientation, and the compact graph's stable ids and endpoints
+    /// (the lazily built graph and cold cache are derived from these).
     fn compute_fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.word(self.epoch);
-        h.word(self.num_vertices as u64);
-        h.word(self.live_edges as u64);
-        h.word(self.color_budget as u64);
-        h.word(self.lower_bound as u64);
-        h.word(self.max_out_degree as u64);
+        let s = self.stats;
+        for scalar in [
+            self.num_vertices,
+            self.live_edges,
+            self.color_budget,
+            self.lower_bound,
+            self.max_out_degree,
+            s.updates,
+            s.fast_inserts,
+            s.exchanges,
+            s.exchange_recolorings,
+            s.budget_raises,
+            s.fast_deletes,
+            s.compactions,
+            s.compaction_recolorings,
+        ] {
+            h.word(scalar as u64);
+        }
         for c in &self.colors {
             h.word(c.map_or(0, |c| c.index() as u64 + 1));
         }
-        for roots in &self.forest_roots {
-            for &r in roots {
-                h.word(r as u64);
-            }
+        for &r in &self.forest_roots {
+            h.word(r as u64);
         }
         for &o in &self.out_offsets {
             h.word(o as u64);
@@ -360,13 +412,19 @@ impl ColoringSnapshot {
         for &e in &self.compact_to_stable {
             h.word(e.index() as u64);
         }
+        for &(u, v) in &self.compact_endpoints {
+            h.word((u.index() as u64) << 32 | v.index() as u64);
+        }
         h.finish()
     }
 }
 
-/// FNV-1a, word-at-a-time — cheap, stable, and dependency-free; collision
-/// resistance is irrelevant here (the fingerprint defends against torn
-/// reads, not adversaries).
+/// FNV-1a over 64-bit words: each word is xored into the state, then the
+/// state is multiplied by the FNV prime — one xor-multiply per word. Both
+/// steps are bijections of the state (the prime is odd), so changing any
+/// one hashed word always changes the result. Cheap, stable and
+/// dependency-free; collision resistance is irrelevant here (the
+/// fingerprint defends against torn reads, not adversaries).
 struct Fnv(u64);
 
 impl Fnv {
@@ -375,10 +433,7 @@ impl Fnv {
     }
 
     fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
     }
 
     fn finish(&self) -> u64 {
@@ -658,7 +713,9 @@ impl VersionedDecomposer {
 mod tests {
     use super::*;
     use crate::api::{Engine, ProblemKind};
-    use forest_graph::generators;
+    use forest_graph::{generators, UnionFind};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn request() -> DecompositionRequest {
         DecompositionRequest::new(ProblemKind::Forest)
@@ -683,39 +740,171 @@ mod tests {
         assert!(snap.verify());
     }
 
+    /// A grid(6, 6) decomposer after seeded churn batches, a compaction
+    /// and more churn, so its id span has holes again and its budget has
+    /// grown past the grid's two forests.
+    fn churned() -> VersionedDecomposer {
+        let g = generators::grid(6, 6);
+        let n = g.num_vertices();
+        let mut vd = VersionedDecomposer::from_graph(request(), &g).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        for round in 0..24 {
+            if round == 16 {
+                vd.compact_ids();
+            }
+            let mut live: Vec<EdgeId> = vd.inner().live_graph().edge_ids().collect();
+            let mut batch: Vec<EdgeUpdate> = (0..3)
+                .map(|_| EdgeUpdate::delete(live.swap_remove(rng.gen_range(0..live.len()))))
+                .collect();
+            while batch.len() < 8 {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    batch.push(EdgeUpdate::insert(u, v));
+                }
+            }
+            vd.apply_batch(&batch).unwrap();
+            vd.publish();
+        }
+        vd
+    }
+
+    /// Checks every query of `snap` against the decomposer it was
+    /// published from, through references that share no code with the
+    /// build: a per-color `UnionFind` over the live coloring for the
+    /// roots, and a walk along out-edges for the orientation.
+    fn assert_queries_match(snap: &ColoringSnapshot, dec: &DynamicDecomposer) {
+        let live = dec.live_graph();
+        let (n, k) = (snap.num_vertices(), snap.color_budget());
+        assert_eq!(snap.live_edges(), live.num_live_edges());
+        assert_eq!(k, dec.color_budget());
+        for e in (0..live.edge_id_span()).map(EdgeId::new) {
+            assert_eq!(snap.color_of_edge(e), dec.live_coloring().color(e));
+        }
+        let mut out_total = 0;
+        for v in 0..n {
+            let out = snap.orientation_out(VertexId::new(v)).unwrap();
+            assert!(out.len() <= k);
+            assert!(
+                out.windows(2).all(|w| w[0] < w[1]),
+                "out list of {v} not ascending"
+            );
+            out_total += out.len();
+        }
+        assert_eq!(out_total, snap.live_edges(), "every edge oriented once");
+        assert!(snap.max_out_degree() <= k);
+        for c in (0..k).map(Color::new) {
+            let mut uf = UnionFind::new(n);
+            for (e, u, v) in live.live_edges() {
+                if dec.live_coloring().color(e) == Some(c) {
+                    uf.union(u.index(), v.index());
+                }
+            }
+            let mut min_of = vec![usize::MAX; n];
+            for v in 0..n {
+                let r = uf.find(v);
+                min_of[r] = min_of[r].min(v);
+            }
+            for v in 0..n {
+                let root = snap.forest_of_vertex(c, VertexId::new(v)).unwrap();
+                assert_eq!(root.index(), min_of[uf.find(v)], "root of {v} in {c}");
+                // Following the color-c out-edge from v ends at the root.
+                let mut x = VertexId::new(v);
+                let mut steps = 0;
+                while let Some(&e) = snap
+                    .orientation_out(x)
+                    .unwrap()
+                    .iter()
+                    .find(|&&e| snap.color_of_edge(e) == Some(c))
+                {
+                    let (a, b) = live.endpoints(e);
+                    assert!(a == x || b == x, "{e} is not incident to {x}");
+                    x = if a == x { b } else { a };
+                    steps += 1;
+                    assert!(steps < n, "color-{c} out-edges cycle from {v}");
+                }
+                assert_eq!(x, root, "walk from {v} in {c}");
+            }
+        }
+        // Out-of-range queries answer None, never panic.
+        assert_eq!(snap.forest_of_vertex(Color::new(k), VertexId::new(0)), None);
+        assert_eq!(snap.forest_of_vertex(Color::new(0), VertexId::new(n)), None);
+        assert_eq!(snap.orientation_out(VertexId::new(n)), None);
+        assert_eq!(snap.color_of_edge(EdgeId::new(live.edge_id_span())), None);
+        assert!(snap.verify());
+    }
+
     #[test]
     fn snapshot_queries_match_live_state() {
         let g = generators::grid(6, 6);
         let mut vd = VersionedDecomposer::from_graph(request(), &g).unwrap();
         let snap = vd.publish();
         assert_eq!(snap.live_edges(), g.num_edges());
-        assert_eq!(snap.color_budget(), vd.inner().color_budget());
         assert!(snap.watermark().lower_bound >= 2, "grid arboricity is 2");
-        let mut out_total = 0;
-        for v in 0..snap.num_vertices() {
-            let out = snap.orientation_out(VertexId::new(v)).unwrap();
-            assert!(out.len() <= snap.color_budget());
-            out_total += out.len();
+        assert_queries_match(&snap, vd.inner());
+
+        let mut vd = churned();
+        let span = vd.inner().live_graph().edge_id_span();
+        assert!(vd.inner().num_live_edges() < span, "churn left no dead id");
+        assert!(vd.current().color_budget() > 2, "churn kept the budget");
+        assert_queries_match(&vd.current(), vd.inner());
+        vd.compact_ids();
+        assert_queries_match(&vd.publish(), vd.inner());
+    }
+
+    #[test]
+    fn verify_catches_a_flip_of_every_stored_field() {
+        let vd = churned();
+        type Flip = (&'static str, fn(&mut ColoringSnapshot));
+        let flips: [Flip; 22] = [
+            ("epoch", |s| s.epoch += 1),
+            ("num_vertices", |s| s.num_vertices += 1),
+            ("live_edges", |s| s.live_edges += 1),
+            ("color_budget", |s| s.color_budget += 1),
+            ("lower_bound", |s| s.lower_bound += 1),
+            ("max_out_degree", |s| s.max_out_degree += 1),
+            ("stats.updates", |s| s.stats.updates += 1),
+            ("stats.fast_inserts", |s| s.stats.fast_inserts += 1),
+            ("stats.exchanges", |s| s.stats.exchanges += 1),
+            ("stats.exchange_recolorings", |s| {
+                s.stats.exchange_recolorings += 1
+            }),
+            ("stats.budget_raises", |s| s.stats.budget_raises += 1),
+            ("stats.fast_deletes", |s| s.stats.fast_deletes += 1),
+            ("stats.compactions", |s| s.stats.compactions += 1),
+            ("stats.compaction_recolorings", |s| {
+                s.stats.compaction_recolorings += 1
+            }),
+            ("a live color", |s| {
+                let c = s.colors.iter_mut().flatten().last().unwrap();
+                *c = Color::new(c.index() + 1);
+            }),
+            ("a dead color", |s| {
+                *s.colors.iter_mut().find(|c| c.is_none()).unwrap() = Some(Color::new(0));
+            }),
+            ("a root", |s| s.forest_roots[s.num_vertices + 1] ^= 1),
+            ("an out offset", |s| s.out_offsets[1] += 1),
+            ("an out edge", |s| {
+                s.out_edges[0] = EdgeId::new(s.out_edges[0].index() + 1)
+            }),
+            ("a compact id", |s| {
+                let last = s.compact_to_stable.last_mut().unwrap();
+                *last = EdgeId::new(last.index() + 1);
+            }),
+            ("an edge's first endpoint", |s| {
+                let u = &mut s.compact_endpoints[0].0;
+                *u = VertexId::new(u.index() + 1);
+            }),
+            ("an edge's second endpoint", |s| {
+                let v = &mut s.compact_endpoints[0].1;
+                *v = VertexId::new(v.index() + 1);
+            }),
+        ];
+        for (field, flip) in flips {
+            let mut snap = ColoringSnapshot::build(vd.inner(), vd.published_epoch());
+            assert!(snap.verify());
+            flip(&mut snap);
+            assert!(!snap.verify(), "flipping {field} left verify() true");
         }
-        assert_eq!(out_total, snap.live_edges(), "every edge oriented once");
-        assert!(snap.max_out_degree() <= snap.color_budget());
-        // Forest roots agree with the coloring: endpoints of an edge of
-        // color c share a root in forest c.
-        for (e, u, v) in vd.inner().live_graph().live_edges() {
-            let c = snap.color_of_edge(e).unwrap();
-            assert_eq!(
-                snap.forest_of_vertex(c, u).unwrap(),
-                snap.forest_of_vertex(c, v).unwrap()
-            );
-        }
-        // Out-of-range queries answer None, never panic.
-        assert_eq!(snap.color_of_edge(EdgeId::new(9999)), None);
-        assert_eq!(
-            snap.forest_of_vertex(Color::new(99), VertexId::new(0)),
-            None
-        );
-        assert_eq!(snap.orientation_out(VertexId::new(9999)), None);
-        assert!(snap.verify());
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! snapshot's fingerprint verifies, its watermark, coloring, roots and
 //! orientation all describe the same state, and epochs only move
 //! forward. Readers never block on the writer (the run makes thousands
-//! of reads while the writer holds no lock a reader touches).
+//! of reads while the writer holds no lock a reader touches). A golden
+//! pins every answer a churned snapshot gives.
 
 use forest_decomp::api::{
-    DecompositionRequest, EdgeUpdate, Engine, ProblemKind, SnapshotReader, VersionedDecomposer,
+    ColoringSnapshot, DecompositionRequest, EdgeUpdate, Engine, ProblemKind, SnapshotReader,
+    VersionedDecomposer,
 };
-use forest_graph::EdgeId;
+use forest_graph::{generators, Color, EdgeId, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -146,4 +148,113 @@ fn epoch_hint_tracks_publishes() {
         assert_eq!(reader.current_epoch(), round);
         assert_eq!(reader.current().epoch(), round);
     }
+}
+
+/// FNV-1a over bytes: the golden's own hash, independent of the
+/// snapshot's fingerprint.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// Appends every answer `snap` gives: the colour of each id below `span`
+/// (plus one past it), every in-budget forest root, every out list, the
+/// out-degree, the watermark and the compact graph with its stable ids.
+/// Absent answers encode as `u64::MAX`.
+fn answers(snap: &ColoringSnapshot, span: usize, bytes: &mut Vec<u8>) {
+    let mut word = |w: u64| bytes.extend(w.to_le_bytes());
+    for e in 0..=span {
+        word(
+            snap.color_of_edge(EdgeId::new(e))
+                .map_or(u64::MAX, |c| c.index() as u64),
+        );
+    }
+    for c in 0..snap.color_budget() {
+        for v in 0..snap.num_vertices() {
+            let root = snap.forest_of_vertex(Color::new(c), VertexId::new(v));
+            word(root.map_or(u64::MAX, |r| r.index() as u64));
+        }
+    }
+    for v in 0..snap.num_vertices() {
+        let out = snap.orientation_out(VertexId::new(v)).unwrap();
+        word(out.len() as u64);
+        for e in out {
+            word(e.index() as u64);
+        }
+    }
+    word(snap.max_out_degree() as u64);
+    let w = snap.watermark();
+    for field in [
+        w.epoch,
+        w.lower_bound as u64,
+        w.color_budget as u64,
+        w.live_edges as u64,
+        w.num_vertices as u64,
+    ] {
+        word(field);
+    }
+    let (compact, ids) = snap.compact_graph();
+    for ((e, u, v), stable) in compact.edges().zip(ids) {
+        for x in [e.index(), u.index(), v.index(), stable.index()] {
+            word(x as u64);
+        }
+    }
+}
+
+/// Golden: every query answer of the last epochs of a seeded churn on
+/// `grid(12, 12)`. Each batch deletes live edges and inserts random
+/// pairs, then publishes; the id space is compacted mid-script, so the
+/// hashed epochs see compact ids with fresh holes. Any change to how a
+/// snapshot is frozen that alters one answer moves the hash.
+#[test]
+fn golden_snapshot_answers_after_churn() {
+    let g = generators::grid(12, 12);
+    let n = g.num_vertices();
+    let request = DecompositionRequest::new(ProblemKind::Forest)
+        .with_engine(Engine::ExactMatroid)
+        .with_seed(8);
+    let mut vd = VersionedDecomposer::from_graph(request, &g).unwrap();
+    let mut live: Vec<EdgeId> = (0..g.num_edges()).map(EdgeId::new).collect();
+    let mut rng = StdRng::seed_from_u64(18);
+    let mut bytes = Vec::new();
+    const BATCHES: usize = 40;
+    for batch_no in 0..BATCHES {
+        if batch_no == BATCHES / 2 {
+            vd.compact_ids();
+            live = vd
+                .inner()
+                .live_graph()
+                .live_edges()
+                .map(|(e, _, _)| e)
+                .collect();
+        }
+        let mut batch = Vec::new();
+        for _ in 0..6 {
+            if !live.is_empty() {
+                let slot = rng.gen_range(0..live.len());
+                batch.push(EdgeUpdate::delete(live.swap_remove(slot)));
+            }
+        }
+        while batch.len() < 16 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                batch.push(EdgeUpdate::insert(u, v));
+            }
+        }
+        let report = vd.apply_batch(&batch).unwrap();
+        live.extend(report.inserted_edges);
+        let snap = vd.publish();
+        assert!(snap.verify());
+        if batch_no + 3 >= BATCHES {
+            answers(&snap, vd.inner().live_graph().edge_id_span(), &mut bytes);
+        }
+    }
+    let stats = vd.current().stats();
+    assert!(stats.exchanges > 0, "the script must exercise exchanges");
+    assert!(stats.fast_deletes > 0, "the script must delete");
+    assert_eq!(fnv(&bytes), 0x46ee0201e9a80075);
 }
