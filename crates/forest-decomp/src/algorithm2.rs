@@ -24,18 +24,31 @@
 //! when `log n / ε` is far below the diameter). The configuration lets
 //! benchmarks force smaller radii to exercise the full machinery.
 //!
+//! # The trivial pass
+//!
+//! One BFS per connected component, from its minimum vertex, numbers the
+//! components and bounds the diameter by twice the largest eccentricity.
+//! When `2(R+R')` reaches that bound, no cluster machinery runs: every edge
+//! is colored in one ascending-id pass of augmentation over the whole graph
+//! with one per-color connectivity cache. Each cluster's view would be its
+//! whole component, so CUT would cut nothing and draw no random number,
+//! and a search never leaves its component; the pass returns exactly what
+//! the cluster loop returns on such inputs (coloring, leftover, counters,
+//! ledger), in `O(n + m)` plus the searches.
+//!
 //! # Ball-local execution
 //!
-//! The decomposition of `G^{2(R+R')}` runs on the lazy
-//! [`PowerView`] — no `O(n²)`-edge power graph is
-//! ever materialized. Each cluster is then processed inside its own ball:
-//! the region BFS stops at radius `R + R'`, and all masks, scope lists and
-//! CUT working memory are carried in scratch buffers reset via touched-id
-//! lists ([`CutScratch`] and epoch-stamped sets), so
-//! a cluster costs time proportional to its ball, not to the whole graph.
-//! The output — colors, leftover, RNG consumption, ledger — is
-//! byte-identical to the historical whole-graph implementation;
-//! [`PipelineStats`] exposes the perf counters.
+//! Otherwise the decomposition of `G^{2(R+R')}` runs on the lazy
+//! [`PowerView`] — no `O(n²)`-edge power graph is ever materialized — and
+//! each cluster is processed inside its own ball: the region BFS stops at
+//! radius `R + R'`, and all masks, scope lists and CUT working memory are
+//! carried in scratch buffers reset via touched-id lists ([`CutScratch`]
+//! and epoch-stamped sets). The augmentation is not ball-local yet: its
+//! connectivity cache is invalidated per cluster, and each color a cluster
+//! queries is rebuilt by scanning all `m` edges, so a cluster costs
+//! `O(k(n + m))` for `k` colors queried. The output — colors, leftover, RNG
+//! consumption, ledger — is byte-identical to the historical whole-graph
+//! implementation; [`PipelineStats`] exposes the perf counters.
 
 use crate::augmenting::{AugmentationContext, ColorConnectivity};
 use crate::cut::{execute_cut_scoped, CutOutcome, CutScope, CutScratch, CutState, CutStrategy};
@@ -43,7 +56,7 @@ use crate::error::{check_epsilon, FdError};
 use crate::hpartition::{acyclic_orientation, h_partition};
 use forest_graph::decomposition::PartialEdgeColoring;
 use forest_graph::kernels::{self, StampSet};
-use forest_graph::traversal::{connected_components, BfsScratch};
+use forest_graph::traversal::BfsScratch;
 use forest_graph::{EdgeId, GraphView, ListAssignment, VertexId};
 use forest_obs::{clock::Stopwatch, LazyCounter, Span};
 use local_model::rounds::costs;
@@ -266,76 +279,102 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
     // The bounded-BFS scratch serves the diameter bound here and the
     // per-cluster region collection below; it is allocated once per run.
     let mut region = BfsScratch::new(n);
-    // One components pass serves the diameter bound and, when the
-    // decomposition is trivial, its one-cluster-per-component classes.
-    let (comp, num_comp) = connected_components(csr, |_| true);
-    let diameter_upper = {
-        // Double-BFS upper bound per connected component. A single pass
-        // collects every component's representative (its minimum vertex) —
-        // rescanning the vertex list per component would cost
-        // O(n · num_components) — and each eccentricity BFS runs on the
-        // epoch-stamped scratch, touching only that component (a
-        // whole-graph distance array per component would again be
-        // O(n · num_components), ruinous on fragmented shards).
-        let mut repr: Vec<Option<VertexId>> = vec![None; num_comp];
-        for v in csr.vertices() {
-            let slot = &mut repr[comp[v.index()]];
-            if slot.is_none() {
-                *slot = Some(v);
-            }
+    // One BFS per component, from its minimum vertex, numbers the
+    // components (in the order of that vertex) and bounds the diameter by
+    // twice the largest eccentricity. The sweeps run on the epoch-stamped
+    // scratch, so each touches only its own component.
+    let mut comp = vec![u32::MAX; n];
+    let mut num_comp = 0u32;
+    let mut diameter_upper = 0usize;
+    for r in csr.vertices() {
+        if comp[r.index()] != u32::MAX {
+            continue;
         }
-        let mut bound = 0usize;
-        for slot in &repr {
-            let r = slot.expect("non-empty component");
-            region.run_bounded(csr, &[r], usize::MAX, |_| true);
-            // BFS order has nondecreasing distances, so the last visited
-            // vertex realizes the eccentricity of `r`.
-            let far = region
-                .visited()
-                .last()
-                .map_or(0, |&far_v| region.distance(far_v));
-            bound = bound.max(2 * far);
+        region.run_bounded(csr, &[r], usize::MAX, |_| true);
+        for &v in region.visited() {
+            comp[v.index()] = num_comp;
         }
-        bound
-    };
-    let (classes, num_clusters_total): (Vec<Vec<Vec<VertexId>>>, usize) = if power >= diameter_upper
-    {
-        // Trivial decomposition: one class, one cluster per connected component.
+        // BFS order has nondecreasing distances, so the last visited
+        // vertex realizes the eccentricity of `r`.
+        let far = region.visited().last().map_or(0, |&v| region.distance(v));
+        diameter_upper = diameter_upper.max(2 * far);
+        num_comp += 1;
+    }
+
+    let mut coloring = PartialEdgeColoring::new_uncolored(m);
+    let mut leftover: Vec<EdgeId> = Vec::new();
+    let unrestricted = AugmentationContext::new(csr, lists);
+    let mut conn = ColorConnectivity::new(n);
+    // All clusters of a class are processed in parallel in the LOCAL
+    // model; the simulation charges the cluster-processing cost once per
+    // class.
+    let class_rounds = (cut_radius + locality_radius) * costs::log2_ceil(n).max(1);
+
+    if power >= diameter_upper {
+        // Trivial decomposition: one class, one cluster per connected
+        // component. Each cluster's view is then its whole component, so
+        // CUT finds no eligible edge (none leaves the core) and draws no
+        // random number under either rule, and the view mask leaves out
+        // only uncolored edges and other components' edges, which no
+        // search walks. Augmenting every edge in ascending id order through
+        // the unrestricted context and one connectivity cache therefore
+        // gives each component exactly the coloring the cluster loop would:
+        // a search never leaves its component.
         ledger.charge(
             "network decomposition of G^{2(R+R')} (trivial: radius exceeds diameter)",
             costs::network_decomposition(n, 1),
         );
-        let mut clusters: Vec<Vec<VertexId>> = vec![Vec::new(); num_comp];
-        for v in csr.vertices() {
-            clusters[comp[v.index()]].push(v);
+        CLUSTERS.add(u64::from(num_comp));
+        let _cluster_span = Span::enter("algo2.cluster_loop");
+        ledger.charge("process class 0 clusters", class_rounds);
+        for e in csr.edge_ids() {
+            if unrestricted
+                .augment_edge_connected(&mut coloring, &mut conn, e, max_iterations)
+                .is_err()
+            {
+                leftover.push(e);
+            }
         }
-        let count = clusters.len();
-        (vec![clusters], count)
-    } else {
-        // Simulating the decomposition on G^power costs a factor `power`.
-        ledger.charge(
-            format!("simulate G^{power} for the network decomposition"),
-            costs::network_decomposition(n, power),
-        );
-        // The decomposition runs on the lazy PowerView — adjacency in
-        // G^power is answered by bounded-radius BFS balls on demand, so the
-        // quadratic power graph is never materialized.
-        let pv = PowerView::new(csr, power);
-        let nd = network_decomposition(&pv, &mut ledger);
-        let expansions = pv.stats().ball_expansions;
-        BALL_EXPANSIONS.add(expansions);
-        pipeline_stats.power_ball_expansions = expansions;
-        let mut classes: Vec<Vec<Vec<VertexId>>> = vec![Vec::new(); nd.num_classes];
-        for (cluster_id, members) in nd.clusters.iter().enumerate() {
-            classes[nd.cluster_class[cluster_id]].push(members.clone());
-        }
-        let count = nd.clusters.len();
-        (classes, count)
-    };
+        // The loop's leftover order: by component, then by id.
+        leftover.sort_by_key(|&e| comp[csr.endpoints(e).0.index()]);
+        return Ok(Algorithm2Output {
+            coloring,
+            // The loop retries every failed search unrestricted (the same
+            // search, which fails again), then leaves its edge over.
+            fallback_unrestricted: leftover.len(),
+            fallback_uncolored: leftover.len(),
+            leftover,
+            all_cuts_good: true,
+            forced_cut_removals: 0,
+            max_cut_load: cut_state.max_load(),
+            num_classes: 1,
+            num_clusters: num_comp as usize,
+            radii: (cut_radius, locality_radius),
+            ledger,
+            pipeline_stats,
+        });
+    }
 
-    let mut coloring = PartialEdgeColoring::new_uncolored(m);
+    // Simulating the decomposition on G^power costs a factor `power`.
+    ledger.charge(
+        format!("simulate G^{power} for the network decomposition"),
+        costs::network_decomposition(n, power),
+    );
+    // The decomposition runs on the lazy PowerView — adjacency in G^power
+    // is answered by bounded-radius BFS balls on demand, so the quadratic
+    // power graph is never materialized.
+    let pv = PowerView::new(csr, power);
+    let nd = network_decomposition(&pv, &mut ledger);
+    let expansions = pv.stats().ball_expansions;
+    BALL_EXPANSIONS.add(expansions);
+    pipeline_stats.power_ball_expansions = expansions;
+    let mut classes: Vec<Vec<Vec<VertexId>>> = vec![Vec::new(); nd.num_classes];
+    for (cluster_id, members) in nd.clusters.iter().enumerate() {
+        classes[nd.cluster_class[cluster_id]].push(members.clone());
+    }
+    let num_clusters_total = nd.clusters.len();
+
     let mut removed = vec![false; m];
-    let mut leftover: Vec<EdgeId> = Vec::new();
     let mut all_cuts_good = true;
     let mut forced_cut_removals = 0usize;
     let mut fallback_unrestricted = 0usize;
@@ -344,7 +383,7 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
 
     // Shared scratch for the whole cluster loop: every per-cluster structure
     // below is reset through the touched-id lists, never by an O(n) or O(m)
-    // clear, so cluster cost is proportional to the ball it covers.
+    // clear.
     let mut cut_scratch = CutScratch::new();
     let mut core = vec![false; n];
     let mut view = vec![false; n];
@@ -353,21 +392,15 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
     let mut core_list: Vec<VertexId> = Vec::new();
     let mut scope_edges: Vec<EdgeId> = Vec::new();
     let mut view_edge_list: Vec<EdgeId> = Vec::new();
-    let mut candidate_edges: Vec<EdgeId> = Vec::new();
     let mut edge_seen = StampSet::new(m);
-    let mut conn = ColorConnectivity::new(n);
-    let unrestricted = AugmentationContext::new(csr, lists);
     let mut bfs_nanos = 0u64;
     CLUSTERS.add(num_clusters_total as u64);
 
     let _cluster_span = Span::enter("algo2.cluster_loop");
     for (class_index, clusters) in classes.iter().enumerate() {
-        // All clusters of a class are processed in parallel in the LOCAL
-        // model; the simulation charges the cluster-processing cost once per
-        // class.
         ledger.charge(
             format!("process class {class_index} clusters"),
-            (cut_radius + locality_radius) * costs::log2_ceil(n).max(1),
+            class_rounds,
         );
         for cluster in clusters {
             // C' = N^{R'}(C), C'' = N^{R+R'}(C): one bounded BFS touches
@@ -436,18 +469,18 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
             let restricted = AugmentationContext::restricted(csr, lists, &view_edges);
             // The connectivity cache is scoped to this cluster: the edge
             // restriction (and the CUT removals above) changed since the
-            // previous one.
+            // previous one. Each color the cluster queries is then rebuilt
+            // by a scan of all m edges, so a cluster costs O(k(n + m))
+            // however small its ball.
             conn.invalidate_all();
-            // Candidate edges: incident to the cluster, ascending — the same
-            // visiting order as a whole-edge-list scan filtered on cluster
-            // incidence.
-            kernels::gather_unique_sorted(
-                cluster.iter().map(|&v| csr.incident_edges(v)),
-                |e: EdgeId| e.index(),
-                &mut edge_seen,
-                &mut candidate_edges,
-            );
-            for &e in &candidate_edges {
+            // Candidate edges: the scope edges incident to the cluster (an
+            // endpoint at region distance 0), ascending — the same visiting
+            // order as a whole-edge-list scan filtered on cluster incidence.
+            for &e in &scope_edges {
+                let (u, v) = csr.endpoints(e);
+                if region.distance(u) != 0 && region.distance(v) != 0 {
+                    continue;
+                }
                 if coloring.color(e).is_some() || removed[e.index()] {
                     continue;
                 }

@@ -22,8 +22,8 @@ use crate::error::{check_epsilon, FdError};
 use crate::hpartition::{acyclic_orientation, h_partition, star_forest_decomposition};
 use crate::lsfd_degeneracy::list_star_forest_decomposition_degeneracy;
 use forest_graph::decomposition::{
-    max_forest_diameter, merge_disjoint_colorings, validate_list_coloring,
-    validate_partial_forest_decomposition, PartialEdgeColoring,
+    max_forest_diameter, merge_disjoint_colorings, validate_forest_decomposition,
+    validate_list_coloring, validate_partial_forest_decomposition, PartialEdgeColoring,
 };
 use forest_graph::{Color, EdgeId, ForestDecomposition, GraphView, ListAssignment, MultiGraph};
 use forest_obs::Span;
@@ -148,7 +148,10 @@ fn forest_decomposition_impl<C: GraphView, R: Rng + ?Sized>(
     }
     let alpha = options
         .alpha
-        .unwrap_or_else(|| forest_graph::matroid::arboricity(csr))
+        .unwrap_or_else(|| {
+            let _span = Span::enter("decomp.arboricity");
+            forest_graph::matroid::arboricity(csr)
+        })
         .max(1);
     let primary_colors = ((1.0 + options.epsilon) * alpha as f64).ceil() as usize;
     let lists = ListAssignment::uniform(csr.num_edges(), primary_colors);
@@ -181,7 +184,10 @@ fn forest_decomposition_impl<C: GraphView, R: Rng + ?Sized>(
         coloring = reduced.coloring;
     }
     let decomposition = coloring.into_complete()?;
-    validate_partial_forest_decomposition(csr, &decomposition.to_partial())?;
+    {
+        let _span = Span::enter("decomp.forest_check");
+        validate_forest_decomposition(csr, &decomposition, None)?;
+    }
     let num_colors = decomposition.num_colors_used();
     let max_diameter = if measure_diameter {
         let _span = Span::enter("decomp.max_diameter");
@@ -376,7 +382,6 @@ pub(crate) fn list_forest_decomposition<C: GraphView, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use forest_graph::decomposition::validate_forest_decomposition;
     use forest_graph::{generators, CsrGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

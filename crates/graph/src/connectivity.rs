@@ -29,7 +29,6 @@ use crate::ids::{Color, EdgeId, VertexId};
 use crate::matroid::ExchangeStep;
 use crate::union_find::UnionFind;
 use crate::view::GraphView;
-use std::collections::BTreeMap;
 
 /// Incremental per-color connectivity over a partial coloring.
 ///
@@ -53,7 +52,10 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug)]
 pub struct ColorConnectivity {
     num_vertices: usize,
-    forests: BTreeMap<Color, UnionFind>,
+    /// Indexed by color id; `None` until the color's forest is built. Color
+    /// ids are small (palette sizes), so a slot per id costs little and a
+    /// fast-path query is one index.
+    forests: Vec<Option<UnionFind>>,
 }
 
 impl ColorConnectivity {
@@ -61,7 +63,7 @@ impl ColorConnectivity {
     pub fn new(num_vertices: usize) -> Self {
         ColorConnectivity {
             num_vertices,
-            forests: BTreeMap::new(),
+            forests: Vec::new(),
         }
     }
 
@@ -70,9 +72,19 @@ impl ColorConnectivity {
         self.num_vertices
     }
 
+    /// The slot of `c`, growing the table to cover it.
+    fn slot(&mut self, c: Color) -> &mut Option<UnionFind> {
+        if c.index() >= self.forests.len() {
+            self.forests.resize_with(c.index() + 1, || None);
+        }
+        &mut self.forests[c.index()]
+    }
+
     /// Drops the cached forest of `c`, forcing a rebuild on next use.
     pub fn invalidate(&mut self, c: Color) {
-        self.forests.remove(&c);
+        if let Some(slot) = self.forests.get_mut(c.index()) {
+            *slot = None;
+        }
     }
 
     /// Drops every cached forest (bulk recoloring with unknown touch set).
@@ -89,8 +101,9 @@ impl ColorConnectivity {
         filter: Option<&dyn Fn(EdgeId) -> bool>,
         c: Color,
     ) -> &mut UnionFind {
-        self.forests.entry(c).or_insert_with(|| {
-            let mut uf = UnionFind::new(self.num_vertices);
+        let n = self.num_vertices;
+        self.slot(c).get_or_insert_with(|| {
+            let mut uf = UnionFind::new(n);
             for (e, u, v) in g.edges() {
                 if coloring.color(e) == Some(c) && filter.is_none_or(|keep| keep(e)) {
                     uf.union(u.index(), v.index());
@@ -105,7 +118,7 @@ impl ColorConnectivity {
     /// [`ColorConnectivity::prime`] + [`ColorConnectivity::insert`]
     /// (shard stitching), where a lazy build could never trigger.
     pub fn cached_forest(&mut self, c: Color) -> Option<&mut UnionFind> {
-        self.forests.get_mut(&c)
+        self.forests.get_mut(c.index())?.as_mut()
     }
 
     /// Whether the color-`c` forest (under `filter`) connects `u` and `v`.
@@ -128,10 +141,10 @@ impl ColorConnectivity {
     /// rebuild scans entirely when the caller replays every colored edge
     /// through `insert`.
     pub fn prime(&mut self, num_colors: usize) {
+        let n = self.num_vertices;
         for c in 0..num_colors {
-            self.forests
-                .entry(Color::new(c))
-                .or_insert_with(|| UnionFind::new(self.num_vertices));
+            self.slot(Color::new(c))
+                .get_or_insert_with(|| UnionFind::new(n));
         }
     }
 
@@ -139,7 +152,7 @@ impl ColorConnectivity {
     /// union when the forest is cached, a no-op otherwise (the lazy build
     /// will see the edge in the coloring).
     pub fn insert(&mut self, c: Color, u: VertexId, v: VertexId) {
-        if let Some(uf) = self.forests.get_mut(&c) {
+        if let Some(uf) = self.cached_forest(c) {
             uf.union(u.index(), v.index());
         }
     }
@@ -182,13 +195,13 @@ impl ColorConnectivity {
             return;
         }
         for &c in &touched {
-            self.forests.insert(c, UnionFind::new(self.num_vertices));
+            *self.slot(c) = Some(UnionFind::new(self.num_vertices));
         }
         for (e, u, v) in g.edges() {
             if let Some(c) = coloring.color(e) {
                 if touched.binary_search(&c).is_ok() && filter.is_none_or(|keep| keep(e)) {
-                    self.forests
-                        .get_mut(&c)
+                    self.forests[c.index()]
+                        .as_mut()
                         .expect("touched colors were just inserted")
                         .union(u.index(), v.index());
                 }

@@ -270,7 +270,17 @@ pub fn validate_partial_forest_decomposition<G: GraphView>(
     coloring: &PartialEdgeColoring,
 ) -> Result<(), ValidationError> {
     check_length(g, coloring.len())?;
-    let classes = group_by_color(g, |e| coloring.color(e));
+    check_classes_are_forests(g, |e| coloring.color(e))
+}
+
+/// The per-class forest check of both forest validators: the first cycle
+/// edge of the lowest color class that has one.
+fn check_classes_are_forests<G, F>(g: &G, color_of: F) -> Result<(), ValidationError>
+where
+    G: GraphView,
+    F: Fn(EdgeId) -> Option<Color>,
+{
+    let classes = group_by_color(g, color_of);
     for (color, edges) in classes {
         let mut uf = UnionFind::new(g.num_vertices());
         for &e in &edges {
@@ -301,7 +311,7 @@ pub fn validate_forest_decomposition<G: GraphView>(
             return Err(ValidationError::TooManyColors { used, bound });
         }
     }
-    validate_partial_forest_decomposition(g, &fd.to_partial())
+    check_classes_are_forests(g, |e| Some(fd.color(e)))
 }
 
 /// Checks that every color class is a *star* forest: every component of each

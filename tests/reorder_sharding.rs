@@ -149,56 +149,75 @@ fn sharded_colors_bounded_and_non_increasing_in_locality() {
     }
 }
 
-/// The exact-α stitch closes the α + 1 gap on the capacity-tight grid
-/// workload: the greedy default settles above α, the
-/// [`StitchPolicy::ExactAlpha`] pass exchanges the overflow back inside
-/// the budget, and both reports validate.
+/// The exact-α stitch closes the gap on the capacity-tight grid workload
+/// (arboricity exactly 2): the [`StitchPolicy::ExactAlpha`] pass reaches α
+/// and both reports validate. With the exact engine on 2 or 4 identity
+/// shards the greedy stitch already lands on α, so no edge overflows and
+/// the pass moves nothing. With HSV on 8 BFS- or RCM-ordered shards the
+/// greedy stitch settles above α, and the pass exchanges its overflow
+/// edges back inside the budget.
 #[test]
 fn exact_alpha_stitch_closes_the_grid_gap() {
     let g = generators::grid(48, 48); // m ≈ 2n: arboricity exactly 2
     let frozen = FrozenGraph::freeze(g);
     let alpha = forest_graph::matroid::arboricity(frozen.csr());
     assert_eq!(alpha, 2, "the grid is the capacity-tight workload");
-    for k in [2usize, 4] {
+    let cases = [
+        (Engine::ExactMatroid, 2usize, ReorderKind::Identity, false),
+        (Engine::ExactMatroid, 4, ReorderKind::Identity, false),
+        (Engine::HarrisSuVu, 8, ReorderKind::Bfs, true),
+        (Engine::HarrisSuVu, 8, ReorderKind::Rcm, true),
+    ];
+    for (engine, k, reorder, overflows) in cases {
+        let case = format!("{engine:?}, k = {k}, {reorder:?}");
         let base = DecompositionRequest::new(ProblemKind::Forest)
-            .with_engine(Engine::ExactMatroid)
+            .with_engine(engine)
+            .with_shard_reorder(reorder)
             .with_seed(13);
         let greedy = Decomposer::new(base.clone())
             .run_sharded(&frozen, k)
             .unwrap();
-        let exact = Decomposer::new(base.with_stitch_policy(StitchPolicy::ExactAlpha))
+        let exact = Decomposer::new(base.clone().with_stitch_policy(StitchPolicy::ExactAlpha))
             .run_sharded(&frozen, k)
             .unwrap();
         greedy.validate(frozen.graph()).unwrap();
         exact.validate(frozen.graph()).unwrap();
         assert_eq!(
             exact.num_colors, alpha,
-            "k = {k}: exact-α stitch must reach exactly α"
+            "{case}: exact-α stitch must reach exactly α"
         );
         assert!(
             greedy.num_colors >= exact.num_colors,
-            "k = {k}: the exchange pass never costs colors"
+            "{case}: the exchange pass never costs colors"
         );
-        // The pass announces itself in the ledger.
-        assert!(exact
+        // The pass announces itself in the ledger, charging one round per
+        // edge it moved.
+        let pass = exact
             .ledger
             .charges()
             .iter()
-            .any(|c| c.label.starts_with("exact-alpha stitch")));
+            .find(|c| c.label.starts_with("exact-alpha stitch"))
+            .expect("the exact-α pass charges the ledger");
+        if overflows {
+            assert!(
+                greedy.num_colors > alpha,
+                "{case}: the greedy stitch must overflow α, used {}",
+                greedy.num_colors
+            );
+            assert!(pass.rounds > 0, "{case}: {}", pass.label);
+        } else {
+            assert_eq!(greedy.num_colors, alpha, "{case}");
+            assert_eq!(pass.rounds, 0, "{case}: {}", pass.label);
+        }
         assert!(greedy
             .ledger
             .charges()
             .iter()
             .all(|c| !c.label.starts_with("exact-alpha stitch")));
         // Deterministic like every other facade path.
-        let again = Decomposer::new(
-            DecompositionRequest::new(ProblemKind::Forest)
-                .with_engine(Engine::ExactMatroid)
-                .with_seed(13)
-                .with_stitch_policy(StitchPolicy::ExactAlpha),
-        )
-        .run_sharded(&frozen, k)
-        .unwrap();
+        let again = Decomposer::new(base.with_stitch_policy(StitchPolicy::ExactAlpha))
+            .run_sharded(&frozen, k)
+            .unwrap();
         assert_eq!(exact.canonical_bytes(), again.canonical_bytes());
     }
 }
@@ -262,12 +281,10 @@ fn fnv(bytes: &[u8]) -> u64 {
 }
 
 /// Golden: the exact-α stitch's bytes on the planted case of
-/// `exact_alpha_stitch_composes_with_reordering`. The grid case of
-/// `exact_alpha_stitch_closes_the_grid_gap` never reaches the
-/// exchange pass (its greedy stitch already lands on α, so no edge
-/// overflows); this one moves 106 overflow edges, many through multi-step
-/// exchanges, so the hash pins how an exchange is replayed into per-color
-/// connectivity.
+/// `exact_alpha_stitch_composes_with_reordering`. It moves 106 overflow
+/// edges, many through multi-step exchanges (the HSV grid cases of
+/// `exact_alpha_stitch_closes_the_grid_gap` move under 20), so the hash
+/// pins how an exchange is replayed into per-color connectivity.
 #[test]
 fn golden_exact_alpha_stitch_moves_overflow_edges() {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(29);

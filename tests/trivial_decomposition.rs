@@ -1,0 +1,178 @@
+//! Algorithm 2 when the network decomposition is trivial.
+//!
+//! When `2(R+R')` reaches the diameter bound, the decomposition of
+//! `G^{2(R+R')}` is one cluster per connected component, so CUT has
+//! nothing to cut and every edge is colored by augmentation over its whole
+//! component. The goldens here pin that path's full output — colors,
+//! leftover (in order), fallback counters, ledger and report bytes — on
+//! the inputs where a shortcut could go wrong:
+//!
+//! * palettes too small for the arboricity, so most augmentations fail and
+//!   the failure fallback (unrestricted retry, then leftover) runs;
+//! * several components whose vertex and edge ids interleave, so coloring
+//!   edges in global id order differs from coloring them component by
+//!   component, under both CUT rules.
+
+use forest_decomp::algorithm2::{algorithm2_frozen, Algorithm2Config, Algorithm2Output};
+use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind};
+use forest_decomp::CutStrategyKind;
+use forest_graph::{generators, CsrGraph, EdgeId, ListAssignment, MultiGraph, VertexId};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
+/// FNV-1a over a byte string, as in `tests/power_view.rs`.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// One hash over everything Algorithm 2 returns that a later phase reads:
+/// every edge's color, the leftover in order, the counters and the ledger.
+fn output_hash(out: &Algorithm2Output) -> u64 {
+    let mut bytes = Vec::new();
+    let mut word = |x: u64| bytes.extend_from_slice(&x.to_le_bytes());
+    for e in 0..out.coloring.len() {
+        word(
+            out.coloring
+                .color(EdgeId::new(e))
+                .map_or(u64::MAX, |c| c.index() as u64),
+        );
+    }
+    word(out.leftover.len() as u64);
+    for e in &out.leftover {
+        word(e.index() as u64);
+    }
+    for x in [
+        out.fallback_unrestricted,
+        out.fallback_uncolored,
+        out.forced_cut_removals,
+        out.max_cut_load,
+        out.num_classes,
+        out.num_clusters,
+        out.radii.0,
+        out.radii.1,
+        usize::from(out.all_cuts_good),
+    ] {
+        word(x as u64);
+    }
+    for charge in out.ledger.charges() {
+        bytes.extend_from_slice(charge.label.as_bytes());
+        bytes.extend_from_slice(&(charge.rounds as u64).to_le_bytes());
+    }
+    fnv(&bytes)
+}
+
+/// Algorithm 2 with `palette`-color uniform palettes and the given α bound.
+fn run_algorithm2(
+    g: &MultiGraph,
+    alpha: usize,
+    palette: usize,
+    cut: CutStrategyKind,
+) -> Algorithm2Output {
+    let lists = ListAssignment::uniform(g.num_edges(), palette);
+    let mut config = Algorithm2Config::new(0.5, alpha);
+    config.cut = cut;
+    let csr = CsrGraph::from_multigraph(g);
+    algorithm2_frozen(&csr, &lists, &config, &mut StdRng::seed_from_u64(5)).unwrap()
+}
+
+fn planted_60() -> MultiGraph {
+    generators::planted_forest_union(60, 3, &mut StdRng::seed_from_u64(3))
+}
+
+/// Three `planted_forest_union(n, 3)` graphs on one vertex set, graph
+/// `i`'s vertex `v` relabelled `3v + i`, their edges added in a seeded
+/// shuffle: three components whose vertex ids and edge ids interleave.
+fn interleaved_components(n: usize) -> MultiGraph {
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    for i in 0..3 {
+        let part = generators::planted_forest_union(n, 3, &mut StdRng::seed_from_u64(40 + i));
+        for (_, u, v) in part.edges() {
+            edges.push((3 * u.index() + i as usize, 3 * v.index() + i as usize));
+        }
+    }
+    edges.shuffle(&mut StdRng::seed_from_u64(43));
+    let mut g = MultiGraph::new(3 * n);
+    for (u, v) in edges {
+        g.add_edge(VertexId::new(u), VertexId::new(v)).unwrap();
+    }
+    g
+}
+
+fn forest_request(seed: u64) -> DecompositionRequest {
+    DecompositionRequest::new(ProblemKind::Forest)
+        .with_engine(Engine::HarrisSuVu)
+        .with_epsilon(0.5)
+        .with_seed(seed)
+}
+
+/// Golden: with α = 1 the palettes hold 2 colors, too few for a planted
+/// arboricity-3 graph, so 59 augmentations fail; each is retried without
+/// restriction, fails again and joins the leftover.
+#[test]
+fn golden_augmentation_failure_fallback() {
+    let g = planted_60();
+    let out = run_algorithm2(&g, 1, 2, CutStrategyKind::DepthModulo);
+    assert_eq!(out.leftover.len(), 59);
+    assert_eq!(out.fallback_unrestricted, 59);
+    assert_eq!(out.fallback_uncolored, 59);
+    assert_eq!(out.num_classes, 1);
+    assert!(out.all_cuts_good);
+    assert_eq!(out.forced_cut_removals, 0);
+    assert_eq!(out.max_cut_load, 0);
+    assert_eq!(output_hash(&out), 0x354663aa9ca8dbc5);
+    // The facade recolors those 59 edges as fresh star forests.
+    let report = Decomposer::new(forest_request(7).with_alpha(1))
+        .run(&g)
+        .unwrap();
+    assert_eq!(report.num_colors, 7);
+    assert_eq!(report.leftover_edges, 59);
+    assert_eq!(fnv(&report.canonical_bytes()), 0x8a59abbe1df55040);
+}
+
+/// Golden: components interleaved in vertex and edge ids, under both CUT
+/// rules, through Algorithm 2 directly (one cluster per component, with
+/// and without failing augmentations) and through the facade.
+#[test]
+fn golden_interleaved_components_under_both_cut_rules() {
+    let g = interleaved_components(300);
+    // Failing searches cost a whole-component growth each; a smaller
+    // instance keeps the test fast.
+    let small = interleaved_components(60);
+    let cases = [
+        (
+            CutStrategyKind::DepthModulo,
+            [
+                0xf39d65352a4aa0e0u64,
+                0x6c1ba489a8e91ba1,
+                0x784590642a241ab9,
+            ],
+        ),
+        (
+            CutStrategyKind::ConditionedSampling,
+            [0x3a3871f73ccf291b, 0xe8d77e6334d3d0a0, 0x220aa2bb7611a09f],
+        ),
+    ];
+    for (cut, [colored, failing, report_hash]) in cases {
+        let out = run_algorithm2(&g, 3, 5, cut);
+        assert_eq!((out.num_classes, out.num_clusters), (1, 3), "{cut:?}");
+        assert!(out.leftover.is_empty(), "{cut:?}");
+        assert_eq!(output_hash(&out), colored, "{cut:?}");
+        // Failures in every component: the leftover keeps its order.
+        let out = run_algorithm2(&small, 1, 2, cut);
+        assert_eq!(out.leftover.len(), 177, "{cut:?}");
+        assert_eq!(out.fallback_unrestricted, 177, "{cut:?}");
+        assert_eq!(out.fallback_uncolored, 177, "{cut:?}");
+        assert_eq!(output_hash(&out), failing, "{cut:?}");
+        let report = Decomposer::new(forest_request(11).with_cut(cut))
+            .run(&g)
+            .unwrap();
+        assert_eq!(report.arboricity, 3, "{cut:?}");
+        assert_eq!(fnv(&report.canonical_bytes()), report_hash, "{cut:?}");
+    }
+}
