@@ -3,10 +3,8 @@
 //! Barenboim-Elkin baseline — both LOCAL rows driven through the `Decomposer`.
 
 use bench::{multigraph_suite, TextTable};
-use forest_decomp::api::{
-    Artifact, Decomposer, DecompositionRequest, Engine, FrozenGraph, ProblemKind,
-};
-use forest_graph::{matroid, orientation};
+use forest_decomp::api::{Artifact, Decomposer, DecompositionRequest, Engine, ProblemKind};
+use forest_graph::{matroid, orientation, CsrGraph};
 
 fn orientation_row(report: &forest_decomp::DecompositionReport) -> (usize, usize) {
     let Artifact::Orientation { max_out_degree, .. } = &report.artifact else {
@@ -28,7 +26,7 @@ fn main() {
     for workload in multigraph_suite(17) {
         let g = &workload.graph;
         // One freeze per workload; both LOCAL rows run via `GraphInput`.
-        let frozen = FrozenGraph::freeze(g.clone());
+        let frozen = CsrGraph::from_multigraph(g);
         let alpha = matroid::arboricity(g);
         let alpha_star = orientation::pseudoarboricity(g);
 

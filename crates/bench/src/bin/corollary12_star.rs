@@ -5,10 +5,8 @@
 //! constructions run through the `Decomposer` facade.
 
 use bench::{simple_suite, TextTable};
-use forest_decomp::api::{
-    Decomposer, DecompositionRequest, Engine, FrozenGraph, PaletteSpec, ProblemKind,
-};
-use forest_graph::matroid;
+use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, PaletteSpec, ProblemKind};
+use forest_graph::{matroid, CsrGraph};
 
 fn main() {
     let epsilon = 0.25;
@@ -24,7 +22,7 @@ fn main() {
         let graph = g.graph();
         // One freeze per workload; all three constructions share it through
         // the facade's `GraphInput` frozen path.
-        let frozen = FrozenGraph::freeze(graph.clone());
+        let frozen = CsrGraph::from_multigraph(graph);
         let alpha = matroid::arboricity(graph);
         let delta = graph.max_degree();
         let mut row = |method: String, colors: String, excess: String| {

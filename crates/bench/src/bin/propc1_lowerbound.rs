@@ -4,15 +4,15 @@
 //! and print the achieved diameter next to the theoretical 1/eps scale.
 
 use bench::TextTable;
-use forest_decomp::api::{Decomposer, DecompositionRequest, FrozenGraph, ProblemKind};
+use forest_decomp::api::{Decomposer, DecompositionRequest, ProblemKind};
 use forest_decomp::DiameterTarget;
-use forest_graph::generators;
+use forest_graph::{generators, CsrGraph};
 
 fn main() {
     let multiplicity = 4usize;
     // Freeze the fat path once for the whole eps sweep (the facade's
     // `GraphInput` frozen path; one CSR conversion instead of four).
-    let frozen = FrozenGraph::freeze(generators::fat_path(400, multiplicity));
+    let frozen = CsrGraph::from_multigraph(&generators::fat_path(400, multiplicity));
     let mut table = TextTable::new(&[
         "eps",
         "colors used",

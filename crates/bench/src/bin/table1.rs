@@ -4,11 +4,9 @@
 //! every row produced by the same `Decomposer` request shape.
 
 use bench::{multigraph_suite, TextTable};
-use forest_decomp::api::{
-    Decomposer, DecompositionRequest, Engine, FrozenGraph, PaletteSpec, ProblemKind,
-};
+use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, PaletteSpec, ProblemKind};
 use forest_decomp::DiameterTarget;
-use forest_graph::{matroid, orientation};
+use forest_graph::{matroid, orientation, CsrGraph};
 
 fn main() {
     let epsilon = 0.5;
@@ -26,7 +24,7 @@ fn main() {
         let g = &workload.graph;
         // Freeze once per workload: all four rows below run through the
         // facade's `GraphInput` frozen path, sharing one CSR conversion.
-        let frozen = FrozenGraph::freeze(g.clone());
+        let frozen = CsrGraph::from_multigraph(g);
         let alpha = matroid::arboricity(g);
         let alpha_star = orientation::pseudoarboricity(g);
         let mut row = |label: &str, lists: &str, report: &forest_decomp::DecompositionReport| {

@@ -5,9 +5,9 @@
 //! variants run through the `Decomposer` facade.
 
 use bench::{simple_suite, TextTable};
-use forest_decomp::api::{Decomposer, DecompositionRequest, FrozenGraph, PaletteSpec, ProblemKind};
+use forest_decomp::api::{Decomposer, DecompositionRequest, PaletteSpec, ProblemKind};
 
-use forest_graph::matroid;
+use forest_graph::{matroid, CsrGraph};
 
 fn main() {
     let mut table = TextTable::new(&[
@@ -26,7 +26,7 @@ fn main() {
         let graph = g.graph();
         // One freeze per workload, shared by the whole eps sweep below via
         // the facade's `GraphInput` frozen path.
-        let frozen = FrozenGraph::freeze(graph.clone());
+        let frozen = CsrGraph::from_multigraph(graph);
         let alpha = matroid::arboricity(graph);
         let delta = graph.max_degree() as f64;
         let reference = delta.log2().sqrt() + (alpha as f64).log2().max(0.0);

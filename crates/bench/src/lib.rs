@@ -1,10 +1,12 @@
 //! Shared harness for the experiment binaries.
 //!
 //! Every table and figure of the paper has a regeneration binary under
-//! `src/bin/` (see `DESIGN.md` for the experiment index and `EXPERIMENTS.md`
-//! for the paper-vs-measured comparison). This library holds the common
-//! pieces: workload construction, measurement records and plain-text table
-//! rendering.
+//! `src/bin/`, named after the result it regenerates (`table1`,
+//! `figure3_cut`, `theorem54_sfd`, ...); each binary's own doc comment says
+//! which claim it prints and how. `obs_smoke` is the instrumented
+//! end-to-end trace run, and timing lives in `crates/perfbench`. This
+//! library holds the common pieces: workload construction, measurement
+//! records and plain-text table rendering.
 
 #![forbid(unsafe_code)]
 

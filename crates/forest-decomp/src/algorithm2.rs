@@ -95,12 +95,6 @@ pub struct Algorithm2Config {
     /// Override for the augmentation radius `R'` (`None` = derive
     /// `Θ(log n / ε)`).
     pub locality_radius: Option<usize>,
-    /// Deterministically complete CUT when the randomized rule leaves an
-    /// escaping path (keeps the output exact at bench scale).
-    pub force_good_cut: bool,
-    /// Cap on the growth iterations of each augmenting-sequence search
-    /// (`None` = `4 + 8·⌈log₂ n / ε⌉`).
-    pub max_augment_iterations: Option<usize>,
 }
 
 impl Algorithm2Config {
@@ -112,15 +106,7 @@ impl Algorithm2Config {
             cut: CutStrategyKind::DepthModulo,
             cut_radius: None,
             locality_radius: None,
-            force_good_cut: true,
-            max_augment_iterations: None,
         }
-    }
-
-    /// Switches to the conditioned-sampling CUT rule.
-    pub fn with_conditioned_sampling(mut self) -> Self {
-        self.cut = CutStrategyKind::ConditionedSampling;
-        self
     }
 
     /// Overrides both radii (useful for benchmarks that want to exercise CUT
@@ -240,9 +226,9 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
     let cut_radius = config
         .cut_radius
         .unwrap_or_else(|| 2 * derived_radius(n, config.epsilon));
-    let max_iterations = config
-        .max_augment_iterations
-        .unwrap_or_else(|| 4 + 8 * derived_radius(n, config.epsilon));
+    // Cap on the growth iterations of each augmenting-sequence search: the
+    // derived radius, whatever radii the config overrides.
+    let max_iterations = 4 + 8 * derived_radius(n, config.epsilon);
 
     // Prepare the CUT state. Conditioned sampling needs a fixed orientation J
     // with out-degree O(alpha*).
@@ -441,7 +427,10 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
                 &view,
                 &strategy,
                 &mut cut_state,
-                config.force_good_cut,
+                // Complete CUT deterministically when the randomized rule
+                // leaves an escaping path (keeps the output exact at bench
+                // scale).
+                true,
                 rng,
                 &mut cut_scratch,
             );
@@ -652,9 +641,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let g = generators::fat_path(80, 2);
         let lists = ListAssignment::uniform(g.num_edges(), 3);
-        let config = Algorithm2Config::new(0.5, 2)
-            .with_conditioned_sampling()
-            .with_radii(10, 5);
+        let mut config = Algorithm2Config::new(0.5, 2).with_radii(10, 5);
+        config.cut = CutStrategyKind::ConditionedSampling;
         let csr = CsrGraph::from_multigraph(&g);
         let out = algorithm2_frozen(&csr, &lists, &config, &mut rng).unwrap();
         check_output(&g, &lists, &out);

@@ -278,7 +278,7 @@ impl DynamicDecomposer {
                 problem: request.problem,
             });
         }
-        if !super::engines::engine_for(request.engine).supports(request.problem) {
+        if !super::engines::supports(request.engine, request.problem) {
             return Err(FdError::UnsupportedCombination {
                 problem: request.problem,
                 engine: request.engine,

@@ -1,18 +1,20 @@
 //! The [`GraphInput`] conversion layer: every representation a
 //! [`Decomposer`](super::Decomposer) accepts, funneled into one type.
 //!
-//! The facade used to take `&MultiGraph` only; `GraphInput` generalizes the
-//! entrypoints without breaking them — `run(&graph)` still compiles via
-//! `From<&MultiGraph>` — while opening two more front doors:
+//! Every engine reads one zero-copy [`CsrRef`], and [`GraphInput::resolve`]
+//! is where each representation becomes one:
 //!
-//! * [`GraphInput::from_mmap`] — an on-disk CSR file
-//!   ([`MmapCsr`](forest_graph::MmapCsr)): engines run straight over the
-//!   mapped arrays through a zero-copy
-//!   [`CsrRef`](forest_graph::CsrRef), and the run's
+//! * `&MultiGraph` / `MultiGraph` are frozen with
+//!   [`CsrGraph::from_multigraph`], once per run;
+//! * `&CsrGraph` / `CsrGraph` — graphs the caller froze once, for repeated
+//!   runs — are borrowed as they are;
+//! * [`GraphInput::from_mmap`] loads an on-disk CSR file ([`MmapCsr`]), and
+//!   engines run straight over the mapped arrays; the run's
 //!   [`canonical_bytes`](super::DecompositionReport::canonical_bytes) are
 //!   byte-identical to the owned-storage run of the same request.
-//! * `From<FrozenGraph>` / `From<&FrozenGraph>` — pre-frozen graphs, owned
-//!   or borrowed.
+//!
+//! No representation is ever turned back into adjacency lists: every
+//! pipeline, the star-forest ones included, reads the CSR.
 //!
 //! Every `run*` entrypoint takes these conversions, including
 //! [`run_batch`](super::Decomposer::run_batch) (any iterator of them) and
@@ -20,35 +22,30 @@
 //! itself and stitches the shard boundaries through the private `stitch`
 //! module it shares with
 //! [`run_out_of_core`](super::Decomposer::run_out_of_core) (which reads a
-//! file path, not a `GraphInput`, and cuts the identity order only). Mmap
-//! inputs are **CSR-only**: no adjacency-list twin is ever
-//! materialized — forest and orientation pipelines are CSR-generic end to
-//! end, and the few simple-graph pipelines thaw on demand inside the run.
+//! file path, not a `GraphInput`, and cuts the identity order only).
 
-use super::engines::FrozenInput;
-use super::FrozenGraph;
 use crate::error::FdError;
-use forest_graph::{CsrGraph, GraphView, MmapCsr, MultiGraph, OwnedCsr};
+use forest_graph::{CsrGraph, CsrRef, MmapCsr, MultiGraph, OwnedCsr};
 use std::path::Path;
 
 /// Any graph a [`Decomposer`](super::Decomposer) can run on.
 ///
 /// Construct one with the `From` conversions (`&MultiGraph`, `MultiGraph`,
-/// `&FrozenGraph`, `FrozenGraph`) or [`from_mmap`](GraphInput::from_mmap);
-/// the `run*` entrypoints take `impl Into<GraphInput>`, so call sites
-/// usually never name this type.
+/// `&CsrGraph`, `CsrGraph`) or [`from_mmap`](GraphInput::from_mmap); the
+/// `run*` entrypoints take `impl Into<GraphInput>`, so call sites usually
+/// never name this type.
 #[derive(Debug)]
 pub enum GraphInput<'a> {
     /// A borrowed multigraph, frozen once per run.
     Borrowed(&'a MultiGraph),
     /// An owned multigraph, frozen once per run.
     Owned(Box<MultiGraph>),
-    /// A borrowed pre-frozen graph (no conversion at run time).
-    Frozen(&'a FrozenGraph),
-    /// An owned pre-frozen graph (no conversion at run time).
-    OwnedFrozen(Box<FrozenGraph>),
+    /// A borrowed frozen graph (no conversion at run time).
+    Frozen(&'a CsrGraph),
+    /// An owned frozen graph (no conversion at run time).
+    OwnedFrozen(Box<CsrGraph>),
     /// An mmap-backed CSR: engines consume the mapped arrays directly
-    /// (zero-copy view); nothing is thawed.
+    /// (zero-copy view).
     Mmap(Box<MmapCsr>),
 }
 
@@ -68,45 +65,15 @@ impl<'a> GraphInput<'a> {
         Ok(GraphInput::Mmap(Box::new(csr)))
     }
 
-    /// The adjacency-list form of the input, when one exists (`None` for the
-    /// CSR-only mmap variant, which never thaws).
-    pub fn multigraph(&self) -> Option<&MultiGraph> {
+    /// The frozen view engines consume, freezing into `scratch` when the
+    /// input arrived unfrozen. Zero-copy for every already-frozen variant.
+    pub(super) fn resolve<'s>(&'s self, scratch: &'s mut Option<OwnedCsr>) -> CsrRef<'s> {
         match self {
-            GraphInput::Borrowed(g) => Some(g),
-            GraphInput::Owned(g) => Some(g),
-            GraphInput::Frozen(f) => Some(f.graph()),
-            GraphInput::OwnedFrozen(f) => Some(f.graph()),
-            GraphInput::Mmap(_) => None,
-        }
-    }
-
-    /// Number of edges of the input.
-    pub fn num_edges(&self) -> usize {
-        match self {
-            GraphInput::Borrowed(g) => g.num_edges(),
-            GraphInput::Owned(g) => g.num_edges(),
-            GraphInput::Frozen(f) => f.csr().num_edges(),
-            GraphInput::OwnedFrozen(f) => f.csr().num_edges(),
-            GraphInput::Mmap(m) => m.num_edges(),
-        }
-    }
-
-    /// Resolves the input to the `(graph, csr)` pair engines consume,
-    /// freezing into `scratch` when the input arrived unfrozen. Zero-copy
-    /// for every already-frozen variant.
-    pub(super) fn resolve<'s>(&'s self, scratch: &'s mut Option<OwnedCsr>) -> FrozenInput<'s> {
-        match self {
-            GraphInput::Borrowed(g) => {
-                let csr = scratch.insert(CsrGraph::from_multigraph(g));
-                FrozenInput::new(g, csr.view())
-            }
-            GraphInput::Owned(g) => {
-                let csr = scratch.insert(CsrGraph::from_multigraph(g));
-                FrozenInput::new(g, csr.view())
-            }
-            GraphInput::Frozen(f) => f.input(),
-            GraphInput::OwnedFrozen(f) => f.input(),
-            GraphInput::Mmap(m) => FrozenInput::from_csr(m.view()),
+            GraphInput::Borrowed(g) => scratch.insert(CsrGraph::from_multigraph(g)).view(),
+            GraphInput::Owned(g) => scratch.insert(CsrGraph::from_multigraph(g)).view(),
+            GraphInput::Frozen(csr) => csr.view(),
+            GraphInput::OwnedFrozen(csr) => csr.view(),
+            GraphInput::Mmap(m) => m.view(),
         }
     }
 }
@@ -123,15 +90,15 @@ impl From<MultiGraph> for GraphInput<'static> {
     }
 }
 
-impl<'a> From<&'a FrozenGraph> for GraphInput<'a> {
-    fn from(f: &'a FrozenGraph) -> Self {
-        GraphInput::Frozen(f)
+impl<'a> From<&'a CsrGraph> for GraphInput<'a> {
+    fn from(csr: &'a CsrGraph) -> Self {
+        GraphInput::Frozen(csr)
     }
 }
 
-impl From<FrozenGraph> for GraphInput<'static> {
-    fn from(f: FrozenGraph) -> Self {
-        GraphInput::OwnedFrozen(Box::new(f))
+impl From<CsrGraph> for GraphInput<'static> {
+    fn from(csr: CsrGraph) -> Self {
+        GraphInput::OwnedFrozen(Box::new(csr))
     }
 }
 
@@ -143,18 +110,18 @@ mod tests {
     #[test]
     fn conversions_agree_on_the_graph() {
         let g = generators::grid(4, 4);
-        let frozen = FrozenGraph::freeze(g.clone());
+        let frozen = CsrGraph::from_multigraph(&g);
         let borrowed: GraphInput<'_> = (&g).into();
         let owned: GraphInput<'_> = g.clone().into();
         let fref: GraphInput<'_> = (&frozen).into();
         let fown: GraphInput<'_> = frozen.clone().into();
         for input in [&borrowed, &owned, &fref, &fown] {
-            assert_eq!(input.multigraph(), Some(&g));
-            assert_eq!(input.num_edges(), g.num_edges());
             let mut scratch = None;
             let resolved = input.resolve(&mut scratch);
-            assert_eq!(resolved.multigraph(), Some(&g));
-            assert_eq!(resolved.csr, frozen.csr().view());
+            assert_eq!(resolved, frozen.view());
+            // Only the unfrozen variants freeze.
+            let froze = matches!(input, GraphInput::Borrowed(_) | GraphInput::Owned(_));
+            assert_eq!(scratch.is_some(), froze);
         }
     }
 

@@ -15,17 +15,17 @@
 //! work interchangeably and produce byte-identical reports for the same
 //! topology and seed:
 //!
-//! * `&MultiGraph` / `MultiGraph` — frozen to CSR once per run;
-//! * [`&FrozenGraph`](FrozenGraph) / `FrozenGraph` — pre-frozen, zero
-//!   conversions on the hot path;
+//! * `&MultiGraph` / `MultiGraph` — frozen to a
+//!   [`CsrGraph`](forest_graph::CsrGraph) once per run;
+//! * `&CsrGraph` / `CsrGraph` — frozen once by the caller
+//!   ([`CsrGraph::from_multigraph`](forest_graph::CsrGraph::from_multigraph)),
+//!   zero conversions on the hot path;
 //! * [`GraphInput::from_mmap`] — an on-disk CSR file
 //!   ([`MmapCsr`](forest_graph::MmapCsr), versioned little-endian format);
-//!   engines run directly over the mapped arrays through a zero-copy
-//!   [`CsrRef`].
+//!   engines run directly over the mapped arrays.
 //!
-//! Mmap inputs are CSR-only end to end: every forest and orientation
-//! pipeline is `GraphView`-generic, so no adjacency-list twin is ever
-//! materialized for them.
+//! Each input becomes one zero-copy [`CsrRef`], and every engine reads that
+//! view and the request, nothing else: no pipeline sees adjacency lists.
 //!
 //! # Scale: batching and sharding
 //!
@@ -37,12 +37,13 @@
 //!
 //! * [`Decomposer::run_batch`] fans one request across any iterator of
 //!   inputs on all cores, with per-input derived seeds ([`derive_seed`]) —
-//!   many graphs, or one [`FrozenGraph`] repeated for a seed sweep;
+//!   many graphs, or one frozen [`CsrGraph`](forest_graph::CsrGraph)
+//!   repeated for a seed sweep;
 //! * [`Decomposer::run_sharded`] decomposes one *large* graph by splitting
 //!   its frozen topology into zero-copy shards — along an opt-in BFS/RCM
 //!   locality order ([`ShardingSpec`], [`ReorderKind`]) when vertex ids are
 //!   not already banded — decomposing them in parallel straight over the
-//!   borrowed views (no per-shard thaw);
+//!   borrowed views;
 //! * [`Decomposer::run_out_of_core`] does the same from an on-disk CSR file
 //!   under a memory budget, one shard at a time (identity order only).
 //!
@@ -92,7 +93,6 @@ pub mod versioned;
 pub use dynamic::{
     BatchReport, DeltaReport, DynamicDecomposer, DynamicStats, EdgeUpdate, UpdatePath,
 };
-pub use engines::{DecompositionEngine, EngineOutcome, FrozenInput, ShardOutcome};
 pub use input::GraphInput;
 pub use oocore::{OocConfig, OocOutcome, OocStats};
 pub use report::{Artifact, DecompositionReport, Validate, ValidationStatus};
@@ -104,7 +104,8 @@ pub use versioned::{ArboricityWatermark, ColoringSnapshot, SnapshotReader, Versi
 pub use forest_graph::ReorderKind;
 
 use crate::error::FdError;
-use forest_graph::{Color, CsrGraph, CsrPartition, CsrRef, GraphView, ListAssignment, MultiGraph};
+use engines::ShardOutcome;
+use forest_graph::{Color, CsrPartition, CsrRef, GraphView, ListAssignment};
 use forest_obs::{clock::Stopwatch, LazyCounter, LazyHistogram, Span};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -114,53 +115,6 @@ use stitch::Stitch;
 /// Facade-level run accounting in the `forest-obs` registry.
 static FACADE_RUNS: LazyCounter = LazyCounter::new("facade.runs_total");
 static FACADE_RUN_NANOS: LazyHistogram = LazyHistogram::new("facade.run_nanos");
-
-/// A graph frozen for decomposition: the original [`MultiGraph`] paired with
-/// its [`CsrGraph`] view, built once and reusable across any number of runs.
-///
-/// [`Decomposer::run`] freezes internally, so one-off callers never see this
-/// type; freeze explicitly (and pass `&frozen` to [`Decomposer::run`], or
-/// `iter::repeat_n(&frozen, n)` to [`Decomposer::run_batch`]) when the same
-/// graph is decomposed more than once — repeated requests, seed sweeps,
-/// engine comparisons — to pay the `O(n + m)` conversion a single time.
-/// [`Decomposer::run_sharded`] takes `&frozen` too and splits it per call;
-/// [`Decomposer::run_out_of_core`] reads an on-disk CSR file instead and
-/// cuts the identity order only. Both stitch shard boundaries through the
-/// one private `stitch` module.
-#[derive(Clone, Debug)]
-pub struct FrozenGraph {
-    graph: MultiGraph,
-    csr: CsrGraph,
-}
-
-impl FrozenGraph {
-    /// Freezes `graph` (one `O(n + m)` CSR construction).
-    pub fn freeze(graph: MultiGraph) -> Self {
-        let csr = CsrGraph::from_multigraph(&graph);
-        FrozenGraph { graph, csr }
-    }
-
-    /// The original multigraph.
-    pub fn graph(&self) -> &MultiGraph {
-        &self.graph
-    }
-
-    /// The frozen CSR topology.
-    pub fn csr(&self) -> &CsrGraph {
-        &self.csr
-    }
-
-    /// The borrowed pair handed to engines.
-    pub fn input(&self) -> FrozenInput<'_> {
-        FrozenInput::new(&self.graph, self.csr.view())
-    }
-}
-
-impl From<MultiGraph> for FrozenGraph {
-    fn from(graph: MultiGraph) -> Self {
-        FrozenGraph::freeze(graph)
-    }
-}
 
 /// Derives the seed used for graph `index` of a batch run with base seed
 /// `base`.
@@ -199,8 +153,8 @@ impl Decomposer {
     }
 
     /// Runs the request on any [`GraphInput`] — `&MultiGraph`,
-    /// `&FrozenGraph`, [`GraphInput::from_mmap`] outputs — with the
-    /// request's own seed.
+    /// `&CsrGraph`, [`GraphInput::from_mmap`] outputs — with the request's
+    /// own seed.
     ///
     /// The input is frozen at most once (not at all when it arrives frozen),
     /// and identical topologies produce byte-identical reports regardless of
@@ -223,11 +177,11 @@ impl Decomposer {
     /// Runs the request across many inputs in parallel (one rayon task per
     /// input), input `i` using [`derive_seed`]`(request.seed, i)`. Any
     /// iterator of [`GraphInput`] conversions works: `&graphs` for a slice
-    /// of multigraphs, `iter::repeat_n(&frozen, n)` for a seed sweep over
-    /// one [`FrozenGraph`] (frozen once for the whole sweep), or a mix of
-    /// kinds. Results come back in input order; per-input failures do not
-    /// abort the batch. Each unfrozen input is frozen exactly once, inside
-    /// its own task.
+    /// of multigraphs, `iter::repeat_n(&csr, n)` for a seed sweep over one
+    /// [`CsrGraph`](forest_graph::CsrGraph) (frozen once for the whole
+    /// sweep), or a mix of kinds. Results come back in input order;
+    /// per-input failures do not abort the batch. Each unfrozen input is
+    /// frozen exactly once, inside its own task.
     pub fn run_batch<'a, I>(&self, inputs: I) -> Vec<Result<DecompositionReport, FdError>>
     where
         I: IntoIterator,
@@ -255,10 +209,10 @@ impl Decomposer {
     /// ([`CsrPartition`]) — along a
     /// locality-improving BFS/RCM order when the request's [`ShardingSpec`]
     /// asks for one — decomposes every shard's internal edges in parallel
-    /// straight over the borrowed `CsrRef` views (no per-shard thaw; shard
-    /// `i` seeded with [`derive_seed`]`(seed, i)`), merges the per-shard
-    /// forests directly (shards are vertex-disjoint, so same-colored trees
-    /// never touch), and stitches the explicit boundary-edge list through
+    /// straight over the borrowed `CsrRef` views (shard `i` seeded with
+    /// [`derive_seed`]`(seed, i)`), merges the per-shard forests directly
+    /// (shards are vertex-disjoint, so same-colored trees never touch), and
+    /// stitches the explicit boundary-edge list through
     /// the two-phase stitch of the private `stitch` module — the paper's
     /// compose-per-part-partitions-plus-leftover shape, shared with
     /// [`Decomposer::run_out_of_core`].
@@ -295,27 +249,26 @@ impl Decomposer {
         let _span = Span::enter("decomp.run_sharded");
         let start = Stopwatch::start();
         let request = &self.request;
-        let engine = stitch::sharded_engine(request)?;
+        stitch::check_sharded(request)?;
         if num_shards == 0 {
             return Err(FdError::InvalidShardCount { requested: 0 });
         }
         let input = input.into();
         let mut scratch = None;
-        let csr = input.resolve(&mut scratch).csr;
+        let csr = input.resolve(&mut scratch);
         let partition = match request.sharding.reorder.order(&csr) {
             None => CsrPartition::split(&csr, num_shards),
             Some(perm) => CsrPartition::split_ordered(&csr, num_shards, &perm),
         };
         let k = partition.num_shards();
-        // Decompose every shard in parallel over zero-copy views — no thaw,
-        // no adjacency twin; results come back in shard order, so the merge
-        // below is deterministic.
+        // Decompose every shard in parallel over zero-copy views; results
+        // come back in shard order, so the merge below is deterministic.
         let shard_ids: Vec<usize> = (0..k).collect();
         let per_shard: Vec<Result<ShardOutcome, FdError>> = shard_ids
             .par_iter()
             .map(|&s| {
                 let mut rng = SmallRng::seed_from_u64(derive_seed(request.seed, s as u64));
-                engine.decompose_shard(partition.shard(s), request, &mut rng)
+                engines::decompose_shard(partition.shard(s), request, &mut rng)
             })
             .collect();
         let per_shard = per_shard
@@ -358,23 +311,18 @@ impl Decomposer {
         Ok(report)
     }
 
-    fn run_seeded(
-        &self,
-        input: FrozenInput<'_>,
-        seed: u64,
-    ) -> Result<DecompositionReport, FdError> {
+    fn run_seeded(&self, csr: CsrRef<'_>, seed: u64) -> Result<DecompositionReport, FdError> {
         let _span = Span::enter("decomp.run");
         let start = Stopwatch::start();
         let request = &self.request;
-        let engine = engines::engine_for(request.engine);
-        if !engine.supports(request.problem) {
+        if !engines::supports(request.engine, request.problem) {
             return Err(FdError::UnsupportedCombination {
                 problem: request.problem,
                 engine: request.engine,
             });
         }
         let mut rng = SmallRng::seed_from_u64(seed);
-        let (lists, resolved_alpha) = self.resolve_lists(&input.csr, &mut rng)?;
+        let (lists, resolved_alpha) = self.resolve_lists(&csr, &mut rng)?;
         // If palette resolution already paid for the exact arboricity, hand
         // the value to the engine instead of letting it recompute it.
         let effective;
@@ -385,12 +333,12 @@ impl Decomposer {
             }
             _ => request,
         };
-        let outcome = engine.execute(input, request, lists.as_ref(), &mut rng)?;
+        let outcome = engines::execute(csr, request, lists.as_ref(), &mut rng)?;
         let mut report = DecompositionReport {
             problem: request.problem,
             engine: request.engine,
             seed,
-            num_edges: input.csr.num_edges(),
+            num_edges: csr.num_edges(),
             artifact: outcome.artifact,
             lists,
             arboricity: outcome.arboricity,
@@ -405,7 +353,7 @@ impl Decomposer {
         FACADE_RUN_NANOS.observe(start.elapsed_nanos());
         if request.validate {
             let _span = Span::enter("decomp.validate");
-            report.validate(&input.csr)?;
+            report.validate(&csr)?;
             report.validation = ValidationStatus::Validated;
         }
         Ok(report)
@@ -429,6 +377,7 @@ impl Decomposer {
         let lists = match &request.palettes {
             PaletteSpec::Auto => {
                 let alpha = request.alpha.unwrap_or_else(|| {
+                    let _span = Span::enter("decomp.arboricity");
                     let exact = forest_graph::matroid::arboricity(csr);
                     computed_alpha = Some(exact.max(1));
                     exact
@@ -461,7 +410,7 @@ impl Decomposer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use forest_graph::generators;
+    use forest_graph::{generators, CsrGraph};
 
     #[test]
     fn derive_seed_is_stable_and_spread() {
@@ -529,16 +478,15 @@ mod tests {
 
     #[test]
     fn direct_engine_use_without_lists_fails_typed() {
-        // The DecompositionEngine trait is the seam future layers plug into;
-        // driving it directly without resolved palettes must not panic.
-        let g = generators::path(6);
-        let frozen = FrozenGraph::freeze(g);
-        let request = DecompositionRequest::new(ProblemKind::ListForest);
+        // Dispatching a list problem without resolved palettes (every caller
+        // but the facade's run path) must fail typed, not panic.
+        let csr = CsrGraph::from_multigraph(&generators::path(6));
         let mut rng = SmallRng::seed_from_u64(1);
-        let err = engines::engine_for(Engine::HarrisSuVu)
-            .execute(frozen.input(), &request, None, &mut rng)
-            .unwrap_err();
-        assert!(matches!(err, FdError::MissingPalettes { .. }));
+        for problem in [ProblemKind::ListForest, ProblemKind::ListStarForest] {
+            let request = DecompositionRequest::new(problem);
+            let err = engines::execute(csr.view(), &request, None, &mut rng).unwrap_err();
+            assert!(matches!(err, FdError::MissingPalettes { .. }));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!    the `O(n)` permutation the plan exists to avoid, so a request asking
 //!    for one fails with [`FdError::ReorderUnsupported`].
 //! 2. **Walk.** Shards are decomposed *sequentially* through the same
-//!    thaw-free `decompose_shard` path `run_sharded` fans out in parallel:
+//!    `decompose_shard` path `run_sharded` fans out in parallel:
 //!    one shard's CSR is extracted, decomposed, its coloring **spilled to
 //!    disk**, and — before everything is dropped — the shared stitch
 //!    records the per-color component representatives of its *boundary*
@@ -40,6 +40,7 @@
 //! scratch is proportional to one shard and rides inside the same budget
 //! headroom; mapped file pages are the kernel's to evict and are not heap).
 
+use super::engines;
 use super::stitch::{self, Stitch};
 use super::{derive_seed, Decomposer, DecompositionReport};
 use crate::error::FdError;
@@ -219,7 +220,7 @@ impl Decomposer {
         let _run_span = Span::enter("ooc.run");
         let start = Stopwatch::start();
         let request = self.request();
-        let engine = stitch::sharded_engine(request)?;
+        stitch::check_sharded(request)?;
         if config.num_shards == Some(0) {
             return Err(FdError::InvalidShardCount { requested: 0 });
         }
@@ -308,7 +309,7 @@ impl Decomposer {
                 4 * ((shard_n + 1) + 6 * shard_m) + 4 * extracted.global_edges.len();
             meter.alloc(extracted_bytes);
             let mut rng = SmallRng::seed_from_u64(derive_seed(request.seed, s as u64));
-            let outcome = engine.decompose_shard(extracted.csr.view(), request, &mut rng)?;
+            let outcome = engines::decompose_shard(extracted.csr.view(), request, &mut rng)?;
             // Outcome working set: the shard coloring plus the per-color
             // union-finds (estimated; dropped at the end of this iteration).
             let outcome_bytes = 4 * shard_m + 16 * outcome.color_span * shard_n;

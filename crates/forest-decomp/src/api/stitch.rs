@@ -35,7 +35,7 @@
 //! order) and the ascending boundary list, so both drivers produce
 //! byte-identical reports for the same request and shard count.
 
-use super::engines::{self, DecompositionEngine, ShardOutcome};
+use super::engines::{self, ShardOutcome};
 use super::{
     Artifact, DecompositionReport, DecompositionRequest, ProblemKind, StitchPolicy, Validate,
     ValidationStatus,
@@ -52,22 +52,19 @@ use std::collections::HashMap;
 /// The checks both sharded drivers run before touching the graph: only
 /// forest decompositions merge safely across shards, and the engine must
 /// solve them.
-pub(super) fn sharded_engine(
-    request: &DecompositionRequest,
-) -> Result<&'static dyn DecompositionEngine, FdError> {
+pub(super) fn check_sharded(request: &DecompositionRequest) -> Result<(), FdError> {
     if request.problem != ProblemKind::Forest {
         return Err(FdError::ShardingUnsupported {
             problem: request.problem,
         });
     }
-    let engine = engines::engine_for(request.engine);
-    if !engine.supports(request.problem) {
+    if !engines::supports(request.engine, request.problem) {
         return Err(FdError::UnsupportedCombination {
             problem: request.problem,
             engine: request.engine,
         });
     }
-    Ok(engine)
+    Ok(())
 }
 
 /// The endpoints of `boundary`, grouped by owning shard (`shard_of`),

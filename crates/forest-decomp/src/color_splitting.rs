@@ -15,7 +15,7 @@
 //! Lemma) is not implemented.
 
 use crate::error::{check_epsilon, FdError};
-use forest_graph::{Color, EdgeId, ListAssignment, MultiGraph, VertexId};
+use forest_graph::{Color, EdgeId, GraphView, ListAssignment, VertexId};
 use local_model::{partial_network_decomposition, RoundLedger};
 use rand::Rng;
 use std::collections::HashSet;
@@ -35,9 +35,9 @@ impl VertexColorSplitting {
     }
 
     /// The induced palettes `Q_i(uv) = Q(uv) ∩ C_{u,i} ∩ C_{v,i}`.
-    pub fn induced_lists(
+    pub fn induced_lists<G: GraphView>(
         &self,
-        g: &MultiGraph,
+        g: &G,
         lists: &ListAssignment,
         side: usize,
     ) -> ListAssignment {
@@ -49,7 +49,7 @@ impl VertexColorSplitting {
 
     /// The splitting sizes `(k_0, k_1)`: the minimum induced palette size on
     /// each side.
-    pub fn sizes(&self, g: &MultiGraph, lists: &ListAssignment) -> (usize, usize) {
+    pub fn sizes<G: GraphView>(&self, g: &G, lists: &ListAssignment) -> (usize, usize) {
         (
             self.induced_lists(g, lists, 0).min_palette_size(),
             self.induced_lists(g, lists, 1).min_palette_size(),
@@ -73,8 +73,8 @@ fn all_colors(lists: &ListAssignment) -> Vec<Color> {
 /// # Errors
 ///
 /// Returns an error for an invalid `ε`.
-pub fn split_colors_clustered<R: Rng + ?Sized>(
-    g: &MultiGraph,
+pub fn split_colors_clustered<G: GraphView, R: Rng + ?Sized>(
+    g: &G,
     lists: &ListAssignment,
     epsilon: f64,
     rng: &mut R,

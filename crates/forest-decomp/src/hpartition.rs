@@ -230,6 +230,34 @@ pub fn star_forest_decomposition<G: GraphView>(
     ForestDecomposition::from_colors(colors)
 }
 
+/// Recolors the edges of `g` that `leftover` marks as star forests in fresh
+/// colors `first_color, first_color + 1, ...` (Theorem 2.1(3) on the
+/// leftover subgraph, peeled at `ε = 0.5` against its own
+/// pseudo-arboricity): the leftover step of the Theorem 4.6 forest and the
+/// Theorem 5.4(1) star-forest pipelines.
+///
+/// # Errors
+///
+/// Propagates the H-partition's errors.
+pub(crate) fn recolor_as_fresh_stars<G: GraphView>(
+    g: &G,
+    leftover: &[bool],
+    first_color: usize,
+    coloring: &mut PartialEdgeColoring,
+    ledger: &mut RoundLedger,
+) -> Result<(), FdError> {
+    let (sub, back) = forest_graph::edge_subgraph(g, |e| leftover[e.index()]);
+    let pseudo = forest_graph::orientation::pseudoarboricity(&sub).max(1);
+    let hp = h_partition(&sub, 0.5, pseudo, ledger)?;
+    let sub_orientation = acyclic_orientation(&sub, &hp);
+    let sfd = star_forest_decomposition(&sub, &sub_orientation, ledger);
+    for (i, &orig) in back.iter().enumerate() {
+        let c = sfd.color(EdgeId::new(i)).index();
+        coloring.set(orig, Color::new(first_color + c));
+    }
+    Ok(())
+}
+
 /// Theorem 2.1(4): a `t`-list-forest decomposition from an acyclic
 /// `t`-orientation: every vertex greedily assigns distinct palette colors to
 /// its out-edges. The result is acyclic because a monochromatic cycle would

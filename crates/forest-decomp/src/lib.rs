@@ -72,16 +72,18 @@
 //!
 //! # Frozen topology, on any storage
 //!
-//! Every end-to-end pipeline runs over a frozen
-//! [`CsrGraph`](forest_graph::CsrGraph): [`api::Decomposer::run`] freezes the
-//! input once per request and threads the `(MultiGraph, CsrRef)` pair
-//! through the engine phases, and [`api::Decomposer::run_batch`] over
-//! `iter::repeat_n(&frozen, n)` shares one [`api::FrozenGraph`] across a
-//! whole seed sweep. The CSR side is storage-generic
-//! ([`forest_graph::CsrStorage`]): engines consume a type-erased zero-copy
-//! [`CsrRef`](forest_graph::CsrRef), so the same code runs over owned
-//! arrays, an mmap-backed on-disk graph ([`api::GraphInput::from_mmap`]) or
-//! one shard of a [`CsrPartition`](forest_graph::CsrPartition).
+//! Every pipeline runs over a frozen [`CsrGraph`](forest_graph::CsrGraph)
+//! and reads nothing but that view and the request:
+//! [`api::Decomposer::run`] freezes a `MultiGraph` input once per request,
+//! a caller that runs the same graph many times freezes it once with
+//! [`CsrGraph::from_multigraph`](forest_graph::CsrGraph::from_multigraph)
+//! (a seed sweep is [`api::Decomposer::run_batch`] over
+//! `iter::repeat_n(&csr, n)`), and the engines dispatch on the request's
+//! `(problem, engine)` pair over one zero-copy
+//! [`CsrRef`](forest_graph::CsrRef). The CSR is storage-generic
+//! ([`forest_graph::CsrStorage`]), so the same code runs over owned arrays,
+//! an mmap-backed on-disk graph ([`api::GraphInput::from_mmap`]) or one
+//! shard of a [`CsrPartition`](forest_graph::CsrPartition).
 //! [`api::Decomposer::run_sharded`] decomposes shards in parallel and
 //! [`api::Decomposer::run_out_of_core`] walks them one at a time from disk
 //! (identity order only); both stitch the boundary through one shared
@@ -92,11 +94,9 @@
 //!
 //! # The pre-facade entrypoints
 //!
-//! The historical free-function entrypoints (`forest_decomposition`,
-//! `list_forest_decomposition`, the `*_simple` star-forest functions,
-//! `low_outdegree_orientation`) were deprecated when the facade landed and
-//! have since been folded into the engine adapters; each maps onto one
-//! `(problem, engine)` request:
+//! The historical free-function entrypoints were folded into the engine
+//! dispatch when the facade landed; each maps onto one `(problem, engine)`
+//! request:
 //!
 //! | removed entrypoint | request |
 //! |---|---|
@@ -106,13 +106,12 @@
 //! | `star_forest::list_star_forest_decomposition_simple` | `ProblemKind::ListStarForest` + `Engine::HarrisSuVu` |
 //! | `orientation::low_outdegree_orientation` | `ProblemKind::Orientation` + `Engine::HarrisSuVu` |
 //!
-//! The baselines (`baselines::*`) remain available as plain functions for
-//! phase-level experiments, and are also reachable through
-//! `Engine::BarenboimElkin`, `Engine::Folklore2Alpha` and
-//! `Engine::ExactMatroid`. `FdOptions`/`SfdConfig` knobs (`epsilon`,
-//! `alpha`, cut strategy, diameter target, radii) have eponymous `with_*`
-//! builders on the request, and the `&mut R` RNG argument is replaced by
-//! `with_seed`.
+//! The request is their only option set: `ε`, `α`, the CUT rule, the
+//! diameter target and the radii are the request's `with_*` knobs, and the
+//! RNG is derived from `with_seed`. The baselines (`baselines::*`) remain
+//! available as plain functions for phase-level experiments, and are also
+//! reachable through `Engine::BarenboimElkin`, `Engine::Folklore2Alpha` and
+//! `Engine::ExactMatroid`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -139,8 +138,6 @@ pub use api::{
 
 pub use algorithm2::{Algorithm2Config, Algorithm2Output, CutStrategyKind, PipelineStats};
 pub use augmenting::{AugmentationContext, AugmentingSequence, ColorConnectivity};
-pub use combine::{FdOptions, FdResult, LfdResult};
 pub use diameter_reduction::{reduce_diameter, DiameterTarget};
 pub use error::FdError;
 pub use hpartition::HPartition;
-pub use star_forest::{SfdConfig, StarForestResult};

@@ -16,67 +16,22 @@
 //! Corollary 1.2: `α_star ≤ α + O(√log Δ + log α)` and
 //! `α_liststar ≤ α + O(log Δ)` for simple graphs.
 
+use crate::combine::FdResult;
 use crate::error::{check_epsilon, FdError};
-use crate::hpartition::{acyclic_orientation, h_partition, star_forest_decomposition};
+use crate::hpartition::recolor_as_fresh_stars;
 use crate::matching::maximum_bipartite_matching;
 use forest_graph::decomposition::PartialEdgeColoring;
 use forest_graph::orientation::bounded_outdegree_orientation;
-use forest_graph::{
-    Color, EdgeId, ForestDecomposition, GraphView, ListAssignment, Orientation, SimpleGraph,
-    VertexId,
-};
+use forest_graph::{Color, EdgeId, GraphView, ListAssignment, Orientation, VertexId};
 use local_model::rounds::costs;
 use local_model::RoundLedger;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::HashSet;
 
-/// Configuration of the star-forest decomposition.
-#[derive(Clone, Debug)]
-pub struct SfdConfig {
-    /// Slack parameter `ε`.
-    pub epsilon: f64,
-    /// Arboricity bound (`None` = compute exactly with the matroid baseline).
-    pub alpha: Option<usize>,
-    /// Maximum number of LLL resampling rounds before giving up on the
-    /// remaining bad vertices (their edges join the leftover).
-    pub max_lll_rounds: usize,
-}
-
-impl SfdConfig {
-    /// Default configuration for the given `ε`.
-    pub fn new(epsilon: f64) -> Self {
-        SfdConfig {
-            epsilon,
-            alpha: None,
-            max_lll_rounds: 64,
-        }
-    }
-
-    /// Fixes the arboricity bound instead of computing it exactly.
-    pub fn with_alpha(mut self, alpha: usize) -> Self {
-        self.alpha = Some(alpha);
-        self
-    }
-}
-
-/// Result of a star-forest decomposition.
-#[derive(Clone, Debug)]
-pub struct StarForestResult {
-    /// The decomposition (every color class is a star forest).
-    pub decomposition: ForestDecomposition,
-    /// Number of distinct colors used in total.
-    pub num_colors: usize,
-    /// The primary color budget `t = ⌈(1+ε)α⌉` of the matching phase.
-    pub primary_colors: usize,
-    /// Number of edges left unmatched by the matching phase and recolored
-    /// with extra colors.
-    pub leftover_edges: usize,
-    /// Number of LLL resampling rounds used.
-    pub lll_rounds: usize,
-    /// Round accounting.
-    pub ledger: RoundLedger,
-}
+/// Maximum number of LLL resampling rounds before giving up on the
+/// remaining bad vertices (their edges join the leftover).
+const MAX_LLL_ROUNDS: usize = 64;
 
 /// Per-vertex sampled color sets, stored as dense bitmasks over the
 /// colorspace index (so membership tests inside the matching loops are O(1)
@@ -116,7 +71,8 @@ fn matching_for_vertex<G: GraphView>(
     (out_edges, colors)
 }
 
-/// Internal driver shared by the ordinary and list variants.
+/// Internal driver shared by the ordinary and list variants: returns the
+/// partial coloring and the number of unmatched edges.
 #[allow(clippy::too_many_arguments)]
 fn star_forest_by_matching<G: GraphView, R: Rng + ?Sized>(
     g: &G,
@@ -125,10 +81,9 @@ fn star_forest_by_matching<G: GraphView, R: Rng + ?Sized>(
     lists: Option<&ListAssignment>,
     allowed_deficiency: usize,
     sample_color_set: &mut dyn FnMut(&mut R, VertexId) -> Vec<bool>,
-    max_lll_rounds: usize,
     rng: &mut R,
     ledger: &mut RoundLedger,
-) -> (PartialEdgeColoring, usize, usize) {
+) -> (PartialEdgeColoring, usize) {
     let n = g.num_vertices();
     let mut color_sets: ColorSets = g.vertices().map(|v| sample_color_set(rng, v)).collect();
     // LLL loop: a vertex is "bad" if its matching misses more than
@@ -144,7 +99,7 @@ fn star_forest_by_matching<G: GraphView, R: Rng + ?Sized>(
                 matched + allowed_deficiency < out_edges.len()
             })
             .collect();
-        if bad.is_empty() || lll_rounds >= max_lll_rounds {
+        if bad.is_empty() || lll_rounds >= MAX_LLL_ROUNDS {
             break;
         }
         for &v in &bad {
@@ -172,58 +127,55 @@ fn star_forest_by_matching<G: GraphView, R: Rng + ?Sized>(
     // Applying the matchings is a single LOCAL round (each vertex colors its
     // own out-edges).
     ledger.charge("apply per-vertex matchings", 1);
-    (coloring, leftover, lll_rounds)
+    (coloring, leftover)
 }
 
-/// Theorem 5.4(1): `(1+O(ε))α`-star-forest decomposition of a simple graph,
-/// over the frozen topology `csr` (which must equal
-/// `CsrGraph::from_multigraph(g.graph())`; the `Decomposer` facade freezes
-/// once per request and threads the pair through).
+/// The `t`-orientation with `t = ⌈(1+ε)α⌉` both variants start from,
+/// with its round charge.
+fn t_orientation<G: GraphView>(
+    g: &G,
+    epsilon: f64,
+    alpha: usize,
+    ledger: &mut RoundLedger,
+) -> Result<(usize, Orientation), FdError> {
+    let t = ((1.0 + epsilon) * alpha as f64).ceil() as usize;
+    // The paper uses the Su–Vu CONGEST algorithm (O~(log^2 n / eps^2)
+    // rounds); we take the exact flow orientation and charge the same round
+    // budget.
+    let orientation =
+        bounded_outdegree_orientation(g, t).ok_or_else(|| FdError::ArboricityBoundTooSmall {
+            bound: alpha,
+            required: forest_graph::orientation::pseudoarboricity(g),
+        })?;
+    let log_n = costs::log2_ceil(g.num_vertices()).max(1);
+    ledger.charge(
+        "t-orientation (Su-Vu style)",
+        log_n * log_n * ((1.0 / (epsilon * epsilon)).ceil() as usize),
+    );
+    Ok((t, orientation))
+}
+
+/// Theorem 5.4(1): `(1+O(ε))α`-star-forest decomposition of a simple graph
+/// (the caller checks simplicity) under the arboricity bound `alpha ≥ 1`.
 ///
 /// # Errors
 ///
 /// Returns an error for invalid `ε` or if the leftover recoloring fails.
-pub(crate) fn star_forest_decomposition_simple<C: GraphView, R: Rng + ?Sized>(
-    g: &SimpleGraph,
-    csr: &C,
-    config: &SfdConfig,
+pub(crate) fn star_forest_decomposition_simple<G: GraphView, R: Rng + ?Sized>(
+    g: &G,
+    epsilon: f64,
+    alpha: usize,
     rng: &mut R,
-) -> Result<StarForestResult, FdError> {
-    check_epsilon(config.epsilon)?;
-    let graph = g.graph();
+) -> Result<FdResult, FdError> {
+    check_epsilon(epsilon)?;
     let mut ledger = RoundLedger::new();
-    if graph.num_edges() == 0 {
-        return Ok(StarForestResult {
-            decomposition: ForestDecomposition::from_colors(Vec::new()),
-            num_colors: 0,
-            primary_colors: 0,
-            leftover_edges: 0,
-            lll_rounds: 0,
-            ledger,
-        });
+    if g.num_edges() == 0 {
+        return Ok(FdResult::edgeless(alpha, ledger));
     }
-    let alpha = config
-        .alpha
-        .unwrap_or_else(|| forest_graph::matroid::arboricity(graph))
-        .max(1);
-    let t = ((1.0 + config.epsilon) * alpha as f64).ceil() as usize;
-    // The t-orientation: the paper uses the Su–Vu CONGEST algorithm
-    // (O~(log^2 n / eps^2) rounds); we take the exact flow orientation and
-    // charge the same round budget.
-    let orientation =
-        bounded_outdegree_orientation(csr, t).ok_or(FdError::ArboricityBoundTooSmall {
-            bound: alpha,
-            required: forest_graph::orientation::pseudoarboricity(csr),
-        })?;
-    let n = graph.num_vertices();
-    let log_n = costs::log2_ceil(n).max(1);
-    ledger.charge(
-        "t-orientation (Su-Vu style)",
-        (log_n * log_n) as usize * ((1.0 / (config.epsilon * config.epsilon)).ceil() as usize),
-    );
+    let (t, orientation) = t_orientation(g, epsilon, alpha, &mut ledger)?;
     let colorspace: Vec<Color> = (0..t).map(Color::new).collect();
     let subset_size = alpha.min(t);
-    let allowed_deficiency = (2.0 * config.epsilon * alpha as f64).ceil() as usize;
+    let allowed_deficiency = (2.0 * epsilon * alpha as f64).ceil() as usize;
     let indices: Vec<usize> = (0..t).collect();
     let mut sample = |rng: &mut R, _v: VertexId| -> Vec<bool> {
         let mut mask = vec![false; t];
@@ -232,88 +184,53 @@ pub(crate) fn star_forest_decomposition_simple<C: GraphView, R: Rng + ?Sized>(
         }
         mask
     };
-    let (mut coloring, leftover_edges, lll_rounds) = star_forest_by_matching(
-        csr,
+    let (mut coloring, leftover_edges) = star_forest_by_matching(
+        g,
         &orientation,
         &colorspace,
         None,
         allowed_deficiency,
         &mut sample,
-        config.max_lll_rounds,
         rng,
         &mut ledger,
     );
     // Recolor the leftover (unmatched) edges as star forests with fresh
     // colors via Theorem 2.1.
-    let any_leftover = csr.edge_ids().any(|e| coloring.color(e).is_none());
-    if any_leftover {
-        let (sub, back) = graph.edge_subgraph(|e| coloring.color(e).is_none());
-        let pseudo = forest_graph::orientation::pseudoarboricity(&sub).max(1);
-        let hp = h_partition(&sub, 0.5, pseudo, &mut ledger)?;
-        let sub_orientation = acyclic_orientation(&sub, &hp);
-        let sfd = star_forest_decomposition(&sub, &sub_orientation, &mut ledger);
-        for (i, &orig) in back.iter().enumerate() {
-            coloring.set(orig, Color::new(t + sfd.color(EdgeId::new(i)).index()));
-        }
+    let unmatched: Vec<bool> = g.edge_ids().map(|e| coloring.color(e).is_none()).collect();
+    if unmatched.contains(&true) {
+        recolor_as_fresh_stars(g, &unmatched, t, &mut coloring, &mut ledger)?;
     }
-    let decomposition = coloring.into_complete()?;
-    let num_colors = decomposition.num_colors_used();
-    Ok(StarForestResult {
-        decomposition,
-        num_colors,
-        primary_colors: t,
+    Ok(FdResult {
+        decomposition: coloring.into_complete()?,
+        arboricity: alpha,
         leftover_edges,
-        lll_rounds,
         ledger,
     })
 }
 
 /// Theorem 5.4(2): `(1+O(ε))α`-list-star-forest decomposition of a simple
-/// graph whose palettes have at least `(1 + 200ε)α`-ish colors (Lemma 5.3),
-/// over the frozen topology `csr` (see
-/// [`star_forest_decomposition_simple`]).
+/// graph (the caller checks simplicity) whose palettes have at least
+/// `(1 + 200ε)α`-ish colors (Lemma 5.3), under the arboricity bound
+/// `alpha ≥ 1`.
 ///
 /// # Errors
 ///
 /// Returns an error for invalid `ε`, or [`FdError::NotConverged`] if some
 /// vertex never obtains a perfect matching and its unmatched edges cannot be
 /// finished greedily from their palettes.
-pub(crate) fn list_star_forest_decomposition_simple<C: GraphView, R: Rng + ?Sized>(
-    g: &SimpleGraph,
-    csr: &C,
+pub(crate) fn list_star_forest_decomposition_simple<G: GraphView, R: Rng + ?Sized>(
+    g: &G,
     lists: &ListAssignment,
-    config: &SfdConfig,
+    epsilon: f64,
+    alpha: usize,
     rng: &mut R,
-) -> Result<StarForestResult, FdError> {
-    check_epsilon(config.epsilon)?;
-    let graph = g.graph();
+) -> Result<FdResult, FdError> {
+    check_epsilon(epsilon)?;
     let mut ledger = RoundLedger::new();
-    if graph.num_edges() == 0 {
-        return Ok(StarForestResult {
-            decomposition: ForestDecomposition::from_colors(Vec::new()),
-            num_colors: 0,
-            primary_colors: 0,
-            leftover_edges: 0,
-            lll_rounds: 0,
-            ledger,
-        });
+    if g.num_edges() == 0 {
+        return Ok(FdResult::edgeless(alpha, ledger));
     }
-    let alpha = config
-        .alpha
-        .unwrap_or_else(|| forest_graph::matroid::arboricity(graph))
-        .max(1);
-    let t = ((1.0 + config.epsilon) * alpha as f64).ceil() as usize;
-    let orientation =
-        bounded_outdegree_orientation(csr, t).ok_or(FdError::ArboricityBoundTooSmall {
-            bound: alpha,
-            required: forest_graph::orientation::pseudoarboricity(csr),
-        })?;
-    let n = graph.num_vertices();
-    let log_n = costs::log2_ceil(n).max(1);
-    ledger.charge(
-        "t-orientation (Su-Vu style)",
-        (log_n * log_n) as usize * ((1.0 / (config.epsilon * config.epsilon)).ceil() as usize),
-    );
+    let (_, orientation) = t_orientation(g, epsilon, alpha, &mut ledger)?;
     // The colorspace is the union of the palettes; C(u) keeps each color
     // independently with probability 1 - eps (Lemma 5.3).
     let mut colorspace: Vec<Color> = (0..lists.num_edges())
@@ -321,36 +238,35 @@ pub(crate) fn list_star_forest_decomposition_simple<C: GraphView, R: Rng + ?Size
         .collect();
     colorspace.sort_unstable();
     colorspace.dedup();
-    let keep_probability = 1.0 - config.epsilon;
+    let keep_probability = 1.0 - epsilon;
     let colorspace_len = colorspace.len();
     let mut sample = move |rng: &mut R, _v: VertexId| -> Vec<bool> {
         (0..colorspace_len)
             .map(|_| rng.gen_bool(keep_probability))
             .collect()
     };
-    let (mut coloring, mut leftover_edges, lll_rounds) = star_forest_by_matching(
-        csr,
+    let (mut coloring, mut leftover_edges) = star_forest_by_matching(
+        g,
         &orientation,
         &colorspace,
         Some(lists),
         0,
         &mut sample,
-        config.max_lll_rounds,
         rng,
         &mut ledger,
     );
     // In the list setting there is no budget for fresh colors; finish any
     // unmatched edge greedily with a palette color unused by every edge
     // incident to either endpoint (which keeps every class a star forest).
-    let unmatched: Vec<EdgeId> = csr
+    let unmatched: Vec<EdgeId> = g
         .edge_ids()
         .filter(|&e| coloring.color(e).is_none())
         .collect();
     for e in unmatched {
-        let (u, v) = csr.endpoints(e);
-        let neighbor_colors: HashSet<Color> = csr
+        let (u, v) = g.endpoints(e);
+        let neighbor_colors: HashSet<Color> = g
             .incident_edges(u)
-            .chain(csr.incident_edges(v))
+            .chain(g.incident_edges(v))
             .filter_map(|x| coloring.color(x))
             .collect();
         let choice = lists
@@ -371,14 +287,10 @@ pub(crate) fn list_star_forest_decomposition_simple<C: GraphView, R: Rng + ?Size
         }
     }
     ledger.charge("greedy completion of unmatched edges", 1);
-    let decomposition = coloring.into_complete()?;
-    let num_colors = decomposition.num_colors_used();
-    Ok(StarForestResult {
-        decomposition,
-        num_colors,
-        primary_colors: t,
+    Ok(FdResult {
+        decomposition: coloring.into_complete()?,
+        arboricity: alpha,
         leftover_edges,
-        lll_rounds,
         ledger,
     })
 }
@@ -387,111 +299,97 @@ pub(crate) fn list_star_forest_decomposition_simple<C: GraphView, R: Rng + ?Size
 mod tests {
     use super::*;
     use forest_graph::decomposition::{validate_list_coloring, validate_star_forest_decomposition};
-    use forest_graph::{generators, CsrGraph};
+    use forest_graph::{generators, CsrGraph, MultiGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn sfd_on_planted_simple_graph() {
         let mut rng = StdRng::seed_from_u64(1);
-        let g = generators::planted_simple_arboricity(60, 4, &mut rng);
-        let alpha = forest_graph::matroid::arboricity(g.graph());
-        let config = SfdConfig::new(0.5).with_alpha(alpha);
-        let csr = CsrGraph::from_multigraph(g.graph());
-        let result = star_forest_decomposition_simple(&g, &csr, &config, &mut rng).unwrap();
-        validate_star_forest_decomposition(g.graph(), &result.decomposition, None)
-            .expect("star forests");
+        let g: MultiGraph = generators::planted_simple_arboricity(60, 4, &mut rng).into();
+        let alpha = forest_graph::matroid::arboricity(&g);
+        let csr = CsrGraph::from_multigraph(&g);
+        let result = star_forest_decomposition_simple(&csr, 0.5, alpha, &mut rng).unwrap();
+        validate_star_forest_decomposition(&g, &result.decomposition, None).expect("star forests");
         // The color budget: t primary colors plus O(eps alpha) recolored ones;
         // generous sanity bound of 3 alpha + 6.
+        let num_colors = result.decomposition.num_colors_used();
         assert!(
-            result.num_colors <= 3 * alpha + 6,
-            "too many colors: {} for alpha {alpha}",
-            result.num_colors
+            num_colors <= 3 * alpha + 6,
+            "too many colors: {num_colors} for alpha {alpha}"
         );
-        assert!(result.primary_colors >= alpha);
+        assert!(num_colors >= alpha);
     }
 
     #[test]
     fn sfd_on_dense_clique() {
         let mut rng = StdRng::seed_from_u64(2);
-        let g = SimpleGraph::try_from_multigraph(generators::complete_graph(12)).unwrap();
-        let config = SfdConfig::new(0.4);
-        let csr = CsrGraph::from_multigraph(g.graph());
-        let result = star_forest_decomposition_simple(&g, &csr, &config, &mut rng).unwrap();
-        validate_star_forest_decomposition(g.graph(), &result.decomposition, None)
-            .expect("star forests");
+        let g = generators::complete_graph(12);
+        let csr = CsrGraph::from_multigraph(&g);
+        let alpha = forest_graph::matroid::arboricity(&csr);
+        let result = star_forest_decomposition_simple(&csr, 0.4, alpha, &mut rng).unwrap();
+        validate_star_forest_decomposition(&g, &result.decomposition, None).expect("star forests");
         // Sanity bound: stay within 3 alpha colors on K12 (alpha = 6); the
         // tight Corollary 1.2 comparison is measured by the benchmark harness.
-        assert!(result.num_colors <= 18, "colors = {}", result.num_colors);
+        let num_colors = result.decomposition.num_colors_used();
+        assert!(num_colors <= 18, "colors = {num_colors}");
     }
 
     #[test]
     fn sfd_handles_trees_with_one_color_plus_slack() {
         let mut rng = StdRng::seed_from_u64(3);
         let tree = generators::random_tree(80, &mut rng);
-        let g = SimpleGraph::try_from_multigraph(tree).unwrap();
-        let config = SfdConfig::new(0.5).with_alpha(1);
-        let csr = CsrGraph::from_multigraph(g.graph());
-        let result = star_forest_decomposition_simple(&g, &csr, &config, &mut rng).unwrap();
-        validate_star_forest_decomposition(g.graph(), &result.decomposition, None)
+        let csr = CsrGraph::from_multigraph(&tree);
+        let result = star_forest_decomposition_simple(&csr, 0.5, 1, &mut rng).unwrap();
+        validate_star_forest_decomposition(&tree, &result.decomposition, None)
             .expect("star forests");
         // alpha = 1: a star forest decomposition with O(1) colors.
-        assert!(result.num_colors <= 9, "colors = {}", result.num_colors);
+        let num_colors = result.decomposition.num_colors_used();
+        assert!(num_colors <= 9, "colors = {num_colors}");
     }
 
     #[test]
     fn sfd_empty_graph() {
         let mut rng = StdRng::seed_from_u64(4);
-        let g = SimpleGraph::new(5);
-        let config = SfdConfig::new(0.3);
-        let csr = CsrGraph::from_multigraph(g.graph());
-        let result = star_forest_decomposition_simple(&g, &csr, &config, &mut rng).unwrap();
-        assert_eq!(result.num_colors, 0);
+        let csr = CsrGraph::from_multigraph(&MultiGraph::new(5));
+        let result = star_forest_decomposition_simple(&csr, 0.3, 1, &mut rng).unwrap();
+        assert_eq!(result.decomposition.num_edges(), 0);
+        assert_eq!(result.arboricity, 1);
     }
 
     #[test]
     fn lsfd_respects_palettes_and_star_property() {
         let mut rng = StdRng::seed_from_u64(5);
-        let g = generators::planted_simple_arboricity(50, 3, &mut rng);
-        let alpha = forest_graph::matroid::arboricity(g.graph());
+        let g: MultiGraph = generators::planted_simple_arboricity(50, 3, &mut rng).into();
+        let alpha = forest_graph::matroid::arboricity(&g);
         // Lemma 5.3 wants palettes of size alpha(1 + 200 eps); with the small
         // test instance we simply hand out a comfortable palette from a larger
         // color space.
         let palette_size = 3 * alpha + 6;
-        let lists = ListAssignment::random(
-            g.graph().num_edges(),
-            2 * palette_size,
-            palette_size,
-            &mut rng,
-        );
-        let config = SfdConfig::new(0.2).with_alpha(alpha);
-        let csr = CsrGraph::from_multigraph(g.graph());
+        let lists = ListAssignment::random(g.num_edges(), 2 * palette_size, palette_size, &mut rng);
+        let csr = CsrGraph::from_multigraph(&g);
         let result =
-            list_star_forest_decomposition_simple(&g, &csr, &lists, &config, &mut rng).unwrap();
-        validate_star_forest_decomposition(g.graph(), &result.decomposition, None)
-            .expect("star forests");
-        validate_list_coloring(g.graph(), &result.decomposition.to_partial(), &lists)
+            list_star_forest_decomposition_simple(&csr, &lists, 0.2, alpha, &mut rng).unwrap();
+        validate_star_forest_decomposition(&g, &result.decomposition, None).expect("star forests");
+        validate_list_coloring(&g, &result.decomposition.to_partial(), &lists)
             .expect("palettes respected");
     }
 
     #[test]
     fn lsfd_fails_gracefully_on_hopeless_palettes() {
         let mut rng = StdRng::seed_from_u64(6);
-        let g = SimpleGraph::try_from_multigraph(generators::complete_graph(8)).unwrap();
+        let g = generators::complete_graph(8);
         // A single shared color cannot star-decompose K8.
-        let lists = ListAssignment::uniform(g.graph().num_edges(), 1);
-        let config = SfdConfig::new(0.2).with_alpha(4);
-        let csr = CsrGraph::from_multigraph(g.graph());
-        let result = list_star_forest_decomposition_simple(&g, &csr, &lists, &config, &mut rng);
+        let lists = ListAssignment::uniform(g.num_edges(), 1);
+        let csr = CsrGraph::from_multigraph(&g);
+        let result = list_star_forest_decomposition_simple(&csr, &lists, 0.2, 4, &mut rng);
         assert!(result.is_err());
     }
 
     #[test]
     fn rejects_invalid_epsilon() {
         let mut rng = StdRng::seed_from_u64(7);
-        let g = SimpleGraph::new(3);
-        let config = SfdConfig::new(0.0);
-        let csr = CsrGraph::from_multigraph(g.graph());
-        assert!(star_forest_decomposition_simple(&g, &csr, &config, &mut rng).is_err());
+        let csr = CsrGraph::from_multigraph(&MultiGraph::new(3));
+        assert!(star_forest_decomposition_simple(&csr, 0.0, 1, &mut rng).is_err());
     }
 }

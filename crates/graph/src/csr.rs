@@ -1,14 +1,14 @@
 //! A frozen compressed-sparse-row graph, generic over where its arrays live:
 //! the cache-friendly topology every decomposition pipeline runs on.
 //!
-//! [`CsrGraph`] stores the incidence structure of a
-//! [`MultiGraph`](crate::MultiGraph) in four flat `u32` arrays (`offsets`,
-//! `neighbors`, `edge_ids`, interleaved `endpoints`): neighborhood iteration
-//! is a contiguous slice scan instead of a pointer chase through per-vertex
-//! `Vec`s, degrees are O(1) offset differences, and iteration order is fixed
-//! by construction. The topology is *frozen* — there is no `add_edge` —
-//! which is exactly what the Harris–Su–Vu algorithms need: they are
-//! round-synchronous scans over static topology.
+//! [`CsrGraph`] stores the incidence structure of a [`MultiGraph`] in four
+//! flat `u32` arrays (`offsets`, `neighbors`, `edge_ids`, interleaved
+//! `endpoints`): neighborhood iteration is a contiguous slice scan instead
+//! of a pointer chase through per-vertex `Vec`s, degrees are O(1) offset
+//! differences, and iteration order is fixed by construction. The topology
+//! is *frozen* — there is no `add_edge` — which is exactly what the
+//! Harris–Su–Vu algorithms need: they are round-synchronous scans over
+//! static topology.
 //!
 //! # Storage genericity
 //!

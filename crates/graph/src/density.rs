@@ -1,10 +1,10 @@
-//! Exact density and sparsity measures: densest subgraph, pseudo-arboricity
-//! and the Nash-Williams quantities.
+//! The exact densest subgraph, computed with Goldberg's flow construction.
 //!
-//! These are the ground-truth measurements the benchmark harness compares the
-//! distributed algorithms against. The densest subgraph is computed exactly
-//! with Goldberg's flow construction; pseudo-arboricity comes from the
-//! minimum-out-degree orientation in [`crate::orientation`].
+//! It is ground truth for the sparsity measures the distributed algorithms
+//! are compared against: pseudo-arboricity comes from the
+//! minimum-out-degree orientation in [`crate::orientation`], arboricity from
+//! the matroid partition in [`crate::matroid`], and the tests here check
+//! both against the density.
 
 use crate::flow::{FlowNetwork, INF_CAPACITY};
 use crate::ids::VertexId;
@@ -115,22 +115,12 @@ pub fn densest_subgraph<G: GraphView>(g: &G) -> DensestSubgraph {
     }
 }
 
-/// Exact pseudo-arboricity `α* = ⌈max_H |E(H)| / |V(H)|⌉`, computed from the
-/// minimum-out-degree orientation (cross-validated against
-/// [`densest_subgraph`] in tests).
-pub fn pseudoarboricity<G: GraphView>(g: &G) -> usize {
-    crate::orientation::pseudoarboricity(g)
-}
-
-/// Exact arboricity (delegates to the matroid-partition baseline).
-pub fn arboricity<G: GraphView>(g: &G) -> usize {
-    crate::matroid::arboricity(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matroid::arboricity;
     use crate::multigraph::MultiGraph;
+    use crate::orientation::pseudoarboricity;
 
     fn complete_graph(n: usize) -> MultiGraph {
         let mut pairs = Vec::new();

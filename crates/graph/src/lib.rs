@@ -42,8 +42,8 @@
 //!   orientations (pseudo-arboricity).
 //! * [`matroid`] — the exact centralized `α`-forest decomposition
 //!   (Gabow–Westermann-style matroid partition), used as ground truth.
-//! * [`density`] — exact densest subgraph and the Nash-Williams sparsity
-//!   measures.
+//! * [`density`] — the exact densest subgraph, ground truth for the
+//!   sparsity measures.
 //! * [`generators`] — synthetic benchmark families (fat paths, planted
 //!   arboricity graphs, `G(n,m)`, cliques, grids, hypercubes, ...).
 //! * [`extsort`] — out-of-core CSR construction: external-sorts a raw edge

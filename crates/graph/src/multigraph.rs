@@ -212,16 +212,6 @@ impl MultiGraph {
         true
     }
 
-    /// Returns the subgraph induced by keeping only the edges for which
-    /// `keep` returns `true`. Vertex identifiers are preserved; the returned
-    /// vector maps new edge identifiers back to the original ones.
-    pub fn edge_subgraph<F>(&self, keep: F) -> (MultiGraph, Vec<EdgeId>)
-    where
-        F: FnMut(EdgeId) -> bool,
-    {
-        edge_subgraph(self, keep)
-    }
-
     /// Total number of incidences, i.e. `2m`.
     pub fn total_degree(&self) -> usize {
         2 * self.num_edges()
@@ -458,7 +448,7 @@ mod tests {
     #[test]
     fn edge_subgraph_preserves_vertices_and_maps_edges() {
         let g = MultiGraph::from_pairs(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let (sub, back) = g.edge_subgraph(|e| e.index() % 2 == 0);
+        let (sub, back) = edge_subgraph(&g, |e| e.index() % 2 == 0);
         assert_eq!(sub.num_vertices(), 4);
         assert_eq!(sub.num_edges(), 2);
         assert_eq!(back, vec![EdgeId::new(0), EdgeId::new(2)]);

@@ -16,8 +16,8 @@
 //!
 //! Contiguous-in-id ranges are adversarial when vertex ids are random (see
 //! the boundary fractions in the bench snapshots): [`CsrPartition::split_ordered`]
-//! accepts a [`VertexPermutation`](crate::reorder::VertexPermutation) — e.g.
-//! a BFS or reverse Cuthill–McKee order from [`crate::reorder`] — and cuts
+//! accepts a [`VertexPermutation`] — e.g. a BFS or reverse Cuthill–McKee
+//! order from [`crate::reorder`] — and cuts
 //! contiguous ranges of the *order* instead, which restores small boundaries
 //! on locality-friendly topologies regardless of how their ids were drawn.
 //!

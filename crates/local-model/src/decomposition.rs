@@ -17,7 +17,7 @@
 use crate::rounds::{costs, RoundLedger};
 use forest_graph::kernels::StampSet;
 use forest_graph::traversal::{bfs_distances, UNREACHABLE};
-use forest_graph::{GraphView, MultiGraph, VertexId};
+use forest_graph::{GraphView, VertexId};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -202,7 +202,7 @@ pub struct PartialNetworkDecomposition {
 impl PartialNetworkDecomposition {
     /// Fraction of edges of `g` whose endpoints lie in different clusters.
     #[cfg(test)]
-    fn cut_fraction(&self, g: &MultiGraph) -> f64 {
+    fn cut_fraction<G: GraphView>(&self, g: &G) -> f64 {
         if g.num_edges() == 0 {
             return 0.0;
         }
@@ -223,8 +223,8 @@ impl PartialNetworkDecomposition {
 /// `O(log n / β)` rounds. Every vertex draws an exponential shift
 /// `δ_v ~ Exp(β)` and each vertex is captured by the center maximizing
 /// `δ_u - dist(u, v)`.
-pub fn partial_network_decomposition<R: Rng + ?Sized>(
-    g: &MultiGraph,
+pub fn partial_network_decomposition<G: GraphView, R: Rng + ?Sized>(
+    g: &G,
     beta: f64,
     rng: &mut R,
     ledger: &mut RoundLedger,
@@ -293,7 +293,7 @@ pub fn partial_network_decomposition<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use forest_graph::generators;
+    use forest_graph::{generators, MultiGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,12 +1,12 @@
-//! Neighborhood views and power graphs.
+//! Power graphs.
 //!
 //! In the LOCAL model a vertex can learn everything within distance `r` in
 //! `r` rounds, and the power graph `G^r` can be simulated with an `O(r)`
-//! overhead (Section 1.1 of the paper). These helpers provide such views
-//! for the centrally-simulated cluster computations of Algorithm 2 — either
-//! materialized ([`power_graph`], [`collect_view`]) or, for the engine hot
-//! path, *virtual*: [`PowerView`] implements
-//! [`GraphView`] for `G^r` without ever building it.
+//! overhead (Section 1.1 of the paper). These helpers provide `G^r` for the
+//! centrally-simulated cluster computations of Algorithm 2 — either
+//! materialized ([`power_graph`], the test oracle) or, for the engine hot
+//! path, *virtual*: [`PowerView`] implements [`GraphView`] for `G^r`
+//! without ever building it.
 //!
 //! # The virtual power graph
 //!
@@ -23,69 +23,10 @@
 //! the *caller* at the usual `O(r)` simulation overhead — the ledger prices
 //! LOCAL rounds, not the central materialization shortcut this view avoids.
 
-use crate::rounds::RoundLedger;
-use forest_graph::traversal::{BfsScratch, UNREACHABLE};
+use forest_graph::traversal::BfsScratch;
 use forest_graph::{EdgeId, GraphView, MultiGraph, VertexId};
 use std::cell::RefCell;
 use std::collections::HashMap;
-
-/// The radius-`r` view around a set of center vertices: the vertices within
-/// distance `r` and the edges with both endpoints in that ball.
-#[derive(Clone, Debug)]
-pub struct NeighborhoodView {
-    /// The centers the view was grown from.
-    pub centers: Vec<VertexId>,
-    /// Radius of the view.
-    pub radius: usize,
-    /// Vertices within distance `radius` of some center.
-    pub vertices: Vec<VertexId>,
-    /// Distance of each graph vertex from the center set ([`usize::MAX`] if
-    /// farther than `radius` — distances beyond the radius are not revealed,
-    /// as the LOCAL view would not contain them).
-    pub distance: Vec<usize>,
-    /// Edges with both endpoints inside the view.
-    pub edges: Vec<EdgeId>,
-}
-
-/// Collects the radius-`r` neighborhood of `centers`, charging `r` rounds to
-/// the ledger (gathering a radius-`r` view costs `r` LOCAL rounds).
-///
-/// The collection is ball-local: the BFS stops at `radius` and the edge set
-/// is gathered from the incidence lists of the reached vertices only, so
-/// the cost is proportional to the ball, not to `O(n + m)`.
-pub fn collect_view<G: GraphView>(
-    g: &G,
-    centers: &[VertexId],
-    radius: usize,
-    ledger: &mut RoundLedger,
-) -> NeighborhoodView {
-    ledger.charge(format!("collect radius-{radius} view"), radius.max(1));
-    let mut scratch = BfsScratch::new(g.num_vertices());
-    scratch.run_bounded(g, centers, radius, |_| true);
-    let mut vertices: Vec<VertexId> = scratch.visited().to_vec();
-    vertices.sort_unstable();
-    let mut distance = vec![UNREACHABLE; g.num_vertices()];
-    for &v in &vertices {
-        distance[v.index()] = scratch.distance(v);
-    }
-    let mut edges: Vec<EdgeId> = Vec::new();
-    for &v in &vertices {
-        for (w, e) in g.incidences(v) {
-            if distance[w.index()] != UNREACHABLE {
-                edges.push(e);
-            }
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    NeighborhoodView {
-        centers: centers.to_vec(),
-        radius,
-        vertices,
-        distance,
-        edges,
-    }
-}
 
 /// Builds the power graph `G^r`: same vertex set, an edge between `u` and `v`
 /// whenever their distance in `G` is between 1 and `r`. The result is simple
@@ -356,33 +297,6 @@ impl<'a, G: GraphView> GraphView for PowerView<'a, G> {
 mod tests {
     use super::*;
     use forest_graph::generators;
-
-    #[test]
-    fn view_contains_ball_vertices_and_edges() {
-        let g = generators::path(8);
-        let mut ledger = RoundLedger::new();
-        let view = collect_view(&g, &[VertexId::new(3)], 2, &mut ledger);
-        assert_eq!(ledger.total_rounds(), 2);
-        let mut ids: Vec<usize> = view.vertices.iter().map(|v| v.index()).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
-        // Edges fully inside the ball: (1,2),(2,3),(3,4),(4,5).
-        assert_eq!(view.edges.len(), 4);
-        assert_ne!(view.distance[5], UNREACHABLE);
-        assert_eq!(view.distance[6], UNREACHABLE);
-        assert!(view.edges.contains(&EdgeId::new(2)));
-        assert!(!view.edges.contains(&EdgeId::new(6)));
-    }
-
-    #[test]
-    fn view_with_multiple_centers() {
-        let g = generators::path(10);
-        let mut ledger = RoundLedger::new();
-        let view = collect_view(&g, &[VertexId::new(0), VertexId::new(9)], 1, &mut ledger);
-        let mut ids: Vec<usize> = view.vertices.iter().map(|v| v.index()).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 8, 9]);
-    }
 
     #[test]
     fn power_graph_of_path() {

@@ -4,8 +4,8 @@
 //! `run_batch` fan-out semantics.
 
 use forest_decomp::api::{
-    derive_seed, Decomposer, DecompositionRequest, Engine, FrozenGraph, GraphInput, ProblemKind,
-    Validate, ValidationStatus,
+    derive_seed, Decomposer, DecompositionRequest, Engine, GraphInput, ProblemKind, Validate,
+    ValidationStatus,
 };
 use forest_decomp::FdError;
 use forest_graph::{generators, CsrGraph, MultiGraph};
@@ -139,7 +139,7 @@ fn run_batch_matches_per_graph_derived_seeds() {
 }
 
 /// `run_batch` takes any iterator of inputs: a mix of `&MultiGraph`,
-/// `&FrozenGraph` and an mmap `GraphInput` in one call, and one frozen
+/// `&CsrGraph` and an mmap `GraphInput` in one call, and one frozen
 /// topology repeated for a seed sweep. Input `i` always carries the bytes of
 /// a plain `run` seeded with `derive_seed(seed, i)`.
 #[test]
@@ -148,7 +148,7 @@ fn run_batch_over_mixed_and_repeated_inputs_matches_derived_seed_runs() {
     let graphs: Vec<MultiGraph> = (0..3)
         .map(|i| generators::planted_forest_union(40 + 8 * i, 3, &mut rng))
         .collect();
-    let frozen = FrozenGraph::freeze(graphs[1].clone());
+    let frozen = CsrGraph::from_multigraph(&graphs[1]);
     let path = std::env::temp_dir().join(format!("api-facade-batch-{}.csr", std::process::id()));
     CsrGraph::from_multigraph(&graphs[2]).save(&path).unwrap();
     let request = DecompositionRequest::new(ProblemKind::Forest)
@@ -185,7 +185,7 @@ fn run_batch_over_mixed_and_repeated_inputs_matches_derived_seed_runs() {
     let sweep = decomposer.run_batch(std::iter::repeat_n(&frozen, 4));
     assert_eq!(sweep.len(), 4);
     for (i, result) in sweep.iter().enumerate() {
-        expect(i, frozen.graph(), result);
+        expect(i, &graphs[1], result);
     }
 }
 

@@ -4,9 +4,7 @@
 //! guard for the old hash-map-ordered RNG consumption in CUT and the
 //! vertex-color splitting).
 
-use forest_decomp::api::{
-    Decomposer, DecompositionRequest, Engine, FrozenGraph, PaletteSpec, ProblemKind,
-};
+use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, PaletteSpec, ProblemKind};
 use forest_decomp::CutStrategyKind;
 use forest_graph::{generators, CsrGraph, GraphView, MultiGraph, VertexId};
 use proptest::prelude::*;
@@ -64,7 +62,7 @@ proptest! {
     /// supported (problem, engine) combination.
     #[test]
     fn frozen_runs_match_multigraph_runs((g, seed) in (arb_multigraph(16, 40), 0..u64::MAX)) {
-        let frozen = FrozenGraph::freeze(g.clone());
+        let frozen = CsrGraph::from_multigraph(&g);
         for &problem in &ProblemKind::ALL {
             for &engine in &Engine::ALL {
                 let decomposer = Decomposer::new(
@@ -158,15 +156,17 @@ fn same_seed_is_byte_identical_across_repeated_runs() {
     }
 }
 
+/// A graph frozen once by the caller serves every run: borrowed or owned,
+/// it gives the bytes of the `&MultiGraph` run, and thawing it gives the
+/// graph back.
 #[test]
 fn frozen_graph_accessors_are_consistent() {
     let g = generators::grid(5, 5);
-    let frozen = FrozenGraph::freeze(g.clone());
-    assert_eq!(frozen.graph(), &g);
-    assert_eq!(frozen.csr(), &CsrGraph::from_multigraph(&g));
-    let input = frozen.input();
-    assert_eq!(
-        input.multigraph().map(forest_graph::MultiGraph::num_edges),
-        Some(input.csr.num_edges())
-    );
+    let frozen = CsrGraph::from_multigraph(&g);
+    assert_eq!(frozen.to_multigraph(), g);
+    assert_eq!(frozen.num_edges(), g.num_edges());
+    let decomposer = Decomposer::new(DecompositionRequest::new(ProblemKind::Orientation));
+    let direct = decomposer.run(&g).unwrap().canonical_bytes();
+    assert_eq!(decomposer.run(&frozen).unwrap().canonical_bytes(), direct);
+    assert_eq!(decomposer.run(frozen).unwrap().canonical_bytes(), direct);
 }

@@ -12,7 +12,7 @@
 
 use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind};
 use forest_graph::{generators, MultiGraph};
-use forest_obs::{event, recorder, Span};
+use forest_obs::{event, recorder, Phase, Span};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,4 +131,34 @@ proptest! {
         );
         prop_assert_eq!(&before, &after);
     }
+}
+
+/// Every α the facade resolves itself is timed: a recorded star-forest run
+/// with α unset emits a `decomp.arboricity` span directly under `decomp.run`.
+#[test]
+fn star_forest_alpha_resolution_is_traced() {
+    let g = workload(24, 5);
+    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    recorder().disable();
+    recorder().clear();
+    recorder().enable();
+    Decomposer::new(DecompositionRequest::new(ProblemKind::StarForest).with_seed(3))
+        .run(&g)
+        .expect("a simple graph");
+    let events = recorder().drain();
+    recorder().disable();
+    recorder().clear();
+    drop(_guard);
+
+    let begins = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.name == name && e.phase == Phase::Begin)
+            .collect::<Vec<_>>()
+    };
+    let runs = begins("decomp.run");
+    assert_eq!(runs.len(), 1, "one facade span");
+    let arboricity = begins("decomp.arboricity");
+    assert_eq!(arboricity.len(), 1, "α is resolved once, and timed");
+    assert_eq!(arboricity[0].parent, runs[0].span);
 }

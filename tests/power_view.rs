@@ -12,10 +12,8 @@
 //!    from the materializing implementation; any drift in clusters, CUT RNG
 //!    consumption, coloring or ledger charges shows up here.
 
-use forest_decomp::api::{
-    Decomposer, DecompositionRequest, Engine, FrozenGraph, ProblemKind, ReorderKind,
-};
-use forest_graph::{generators, GraphView, MultiGraph, VertexId};
+use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind, ReorderKind};
+use forest_graph::{generators, CsrGraph, GraphView, MultiGraph, VertexId};
 use local_model::{power_graph, PowerView};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -139,7 +137,7 @@ fn golden_hsv_forced_radii_engages_power_machinery() {
 fn golden_hsv_sharded_rcm() {
     let mut rng = StdRng::seed_from_u64(33);
     let g = generators::planted_forest_union(2_000, 3, &mut rng);
-    let frozen = FrozenGraph::freeze(g);
+    let frozen = CsrGraph::from_multigraph(&g);
     let d = Decomposer::new(
         DecompositionRequest::new(ProblemKind::Forest)
             .with_engine(Engine::HarrisSuVu)
@@ -190,7 +188,7 @@ fn golden_barenboim_elkin_frontier_h_partition() {
 fn sharded_hsv_virtual_path_smoke() {
     let mut rng = StdRng::seed_from_u64(33);
     let g = generators::planted_forest_union(1_200, 3, &mut rng);
-    let frozen = FrozenGraph::freeze(g);
+    let frozen = CsrGraph::from_multigraph(&g);
     let d = Decomposer::new(
         DecompositionRequest::new(ProblemKind::Forest)
             .with_engine(Engine::HarrisSuVu)

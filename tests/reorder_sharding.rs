@@ -5,8 +5,8 @@
 //! and the exact-α stitch closes the `α + 1` gap.
 
 use forest_decomp::api::{
-    Decomposer, DecompositionRequest, Engine, FrozenGraph, OocConfig, ProblemKind, ReorderKind,
-    StitchPolicy, Validate,
+    Decomposer, DecompositionRequest, Engine, OocConfig, ProblemKind, ReorderKind, StitchPolicy,
+    Validate,
 };
 use forest_decomp::FdError;
 use forest_graph::reorder::{bfs_order, permute, rcm_order};
@@ -112,15 +112,15 @@ fn sharded_colors_bounded_and_non_increasing_in_locality() {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(33);
     let alpha = 3usize;
     let g = generators::planted_forest_union(2_000, alpha, &mut rng);
-    let frozen = FrozenGraph::freeze(g);
+    let frozen = CsrGraph::from_multigraph(&g);
     let base = DecompositionRequest::new(ProblemKind::Forest)
         .with_engine(Engine::HarrisSuVu)
         .with_epsilon(0.5)
         .with_alpha(alpha)
         .with_seed(17);
     for k in [2usize, 4] {
-        let identity = CsrPartition::split(frozen.csr(), k);
-        let rcm = CsrPartition::split_ordered(frozen.csr(), k, &rcm_order(frozen.csr()));
+        let identity = CsrPartition::split(&frozen, k);
+        let rcm = CsrPartition::split_ordered(&frozen, k, &rcm_order(&frozen));
         assert!(
             rcm.boundary_fraction() < identity.boundary_fraction(),
             "k = {k}: rcm boundary fraction {} must beat identity {}",
@@ -133,8 +133,8 @@ fn sharded_colors_bounded_and_non_increasing_in_locality() {
         let rcm_report = Decomposer::new(base.clone().with_shard_reorder(ReorderKind::Rcm))
             .run_sharded(&frozen, k)
             .unwrap();
-        identity_report.validate(frozen.graph()).unwrap();
-        rcm_report.validate(frozen.graph()).unwrap();
+        identity_report.validate(&frozen).unwrap();
+        rcm_report.validate(&frozen).unwrap();
         assert!(
             identity_report.num_colors <= 2 * alpha + 2,
             "k = {k}: identity colors {} beyond the Theorem 4.6-style budget",
@@ -159,8 +159,8 @@ fn sharded_colors_bounded_and_non_increasing_in_locality() {
 #[test]
 fn exact_alpha_stitch_closes_the_grid_gap() {
     let g = generators::grid(48, 48); // m ≈ 2n: arboricity exactly 2
-    let frozen = FrozenGraph::freeze(g);
-    let alpha = forest_graph::matroid::arboricity(frozen.csr());
+    let frozen = CsrGraph::from_multigraph(&g);
+    let alpha = forest_graph::matroid::arboricity(&frozen);
     assert_eq!(alpha, 2, "the grid is the capacity-tight workload");
     let cases = [
         (Engine::ExactMatroid, 2usize, ReorderKind::Identity, false),
@@ -180,8 +180,8 @@ fn exact_alpha_stitch_closes_the_grid_gap() {
         let exact = Decomposer::new(base.clone().with_stitch_policy(StitchPolicy::ExactAlpha))
             .run_sharded(&frozen, k)
             .unwrap();
-        greedy.validate(frozen.graph()).unwrap();
-        exact.validate(frozen.graph()).unwrap();
+        greedy.validate(&frozen).unwrap();
+        exact.validate(&frozen).unwrap();
         assert_eq!(
             exact.num_colors, alpha,
             "{case}: exact-α stitch must reach exactly α"
@@ -230,7 +230,7 @@ fn exact_alpha_stitch_composes_with_reordering() {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(29);
     let alpha = 3usize;
     let g = generators::planted_forest_union(800, alpha, &mut rng);
-    let frozen = FrozenGraph::freeze(g);
+    let frozen = CsrGraph::from_multigraph(&g);
     let base = DecompositionRequest::new(ProblemKind::Forest)
         .with_engine(Engine::ExactMatroid)
         .with_alpha(alpha)
@@ -242,7 +242,7 @@ fn exact_alpha_stitch_composes_with_reordering() {
     let exact = Decomposer::new(base.with_stitch_policy(StitchPolicy::ExactAlpha))
         .run_sharded(&frozen, 4)
         .unwrap();
-    exact.validate(frozen.graph()).unwrap();
+    exact.validate(&frozen).unwrap();
     assert!(exact.num_colors <= greedy.num_colors);
     assert_eq!(exact.num_colors, alpha, "planted α is reachable");
 }
@@ -289,7 +289,7 @@ fn fnv(bytes: &[u8]) -> u64 {
 fn golden_exact_alpha_stitch_moves_overflow_edges() {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(29);
     let g = generators::planted_forest_union(800, 3, &mut rng);
-    let frozen = FrozenGraph::freeze(g);
+    let frozen = CsrGraph::from_multigraph(&g);
     let request = DecompositionRequest::new(ProblemKind::Forest)
         .with_engine(Engine::ExactMatroid)
         .with_alpha(3)
