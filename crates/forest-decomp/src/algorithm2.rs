@@ -38,17 +38,18 @@
 //!
 //! # Ball-local execution
 //!
-//! Otherwise the decomposition of `G^{2(R+R')}` runs on the lazy
-//! [`PowerView`] — no `O(n²)`-edge power graph is ever materialized — and
-//! each cluster is processed inside its own ball: the region BFS stops at
-//! radius `R + R'`, and all masks, scope lists and CUT working memory are
-//! carried in scratch buffers reset via touched-id lists ([`CutScratch`]
-//! and epoch-stamped sets). The augmentation is not ball-local yet: its
-//! connectivity cache is invalidated per cluster, and each color a cluster
-//! queries is rebuilt by scanning all `m` edges, so a cluster costs
-//! `O(k(n + m))` for `k` colors queried. The output — colors, leftover, RNG
-//! consumption, ledger — is byte-identical to the historical whole-graph
-//! implementation; [`PipelineStats`] exposes the perf counters.
+//! Otherwise [`network_decomposition`] decomposes `G^{2(R+R')}` from one
+//! bounded BFS ball in `G` per power neighbourhood — no `O(n²)`-edge power
+//! graph is ever materialized — and each cluster is processed inside its
+//! own ball: the region BFS stops at radius `R + R'`, and all masks, scope
+//! lists and CUT working memory are carried in scratch buffers reset via
+//! touched-id lists ([`CutScratch`] and epoch-stamped sets). The
+//! augmentation is not ball-local yet: its connectivity cache is
+//! invalidated per cluster, and each color a cluster queries is rebuilt by
+//! scanning all `m` edges, so a cluster costs `O(k(n + m))` for `k` colors
+//! queried. The output — colors, leftover, RNG consumption, ledger — is
+//! byte-identical to the historical whole-graph implementation;
+//! [`PipelineStats`] exposes the perf counters.
 
 use crate::augmenting::{AugmentationContext, ColorConnectivity};
 use crate::cut::{execute_cut_scoped, CutOutcome, CutScope, CutScratch, CutState, CutStrategy};
@@ -60,7 +61,7 @@ use forest_graph::traversal::BfsScratch;
 use forest_graph::{EdgeId, GraphView, ListAssignment, VertexId};
 use forest_obs::{clock::Stopwatch, LazyCounter, Span};
 use local_model::rounds::costs;
-use local_model::{network_decomposition, PowerView, RoundLedger};
+use local_model::{network_decomposition, RoundLedger};
 use rand::Rng;
 
 /// Algorithm 2 counters in the `forest-obs` registry (cumulative across
@@ -125,10 +126,12 @@ impl Algorithm2Config {
 /// report encoding.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineStats {
-    /// Ball expansions performed by the lazy [`PowerView`] (0 when the
-    /// trivial one-cluster-per-component path ran).
+    /// Bounded BFS balls the network decomposition of `G^{2(R+R')}` grew
+    /// in `G`, one per power neighbourhood read
+    /// ([`NetworkDecomposition::ball_expansions`](local_model::NetworkDecomposition::ball_expansions));
+    /// 0 when the trivial pass ran.
     pub power_ball_expansions: u64,
-    /// Always 0: the [`PowerView`] memoizes no balls. The benchmark's
+    /// Always 0: no ball is memoized. The benchmark's
     /// `local_model.ball_cache_hit_ratio` row still reads it.
     pub power_cache_hits: u64,
 }
@@ -346,14 +349,11 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
         format!("simulate G^{power} for the network decomposition"),
         costs::network_decomposition(n, power),
     );
-    // The decomposition runs on the lazy PowerView — adjacency in G^power
-    // is answered by bounded-radius BFS balls on demand, so the quadratic
-    // power graph is never materialized.
-    let pv = PowerView::new(csr, power);
-    let nd = network_decomposition(&pv, &mut ledger);
-    let expansions = pv.stats().ball_expansions;
-    BALL_EXPANSIONS.add(expansions);
-    pipeline_stats.power_ball_expansions = expansions;
+    // Each power neighbourhood is one bounded BFS ball in G, so the
+    // quadratic power graph is never materialized.
+    let nd = network_decomposition(csr, power, &mut ledger);
+    BALL_EXPANSIONS.add(nd.ball_expansions);
+    pipeline_stats.power_ball_expansions = nd.ball_expansions;
     let mut classes: Vec<Vec<Vec<VertexId>>> = vec![Vec::new(); nd.num_classes];
     for (cluster_id, members) in nd.clusters.iter().enumerate() {
         classes[nd.cluster_class[cluster_id]].push(members.clone());
@@ -617,7 +617,7 @@ mod tests {
     fn pipeline_stats_count_ball_expansions_on_the_power_path_only() {
         let mut rng = StdRng::seed_from_u64(9);
         // Forced radii far below the diameter: the network decomposition
-        // runs on the lazy PowerView.
+        // of G^{2(R+R')} grows one ball per power neighbourhood.
         let g = generators::fat_path(120, 2);
         let lists = ListAssignment::uniform(g.num_edges(), 3);
         let config = Algorithm2Config::new(0.5, 2).with_radii(8, 4);
@@ -626,7 +626,7 @@ mod tests {
         assert!(out.num_clusters > 1);
         assert!(out.pipeline_stats.power_ball_expansions > 0);
         // Derived radii beyond the diameter: the trivial one-cluster path
-        // never builds the view.
+        // grows no ball.
         let g = generators::fat_path(8, 2);
         let lists = ListAssignment::uniform(g.num_edges(), 3);
         let config = Algorithm2Config::new(0.5, 2);

@@ -19,7 +19,6 @@ use crate::combine::{forest_decomposition, list_forest_decomposition, resolve_al
 use crate::error::FdError;
 use crate::orientation::orientation_from_decomposition;
 use crate::star_forest::{list_star_forest_decomposition_simple, star_forest_decomposition_simple};
-use forest_graph::decomposition::max_forest_diameter;
 use forest_graph::{
     ColorConnectivity, CsrRef, EdgeId, ForestDecomposition, GraphView, ListAssignment,
 };
@@ -290,7 +289,7 @@ fn decomposition_outcome(csr: &CsrRef<'_>, result: FdResult) -> EngineOutcome {
     let num_colors = decomposition.num_colors_used();
     let max_diameter = {
         let _span = Span::enter("decomp.max_diameter");
-        max_forest_diameter(csr, &decomposition.to_partial())
+        decomposition.max_diameter(csr)
     };
     EngineOutcome {
         artifact: Artifact::Decomposition(decomposition),

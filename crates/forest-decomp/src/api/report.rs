@@ -4,9 +4,9 @@
 use super::{Engine, ProblemKind};
 use crate::error::FdError;
 use forest_graph::decomposition::{
-    validate_forest_decomposition, validate_list_coloring, validate_star_forest_decomposition,
+    validate_forest_decomposition, validate_star_forest_decomposition,
 };
-use forest_graph::{ForestDecomposition, GraphView, ListAssignment, Orientation};
+use forest_graph::{ForestDecomposition, GraphView, ListAssignment, Orientation, ValidationError};
 use local_model::RoundLedger;
 use std::time::Duration;
 
@@ -192,7 +192,13 @@ impl Validate for DecompositionReport {
                 }
                 if self.problem.is_list() {
                     if let Some(lists) = &self.lists {
-                        validate_list_coloring(g, &fd.to_partial(), lists)?;
+                        // Every edge is colored and the length is checked:
+                        // read each color in place, with no partial copy.
+                        let outside = g.edge_ids().find(|&e| !lists.contains(e, fd.color(e)));
+                        if let Some(edge) = outside {
+                            let color = fd.color(edge);
+                            return Err(ValidationError::ColorNotInPalette { edge, color }.into());
+                        }
                     }
                 }
                 Ok(())

@@ -41,7 +41,7 @@ use super::{
     ValidationStatus,
 };
 use crate::error::FdError;
-use forest_graph::decomposition::{max_forest_diameter, PartialEdgeColoring};
+use forest_graph::decomposition::PartialEdgeColoring;
 use forest_graph::{
     Color, CsrRef, DynamicColorConnectivity, EdgeId, ForestDecomposition, GraphView, VertexId,
 };
@@ -284,7 +284,7 @@ impl Stitch {
         let num_colors = decomposition.num_colors_used();
         let max_diameter = {
             let _span = Span::enter("decomp.max_diameter");
-            max_forest_diameter(csr, &decomposition.to_partial())
+            decomposition.max_diameter(csr)
         };
         let mut report = DecompositionReport {
             problem: request.problem,

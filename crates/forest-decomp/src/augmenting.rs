@@ -379,9 +379,9 @@ impl<'a, G: GraphView> AugmentationContext<'a, G> {
     /// evolution and is kept consistent across calls.
     ///
     /// Kept out of line: inlined into Algorithm 2's loops it changed the
-    /// code layout of the PowerView network decomposition, which slowed the
-    /// `cold_mesh` benchmark op by about 4% (release build, 2-core x86-64
-    /// host) although this function is under 1% of that op.
+    /// code layout of the network decomposition of `G^{2(R+R')}`, which
+    /// slowed the `cold_mesh` benchmark op by about 4% (release build,
+    /// 2-core x86-64 host) although this function is under 1% of that op.
     ///
     /// # Errors
     ///

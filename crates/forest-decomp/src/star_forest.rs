@@ -245,7 +245,9 @@ pub(crate) fn list_star_forest_decomposition_simple<G: GraphView, R: Rng + ?Size
             .map(|_| rng.gen_bool(keep_probability))
             .collect()
     };
-    let (mut coloring, mut leftover_edges) = star_forest_by_matching(
+    // The matching already counted every edge it left unmatched, so the
+    // greedy completion below leaves the count as it is.
+    let (mut coloring, leftover_edges) = star_forest_by_matching(
         g,
         &orientation,
         &colorspace,
@@ -275,10 +277,7 @@ pub(crate) fn list_star_forest_decomposition_simple<G: GraphView, R: Rng + ?Size
             .copied()
             .find(|c| !neighbor_colors.contains(c));
         match choice {
-            Some(c) => {
-                coloring.set(e, c);
-                leftover_edges += 1;
-            }
+            Some(c) => coloring.set(e, c),
             None => {
                 return Err(FdError::NotConverged {
                     phase: format!("list star-forest: edge {e} has no conflict-free color"),

@@ -226,6 +226,14 @@ impl ForestDecomposition {
         &self.colors
     }
 
+    /// Maximum strong diameter over all trees in all color classes, by the
+    /// leaf-peeling kernel of the [module docs](self#diameter-kernel):
+    /// [`max_forest_diameter`] of [`to_partial`](Self::to_partial), without
+    /// the copy. Every color class must already be a forest.
+    pub fn max_diameter<G: GraphView>(&self, g: &G) -> usize {
+        max_diameter_of_colors(g, self.colors[..g.num_edges()].iter().map(|&c| Some(c)))
+    }
+
     /// View as a partial coloring (every edge colored).
     pub fn to_partial(&self) -> PartialEdgeColoring {
         PartialEdgeColoring {
@@ -378,21 +386,30 @@ pub fn validate_list_coloring<G: GraphView>(
 /// [module docs](self#diameter-kernel). The coloring must already be a valid
 /// (partial) forest decomposition.
 pub fn max_forest_diameter<G: GraphView>(g: &G, coloring: &PartialEdgeColoring) -> usize {
-    let colors = &coloring.colors[..g.num_edges()];
+    max_diameter_of_colors(g, coloring.colors[..g.num_edges()].iter().copied())
+}
+
+/// The leaf-peeling kernel over per-edge colors in edge-id order (`None` =
+/// uncolored), which both coloring types hand over without a copy.
+fn max_diameter_of_colors<G, I>(g: &G, colors: I) -> usize
+where
+    G: GraphView,
+    I: Iterator<Item = Option<Color>> + Clone,
+{
     // Counting sort of the colored edges by color, ascending ids within a
     // class. `ends[c]` first counts class `c - 1`, then holds the start of
     // class `c`, and after placement the end of class `c`.
-    let span = colors.iter().flatten().map(|c| c.index() + 1).max();
+    let span = colors.clone().flatten().map(|c| c.index() + 1).max();
     let span = span.unwrap_or(0);
     let mut ends = vec![0usize; span + 1];
-    for c in colors.iter().flatten() {
+    for c in colors.clone().flatten() {
         ends[c.index() + 1] += 1;
     }
     for k in 1..=span {
         ends[k] += ends[k - 1];
     }
     let mut by_color = vec![EdgeId::default(); ends[span]];
-    for (i, c) in colors.iter().enumerate() {
+    for (i, c) in colors.enumerate() {
         if let Some(c) = c {
             let slot = &mut ends[c.index()];
             by_color[*slot] = EdgeId::new(i);
@@ -420,7 +437,7 @@ struct PeelSlot {
     height: u32,
 }
 
-/// Scratch of [`max_forest_diameter`], shared by every color class.
+/// Scratch of the diameter kernel, shared by every color class.
 struct LeafPeeler {
     slots: Vec<PeelSlot>,
     touched: Vec<VertexId>,
@@ -439,8 +456,8 @@ impl LeafPeeler {
     /// Largest tree diameter of the forest spanned by `class`, leaving every
     /// slot it touched zeroed again.
     ///
-    /// Kept out of line: it runs once per class, and inlined into
-    /// [`max_forest_diameter`] it changed how callers' codegen units split,
+    /// Kept out of line: it runs once per class, and inlined into the
+    /// kernel's entry it changed how callers' codegen units split,
     /// which slowed the unrelated `matroid::arboricity` by about 7% on a
     /// 60k-edge graph (release build, 2-core x86-64 host).
     #[inline(never)]

@@ -18,8 +18,9 @@ pub const UNREACHABLE: usize = usize::MAX;
 /// marks (`O(1)` reset, no per-sweep allocation) and a flat queue that
 /// doubles as the list of reached vertices.
 ///
-/// The cluster pipeline of Algorithm 2 and the lazy power-graph view both
-/// probe thousands of small neighborhoods of one large graph; allocating
+/// The cluster pipeline of Algorithm 2 and the network decomposition of a
+/// power graph `G^r` (one ball per power neighbourhood) both probe
+/// thousands of small neighborhoods of one large graph; allocating
 /// (and zeroing) `vec![UNREACHABLE; n]` per probe would dominate the probe
 /// itself. One `BfsScratch` amortizes all of it: stamps invalidate by
 /// epoch bump, and the BFS queue is an append-only `Vec` whose final

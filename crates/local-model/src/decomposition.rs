@@ -3,7 +3,8 @@
 //! Two constructions are provided, matching the two tools the paper consumes:
 //!
 //! * [`network_decomposition`]: an `(O(log n), O(log n))` network
-//!   decomposition — a partition of the vertices into `O(log n)` classes such
+//!   decomposition of a power graph `G^r`, read from bounded BFS balls in
+//!   `G` — a partition of the vertices into `O(log n)` classes such
 //!   that every connected component ("cluster") inside a class has diameter
 //!   `O(log n)`. Built by iterated ball-carving (Awerbuch/Linial–Saks style);
 //!   the balls stop growing as soon as the next layer would less than double
@@ -16,7 +17,7 @@
 
 use crate::rounds::{costs, RoundLedger};
 use forest_graph::kernels::StampSet;
-use forest_graph::traversal::{bfs_distances, UNREACHABLE};
+use forest_graph::traversal::{bfs_distances, BfsScratch, UNREACHABLE};
 use forest_graph::{GraphView, VertexId};
 use rand::Rng;
 use std::cmp::Reverse;
@@ -35,6 +36,9 @@ pub struct NetworkDecomposition {
     pub clusters: Vec<Vec<VertexId>>,
     /// Class of each cluster.
     pub cluster_class: Vec<usize>,
+    /// Bounded BFS balls grown in the base graph while carving: one per
+    /// frontier vertex, whose ball is its power neighbourhood.
+    pub ball_expansions: u64,
 }
 
 impl NetworkDecomposition {
@@ -69,26 +73,29 @@ impl NetworkDecomposition {
     }
 }
 
-/// Computes an `(O(log n), O(log n))` network decomposition of `g` by
-/// iterated ball carving, charging `O(log² n)` rounds. Works over any
-/// [`GraphView`] — in particular the lazy power view
-/// [`PowerView`](crate::PowerView), which is how Algorithm 2 decomposes
-/// `G^{2(R+R')}` without materializing it.
+/// Computes an `(O(log n), O(log n))` network decomposition of the power
+/// graph `g^power` by iterated ball carving, charging `O(log² n)` rounds
+/// (the caller charges the `O(power)` overhead of simulating `g^power`).
+/// `power = 1` decomposes `g` itself; Algorithm 2 passes `2(R+R')`.
+///
+/// `g^power` is never built: the power neighbourhood of a frontier vertex
+/// `u` is read from one bounded BFS of radius `power` around `u` in `g`,
+/// over a scratch arena shared by every ball, and each such ball is counted
+/// in [`NetworkDecomposition::ball_expansions`].
 ///
 /// The returned decomposition satisfies, deterministically:
 /// * at most `⌈log₂ n⌉ + 1` classes,
-/// * every cluster has radius at most `⌈log₂ n⌉` (hence weak diameter
-///   `≤ 2⌈log₂ n⌉`),
-/// * clusters of the same class are pairwise non-adjacent.
+/// * every cluster has radius at most `⌈log₂ n⌉` in `g^power` (hence weak
+///   diameter `≤ 2⌈log₂ n⌉` there),
+/// * clusters of the same class are pairwise non-adjacent in `g^power`.
 ///
-/// Each ball is grown *incrementally*, one BFS layer at a time over a
-/// shared epoch-stamped scratch arena: the doubling stop rule only ever
-/// inspects the size of the next layer, so carving a radius-`ρ` cluster
-/// explores exactly `ρ + 1` layers instead of running a full-graph BFS per
-/// center (the previous behavior — quadratic on power views, whose balls
-/// are huge).
+/// Each cluster is grown *incrementally*, one layer of `g^power` at a time:
+/// the doubling stop rule only ever inspects the size of the next layer,
+/// so carving a radius-`ρ` cluster explores exactly `ρ + 1` layers instead
+/// of running a full-graph BFS per center.
 pub fn network_decomposition<G: GraphView>(
     g: &G,
+    power: usize,
     ledger: &mut RoundLedger,
 ) -> NetworkDecomposition {
     let n = g.num_vertices();
@@ -100,9 +107,12 @@ pub fn network_decomposition<G: GraphView>(
     let mut remaining: Vec<bool> = vec![true; n];
     let mut num_remaining = n;
     let mut class = 0usize;
-    // Carving scratch, shared by every ball expansion: `seen` resets by
-    // epoch bump, the frontier buffers only ever hold one BFS layer.
+    // Carving scratch, shared by every cluster: `seen` resets by epoch bump,
+    // the frontier buffers only ever hold one layer, and `ball` holds the
+    // power neighbourhood of one frontier vertex at a time.
     let mut seen = StampSet::new(n);
+    let mut ball = BfsScratch::new(n);
+    let mut ball_expansions = 0u64;
     let mut frontier: Vec<VertexId> = Vec::new();
     let mut next_frontier: Vec<VertexId> = Vec::new();
     let mut next_avail: Vec<VertexId> = Vec::new();
@@ -117,10 +127,10 @@ pub fn network_decomposition<G: GraphView>(
                 continue;
             }
             // Grow a ball around `center` inside the available vertices,
-            // one layer at a time. Distances are measured in the whole
-            // graph (the ball may pass through unavailable vertices), so
-            // the frontier carries every newly seen vertex while the
-            // doubling rule counts only the available ones.
+            // one layer of `g^power` at a time. Distances are measured in
+            // the whole graph (the ball may pass through unavailable
+            // vertices), so the frontier carries every newly seen vertex
+            // while the doubling rule counts only the available ones.
             seen.clear();
             seen.insert(center.index());
             frontier.clear();
@@ -128,9 +138,18 @@ pub fn network_decomposition<G: GraphView>(
             let mut members = vec![center];
             let mut ball_size = 1usize;
             loop {
+                // Each power neighbourhood is read in BFS order, unsorted:
+                // the output depends on the neighbourhood sets alone. A
+                // layer is the set of unseen vertices of its balls, the
+                // stop rule counts it, deferral marks it vertex by vertex,
+                // and it is sorted before it joins the cluster, so no
+                // traversal order reaches the clusters, classes or ledger.
+                // The ball of `u` also holds `u`, which is already seen.
                 next_frontier.clear();
                 for &u in &frontier {
-                    for w in g.neighbors(u) {
+                    ball.run_bounded(g, &[u], power, |_| true);
+                    ball_expansions += 1;
+                    for &w in ball.visited() {
                         if seen.insert(w.index()) {
                             next_frontier.push(w);
                         }
@@ -185,6 +204,7 @@ pub fn network_decomposition<G: GraphView>(
         num_classes: class,
         clusters,
         cluster_class,
+        ball_expansions,
     }
 }
 
@@ -302,7 +322,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let g = generators::planted_forest_union(64, 3, &mut rng);
         let mut ledger = RoundLedger::new();
-        let nd = network_decomposition(&g, &mut ledger);
+        let nd = network_decomposition(&g, 1, &mut ledger);
         assert!(ledger.total_rounds() > 0);
         // Every vertex has a class and a cluster.
         assert!(nd.class_of.iter().all(|&c| c != usize::MAX));
@@ -318,7 +338,7 @@ mod tests {
     fn nd_on_path_graph() {
         let g = generators::path(33);
         let mut ledger = RoundLedger::new();
-        let nd = network_decomposition(&g, &mut ledger);
+        let nd = network_decomposition(&g, 1, &mut ledger);
         assert!(nd.classes_separate_clusters(&g));
         assert!(nd.num_classes <= 7);
         let total: usize = nd.clusters.iter().map(Vec::len).sum();
@@ -329,7 +349,7 @@ mod tests {
     fn nd_on_edgeless_graph_uses_one_class() {
         let g = MultiGraph::new(10);
         let mut ledger = RoundLedger::new();
-        let nd = network_decomposition(&g, &mut ledger);
+        let nd = network_decomposition(&g, 1, &mut ledger);
         assert_eq!(nd.num_classes, 1);
         assert_eq!(nd.clusters.len(), 10);
         assert!(nd.classes_separate_clusters(&g));
@@ -339,7 +359,7 @@ mod tests {
     fn nd_clusters_in_class_partition_clusters() {
         let g = generators::grid(6, 6);
         let mut ledger = RoundLedger::new();
-        let nd = network_decomposition(&g, &mut ledger);
+        let nd = network_decomposition(&g, 1, &mut ledger);
         assert_eq!(nd.cluster_class.len(), nd.clusters.len());
         assert!(nd.cluster_class.iter().all(|&c| c < nd.num_classes));
     }

@@ -9,10 +9,12 @@
 //!   phases the engines simulate centrally (cluster-local computations,
 //!   network decompositions, recolorings), plus the standard cost formulas
 //!   in [`rounds::costs`].
-//! * [`views`] — power graphs `G^r`, including the lazy [`PowerView`] the
-//!   engines use to run on `G^r` without ever materializing it.
-//! * [`decomposition`] — `(O(log n), O(log n))` network decompositions and
-//!   Miller–Peng–Xu partial network decompositions.
+//! * [`decomposition`] — `(O(log n), O(log n))` network decompositions of
+//!   a power graph `G^r`, each power neighbourhood read from one bounded
+//!   BFS in `G` so `G^r` is never built, and Miller–Peng–Xu partial network
+//!   decompositions.
+//! * [`views`] — the materialized power graph [`power_graph`], the oracle
+//!   the tests decompose `G^r` against.
 //! * [`cole_vishkin`] — `O(log* n)` 3-coloring of rooted forests.
 //!
 //! # Example: charging a phase at its standard cost
@@ -45,4 +47,4 @@ pub use decomposition::{
     PartialNetworkDecomposition,
 };
 pub use rounds::{RoundCharge, RoundLedger};
-pub use views::{power_graph, PowerView, PowerViewStats};
+pub use views::power_graph;

@@ -1,16 +1,21 @@
 //! Differential test of the leaf-peeling diameter kernel: on random valid
 //! partial forest colorings, `max_forest_diameter` must equal the largest
-//! per-class diameter the BFS oracle `traversal::forest_diameter` measures.
+//! per-class diameter the BFS oracle `traversal::forest_diameter` measures,
+//! and on their completions `ForestDecomposition::max_diameter` must equal
+//! `max_forest_diameter` of the same coloring as a partial one.
 //!
 //! The colorings mix random forests, paths and stars, leave some edges
 //! uncolored (parallel to colored ones or not), skip color indices the way
 //! the Harris–Su–Vu leftover star colors do, and keep isolated vertices.
 
 use forest_graph::decomposition::{
-    max_forest_diameter, validate_partial_forest_decomposition, PartialEdgeColoring,
+    max_forest_diameter, validate_forest_decomposition, validate_partial_forest_decomposition,
+    PartialEdgeColoring,
 };
 use forest_graph::traversal::forest_diameter;
-use forest_graph::{Color, CsrGraph, GraphView, MultiGraph, UnionFind, VertexId};
+use forest_graph::{
+    Color, CsrGraph, EdgeId, ForestDecomposition, GraphView, MultiGraph, UnionFind, VertexId,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -89,6 +94,21 @@ fn oracle<G: GraphView>(g: &G, coloring: &PartialEdgeColoring) -> usize {
         .unwrap_or(0)
 }
 
+/// Completes a forest coloring by giving every uncolored edge a fresh color
+/// of its own, above every color in use.
+fn complete(coloring: &PartialEdgeColoring) -> ForestDecomposition {
+    let mut fresh = coloring.colors_used().last().map_or(0, |c| c.index() + 1);
+    let colors = (0..coloring.len())
+        .map(|i| {
+            coloring.color(EdgeId::new(i)).unwrap_or_else(|| {
+                fresh += 1;
+                Color::new(fresh - 1)
+            })
+        })
+        .collect();
+    ForestDecomposition::from_colors(colors)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -102,5 +122,11 @@ proptest! {
         prop_assert_eq!(max_forest_diameter(&g, &coloring), expected);
         let csr = CsrGraph::from_multigraph(&g);
         prop_assert_eq!(max_forest_diameter(&csr, &coloring), expected);
+        // The complete-coloring entry reads the same kernel without a copy.
+        let fd = complete(&coloring);
+        prop_assert!(validate_forest_decomposition(&g, &fd, None).is_ok());
+        let as_partial = max_forest_diameter(&g, &fd.to_partial());
+        prop_assert_eq!(fd.max_diameter(&g), as_partial);
+        prop_assert_eq!(fd.max_diameter(&csr), as_partial);
     }
 }

@@ -167,7 +167,7 @@ fn network_decomposition_feeds_algorithm2_clusters() {
     // Algorithm 2 relies on, on the same workloads the pipeline uses.
     for (name, g, _) in families(6) {
         let mut ledger = RoundLedger::new();
-        let nd = local_model::network_decomposition(&g, &mut ledger);
+        let nd = local_model::network_decomposition(&g, 1, &mut ledger);
         assert!(nd.classes_separate_clusters(&g), "{name}");
         let n = g.num_vertices();
         let log2n = (usize::BITS - (n - 1).leading_zeros()) as usize;

@@ -1,20 +1,25 @@
-//! The virtual power graph: equivalence and byte-stability.
+//! The power path: decomposing `G^r` without building it, and byte-stability.
 //!
-//! Two contracts are pinned here:
+//! Three contracts are pinned here:
 //!
-//! 1. **Adjacency equivalence** (proptest): the lazy [`PowerView`] answers
-//!    exactly the adjacency of the materialized `power_graph(g, r)` on
-//!    arbitrary multigraphs, across radii including `0` and values beyond
-//!    the diameter.
-//! 2. **Byte identity** (golden hashes): the engines' decomposition reports
+//! 1. **Differential decomposition** (proptest): `network_decomposition(&g,
+//!    r, ..)`, which reads each power neighbourhood from a bounded BFS in
+//!    `g`, returns exactly the decomposition of the materialized
+//!    `power_graph(g, r)` at power 1 (classes, clusters and their order,
+//!    ledger, ball count) on arbitrary multigraphs at radii `0..6` and
+//!    beyond the diameter, and on a grid and a fat path at radii `1..=12`.
+//! 2. **Power-path goldens**: the decomposition of `G^r` on three inputs,
+//!    its ledger and its ball count, captured from the implementation that
+//!    answered each adjacency query of `G^r` with a sorted ball.
+//! 3. **Byte identity** (golden hashes): the engines' decomposition reports
 //!    are byte-for-byte identical to the pre-virtual-power-graph
 //!    implementation for fixed seeds. The FNV-1a hashes below were captured
 //!    from the materializing implementation; any drift in clusters, CUT RNG
 //!    consumption, coloring or ledger charges shows up here.
 
 use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind, ReorderKind};
-use forest_graph::{generators, CsrGraph, GraphView, MultiGraph, VertexId};
-use local_model::{power_graph, PowerView};
+use forest_graph::{generators, CsrGraph, MultiGraph, VertexId};
+use local_model::{network_decomposition, power_graph, NetworkDecomposition, RoundLedger};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,34 +33,28 @@ fn fnv(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Sorted neighbor multiset of `v` (power graphs are simple per center, so
-/// this is a set — but sorting keeps the comparison representation-free).
-fn sorted_neighbors<G: GraphView>(g: &G, v: VertexId) -> Vec<VertexId> {
-    let mut ns: Vec<VertexId> = g.neighbors(v).collect();
-    ns.sort_unstable();
-    ns.dedup();
-    ns
-}
-
-fn assert_view_matches_materialized(g: &MultiGraph, r: usize) {
-    let pv = PowerView::new(g, r);
-    let pg = power_graph(g, r);
-    for v in g.vertices() {
-        let lazy = sorted_neighbors(&pv, v);
-        let dense = sorted_neighbors(&pg, v);
-        assert_eq!(lazy, dense, "neighbors of {v} differ at radius {r}");
-        assert_eq!(pv.degree(v), lazy.len(), "degree of {v} at radius {r}");
-    }
-    // The lazy edge iterator enumerates each ball edge once.
+/// Decomposes `g^r` from bounded balls in `g` and checks every field
+/// against the decomposition of the materialized `power_graph(g, r)`.
+fn assert_decomposes_like_materialized(g: &MultiGraph, r: usize) {
+    let csr = CsrGraph::from_multigraph(g);
+    let mut ledger = RoundLedger::new();
+    let nd = network_decomposition(&csr, r, &mut ledger);
+    let mut oracle_ledger = RoundLedger::new();
+    let oracle = network_decomposition(&power_graph(g, r), 1, &mut oracle_ledger);
+    assert_eq!(nd.num_classes, oracle.num_classes, "classes at radius {r}");
+    assert_eq!(nd.class_of, oracle.class_of, "class_of at radius {r}");
+    assert_eq!(nd.cluster_of, oracle.cluster_of, "cluster_of at radius {r}");
     assert_eq!(
-        pv.edges().count(),
-        pg.num_edges(),
-        "edge count at radius {r}"
+        nd.cluster_class, oracle.cluster_class,
+        "cluster_class at radius {r}"
     );
-    for (e, u, w) in pv.edges() {
-        let (eu, ew) = pv.endpoints(e);
-        assert_eq!((eu, ew), (u, w), "edge-id round trip at radius {r}");
-    }
+    assert_eq!(nd.clusters, oracle.clusters, "clusters at radius {r}");
+    assert_eq!(ledger, oracle_ledger, "ledger at radius {r}");
+    // The layers agree as sets, so both grow one ball per frontier vertex.
+    assert_eq!(
+        nd.ball_expansions, oracle.ball_expansions,
+        "balls at radius {r}"
+    );
 }
 
 fn arb_multigraph(max_n: usize, max_m: usize) -> impl Strategy<Value = MultiGraph> {
@@ -76,32 +75,111 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn power_view_equals_materialized_power_graph(
+    fn power_decomposition_equals_materialized(
         case in (arb_multigraph(18, 40), 0usize..6)
     ) {
         let (g, r) = case;
-        assert_view_matches_materialized(&g, r);
+        assert_decomposes_like_materialized(&g, r);
     }
 
     #[test]
-    fn power_view_equals_materialized_beyond_diameter(g in arb_multigraph(12, 30)) {
+    fn power_decomposition_equals_materialized_beyond_diameter(g in arb_multigraph(12, 30)) {
         // Radius >= n exceeds any diameter: every ball saturates its
         // connected component.
         let n = g.num_vertices();
-        assert_view_matches_materialized(&g, n);
-        assert_view_matches_materialized(&g, 2 * n + 5);
+        assert_decomposes_like_materialized(&g, n);
+        assert_decomposes_like_materialized(&g, 2 * n + 5);
+    }
+}
+
+/// Large-diameter inputs: at small radii their power graphs split into many
+/// clusters over several classes.
+#[test]
+fn power_decomposition_equals_materialized_on_grid_and_fat_path() {
+    let grid = generators::grid(40, 12);
+    let fat_path = generators::fat_path(120, 2);
+    for r in 1..=12 {
+        assert_decomposes_like_materialized(&grid, r);
+        assert_decomposes_like_materialized(&fat_path, r);
     }
 }
 
 #[test]
-fn power_view_radius_zero_is_edgeless() {
+fn power_zero_decomposes_into_singletons() {
     let g = generators::grid(5, 4);
-    assert_view_matches_materialized(&g, 0);
-    let pv = PowerView::new(&g, 0);
-    assert_eq!(pv.edges().count(), 0);
+    assert_decomposes_like_materialized(&g, 0);
+    let csr = CsrGraph::from_multigraph(&g);
+    let nd = network_decomposition(&csr, 0, &mut RoundLedger::new());
+    assert_eq!((nd.num_classes, nd.clusters.len()), (1, g.num_vertices()));
 }
 
-// --- Golden canonical-bytes regressions (pre-PowerView captures) ---------
+// --- Golden decompositions of G^r (the power path itself) -----------------
+
+/// FNV-1a of a network decomposition and the ledger it charged: the class
+/// count, `class_of`, `cluster_of`, `cluster_class`, every cluster's members
+/// in order, then each charge's label and rounds.
+fn decomposition_hash(nd: &NetworkDecomposition, ledger: &RoundLedger) -> u64 {
+    fn put(bytes: &mut Vec<u8>, x: usize) {
+        bytes.extend_from_slice(&(x as u64).to_le_bytes());
+    }
+    let mut bytes = Vec::new();
+    put(&mut bytes, nd.num_classes);
+    for field in [&nd.class_of, &nd.cluster_of, &nd.cluster_class] {
+        put(&mut bytes, field.len());
+        for &x in field.iter() {
+            put(&mut bytes, x);
+        }
+    }
+    put(&mut bytes, nd.clusters.len());
+    for cluster in &nd.clusters {
+        put(&mut bytes, cluster.len());
+        for v in cluster {
+            put(&mut bytes, v.index());
+        }
+    }
+    for charge in ledger.charges() {
+        put(&mut bytes, charge.label.len());
+        bytes.extend_from_slice(charge.label.as_bytes());
+        put(&mut bytes, charge.rounds);
+    }
+    fnv(&bytes)
+}
+
+/// Decomposes `g^r` and checks it against values captured from the
+/// implementation that answered adjacency in `G^r` through a sorted ball per
+/// query: `(classes, clusters, balls)` — the class and cluster counts and
+/// the number of bounded BFS balls grown — and the hash of the whole
+/// decomposition and its ledger.
+fn assert_power_golden(g: &MultiGraph, r: usize, counts: (usize, usize, u64), hash: u64) {
+    let csr = CsrGraph::from_multigraph(g);
+    let mut ledger = RoundLedger::new();
+    let nd = network_decomposition(&csr, r, &mut ledger);
+    let measured = (nd.num_classes, nd.clusters.len(), nd.ball_expansions);
+    assert_eq!(measured, counts, "radius {r}");
+    assert_eq!(decomposition_hash(&nd, &ledger), hash, "radius {r}");
+}
+
+/// `grid(120, 12)` at `2(R+R') = 96`, the power the default request derives
+/// for this graph (the `cold_mesh` benchmark input).
+#[test]
+fn golden_power_decomposition_mesh() {
+    let g = generators::grid(120, 12);
+    assert_power_golden(&g, 96, (2, 2, 2_537), 0x2c7f3bff32e07f58);
+}
+
+#[test]
+fn golden_power_decomposition_small_grid() {
+    let g = generators::grid(40, 12);
+    assert_power_golden(&g, 18, (3, 3, 883), 0x36bc7ca7f34c85cf);
+}
+
+#[test]
+fn golden_power_decomposition_fat_path() {
+    let g = generators::fat_path(300, 2);
+    assert_power_golden(&g, 24, (2, 13, 595), 0xe5583d864db9f697);
+}
+
+// --- Golden canonical-bytes regressions (pre-virtual-power-graph captures) -
 
 #[test]
 fn golden_hsv_trivial_power_path() {
@@ -180,7 +258,7 @@ fn golden_barenboim_elkin_frontier_h_partition() {
     assert_eq!(fnv(&report.canonical_bytes()), 0x13a122e4ac9192be);
 }
 
-/// Adversarial sharded HSV through the virtual power-graph path: many
+/// Adversarial sharded HSV through the power path: many
 /// fragmented shard components, forced sharding of a graph whose derived
 /// radii exceed most shard diameters. Sharded and unsharded runs must agree
 /// on validity; this is the CI smoke for the ball-local pipeline.
