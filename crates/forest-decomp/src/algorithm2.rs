@@ -30,11 +30,12 @@
 //! components and bounds the diameter by twice the largest eccentricity.
 //! When `2(R+R')` reaches that bound, no cluster machinery runs: every edge
 //! is colored in one ascending-id pass of augmentation over the whole graph
-//! with one per-color connectivity cache. Each cluster's view would be its
-//! whole component, so CUT would cut nothing and draw no random number,
-//! and a search never leaves its component; the pass returns exactly what
-//! the cluster loop returns on such inputs (coloring, leftover, counters,
-//! ledger), in `O(n + m)` plus the searches.
+//! with one per-color connectivity cache, whose forests start primed empty,
+//! so an edge that fits costs one union per color tried. Each cluster's
+//! view would be its whole component, so CUT would cut nothing and draw no
+//! random number, and a search never leaves its component; the pass
+//! returns exactly what the cluster loop returns on such inputs (coloring,
+//! leftover, counters, ledger), in `O(n + m)` plus the searches.
 //!
 //! # Ball-local execution
 //!
@@ -316,6 +317,10 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
         CLUSTERS.add(u64::from(num_comp));
         let _cluster_span = Span::enter("algo2.cluster_loop");
         ledger.charge("process class 0 clusters", class_rounds);
+        // The coloring starts empty, so every forest does: prime as many
+        // colors as the largest palette holds (all of a uniform palette)
+        // rather than build each by a scan of all m edges on first use.
+        conn.prime(lists.max_palette_size());
         for e in csr.edge_ids() {
             if unrestricted
                 .augment_edge_connected(&mut coloring, &mut conn, e, max_iterations)

@@ -145,7 +145,7 @@ pub(super) fn execute(
         }
         (engine, problem) => return Err(unsupported(problem, engine)),
     };
-    let outcome = decomposition_outcome(&csr, result);
+    let outcome = decomposition_outcome(&csr, result)?;
     Ok(if request.problem == ProblemKind::Orientation {
         orient_outcome(&csr, outcome)
     } else {
@@ -253,8 +253,7 @@ fn exact_matroid(csr: &CsrRef<'_>) -> (FdResult, ColorConnectivity) {
 /// The color id span of a complete coloring: max color index + 1 (0 when
 /// edgeless). Distinct-color counts are NOT a substitute — colorings with
 /// index gaps (HSV leftover star colors) would leave the gap colors
-/// unprimed, and [`ColorConnectivity::insert`] silently drops edges of
-/// unprimed colors.
+/// unprimed.
 fn color_span(fd: &ForestDecomposition) -> usize {
     fd.colors().iter().map(|c| c.index() + 1).max().unwrap_or(0)
 }
@@ -272,14 +271,22 @@ fn shard_connectivity(
     conn.prime(span);
     for (i, &c) in fd.colors().iter().enumerate() {
         let (u, v) = csr.endpoints(EdgeId::new(i));
-        conn.insert(c, u, v);
+        let forest = conn
+            .cached_forest(c)
+            .expect("every color below the span is primed");
+        forest.union(u.index(), v.index());
     }
     conn
 }
 
 /// Packages a pipeline result, measuring its color count and its maximum
 /// tree diameter once.
-fn decomposition_outcome(csr: &CsrRef<'_>, result: FdResult) -> EngineOutcome {
+///
+/// # Errors
+///
+/// [`FdError::InvalidDecomposition`] when a color class is not a forest: the
+/// diameter measurement is every engine's forest check.
+fn decomposition_outcome(csr: &CsrRef<'_>, result: FdResult) -> Result<EngineOutcome, FdError> {
     let FdResult {
         decomposition,
         arboricity,
@@ -289,16 +296,16 @@ fn decomposition_outcome(csr: &CsrRef<'_>, result: FdResult) -> EngineOutcome {
     let num_colors = decomposition.num_colors_used();
     let max_diameter = {
         let _span = Span::enter("decomp.max_diameter");
-        decomposition.max_diameter(csr)
+        decomposition.max_diameter(csr)?
     };
-    EngineOutcome {
+    Ok(EngineOutcome {
         artifact: Artifact::Decomposition(decomposition),
         arboricity,
         num_colors,
         max_diameter,
         leftover_edges,
         ledger,
-    }
+    })
 }
 
 /// Turns a complete forest decomposition into an orientation outcome by

@@ -284,7 +284,7 @@ impl Stitch {
         let num_colors = decomposition.num_colors_used();
         let max_diameter = {
             let _span = Span::enter("decomp.max_diameter");
-            decomposition.max_diameter(csr)
+            decomposition.max_diameter(csr)?
         };
         let mut report = DecompositionReport {
             problem: request.problem,

@@ -370,8 +370,9 @@ impl<'a, G: GraphView> AugmentationContext<'a, G> {
 
     /// [`AugmentationContext::augment_edge`] with a connectivity fast path:
     /// when some palette color's forest keeps the endpoints of `start` apart
-    /// (the common case), the single-step sequence is found with a union-find
-    /// query instead of a breadth-first growth — the applied sequence is
+    /// (the common case), the single-step sequence is found by one
+    /// union-find union per color tried ([`ColorConnectivity::place`])
+    /// instead of a breadth-first growth — the applied sequence is
     /// identical to what the full search would return. Nothing is returned
     /// on success, so the fast path allocates nothing.
     ///
@@ -403,14 +404,10 @@ impl<'a, G: GraphView> AugmentationContext<'a, G> {
         let filter: Option<&dyn Fn(EdgeId) -> bool> = Some(&allowed);
         // Fast path: the slow search's first growth iteration returns the
         // single step (start, c) for the first palette color c with no path
-        // between the endpoints — exactly the first disconnected forest.
+        // between the endpoints — exactly the first forest `place` joins.
         for &c in self.lists.palette(start) {
-            if coloring.color(start) == Some(c) {
-                continue;
-            }
-            if !conn.connected(self.graph, coloring, filter, c, u, v) {
+            if conn.place(self.graph, coloring, filter, c, u, v) {
                 coloring.set(start, c);
-                conn.insert(c, u, v);
                 return Ok(());
             }
         }

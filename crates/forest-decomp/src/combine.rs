@@ -1,11 +1,14 @@
 //! End-to-end pipelines: Theorem 4.6 (forest decomposition) and
 //! Theorem 4.10 (list-forest decomposition).
 //!
-//! Theorem 4.6 composes the pieces for ordinary colors: Algorithm 2 with a
-//! slightly shrunk `ε` colors all edges except the CUT leftover; the leftover
-//! has pseudo-arboricity `O(εα)` and is recolored into `O(εα)` star forests
-//! via Theorem 2.1(3); an optional diameter-reduction pass (Corollary 2.5)
-//! brings every tree down to `O(log n/ε)` or `O(1/ε)` diameter.
+//! Theorem 4.6 composes the pieces for ordinary colors: Algorithm 2, run
+//! with the request's own `ε` on uniform palettes of `⌈(1+ε)α⌉` colors,
+//! colors all edges except the CUT leftover; the leftover has
+//! pseudo-arboricity `O(εα)` and is recolored into `O(εα)` star forests
+//! with fresh colors on top of those `⌈(1+ε)α⌉` via Theorem 2.1(3); an
+//! optional diameter-reduction pass (Corollary 2.5) brings every tree down
+//! to `O(log n/ε)` or `O(1/ε)` diameter. The colors are checked to form
+//! forests once, by the diameter measurement every report makes.
 //!
 //! Theorem 4.10 handles per-edge palettes: a vertex-color-splitting
 //! (Theorem 4.9) reserves a back-up side `Q₁` of every palette; Algorithm 2
@@ -14,7 +17,7 @@
 //! direct augmentation on the leftover subgraph); Proposition 4.8 guarantees
 //! the merge of the two sides is still a list-forest decomposition.
 
-use crate::algorithm2::{algorithm2_frozen, Algorithm2Config};
+use crate::algorithm2::{algorithm2_frozen, Algorithm2Config, Algorithm2Output};
 use crate::api::DecompositionRequest;
 use crate::augmenting::complete_by_augmentation;
 use crate::color_splitting::split_colors_clustered;
@@ -23,8 +26,8 @@ use crate::error::{check_epsilon, FdError};
 use crate::hpartition::recolor_as_fresh_stars;
 use crate::lsfd_degeneracy::list_star_forest_decomposition_degeneracy;
 use forest_graph::decomposition::{
-    merge_disjoint_colorings, validate_forest_decomposition, validate_list_coloring,
-    validate_partial_forest_decomposition, PartialEdgeColoring,
+    merge_disjoint_colorings, validate_list_coloring, validate_partial_forest_decomposition,
+    PartialEdgeColoring,
 };
 use forest_graph::{EdgeId, ForestDecomposition, GraphView, ListAssignment};
 use forest_obs::Span;
@@ -109,28 +112,26 @@ pub(crate) fn forest_decomposition<C: GraphView, R: Rng + ?Sized>(
     let primary_colors = ((1.0 + epsilon) * alpha as f64).ceil() as usize;
     let lists = ListAssignment::uniform(csr.num_edges(), primary_colors);
     let config = algorithm2_config(request, epsilon, alpha);
-    let out = algorithm2_frozen(csr, &lists, &config, rng)?;
-    let mut ledger = out.ledger.clone();
-    let mut coloring = out.coloring.clone();
+    let Algorithm2Output {
+        mut coloring,
+        leftover,
+        mut ledger,
+        ..
+    } = algorithm2_frozen(csr, &lists, &config, rng)?;
     // Recolor the leftover as star forests with fresh colors (Theorem 2.1(3)).
-    if !out.leftover.is_empty() {
-        let leftover = crate::cut::dense_mask(csr.num_edges(), out.leftover.iter().copied());
-        recolor_as_fresh_stars(csr, &leftover, primary_colors, &mut coloring, &mut ledger)?;
+    if !leftover.is_empty() {
+        let mask = crate::cut::dense_mask(csr.num_edges(), leftover.iter().copied());
+        recolor_as_fresh_stars(csr, &mask, primary_colors, &mut coloring, &mut ledger)?;
     }
     // Optional diameter reduction (Corollary 2.5).
     if let Some(target) = request.diameter_target {
         let reduced = reduce_diameter(csr, &coloring, epsilon, target, rng, &mut ledger)?;
         coloring = reduced.coloring;
     }
-    let decomposition = coloring.into_complete()?;
-    {
-        let _span = Span::enter("decomp.forest_check");
-        validate_forest_decomposition(csr, &decomposition, None)?;
-    }
     Ok(FdResult {
-        decomposition,
+        decomposition: coloring.into_complete()?,
         arboricity: alpha,
-        leftover_edges: out.leftover.len(),
+        leftover_edges: leftover.len(),
         ledger,
     })
 }
@@ -268,7 +269,7 @@ mod tests {
     use super::*;
     use crate::api::ProblemKind;
     use crate::diameter_reduction::DiameterTarget;
-    use forest_graph::decomposition::max_forest_diameter;
+    use forest_graph::decomposition::{max_forest_diameter, validate_forest_decomposition};
     use forest_graph::{generators, CsrGraph, MultiGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

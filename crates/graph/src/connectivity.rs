@@ -2,17 +2,22 @@
 //! structure shared by every consumer that used to roll its own.
 //!
 //! Both the augmenting-sequence search (`forest-decomp::augmenting`) and the
-//! matroid partition ([`crate::matroid`]) repeatedly ask the same question:
-//! *does the color-`c` forest already connect `u` and `v`?* The answer gates
-//! the overwhelmingly common fast path (place the edge directly) against the
-//! rare slow path (search for an augmenting/exchange sequence). This module
-//! provides the one cache both use — and that shard-boundary stitching uses
-//! too: one lazily-built [`UnionFind`] per color, with an **optional edge
-//! filter** restricting which edges count (the augmenting search's
-//! cluster-view restriction).
+//! matroid partition ([`crate::matroid`]) place an edge by first-fit: the
+//! first color whose forest keeps its endpoints apart takes it, and only when
+//! every color is blocked does the rare slow path search for an
+//! augmenting/exchange sequence. This module provides the one cache both use
+//! — and that shard-boundary stitching uses too: one [`UnionFind`] per
+//! color, with an **optional edge filter** restricting which edges count
+//! (the augmenting search's cluster-view restriction).
 //!
-//! Coloring an edge is an incremental union ([`ColorConnectivity::insert`]);
-//! recolorings invalidate the affected colors, which rebuild on next use
+//! A placement is one union per color tried
+//! ([`ColorConnectivity::place`]): the union itself answers whether the
+//! endpoints were apart, and joins them when they were. A color's forest is
+//! built on first use by a scan of the coloring, unless it was
+//! [primed](ColorConnectivity::prime) empty — which every caller whose
+//! coloring starts empty does (the matroid partition, and Algorithm 2's
+//! trivial pass), so no scan ever runs there. Recolorings invalidate the
+//! affected colors, which rebuild on next use
 //! ([`ColorConnectivity::invalidate`]), or per color in one shared pass
 //! ([`ColorConnectivity::rebuild_colors`]) when an exchange touched a known
 //! set of colors.
@@ -32,11 +37,11 @@ use crate::view::GraphView;
 
 /// Incremental per-color connectivity over a partial coloring.
 ///
-/// The structure is tied to one `(coloring, filter)` evolution: the lazily
-/// built forests are snapshots of the coloring at build time plus the
-/// [`insert`](ColorConnectivity::insert)s applied since. Create it fresh (or
-/// [`invalidate_all`](ColorConnectivity::invalidate_all)) whenever the edge
-/// filter changes or colors are cleared behind its back.
+/// The structure is tied to one `(coloring, filter)` evolution: each
+/// forest is a snapshot of the coloring when it was built (or primed) plus
+/// the [`place`](ColorConnectivity::place)s applied since. Create it fresh
+/// (or [`invalidate_all`](ColorConnectivity::invalidate_all)) whenever the
+/// edge filter changes or colors are cleared behind its back.
 ///
 /// ```
 /// use forest_graph::{ColorConnectivity, Color, EdgeId, GraphView, MultiGraph};
@@ -45,8 +50,13 @@ use crate::view::GraphView;
 /// let mut coloring = PartialEdgeColoring::new_uncolored(2);
 /// coloring.set(EdgeId::new(0), Color::new(0));
 /// let mut conn = ColorConnectivity::new(g.num_vertices());
-/// assert!(conn.connected(&g, &coloring, None, Color::new(0), 0.into(), 1.into()));
-/// assert!(!conn.connected(&g, &coloring, None, Color::new(0), 1.into(), 2.into()));
+/// assert!(conn.forest(&g, &coloring, None, Color::new(0)).connected(0, 1));
+/// assert!(!conn.forest(&g, &coloring, None, Color::new(0)).connected(1, 2));
+/// // Placing edge 1 = {1, 2} in color 0 joins its endpoints; placing a
+/// // second {1, 2} edge there would close a cycle, so it is refused.
+/// assert!(conn.place(&g, &coloring, None, Color::new(0), 1.into(), 2.into()));
+/// coloring.set(EdgeId::new(1), Color::new(0));
+/// assert!(!conn.place(&g, &coloring, None, Color::new(0), 1.into(), 2.into()));
 /// # Ok::<(), forest_graph::GraphError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -54,7 +64,7 @@ pub struct ColorConnectivity {
     num_vertices: usize,
     /// Indexed by color id; `None` until the color's forest is built. Color
     /// ids are small (palette sizes), so a slot per id costs little and a
-    /// fast-path query is one index.
+    /// placement is one index.
     forests: Vec<Option<UnionFind>>,
 }
 
@@ -114,32 +124,17 @@ impl ColorConnectivity {
     }
 
     /// The already-cached forest of `c`, if any — the no-graph-in-hand
-    /// accessor for callers that maintain the cache purely through
-    /// [`ColorConnectivity::prime`] + [`ColorConnectivity::insert`]
-    /// (shard stitching), where a lazy build could never trigger.
+    /// accessor for callers that fill primed forests themselves (shard
+    /// stitching), where a lazy build could never trigger.
     pub fn cached_forest(&mut self, c: Color) -> Option<&mut UnionFind> {
         self.forests.get_mut(c.index())?.as_mut()
     }
 
-    /// Whether the color-`c` forest (under `filter`) connects `u` and `v`.
-    pub fn connected<G: GraphView>(
-        &mut self,
-        g: &G,
-        coloring: &PartialEdgeColoring,
-        filter: Option<&dyn Fn(EdgeId) -> bool>,
-        c: Color,
-        u: VertexId,
-        v: VertexId,
-    ) -> bool {
-        self.forest(g, coloring, filter, c)
-            .connected(u.index(), v.index())
-    }
-
-    /// Creates empty cached forests for colors `0..num_colors` so that
-    /// subsequent [`ColorConnectivity::insert`]s build them incrementally —
-    /// the bulk-merge fast path, which avoids the `O(colors x m)` lazy
-    /// rebuild scans entirely when the caller replays every colored edge
-    /// through `insert`.
+    /// Creates empty forests for the colors in `0..num_colors` that have
+    /// none cached, so no later use scans the graph to build them. Only
+    /// valid while the coloring (under the filter) has no edge of those
+    /// colors: at the start of a pass whose coloring starts empty, or for a
+    /// color just opened.
     pub fn prime(&mut self, num_colors: usize) {
         let n = self.num_vertices;
         for c in 0..num_colors {
@@ -148,29 +143,34 @@ impl ColorConnectivity {
         }
     }
 
-    /// Records that an edge `{u, v}` was just colored `c`: an incremental
-    /// union when the forest is cached, a no-op otherwise (the lazy build
-    /// will see the edge in the coloring).
-    pub fn insert(&mut self, c: Color, u: VertexId, v: VertexId) {
-        if let Some(uf) = self.cached_forest(c) {
-            uf.union(u.index(), v.index());
-        }
-    }
-
-    /// First color in `0..k` whose forest keeps `u` and `v` apart — the fast
-    /// path of both the matroid partition and the augmenting search.
-    pub fn first_free_color<G: GraphView>(
+    /// Places the edge `{u, v}` in color `c` if the color-`c` forest (under
+    /// `filter`, built on first use) keeps `u` and `v` apart: one union,
+    /// `true` when it joined them. The caller then colors the edge `c`;
+    /// on `false` the endpoints were already connected (the edge would
+    /// close a cycle) and the forest is unchanged.
+    ///
+    /// First-fit placement — the fast path of both the matroid partition
+    /// and the augmenting search — is `place` over the candidate colors in
+    /// order, stopping at the first `true`.
+    #[inline]
+    pub fn place<G: GraphView>(
         &mut self,
         g: &G,
         coloring: &PartialEdgeColoring,
         filter: Option<&dyn Fn(EdgeId) -> bool>,
-        k: usize,
+        c: Color,
         u: VertexId,
         v: VertexId,
-    ) -> Option<Color> {
-        (0..k)
-            .map(Color::new)
-            .find(|&c| !self.connected(g, coloring, filter, c, u, v))
+    ) -> bool {
+        let (u, v) = (u.index(), v.index());
+        // A cached forest is read in place, inline in the caller's loop:
+        // through `forest` every placement paid an out-of-line call, a third
+        // of a primed first-fit pass over a 60k-edge graph (release build,
+        // 2-core x86-64 host).
+        match self.forests.get_mut(c.index()) {
+            Some(Some(forest)) => forest.union(u, v),
+            _ => self.forest(g, coloring, filter, c).union(u, v),
+        }
     }
 
     /// Rebuilds exactly the forests of `colors` in one shared edge scan,
@@ -340,6 +340,9 @@ mod tests {
     use super::*;
     use crate::generators;
     use crate::multigraph::MultiGraph;
+    use crate::view::EdgeList;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     fn e(i: usize) -> EdgeId {
         EdgeId::new(i)
@@ -361,9 +364,9 @@ mod tests {
         coloring.set(e(1), c(0));
         coloring.set(e(2), c(1));
         let mut conn = ColorConnectivity::new(4);
-        assert!(conn.connected(&g, &coloring, None, c(0), v(0), v(2)));
-        assert!(!conn.connected(&g, &coloring, None, c(0), v(0), v(3)));
-        assert!(conn.connected(&g, &coloring, None, c(1), v(2), v(3)));
+        assert!(conn.forest(&g, &coloring, None, c(0)).connected(0, 2));
+        assert!(!conn.forest(&g, &coloring, None, c(0)).connected(0, 3));
+        assert!(conn.forest(&g, &coloring, None, c(1)).connected(2, 3));
     }
 
     #[test]
@@ -375,43 +378,45 @@ mod tests {
         }
         let keep = |x: EdgeId| x.index() != 1;
         let mut conn = ColorConnectivity::new(4);
-        assert!(!conn.connected(&g, &coloring, Some(&keep), c(0), v(0), v(3)));
-        assert!(conn.connected(&g, &coloring, Some(&keep), c(0), v(0), v(1)));
+        assert!(!conn
+            .forest(&g, &coloring, Some(&keep), c(0))
+            .connected(0, 3));
+        assert!(conn
+            .forest(&g, &coloring, Some(&keep), c(0))
+            .connected(0, 1));
     }
 
     #[test]
-    fn insert_is_incremental_and_invalidate_rebuilds() {
+    fn place_is_incremental_and_invalidate_rebuilds() {
         let g = generators::path(4);
         let mut coloring = PartialEdgeColoring::new_uncolored(3);
         let mut conn = ColorConnectivity::new(4);
-        // Build the empty forest first, then color through insert.
-        assert!(!conn.connected(&g, &coloring, None, c(0), v(0), v(1)));
+        // Build the empty forest first, then color through place.
+        assert!(!conn.forest(&g, &coloring, None, c(0)).connected(0, 1));
+        assert!(conn.place(&g, &coloring, None, c(0), v(0), v(1)));
         coloring.set(e(0), c(0));
-        conn.insert(c(0), v(0), v(1));
-        assert!(conn.connected(&g, &coloring, None, c(0), v(0), v(1)));
+        assert!(conn.forest(&g, &coloring, None, c(0)).connected(0, 1));
         // A recolor behind the cache's back must be surfaced by invalidate.
         coloring.clear(e(0));
         conn.invalidate(c(0));
-        assert!(!conn.connected(&g, &coloring, None, c(0), v(0), v(1)));
+        assert!(!conn.forest(&g, &coloring, None, c(0)).connected(0, 1));
     }
 
     #[test]
-    fn first_free_color_matches_linear_scan() {
+    fn first_fit_place_matches_linear_scan() {
         let g = MultiGraph::from_pairs(3, &[(0, 1), (0, 1), (0, 1)]).unwrap();
         let mut coloring = PartialEdgeColoring::new_uncolored(3);
         coloring.set(e(0), c(0));
         coloring.set(e(1), c(1));
         let mut conn = ColorConnectivity::new(3);
-        assert_eq!(
-            conn.first_free_color(&g, &coloring, None, 3, v(0), v(1)),
-            Some(c(2))
-        );
+        let mut first_fit = |coloring: &PartialEdgeColoring| {
+            (0..3)
+                .map(c)
+                .find(|&col| conn.place(&g, coloring, None, col, v(0), v(1)))
+        };
+        assert_eq!(first_fit(&coloring), Some(c(2)));
         coloring.set(e(2), c(2));
-        conn.insert(c(2), v(0), v(1));
-        assert_eq!(
-            conn.first_free_color(&g, &coloring, None, 3, v(0), v(1)),
-            None
-        );
+        assert_eq!(first_fit(&coloring), None);
     }
 
     #[test]
@@ -422,20 +427,20 @@ mod tests {
         // incrementally-built (or filter-restricted) forest.
         let g = generators::path(4);
         let mut coloring = PartialEdgeColoring::new_uncolored(3);
-        coloring.set(e(0), c(0));
         let mut conn = ColorConnectivity::new(4);
         conn.prime(2);
-        conn.insert(c(0), v(0), v(1));
+        assert!(conn.place(&g, &coloring, None, c(0), v(0), v(1)));
+        coloring.set(e(0), c(0));
         // Color 1's forest carries state the coloring does not (the primed
-        // + inserted evolution shard stitching relies on).
-        conn.insert(c(1), v(2), v(3));
+        // and placed evolution shard stitching relies on).
+        assert!(conn.place(&g, &coloring, None, c(1), v(2), v(3)));
         // Recolor inside color 0 and rebuild only it.
         coloring.clear(e(0));
         coloring.set(e(1), c(0));
         conn.rebuild_colors(&g, &coloring, None, [c(0)]);
-        assert!(!conn.connected(&g, &coloring, None, c(0), v(0), v(1)));
-        assert!(conn.connected(&g, &coloring, None, c(0), v(1), v(2)));
-        // Color 1's insert-only state survived the color-0 rebuild.
+        assert!(!conn.forest(&g, &coloring, None, c(0)).connected(0, 1));
+        assert!(conn.forest(&g, &coloring, None, c(0)).connected(1, 2));
+        // Color 1's place-only state survived the color-0 rebuild.
         assert!(conn
             .cached_forest(c(1))
             .expect("color 1 stays cached")
@@ -457,11 +462,124 @@ mod tests {
             for a in g.vertices() {
                 for b in g.vertices() {
                     assert_eq!(
-                        rebuilt.connected(&g, &coloring, Some(&keep), color, a, b),
-                        fresh.connected(&g, &coloring, Some(&keep), color, a, b)
+                        rebuilt
+                            .forest(&g, &coloring, Some(&keep), color)
+                            .connected(a.index(), b.index()),
+                        fresh
+                            .forest(&g, &coloring, Some(&keep), color)
+                            .connected(a.index(), b.index())
                     );
                 }
             }
+        }
+    }
+
+    /// One step of the `place_matches_first_disconnected_union_finds` script.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// First-fit placement of the next edge over the open colors.
+        Place,
+        /// Drop one color's forest; it rebuilds from the coloring.
+        Invalidate(usize),
+        /// Drop every forest.
+        InvalidateAll,
+        /// Open one more color (up to `k`), priming when that is valid.
+        Open,
+    }
+
+    /// Random edge sequences over up to 7 vertices (parallel edges and
+    /// self-loops included), up to 4 colors, some primed at the start, and a
+    /// script of placements, invalidations and color openings.
+    fn arb_run() -> impl Strategy<Value = (usize, Vec<(usize, usize)>, usize, usize, Vec<Step>)> {
+        (1..8usize, 1..5usize, 0..40usize, 0..u64::MAX).prop_map(|(n, k, len, seed)| {
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+            let edges = (0..len)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            let primed = rng.gen_range(0..k + 1);
+            let steps = (0..2 * len)
+                .map(|_| match rng.gen_range(0..8usize) {
+                    0 => Step::Invalidate(rng.gen_range(0..k)),
+                    1 => Step::InvalidateAll,
+                    2 => Step::Open,
+                    _ => Step::Place,
+                })
+                .collect();
+            (n, edges, k, primed, steps)
+        })
+    }
+
+    /// The colors `0..k` of `conn` partition the vertices as `model` does.
+    fn same_partitions(
+        conn: &mut ColorConnectivity,
+        g: &EdgeList,
+        coloring: &PartialEdgeColoring,
+        model: &mut [UnionFind],
+    ) -> Result<(), TestCaseError> {
+        for (col, uf) in model.iter_mut().enumerate() {
+            for a in 0..g.n {
+                for b in 0..g.n {
+                    let got = conn.forest(g, coloring, None, c(col)).connected(a, b);
+                    prop_assert_eq!(got, uf.connected(a, b));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `place` answers first-fit exactly as a scan for the first color
+        /// whose plain union-find keeps the endpoints apart, and leaves the
+        /// same partitions, however its forests were reached: primed,
+        /// built lazily from the coloring, or rebuilt after an
+        /// invalidation.
+        #[test]
+        fn place_matches_first_disconnected_union_finds(
+            (n, edges, k, primed, steps) in arb_run()
+        ) {
+            let g = EdgeList {
+                n,
+                edges: edges.iter().map(|&(a, b)| (v(a), v(b))).collect(),
+            };
+            let mut coloring = PartialEdgeColoring::new_uncolored(g.edges.len());
+            let mut conn = ColorConnectivity::new(n);
+            conn.prime(primed);
+            // Open colors start at the primed ones (at least one).
+            let mut open = primed.max(1);
+            let mut model: Vec<UnionFind> = (0..k).map(|_| UnionFind::new(n)).collect();
+            let mut used = vec![false; k];
+            let mut next = 0;
+            for step in steps {
+                match step {
+                    Step::Place if next < g.edges.len() => {
+                        let (a, b) = g.edges[next];
+                        let expected = (0..open).find(|&col| !model[col].connected(a.index(), b.index()));
+                        let got = (0..open).find(|&col| conn.place(&g, &coloring, None, c(col), a, b));
+                        prop_assert_eq!(got, expected);
+                        if let Some(col) = got {
+                            model[col].union(a.index(), b.index());
+                            coloring.set(e(next), c(col));
+                            used[col] = true;
+                        }
+                        next += 1;
+                    }
+                    Step::Place => {}
+                    Step::Invalidate(col) => conn.invalidate(c(col)),
+                    Step::InvalidateAll => conn.invalidate_all(),
+                    Step::Open if open < k => {
+                        open += 1;
+                        // Priming is valid while every color it would create
+                        // holds no edge.
+                        if (0..open).all(|col| !used[col] || conn.cached_forest(c(col)).is_some()) {
+                            conn.prime(open);
+                        }
+                    }
+                    Step::Open => {}
+                }
+            }
+            same_partitions(&mut conn, &g, &coloring, &mut model)?;
         }
     }
 
@@ -533,7 +651,8 @@ mod tests {
                 for b in g.vertices() {
                     assert_eq!(
                         dynamic.connected(color, a, b),
-                        lazy.connected(&g, &coloring, None, color, a, b)
+                        lazy.forest(&g, &coloring, None, color)
+                            .connected(a.index(), b.index())
                     );
                 }
             }

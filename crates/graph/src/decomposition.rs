@@ -26,10 +26,15 @@
 //!   `O(n + m + k)` for `k` the largest color index plus one, with one
 //!   allocation per array.
 //!
-//! The kernel assumes every class is a forest: a cycle is never peeled
-//! (a debug assertion checks that every class edge was), and its result is
-//! meaningless. [`validate_diameter_bound`] keeps the BFS sweeps of
-//! [`traversal::forest_diameter`], so it checks the kernel's output with
+//! Peeling never removes an edge of a cycle, nor of a path joining two
+//! cycles (the class's 2-core), and every edge of a forest is peeled. So
+//! the kernel counts the edges it peels, and a class it cannot peel
+//! completely is not a forest: [`ForestDecomposition::max_diameter`]
+//! returns [`ValidationError::CycleInColorClass`] for it, at no cost on a
+//! forest. This is the forest check of every report, whichever engine
+//! produced it; [`validate_forest_decomposition`] stays the independent
+//! union-find check, and [`validate_diameter_bound`] keeps the BFS sweeps
+//! of [`traversal::forest_diameter`], so it checks the kernel's output with
 //! independent code.
 
 use crate::error::ValidationError;
@@ -229,8 +234,14 @@ impl ForestDecomposition {
     /// Maximum strong diameter over all trees in all color classes, by the
     /// leaf-peeling kernel of the [module docs](self#diameter-kernel):
     /// [`max_forest_diameter`] of [`to_partial`](Self::to_partial), without
-    /// the copy. Every color class must already be a forest.
-    pub fn max_diameter<G: GraphView>(&self, g: &G) -> usize {
+    /// the copy, and checking that every class is a forest.
+    ///
+    /// # Errors
+    ///
+    /// [`ValidationError::CycleInColorClass`] for the lowest color class
+    /// that is not a forest (a cycle, two parallel edges or a self-loop),
+    /// naming the lowest-id edge of that class the peel left.
+    pub fn max_diameter<G: GraphView>(&self, g: &G) -> Result<usize, ValidationError> {
         max_diameter_of_colors(g, self.colors[..g.num_edges()].iter().map(|&c| Some(c)))
     }
 
@@ -385,13 +396,20 @@ pub fn validate_list_coloring<G: GraphView>(
 /// partial) coloring, measured by the leaf-peeling kernel of the
 /// [module docs](self#diameter-kernel). The coloring must already be a valid
 /// (partial) forest decomposition.
+///
+/// # Panics
+///
+/// Panics if a color class is not a forest;
+/// [`ForestDecomposition::max_diameter`] returns that as an error instead.
 pub fn max_forest_diameter<G: GraphView>(g: &G, coloring: &PartialEdgeColoring) -> usize {
     max_diameter_of_colors(g, coloring.colors[..g.num_edges()].iter().copied())
+        .expect("every color class is a forest")
 }
 
 /// The leaf-peeling kernel over per-edge colors in edge-id order (`None` =
-/// uncolored), which both coloring types hand over without a copy.
-fn max_diameter_of_colors<G, I>(g: &G, colors: I) -> usize
+/// uncolored), which both coloring types hand over without a copy: the
+/// largest class diameter, or the first class that is not a forest.
+fn max_diameter_of_colors<G, I>(g: &G, colors: I) -> Result<usize, ValidationError>
 where
     G: GraphView,
     I: Iterator<Item = Option<Color>> + Clone,
@@ -419,11 +437,17 @@ where
     let mut peeler = LeafPeeler::new(g.num_vertices());
     let mut max_diam = 0;
     let mut start = 0;
-    for &end in &ends[..span] {
-        max_diam = max_diam.max(peeler.class_diameter(g, &by_color[start..end]));
+    for (c, &end) in ends[..span].iter().enumerate() {
+        let diameter = peeler
+            .class_diameter(g, &by_color[start..end])
+            .map_err(|witness| ValidationError::CycleInColorClass {
+                color: Color::new(c),
+                witness,
+            })?;
+        max_diam = max_diam.max(diameter);
         start = end;
     }
-    max_diam
+    Ok(max_diam)
 }
 
 /// Per-vertex state of the leaf-peeling kernel.
@@ -453,15 +477,16 @@ impl LeafPeeler {
         }
     }
 
-    /// Largest tree diameter of the forest spanned by `class`, leaving every
-    /// slot it touched zeroed again.
+    /// Largest tree diameter of the forest spanned by `class` (ascending
+    /// edge ids), leaving every slot it touched zeroed again. When `class`
+    /// is not a forest, the error is its lowest-id edge left unpeeled.
     ///
     /// Kept out of line: it runs once per class, and inlined into the
     /// kernel's entry it changed how callers' codegen units split,
     /// which slowed the unrelated `matroid::arboricity` by about 7% on a
     /// 60k-edge graph (release build, 2-core x86-64 host).
     #[inline(never)]
-    fn class_diameter<G: GraphView>(&mut self, g: &G, class: &[EdgeId]) -> usize {
+    fn class_diameter<G: GraphView>(&mut self, g: &G, class: &[EdgeId]) -> Result<usize, EdgeId> {
         let slots = &mut self.slots;
         self.touched.clear();
         for &e in class {
@@ -501,11 +526,22 @@ impl LeafPeeler {
             }
             peeled += 1;
         }
-        debug_assert_eq!(peeled, class.len(), "a color class contains a cycle");
+        // A peeled edge left its leaf end at degree 0; an unpeeled one
+        // still counts at both ends.
+        let unpeeled = (peeled < class.len()).then(|| {
+            let left = |e: &&EdgeId| {
+                let (u, v) = g.endpoints(**e);
+                slots[u.index()].degree > 0 && slots[v.index()].degree > 0
+            };
+            *class.iter().find(left).expect("an unpeeled edge remains")
+        });
         for x in &self.touched {
             slots[x.index()] = PeelSlot::default();
         }
-        diameter as usize
+        match unpeeled {
+            Some(witness) => Err(witness),
+            None => Ok(diameter as usize),
+        }
     }
 }
 
@@ -577,6 +613,7 @@ pub fn merge_disjoint_colorings(
 mod tests {
     use super::*;
     use crate::multigraph::MultiGraph;
+    use crate::view::EdgeList;
 
     fn c(i: usize) -> Color {
         Color::new(i)
@@ -721,6 +758,61 @@ mod tests {
             MultiGraph::from_pairs(7, &[(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6)]).unwrap();
         let one_color = PartialEdgeColoring::from_colors(vec![Some(c(1)); 6]);
         assert_eq!(max_forest_diameter(&spider, &one_color), 5);
+    }
+
+    /// Color 0 holds a forest edge; color 1 holds a pendant edge (id 1)
+    /// and then `rest`, which is not a forest.
+    fn pendant_then(rest: &[(usize, usize)]) -> (EdgeList, ForestDecomposition) {
+        let mut edges = vec![(VertexId::new(4), VertexId::new(5))];
+        edges.push((VertexId::new(3), VertexId::new(0)));
+        edges.extend(
+            rest.iter()
+                .map(|&(a, b)| (VertexId::new(a), VertexId::new(b))),
+        );
+        let mut colors = vec![c(0)];
+        colors.resize(edges.len(), c(1));
+        (
+            EdgeList { n: 6, edges },
+            ForestDecomposition::from_colors(colors),
+        )
+    }
+
+    #[test]
+    fn max_diameter_rejects_a_class_that_is_not_a_forest() {
+        // The peel removes the pendant edge 1 and nothing else of color 1,
+        // so the error names edge 2, the lowest-id edge it left.
+        let cases: [(&str, &[(usize, usize)]); 3] = [
+            ("a triangle", &[(0, 1), (1, 2), (2, 0)]),
+            ("two parallel edges", &[(0, 1), (1, 0)]),
+            ("a self-loop", &[(0, 0)]),
+        ];
+        for (what, rest) in cases {
+            let (g, fd) = pendant_then(rest);
+            assert_eq!(
+                fd.max_diameter(&g),
+                Err(ValidationError::CycleInColorClass {
+                    color: c(1),
+                    witness: e(2),
+                }),
+                "{what}"
+            );
+        }
+        // With its last edge moved to color 2, the triangle leaves the path
+        // 3-0-1-2 and the parallel pair the path 3-0-1.
+        for (what, rest) in &cases[..2] {
+            let (g, fd) = pendant_then(rest);
+            let mut colors = fd.colors().to_vec();
+            *colors.last_mut().unwrap() = c(2);
+            let fd = ForestDecomposition::from_colors(colors);
+            assert_eq!(fd.max_diameter(&g), Ok(rest.len()), "{what}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "every color class is a forest")]
+    fn max_forest_diameter_panics_on_a_class_that_is_not_a_forest() {
+        let (g, fd) = pendant_then(&[(0, 1), (1, 2), (2, 0)]);
+        max_forest_diameter(&g, &fd.to_partial());
     }
 
     #[test]

@@ -76,7 +76,11 @@ pub enum ValidationError {
     CycleInColorClass {
         /// The offending color.
         color: Color,
-        /// An edge on the cycle.
+        /// An edge of the class's cycles: the union-find validators name the
+        /// edge that closes one; the diameter peel
+        /// ([`ForestDecomposition::max_diameter`](crate::ForestDecomposition::max_diameter))
+        /// names the lowest-id edge it could not peel, which lies on a cycle
+        /// or on a path joining two.
         witness: EdgeId,
     },
     /// A color class contains a path with three edges, so it is not a star-forest.
@@ -126,7 +130,7 @@ impl fmt::Display for ValidationError {
             }
             ValidationError::CycleInColorClass { color, witness } => write!(
                 f,
-                "color class {color} contains a cycle through edge {witness}"
+                "color class {color} contains a cycle (witness edge {witness})"
             ),
             ValidationError::NotAStarForest { color, witness } => write!(
                 f,

@@ -29,10 +29,12 @@
 //!   amortized `O(log n)`), plus [`DynamicGraph`] — a mutable adjacency
 //!   container with stable edge ids implementing [`GraphView`] over its
 //!   live edges, the substrate of streaming decomposition.
-//! * [`connectivity`] — the per-color union-find cache (with optional edge
-//!   filter and per-color [`rebuild_colors`](ColorConnectivity::rebuild_colors)
-//!   invalidation) shared by the augmenting search, the matroid partition
-//!   and shard-boundary stitching — and [`DynamicColorConnectivity`], its
+//! * [`connectivity`] — the per-color union-find cache (first-fit through
+//!   [`place`](ColorConnectivity::place), one union per color tried, with
+//!   an optional edge filter and per-color
+//!   [`rebuild_colors`](ColorConnectivity::rebuild_colors) invalidation)
+//!   shared by the augmenting search, the matroid partition and
+//!   shard-boundary stitching — and [`DynamicColorConnectivity`], its
 //!   deletion-capable sibling keeping each color class as a
 //!   [`DynamicForest`] for exchange-heavy and streaming workloads.
 //! * [`decomposition`] — forest / star-forest decompositions and their

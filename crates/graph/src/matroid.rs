@@ -133,9 +133,9 @@ pub struct ExactForestDecomposition {
     /// The arboricity `α(G)` (number of forests used).
     pub arboricity: usize,
     /// Per-color union-finds exactly covering
-    /// [`ExactForestDecomposition::decomposition`] — the partition's own
-    /// working cache, completed and handed back so shard pipelines stitch
-    /// through it instead of re-unioning every edge.
+    /// [`ExactForestDecomposition::decomposition`], one for every color in
+    /// `0..arboricity` — the partition's own working cache, handed back so
+    /// shard pipelines stitch through it instead of re-unioning every edge.
     pub connectivity: ColorConnectivity,
 }
 
@@ -144,7 +144,10 @@ pub struct ExactForestDecomposition {
 ///
 /// The search starts from the Nash-Williams lower bound `⌈m/(n-1)⌉` and
 /// increases `k` only when an edge provably cannot be accommodated, so the
-/// number of restarts is at most `α` minus the lower bound.
+/// number of restarts is at most `α` minus the lower bound. Each color's
+/// forest is primed empty when the color opens, so an edge that fits
+/// directly costs one union per color tried and no forest is ever built by
+/// a scan; only an exchange rebuilds the colors it touched.
 pub fn exact_forest_decomposition<G: GraphView>(g: &G) -> ExactForestDecomposition {
     let m = g.num_edges();
     let n = g.num_vertices();
@@ -160,11 +163,14 @@ pub fn exact_forest_decomposition<G: GraphView>(g: &G) -> ExactForestDecompositi
     let mut k = m.div_ceil(n.saturating_sub(1).max(1)).max(1);
     let mut coloring = PartialEdgeColoring::new_uncolored(m);
     let mut connectivity = ColorConnectivity::new(n);
+    connectivity.prime(k);
     for (e, u, v) in g.edges() {
-        // Fast path: some forest keeps u and v apart, so e slots right in.
-        if let Some(c) = connectivity.first_free_color(g, &coloring, None, k, u, v) {
+        // Fast path: the first forest that keeps u and v apart takes e.
+        let fits = (0..k)
+            .map(Color::new)
+            .find(|&c| connectivity.place(g, &coloring, None, c, u, v));
+        if let Some(c) = fits {
             coloring.set(e, c);
-            connectivity.insert(c, u, v);
             continue;
         }
         loop {
@@ -175,15 +181,13 @@ pub fn exact_forest_decomposition<G: GraphView>(g: &G) -> ExactForestDecompositi
                     break;
                 }
                 // Certified: the colored edges plus e need more than k
-                // forests.
-                None => k += 1,
+                // forests. The new color holds no edge yet.
+                None => {
+                    k += 1;
+                    connectivity.prime(k);
+                }
             }
         }
-    }
-    // Complete the cache: colors the fast path never queried are built now,
-    // so the returned forests exactly cover the final coloring.
-    for c in 0..k {
-        connectivity.forest(g, &coloring, None, Color::new(c));
     }
     let decomposition = coloring
         .into_complete()

@@ -7,61 +7,85 @@
 //!
 //! # Layout
 //!
-//! All palettes live in one flat color array, edge after edge, and an
+//! Per-edge palettes live in one flat color array, edge after edge, and an
 //! offset array of `m + 1` entries marks where each one starts: the palette
 //! of edge `e` is `colors[offsets[e]..offsets[e + 1]]`. Building `m`
 //! palettes therefore costs two allocations rather than `m + 1`, and a scan
 //! over every palette walks one contiguous array. The offsets stay `usize`:
 //! the total palette length `m·k` can exceed `u32::MAX` even when `m`
-//! cannot. Replacing one palette with [`ListAssignment::set_palette`] costs
-//! `O(1)` per color when the length is unchanged and shifts the tail of both
-//! arrays otherwise.
+//! cannot.
+//!
+//! A [`uniform`](ListAssignment::uniform) assignment, the palettes of every
+//! ordinary forest decomposition, stores its one palette once and no
+//! offsets: one allocation of `k` colors for any `m`. Every query answers
+//! as if the palette were repeated per edge, and equality compares palette
+//! by palette, so the layout is invisible. Replacing one palette with
+//! [`ListAssignment::set_palette`] first turns a uniform assignment into the
+//! flat layout; then it costs `O(1)` per color when the length is unchanged
+//! and shifts the tail of both arrays otherwise.
 
 use crate::ids::{Color, EdgeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// A list (palette) assignment: one sorted, deduplicated palette per edge,
-/// stored flat (see the [module docs](self#layout)).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// stored flat, or once when every edge has the same one (see the
+/// [module docs](self#layout)).
+#[derive(Clone, Debug)]
 pub struct ListAssignment {
-    /// `offsets[e]..offsets[e + 1]` indexes edge `e`'s palette in `colors`.
-    offsets: Vec<usize>,
-    /// Every palette, concatenated in edge order.
+    /// Number of edges covered.
+    num_edges: usize,
+    /// `offsets[e]..offsets[e + 1]` indexes edge `e`'s palette in `colors`;
+    /// `None` when `colors` is every edge's palette.
+    offsets: Option<Vec<usize>>,
+    /// Every palette, concatenated in edge order, or the one shared palette.
     colors: Vec<Color>,
 }
 
+/// Palette by palette: a uniform assignment equals the flat one holding
+/// the same palettes.
+impl PartialEq for ListAssignment {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_edges == other.num_edges
+            && (0..self.num_edges)
+                .map(EdgeId::new)
+                .all(|e| self.palette(e) == other.palette(e))
+    }
+}
+
+impl Eq for ListAssignment {}
+
 impl ListAssignment {
-    /// An assignment of no palettes with room for `num_edges` of them.
+    /// A flat assignment of no palettes with room for `num_edges` of them.
     fn with_capacity(num_edges: usize, num_colors: usize) -> Self {
         let mut offsets = Vec::with_capacity(num_edges + 1);
         offsets.push(0);
         ListAssignment {
-            offsets,
+            num_edges: 0,
+            offsets: Some(offsets),
             colors: Vec::with_capacity(num_colors),
         }
     }
 
-    /// Closes the palette of the next edge: the colors pushed since the
-    /// previous one.
+    /// Closes the palette of the next edge of a flat assignment: the colors
+    /// pushed since the previous one.
     fn end_palette(&mut self) {
-        self.offsets.push(self.colors.len());
+        if let Some(offsets) = &mut self.offsets {
+            offsets.push(self.colors.len());
+        }
+        self.num_edges += 1;
     }
 
-    /// Every edge receives the uniform palette `{0, .., k-1}`.
+    /// Every edge receives the uniform palette `{0, .., k-1}`, stored once.
     ///
     /// This models ordinary (non-list) `k`-forest decomposition as the
     /// special case `Q(e) = C = [k]`.
     pub fn uniform(num_edges: usize, k: usize) -> Self {
-        let total = num_edges
-            .checked_mul(k)
-            .expect("uniform palettes overflow usize");
-        let mut lists = ListAssignment::with_capacity(num_edges, total);
-        for _ in 0..num_edges {
-            lists.colors.extend((0..k).map(Color::new));
-            lists.end_palette();
+        ListAssignment {
+            num_edges,
+            offsets: None,
+            colors: (0..k).map(Color::new).collect(),
         }
-        lists
     }
 
     /// Builds an assignment from explicit palettes (they are sorted and
@@ -112,18 +136,29 @@ impl ListAssignment {
 
     /// Number of edges covered.
     pub fn num_edges(&self) -> usize {
-        self.offsets.len() - 1
+        self.num_edges
     }
 
     /// Returns `true` if no edges are covered.
     pub fn is_empty(&self) -> bool {
-        self.num_edges() == 0
+        self.num_edges == 0
     }
 
     /// The palette of edge `e`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is not one of the covered edges.
     #[inline]
     pub fn palette(&self, e: EdgeId) -> &[Color] {
-        &self.colors[self.offsets[e.index()]..self.offsets[e.index() + 1]]
+        let i = e.index();
+        match &self.offsets {
+            Some(offsets) => &self.colors[offsets[i]..offsets[i + 1]],
+            None => {
+                assert!(i < self.num_edges, "edge {e} has no palette");
+                &self.colors
+            }
+        }
     }
 
     /// Returns `true` if color `c` is in the palette of `e`.
@@ -132,9 +167,13 @@ impl ListAssignment {
         self.palette(e).binary_search(&c).is_ok()
     }
 
-    /// Palette sizes in edge order.
+    /// Palette sizes in edge order, a uniform assignment's once.
     fn sizes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.offsets.windows(2).map(|w| w[1] - w[0])
+        let offsets = self.offsets.as_deref().unwrap_or_default();
+        let shared = (self.offsets.is_none() && self.num_edges > 0).then_some(self.colors.len());
+        shared
+            .into_iter()
+            .chain(offsets.windows(2).map(|w| w[1] - w[0]))
     }
 
     /// Size of the smallest palette (`usize::MAX` when there are no edges).
@@ -149,6 +188,10 @@ impl ListAssignment {
 
     /// Number of distinct colors appearing in any palette.
     pub fn colorspace_size(&self) -> usize {
+        // A uniform assignment of no edges still stores its palette.
+        if self.num_edges == 0 {
+            return 0;
+        }
         let mut all = self.colors.clone();
         all.sort_unstable();
         all.dedup();
@@ -176,14 +219,21 @@ impl ListAssignment {
     pub fn set_palette(&mut self, e: EdgeId, mut palette: Vec<Color>) {
         palette.sort_unstable();
         palette.dedup();
-        let (start, end) = (self.offsets[e.index()], self.offsets[e.index() + 1]);
+        let mut offsets = self.offsets.take().unwrap_or_else(|| {
+            // The flat layout of the same palettes: the shared one per edge.
+            let k = self.colors.len();
+            self.colors = self.colors.repeat(self.num_edges);
+            (0..=self.num_edges).map(|i| i * k).collect()
+        });
+        let (start, end) = (offsets[e.index()], offsets[e.index() + 1]);
         let new_end = start + palette.len();
         self.colors.splice(start..end, palette);
         if new_end != end {
-            for offset in &mut self.offsets[e.index() + 1..] {
+            for offset in &mut offsets[e.index() + 1..] {
                 *offset = *offset - end + new_end;
             }
         }
+        self.offsets = Some(offsets);
     }
 }
 
@@ -266,5 +316,7 @@ mod tests {
         assert!(lists.is_empty());
         assert_eq!(lists.min_palette_size(), usize::MAX);
         assert_eq!(lists.max_palette_size(), 0);
+        assert_eq!(lists.colorspace_size(), 0);
+        assert_eq!(lists, ListAssignment::from_palettes(Vec::new()));
     }
 }

@@ -116,6 +116,44 @@ pub trait GraphView {
     }
 }
 
+/// A bare edge list as a [`GraphView`], for tests: unlike
+/// [`MultiGraph`](crate::MultiGraph), it takes self-loops.
+#[cfg(test)]
+pub(crate) struct EdgeList {
+    /// Number of vertices.
+    pub n: usize,
+    /// The edges, in id order.
+    pub edges: Vec<(VertexId, VertexId)>,
+}
+
+#[cfg(test)]
+impl GraphView for EdgeList {
+    fn num_vertices(&self) -> usize {
+        self.n
+    }
+
+    fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    fn endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
+        self.edges[e.index()]
+    }
+
+    fn degree(&self, v: VertexId) -> usize {
+        self.incidences(v).count()
+    }
+
+    fn incidences(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
+        self.edges.iter().enumerate().flat_map(move |(i, &(a, b))| {
+            let e = EdgeId::new(i);
+            [(a == v).then_some((b, e)), (b == v).then_some((a, e))]
+                .into_iter()
+                .flatten()
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,5 @@
-//! Model test of the flat `ListAssignment`: every constructor, query and
-//! mutator must agree with a plain `Vec<Vec<Color>>` of sorted,
+//! Model test of `ListAssignment`, flat or uniform: every constructor,
+//! query and mutator must agree with a plain `Vec<Vec<Color>>` of sorted,
 //! deduplicated palettes.
 
 use forest_graph::{Color, EdgeId, ListAssignment};
@@ -114,6 +114,23 @@ proptest! {
                 }
                 _ => {}
             }
+            agrees(&lists, &model, space)?;
+        }
+    }
+
+    #[test]
+    fn set_palette_turns_uniform_palettes_flat(
+        (m, k, steps, seed) in (1..16usize, 0..6usize, 1..8usize, 0..u64::MAX)
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let space = k + 2;
+        let mut lists = ListAssignment::uniform(m, k);
+        let mut model: Model = vec![(0..k).map(Color::new).collect(); m];
+        for _ in 0..steps {
+            let i = rng.gen_range(0..m);
+            let palette = raw_palette(&mut rng, space);
+            lists.set_palette(EdgeId::new(i), palette.clone());
+            model[i] = normalized(palette);
             agrees(&lists, &model, space)?;
         }
     }

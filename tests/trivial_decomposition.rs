@@ -11,11 +11,16 @@
 //!   the failure fallback (unrestricted retry, then leftover) runs;
 //! * several components whose vertex and edge ids interleave, so coloring
 //!   edges in global id order differs from coloring them component by
-//!   component, under both CUT rules.
+//!   component, under both CUT rules;
+//! * a planted graph built by the external sort and mapped from disk, the
+//!   benchmark's `cold_random` path at a tenth of its size.
 
 use forest_decomp::algorithm2::{algorithm2_frozen, Algorithm2Config, Algorithm2Output};
-use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind};
+use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, GraphInput, ProblemKind};
 use forest_decomp::CutStrategyKind;
+use forest_graph::extsort::{
+    build_csr_from_edge_file, write_binary_edge_file, EdgeListFormat, ExtsortConfig,
+};
 use forest_graph::{generators, CsrGraph, EdgeId, ListAssignment, MultiGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -175,4 +180,31 @@ fn golden_interleaved_components_under_both_cut_rules() {
         assert_eq!(report.arboricity, 3, "{cut:?}");
         assert_eq!(fnv(&report.canonical_bytes()), report_hash, "{cut:?}");
     }
+}
+
+/// Golden: the default Forest request on `planted_forest_union(2000, 3)`,
+/// written as a binary edge file, built into a CSR by the external sort
+/// under a 64 KiB budget (so it spills) and mapped from disk. Exact α, the
+/// uniform palettes and the trivial pass place every edge in the first
+/// three forests, with nothing left over.
+#[test]
+fn golden_planted_union_through_extsort_and_mmap() {
+    let n = 2000;
+    let g = generators::planted_forest_union(n, 3, &mut StdRng::seed_from_u64(23));
+    let stem = std::env::temp_dir().join(format!("nash-williams-trivial-{}", std::process::id()));
+    let edges = stem.with_extension("edges");
+    let csr = stem.with_extension("csr");
+    write_binary_edge_file(&edges, g.edges().map(|(_, u, v)| (u.raw(), v.raw()))).unwrap();
+    let config = ExtsortConfig::with_budget(64 << 10).num_vertices(n);
+    let build = build_csr_from_edge_file(&edges, EdgeListFormat::BinaryU32, &csr, &config);
+    let report = Decomposer::new(forest_request(31)).run(GraphInput::from_mmap(&csr).unwrap());
+    std::fs::remove_file(&edges).unwrap();
+    std::fs::remove_file(&csr).unwrap();
+    assert!(build.unwrap().spilled_runs >= 2);
+    let report = report.unwrap();
+    assert_eq!(
+        (report.arboricity, report.num_colors, report.leftover_edges),
+        (3, 3, 0)
+    );
+    assert_eq!(fnv(&report.canonical_bytes()), 0x0889b0b2b908ee6d);
 }
