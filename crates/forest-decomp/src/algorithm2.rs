@@ -37,6 +37,18 @@
 //! returns exactly what the cluster loop returns on such inputs (coloring,
 //! leftover, counters, ledger), in `O(n + m)` plus the searches.
 //!
+//! On a palette that starts with the colors `0..α`, an edge that fits
+//! takes the first of them whose forest keeps its endpoints apart: the
+//! pass is first-fit. When the exact partition that found `α`
+//! ([`exact_forest_decomposition`](forest_graph::matroid::exact_forest_decomposition))
+//! never left its own first-fit over `0..α`
+//! ([`exchanges`](forest_graph::matroid::ExactForestDecomposition::exchanges)
+//! is 0), the pass would pick that partition's color for every edge, by
+//! induction over the ascending edge ids, and no search would run. The
+//! forest pipeline ([`crate::combine`]) then hands the partition in and
+//! the pass adopts it instead of recomputing it; everything else the pass
+//! returns (no leftover, zero counters, the same ledger) is unchanged.
+//!
 //! # Ball-local execution
 //!
 //! Otherwise [`network_decomposition`] decomposes `G^{2(R+R')}` from one
@@ -54,12 +66,12 @@
 
 use crate::augmenting::{AugmentationContext, ColorConnectivity};
 use crate::cut::{execute_cut_scoped, CutOutcome, CutScope, CutScratch, CutState, CutStrategy};
-use crate::error::{check_epsilon, FdError};
+use crate::error::{check_epsilon, check_palettes, FdError};
 use crate::hpartition::{acyclic_orientation, h_partition};
 use forest_graph::decomposition::PartialEdgeColoring;
 use forest_graph::kernels::{self, StampSet};
 use forest_graph::traversal::BfsScratch;
-use forest_graph::{EdgeId, GraphView, ListAssignment, VertexId};
+use forest_graph::{EdgeId, ForestDecomposition, GraphView, ListAssignment, VertexId};
 use forest_obs::{clock::Stopwatch, LazyCounter, Span};
 use local_model::rounds::costs;
 use local_model::{network_decomposition, RoundLedger};
@@ -125,7 +137,7 @@ impl Algorithm2Config {
 /// Pure observability: none of these influence the decomposition, the RNG
 /// consumption or the round ledger, and they are not part of any canonical
 /// report encoding.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Bounded BFS balls the network decomposition of `G^{2(R+R')}` grew
     /// in `G`, one per power neighbourhood read
@@ -138,7 +150,7 @@ pub struct PipelineStats {
 }
 
 /// Output of Algorithm 2.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Algorithm2Output {
     /// List-forest decomposition of the kept edges `E₀`; leftover edges are
     /// uncolored here.
@@ -193,6 +205,25 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
     config: &Algorithm2Config,
     rng: &mut R,
 ) -> Result<Algorithm2Output, FdError> {
+    algorithm2_adopting(csr, lists, config, rng, None)
+}
+
+/// [`algorithm2_frozen`], except that the [trivial pass](self#the-trivial-pass)
+/// adopts `first_fit` when it runs, instead of augmenting every edge.
+///
+/// `first_fit`, when given, must be what first-fit over the colors `0..k`
+/// computes in ascending edge-id order when it never finds all `k` forests
+/// blocked (an exact partition with no exchanges), and every palette must
+/// start with `0..k`, as uniform palettes of `⌈(1+ε)k⌉` colors do. The
+/// trivial pass then returns the same output either way; a non-trivial
+/// decomposition ignores `first_fit` and runs the cluster loop.
+pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
+    csr: &C,
+    lists: &ListAssignment,
+    config: &Algorithm2Config,
+    rng: &mut R,
+    first_fit: Option<ForestDecomposition>,
+) -> Result<Algorithm2Output, FdError> {
     check_epsilon(config.epsilon)?;
     RUNS.inc();
     let n = csr.num_vertices();
@@ -214,16 +245,10 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
             pipeline_stats: PipelineStats::default(),
         });
     }
-    let needed = ((1.0 + config.epsilon) * config.alpha as f64).ceil() as usize;
-    for e in csr.edge_ids() {
-        if lists.palette(e).len() < needed {
-            return Err(FdError::PaletteTooSmall {
-                edge: e,
-                needed,
-                available: lists.palette(e).len(),
-            });
-        }
-    }
+    check_palettes(
+        lists,
+        ((1.0 + config.epsilon) * config.alpha as f64).ceil() as usize,
+    )?;
     let locality_radius = config
         .locality_radius
         .unwrap_or_else(|| derived_radius(n, config.epsilon));
@@ -291,10 +316,7 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
         num_comp += 1;
     }
 
-    let mut coloring = PartialEdgeColoring::new_uncolored(m);
-    let mut leftover: Vec<EdgeId> = Vec::new();
     let unrestricted = AugmentationContext::new(csr, lists);
-    let mut conn = ColorConnectivity::new(n);
     // All clusters of a class are processed in parallel in the LOCAL
     // model; the simulation charges the cluster-processing cost once per
     // class.
@@ -317,20 +339,35 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
         CLUSTERS.add(u64::from(num_comp));
         let _cluster_span = Span::enter("algo2.cluster_loop");
         ledger.charge("process class 0 clusters", class_rounds);
-        // The coloring starts empty, so every forest does: prime as many
-        // colors as the largest palette holds (all of a uniform palette)
-        // rather than build each by a scan of all m edges on first use.
-        conn.prime(lists.max_palette_size());
-        for e in csr.edge_ids() {
-            if unrestricted
-                .augment_edge_connected(&mut coloring, &mut conn, e, max_iterations)
-                .is_err()
-            {
-                leftover.push(e);
+        let (coloring, leftover) = match first_fit {
+            // First-fit that never missed is what the pass below computes,
+            // edge by edge, with no search and nothing left over.
+            Some(first_fit) => {
+                debug_assert_eq!(first_fit.num_edges(), m);
+                (first_fit.to_partial(), Vec::new())
             }
-        }
-        // The loop's leftover order: by component, then by id.
-        leftover.sort_by_key(|&e| comp[csr.endpoints(e).0.index()]);
+            None => {
+                let mut coloring = PartialEdgeColoring::new_uncolored(m);
+                let mut leftover = Vec::new();
+                // The coloring starts empty, so every forest does: prime as
+                // many colors as the largest palette holds (all of a
+                // uniform palette) rather than build each by a scan of all
+                // m edges on first use.
+                let mut conn = ColorConnectivity::new(n);
+                conn.prime(lists.max_palette_size());
+                for e in csr.edge_ids() {
+                    if unrestricted
+                        .augment_edge_connected(&mut coloring, &mut conn, e, max_iterations)
+                        .is_err()
+                    {
+                        leftover.push(e);
+                    }
+                }
+                // The loop's leftover order: by component, then by id.
+                leftover.sort_by_key(|&e| comp[csr.endpoints(e).0.index()]);
+                (coloring, leftover)
+            }
+        };
         return Ok(Algorithm2Output {
             coloring,
             // The loop retries every failed search unrestricted (the same
@@ -365,6 +402,9 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
     }
     let num_clusters_total = nd.clusters.len();
 
+    let mut coloring = PartialEdgeColoring::new_uncolored(m);
+    let mut leftover: Vec<EdgeId> = Vec::new();
+    let mut conn = ColorConnectivity::new(n);
     let mut removed = vec![false; m];
     let mut all_cuts_good = true;
     let mut forced_cut_removals = 0usize;
@@ -539,9 +579,9 @@ mod tests {
     use forest_graph::decomposition::{
         validate_list_coloring, validate_partial_forest_decomposition,
     };
-    use forest_graph::{generators, matroid, CsrGraph, MultiGraph};
+    use forest_graph::{generators, matroid, Color, CsrGraph, MultiGraph};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use std::collections::HashSet;
 
     fn check_output(g: &MultiGraph, lists: &ListAssignment, out: &Algorithm2Output) {
@@ -641,6 +681,61 @@ mod tests {
         assert_eq!(out.pipeline_stats.power_ball_expansions, 0);
     }
 
+    /// Runs both entry points on `g` with palettes of `⌈1.5α⌉` colors, the
+    /// adopting one handed the exact partition, and requires equal outputs
+    /// and equal RNG streams afterwards. Returns the output.
+    fn assert_adoption_changes_nothing(
+        g: &MultiGraph,
+        config: &Algorithm2Config,
+    ) -> Algorithm2Output {
+        let csr = CsrGraph::from_multigraph(g);
+        let exact = matroid::exact_forest_decomposition(&csr);
+        assert_eq!(exact.exchanges, 0, "a first-fit input");
+        assert_eq!(exact.arboricity, config.alpha);
+        let lists =
+            ListAssignment::uniform(g.num_edges(), (1.5 * config.alpha as f64).ceil() as usize);
+        let mut rng = StdRng::seed_from_u64(7);
+        let computed = algorithm2_frozen(&csr, &lists, config, &mut rng).unwrap();
+        let mut adopting_rng = StdRng::seed_from_u64(7);
+        let adopted = algorithm2_adopting(
+            &csr,
+            &lists,
+            config,
+            &mut adopting_rng,
+            Some(exact.decomposition),
+        )
+        .unwrap();
+        assert_eq!(adopted, computed);
+        assert_eq!(adopting_rng.next_u64(), rng.next_u64());
+        computed
+    }
+
+    #[test]
+    fn adopting_a_first_fit_partition_changes_nothing() {
+        let planted = generators::planted_forest_union(60, 3, &mut StdRng::seed_from_u64(3));
+        for (g, alpha) in [
+            (planted, 3),
+            (generators::grid(10, 6), 2),
+            (generators::fat_path(12, 3), 3),
+        ] {
+            for cut in [
+                CutStrategyKind::DepthModulo,
+                CutStrategyKind::ConditionedSampling,
+            ] {
+                let mut config = Algorithm2Config::new(0.5, alpha);
+                config.cut = cut;
+                let out = assert_adoption_changes_nothing(&g, &config);
+                assert_eq!(out.pipeline_stats.power_ball_expansions, 0, "trivial");
+                assert!(out.leftover.is_empty());
+            }
+        }
+        // Radii below the diameter: the cluster loop runs and ignores the
+        // partition.
+        let config = Algorithm2Config::new(0.5, 2).with_radii(8, 4);
+        let out = assert_adoption_changes_nothing(&generators::fat_path(120, 2), &config);
+        assert!(out.pipeline_stats.power_ball_expansions > 0, "non-trivial");
+    }
+
     #[test]
     fn conditioned_sampling_strategy_works_end_to_end() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -664,6 +759,18 @@ mod tests {
             algorithm2_frozen(&csr, &lists, &config, &mut rng),
             Err(FdError::PaletteTooSmall { .. })
         ));
+        // Explicit palettes: the error names the first short one.
+        let mut lists = ListAssignment::uniform(g.num_edges(), 5);
+        lists.set_palette(EdgeId::new(4), vec![Color::new(0), Color::new(1)]);
+        lists.set_palette(EdgeId::new(9), Vec::new());
+        assert_eq!(
+            algorithm2_frozen(&csr, &lists, &config, &mut rng).unwrap_err(),
+            FdError::PaletteTooSmall {
+                edge: EdgeId::new(4),
+                needed: 5,
+                available: 2
+            }
+        );
     }
 
     #[test]

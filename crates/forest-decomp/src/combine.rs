@@ -10,6 +10,17 @@
 //! to `O(log n/ε)` or `O(1/ε)` diameter. The colors are checked to form
 //! forests once, by the diameter measurement every report makes.
 //!
+//! When the request fixes no `α`, Theorem 4.6 learns it from the exact
+//! matroid partition. If that partition never left its first-fit fast path
+//! ([`exchanges`](forest_graph::matroid::ExactForestDecomposition::exchanges)
+//! is 0), it is exactly the coloring Algorithm 2's
+//! [trivial pass](crate::algorithm2#the-trivial-pass) computes on the
+//! palettes `0..⌈(1+ε)α⌉`, so it is handed to Algorithm 2, whose trivial
+//! pass adopts it instead of coloring the graph a second time. The output
+//! is the same either way; a request with a fixed `α`, a partition that
+//! needed exchanges and a non-trivial network decomposition run the pass
+//! or the cluster loop as before.
+//!
 //! Theorem 4.10 handles per-edge palettes: a vertex-color-splitting
 //! (Theorem 4.9) reserves a back-up side `Q₁` of every palette; Algorithm 2
 //! runs on the main side `Q₀`; the leftover is recolored from `Q₁` (by
@@ -17,12 +28,14 @@
 //! direct augmentation on the leftover subgraph); Proposition 4.8 guarantees
 //! the merge of the two sides is still a list-forest decomposition.
 
-use crate::algorithm2::{algorithm2_frozen, Algorithm2Config, Algorithm2Output};
+use crate::algorithm2::{
+    algorithm2_adopting, algorithm2_frozen, Algorithm2Config, Algorithm2Output,
+};
 use crate::api::DecompositionRequest;
 use crate::augmenting::complete_by_augmentation;
 use crate::color_splitting::split_colors_clustered;
 use crate::diameter_reduction::reduce_diameter;
-use crate::error::{check_epsilon, FdError};
+use crate::error::{check_epsilon, check_palettes, FdError};
 use crate::hpartition::recolor_as_fresh_stars;
 use crate::lsfd_degeneracy::list_star_forest_decomposition_degeneracy;
 use forest_graph::decomposition::{
@@ -108,7 +121,18 @@ pub(crate) fn forest_decomposition<C: GraphView, R: Rng + ?Sized>(
     if csr.num_edges() == 0 {
         return Ok(FdResult::edgeless(0, RoundLedger::new()));
     }
-    let alpha = resolve_alpha(csr, request.alpha);
+    // With α computed, keep the exact partition when it is plain first-fit
+    // over 0..α: the palettes 0..⌈(1+ε)α⌉ start with those colors, so the
+    // trivial pass would color every edge the same way.
+    let (alpha, first_fit) = match request.alpha {
+        Some(alpha) => (alpha.max(1), None),
+        None => {
+            let _span = Span::enter("decomp.arboricity");
+            let exact = forest_graph::matroid::exact_forest_decomposition(csr);
+            let first_fit = (exact.exchanges == 0).then_some(exact.decomposition);
+            (exact.arboricity.max(1), first_fit)
+        }
+    };
     let primary_colors = ((1.0 + epsilon) * alpha as f64).ceil() as usize;
     let lists = ListAssignment::uniform(csr.num_edges(), primary_colors);
     let config = algorithm2_config(request, epsilon, alpha);
@@ -117,7 +141,7 @@ pub(crate) fn forest_decomposition<C: GraphView, R: Rng + ?Sized>(
         leftover,
         mut ledger,
         ..
-    } = algorithm2_frozen(csr, &lists, &config, rng)?;
+    } = algorithm2_adopting(csr, &lists, &config, rng, first_fit)?;
     // Recolor the leftover as star forests with fresh colors (Theorem 2.1(3)).
     if !leftover.is_empty() {
         let mask = crate::cut::dense_mask(csr.num_edges(), leftover.iter().copied());
@@ -156,16 +180,7 @@ pub(crate) fn list_forest_decomposition<C: GraphView, R: Rng + ?Sized>(
         return Ok(FdResult::edgeless(0, RoundLedger::new()));
     }
     let alpha = resolve_alpha(csr, request.alpha);
-    let needed = ((1.0 + epsilon) * alpha as f64).ceil() as usize;
-    for e in csr.edge_ids() {
-        if lists.palette(e).len() < needed {
-            return Err(FdError::PaletteTooSmall {
-                edge: e,
-                needed,
-                available: lists.palette(e).len(),
-            });
-        }
-    }
+    check_palettes(lists, ((1.0 + epsilon) * alpha as f64).ceil() as usize)?;
     let mut ledger = RoundLedger::new();
     // Algorithm 2 on the main side needs palettes of size (1 + eps/2) alpha.
     let main_needed = ((1.0 + epsilon / 2.0) * alpha as f64).ceil() as usize;
@@ -366,10 +381,14 @@ mod tests {
         let lists = ListAssignment::uniform(g.num_edges(), 1);
         let request = request(ProblemKind::ListForest, 0.5).with_alpha(3);
         let csr = CsrGraph::from_multigraph(&g);
-        assert!(matches!(
-            list_forest_decomposition(&csr, &lists, &request, &mut rng),
-            Err(FdError::PaletteTooSmall { .. })
-        ));
+        assert_eq!(
+            list_forest_decomposition(&csr, &lists, &request, &mut rng).unwrap_err(),
+            FdError::PaletteTooSmall {
+                edge: EdgeId::new(0),
+                needed: 5,
+                available: 1
+            }
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Error type for the decomposition algorithms.
 
 use crate::api::{Engine, ProblemKind};
-use forest_graph::{EdgeId, GraphError, ReorderKind, ValidationError};
+use forest_graph::{EdgeId, GraphError, ListAssignment, ReorderKind, ValidationError};
 use std::error::Error;
 use std::fmt;
 
@@ -223,6 +223,19 @@ pub fn check_epsilon(epsilon: f64) -> Result<(), FdError> {
         Ok(())
     } else {
         Err(FdError::InvalidEpsilon { epsilon })
+    }
+}
+
+/// Validates that every palette holds at least `needed` colors, naming the
+/// first edge whose palette is short.
+pub(crate) fn check_palettes(lists: &ListAssignment, needed: usize) -> Result<(), FdError> {
+    match lists.first_short_palette(needed) {
+        Some((edge, available)) => Err(FdError::PaletteTooSmall {
+            edge,
+            needed,
+            available,
+        }),
+        None => Ok(()),
     }
 }
 

@@ -137,6 +137,19 @@ pub struct ExactForestDecomposition {
     /// `0..arboricity` — the partition's own working cache, handed back so
     /// shard pipelines stitch through it instead of re-unioning every edge.
     pub connectivity: ColorConnectivity,
+    /// Number of edges that missed the first-fit fast path: no forest of
+    /// the current `k` kept their endpoints apart, so an exchange search
+    /// (and possibly a bump of `k`) placed them.
+    ///
+    /// `exchanges == 0` certifies two things. First, the arboricity equals
+    /// the Nash-Williams lower bound `⌈m/(n−1)⌉`, since `k` never left it.
+    /// Second, the decomposition is plain first-fit over the colors
+    /// `0..arboricity` in ascending edge-id order: each edge in the lowest
+    /// color whose forest, built from the edges before it, keeps its
+    /// endpoints apart. Any placement that tries the colors `0..arboricity`
+    /// first, in that order, on the same edge sequence therefore lands
+    /// every edge in the same color.
+    pub exchanges: usize,
 }
 
 /// Computes the exact arboricity `α(G)` and an `α(G)`-forest decomposition
@@ -156,6 +169,7 @@ pub fn exact_forest_decomposition<G: GraphView>(g: &G) -> ExactForestDecompositi
             decomposition: ForestDecomposition::from_colors(Vec::new()),
             arboricity: 0,
             connectivity: ColorConnectivity::new(n),
+            exchanges: 0,
         };
     }
     // Whole-graph Nash-Williams lower bound. (The max over subgraphs can be
@@ -164,6 +178,7 @@ pub fn exact_forest_decomposition<G: GraphView>(g: &G) -> ExactForestDecompositi
     let mut coloring = PartialEdgeColoring::new_uncolored(m);
     let mut connectivity = ColorConnectivity::new(n);
     connectivity.prime(k);
+    let mut exchanges = 0;
     for (e, u, v) in g.edges() {
         // Fast path: the first forest that keeps u and v apart takes e.
         let fits = (0..k)
@@ -173,6 +188,7 @@ pub fn exact_forest_decomposition<G: GraphView>(g: &G) -> ExactForestDecompositi
             coloring.set(e, c);
             continue;
         }
+        exchanges += 1;
         loop {
             match try_augment_traced(g, &mut coloring, e, k, usize::MAX) {
                 Some(steps) => {
@@ -196,6 +212,7 @@ pub fn exact_forest_decomposition<G: GraphView>(g: &G) -> ExactForestDecompositi
         decomposition,
         arboricity: k,
         connectivity,
+        exchanges,
     }
 }
 
@@ -259,7 +276,11 @@ pub fn density_witness<G: GraphView>(g: &G, bound: usize) -> Option<Vec<VertexId
 mod tests {
     use super::*;
     use crate::decomposition::validate_forest_decomposition;
+    use crate::generators;
     use crate::multigraph::MultiGraph;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn complete_graph(n: usize) -> MultiGraph {
         let mut pairs = Vec::new();
@@ -328,6 +349,92 @@ mod tests {
         assert!(density_witness(&g, 3).is_some());
         assert!(density_witness(&g, 4).is_none());
         assert!(density_witness(&g, 0).is_some());
+    }
+
+    /// Plain first-fit over the colors `0..k` in ascending edge-id order,
+    /// each forest built by `ColorConnectivity::place` on first use: the
+    /// coloring, or `None` at the first edge every color blocks.
+    fn first_fit(g: &MultiGraph, k: usize) -> Option<Vec<Color>> {
+        let mut conn = ColorConnectivity::new(g.num_vertices());
+        let mut coloring = PartialEdgeColoring::new_uncolored(g.num_edges());
+        for (e, u, v) in g.edges() {
+            let c = (0..k)
+                .map(Color::new)
+                .find(|&c| conn.place(g, &coloring, None, c, u, v))?;
+            coloring.set(e, c);
+        }
+        let complete = coloring.into_complete().expect("every edge colored");
+        Some(complete.colors().to_vec())
+    }
+
+    /// Asserts the contract of `exchanges` on `g`: zero exactly when plain
+    /// first-fit over `⌈m/(n−1)⌉` colors never misses, and then the
+    /// partition is that coloring at that arboricity. Returns whether it
+    /// was zero.
+    fn assert_exchanges_contract(g: &MultiGraph) -> bool {
+        let exact = exact_forest_decomposition(g);
+        let k = arboricity_lower_bound(g);
+        match first_fit(g, k) {
+            Some(colors) => {
+                assert_eq!(exact.exchanges, 0, "first-fit never missed");
+                assert_eq!(exact.arboricity, k);
+                assert_eq!(exact.decomposition.colors(), &colors[..]);
+                true
+            }
+            None => {
+                assert!(exact.exchanges > 0, "first-fit missed");
+                false
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `exchanges == 0` exactly when first-fit over the lower bound
+        /// never misses, on random multigraphs of every density.
+        #[test]
+        fn no_exchanges_iff_first_fit_never_misses(case in (2..14usize, 0..48usize, 0..u64::MAX)) {
+            let (n, m, seed) = case;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut g = MultiGraph::new(n);
+            for _ in 0..m {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    g.add_edge(VertexId::new(u), VertexId::new(v)).unwrap();
+                }
+            }
+            assert_exchanges_contract(&g);
+        }
+    }
+
+    /// Both sides of the contract on small inputs. First-fit over
+    /// `⌈6/3⌉ = 2` colors colors `K4` in the order `01, 12, 02, 03, 13, 23`
+    /// without a miss, but in lexicographic order the star `01, 02, 03`
+    /// fills color 0, `12` and `13` join in color 1, and `23` finds both
+    /// forests connecting its endpoints.
+    #[test]
+    fn exchanges_contract_on_small_graphs() {
+        let k4 = |pairs: &[(usize, usize)]| MultiGraph::from_pairs(4, pairs).unwrap();
+        assert!(assert_exchanges_contract(&k4(&[
+            (0, 1),
+            (1, 2),
+            (0, 2),
+            (0, 3),
+            (1, 3),
+            (2, 3)
+        ])));
+        assert!(!assert_exchanges_contract(&complete_graph(4)));
+        assert_eq!(exact_forest_decomposition(&complete_graph(4)).exchanges, 1);
+    }
+
+    /// `cold_random`'s family in generation order, and a grid: the exact
+    /// partition is plain first-fit on both.
+    #[test]
+    fn planted_union_and_grid_need_no_exchange() {
+        let planted = generators::planted_forest_union(2000, 3, &mut StdRng::seed_from_u64(23));
+        assert!(assert_exchanges_contract(&planted));
+        assert!(assert_exchanges_contract(&generators::grid(40, 12)));
     }
 
     #[test]

@@ -176,6 +176,17 @@ impl ListAssignment {
             .chain(offsets.windows(2).map(|w| w[1] - w[0]))
     }
 
+    /// The first edge whose palette holds fewer than `k` colors, with that
+    /// palette's size. Reads the stored sizes: one comparison on a
+    /// [`uniform`](ListAssignment::uniform) assignment, one pass over the
+    /// offsets otherwise.
+    pub fn first_short_palette(&self, k: usize) -> Option<(EdgeId, usize)> {
+        self.sizes()
+            .enumerate()
+            .find(|&(_, size)| size < k)
+            .map(|(i, size)| (EdgeId::new(i), size))
+    }
+
     /// Size of the smallest palette (`usize::MAX` when there are no edges).
     pub fn min_palette_size(&self) -> usize {
         self.sizes().min().unwrap_or(usize::MAX)
@@ -300,6 +311,24 @@ mod tests {
         assert_eq!(even.min_palette_size(), 2);
         let nothing = lists.filter(|_, _| false);
         assert_eq!(nothing.min_palette_size(), 0);
+    }
+
+    #[test]
+    fn first_short_palette_names_the_first_short_edge() {
+        let uniform = ListAssignment::uniform(5, 3);
+        assert_eq!(uniform.first_short_palette(3), None);
+        assert_eq!(uniform.first_short_palette(4), Some((e(0), 3)));
+        assert_eq!(ListAssignment::uniform(0, 3).first_short_palette(4), None);
+        let flat = ListAssignment::from_palettes(vec![
+            vec![c(0), c(1)],
+            vec![c(2), c(3)],
+            vec![c(4)],
+            Vec::new(),
+        ]);
+        assert_eq!(flat.first_short_palette(0), None);
+        assert_eq!(flat.first_short_palette(1), Some((e(3), 0)));
+        assert_eq!(flat.first_short_palette(2), Some((e(2), 1)));
+        assert_eq!(flat.first_short_palette(3), Some((e(0), 2)));
     }
 
     #[test]

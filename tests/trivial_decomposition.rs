@@ -14,14 +14,23 @@
 //!   component, under both CUT rules;
 //! * a planted graph built by the external sort and mapped from disk, the
 //!   benchmark's `cold_random` path at a tenth of its size.
+//!
+//! A differential proptest covers the reuse of the exact partition: when
+//! the request fixes no α, the facade hands the partition that found α to
+//! the trivial pass, which adopts it when it is plain first-fit. A run
+//! with α computed must give the bytes of the same run with that α fixed
+//! (which never adopts), for Forest, Orientation and `run_sharded`.
 
 use forest_decomp::algorithm2::{algorithm2_frozen, Algorithm2Config, Algorithm2Output};
-use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, GraphInput, ProblemKind};
+use forest_decomp::api::{
+    Decomposer, DecompositionReport, DecompositionRequest, Engine, GraphInput, ProblemKind,
+};
 use forest_decomp::CutStrategyKind;
 use forest_graph::extsort::{
     build_csr_from_edge_file, write_binary_edge_file, EdgeListFormat, ExtsortConfig,
 };
-use forest_graph::{generators, CsrGraph, EdgeId, ListAssignment, MultiGraph, VertexId};
+use forest_graph::{generators, matroid, CsrGraph, EdgeId, ListAssignment, MultiGraph, VertexId};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -207,4 +216,103 @@ fn golden_planted_union_through_extsort_and_mmap() {
         (3, 3, 0)
     );
     assert_eq!(fnv(&report.canonical_bytes()), 0x0889b0b2b908ee6d);
+}
+
+/// `parts` copies of `planted_forest_union(part_n, k)`, copy `i` on the
+/// vertices `i·part_n..(i+1)·part_n`: its edges copy by copy in
+/// generation order, or all of them in a seeded shuffle. Every copy has
+/// exactly `k(part_n − 1)` edges and arboricity `k`, so splitting the
+/// graph into `parts` shards, balanced by incidence count, cuts it at the
+/// copies' boundaries and every shard resolves α = `k` itself.
+fn planted_copies(parts: usize, part_n: usize, k: usize, seed: u64, shuffled: bool) -> MultiGraph {
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in 0..parts {
+        let copy = generators::planted_forest_union(part_n, k, &mut rng);
+        let base = i * part_n;
+        edges.extend(
+            copy.edges()
+                .map(|(_, u, v)| (base + u.index(), base + v.index())),
+        );
+    }
+    if shuffled {
+        edges.shuffle(&mut rng);
+    }
+    let mut g = MultiGraph::new(parts * part_n);
+    for (u, v) in edges {
+        g.add_edge(VertexId::new(u), VertexId::new(v)).unwrap();
+    }
+    g
+}
+
+/// The default HSV request for `problem`, seeded.
+fn hsv_request(problem: ProblemKind, seed: u64) -> DecompositionRequest {
+    DecompositionRequest::new(problem)
+        .with_engine(Engine::HarrisSuVu)
+        .with_seed(seed)
+}
+
+/// Runs `run` with α computed, then with the α that run reported fixed,
+/// and compares the canonical bytes.
+fn same_bytes_with_alpha_fixed(
+    request: DecompositionRequest,
+    run: impl Fn(&Decomposer) -> DecompositionReport,
+    case: &str,
+) -> Result<(), TestCaseError> {
+    let computed = run(&Decomposer::new(request.clone()));
+    let fixed = run(&Decomposer::new(request.with_alpha(computed.arboricity)));
+    prop_assert!(
+        computed.canonical_bytes() == fixed.canonical_bytes(),
+        "{case}: α computed ({} colors) and α = {} fixed ({} colors) differ",
+        computed.num_colors,
+        computed.arboricity,
+        fixed.num_colors
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Each case is a batch of graphs on at most 60 vertices, each in
+    /// generation order (first-fit over α colors never misses) and
+    /// shuffled (the exact partition needs exchanges). Forest and
+    /// Orientation runs and `run_sharded` at the copy count must give the
+    /// same bytes with α computed as with that α fixed, and every batch
+    /// must cover both kinds of partition.
+    #[test]
+    fn computed_alpha_gives_the_bytes_of_fixed_alpha(
+        batch in proptest::collection::vec((1..4usize, 2..21usize, 1..5usize, 0..u64::MAX), 6)
+    ) {
+        let (mut first_fit, mut exchanged) = (0, 0);
+        for (parts, part_n, k, seed) in batch {
+            for shuffled in [false, true] {
+                let g = planted_copies(parts, part_n, k, seed, shuffled);
+                if matroid::exact_forest_decomposition(&g).exchanges == 0 {
+                    first_fit += 1;
+                } else {
+                    exchanged += 1;
+                }
+                let case = format!("{parts} × planted({part_n}, {k}), seed {seed}, shuffled {shuffled}");
+                for problem in [ProblemKind::Forest, ProblemKind::Orientation] {
+                    same_bytes_with_alpha_fixed(
+                        hsv_request(problem, seed),
+                        |d| d.run(&g).unwrap(),
+                        &format!("{problem:?} on {case}"),
+                    )?;
+                }
+                if parts > 1 {
+                    same_bytes_with_alpha_fixed(
+                        hsv_request(ProblemKind::Forest, seed),
+                        |d| d.run_sharded(&g, parts).unwrap(),
+                        &format!("run_sharded on {case}"),
+                    )?;
+                }
+            }
+        }
+        prop_assert!(
+            first_fit > 0 && exchanged > 0,
+            "first-fit partitions {first_fit}, partitions with exchanges {exchanged}"
+        );
+    }
 }
