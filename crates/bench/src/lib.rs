@@ -1,18 +1,24 @@
-//! Shared harness for the experiment binaries.
+//! The paper's results as one checked table, and the pieces it is built
+//! from.
 //!
-//! Every table and figure of the paper has a regeneration binary under
-//! `src/bin/`, named after the result it regenerates (`table1`,
-//! `figure3_cut`, `theorem54_sfd`, ...); each binary's own doc comment says
-//! which claim it prints and how. `obs_smoke` is the instrumented
-//! end-to-end trace run, and timing lives in `crates/perfbench`. This
-//! library holds the common pieces: workload construction, measurement
-//! records and plain-text table rendering.
+//! [`CLAIMS`] holds one entry per table, figure or theorem of the paper
+//! that the workspace reproduces. Each entry regenerates its rows on seeded
+//! inputs, prints them, and panics naming the row that breaks the bound the
+//! paper proves. The `paper_claims` binary prints every entry in order, and
+//! the root `tests/paper_claims.rs` runs every entry, so the test suite
+//! checks every printed number. `obs_smoke` is the instrumented end-to-end
+//! trace run, and timing lives in `crates/perfbench`. Beside the table, this
+//! library holds the seeded workload suites and plain-text table rendering.
 
 #![forbid(unsafe_code)]
 
 use forest_graph::{generators, MultiGraph, SimpleGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod claims;
+
+pub use claims::CLAIMS;
 
 /// A named benchmark workload with its planted/exact arboricity bound.
 pub struct Workload {
@@ -67,6 +73,28 @@ pub fn simple_suite(seed: u64) -> Vec<(String, SimpleGraph, usize)> {
         12,
     ));
     suite
+}
+
+/// Five small families with their arboricity bounds, one per graph shape:
+/// a planted forest union, a fat path, a grid, a hypercube and a clique.
+pub fn families(seed: u64) -> Vec<Workload> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let family = |name: &str, graph, alpha_bound| Workload {
+        name: name.to_string(),
+        graph,
+        alpha_bound,
+    };
+    vec![
+        family(
+            "planted-3",
+            generators::planted_forest_union(80, 3, &mut rng),
+            3,
+        ),
+        family("fat-path-4", generators::fat_path(60, 4), 4),
+        family("grid-10x10", generators::grid(10, 10), 2),
+        family("hypercube-6", generators::hypercube(6), 4),
+        family("clique-14", generators::complete_graph(14), 7),
+    ]
 }
 
 /// A plain-text table writer with aligned columns.
@@ -131,11 +159,6 @@ impl TextTable {
     }
 }
 
-/// Formats a float with two decimals for table cells.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,11 +198,5 @@ mod tests {
     fn text_table_rejects_ragged_rows() {
         let mut t = TextTable::new(&["a", "b"]);
         t.row(vec!["1".to_string()]);
-    }
-
-    #[test]
-    fn float_formatting() {
-        assert_eq!(f2(1.005), "1.00");
-        assert_eq!(f2(2.5), "2.50");
     }
 }

@@ -80,6 +80,16 @@ impl GrowthState {
     }
 }
 
+/// What one iteration of Algorithm 1 did to `E_i`.
+enum Growth {
+    /// `C(e, c)` is empty for this `(e, c)`: the sequence ends there.
+    Terminal(EdgeId, Color),
+    /// `E_{i+1}` is larger than `E_i`.
+    Grew,
+    /// No edge joined the set.
+    Stalled,
+}
+
 /// The search context: the graph, the palettes and an optional restriction of
 /// the search to a subset of edges (used by Algorithm 2 to stay inside a
 /// cluster's view `C''`).
@@ -133,6 +143,48 @@ impl<'a, G: GraphView> AugmentationContext<'a, G> {
         })
     }
 
+    /// One iteration of Algorithm 1: scans `E_i` in insertion order and,
+    /// for each edge `e` and palette color `c` other than its own, either
+    /// stops at the first empty `C(e, c)` (a terminal) or adds the edges of
+    /// `C(e, c)` adjacent to `E_i` to the set, with `e` as their parent.
+    fn grow(&self, coloring: &PartialEdgeColoring, state: &mut GrowthState) -> Growth {
+        let g = self.graph;
+        // E_i is state.ordered[..frontier_len]; adjacency tests run against
+        // E_i's endpoints as of the start of the iteration.
+        let frontier_len = state.len();
+        let touched_snapshot = state.touched.clone();
+        for snapshot_index in 0..frontier_len {
+            let e = state.ordered[snapshot_index];
+            for &c in self.lists.palette(e) {
+                if coloring.color(e) == Some(c) {
+                    continue;
+                }
+                // C(e, c) empty: almost augmenting sequence found.
+                let Some(path) = self.color_path(coloring, e, c) else {
+                    return Growth::Terminal(e, c);
+                };
+                for x in path {
+                    if state.in_set[x.index()] || !self.edge_allowed(x) {
+                        continue;
+                    }
+                    // Only edges adjacent to the current edge set E_i join
+                    // E_{i+1} (Algorithm 1, line 7).
+                    let (u, v) = g.endpoints(x);
+                    if touched_snapshot[u.index()] || touched_snapshot[v.index()] {
+                        state.insert(g, x, Some(e));
+                    }
+                }
+            }
+        }
+        // With valid preconditions a set that stops growing cannot happen
+        // before termination; callers bail out rather than loop forever.
+        if state.len() == frontier_len {
+            Growth::Stalled
+        } else {
+            Growth::Grew
+        }
+    }
+
     /// Finds an *almost* augmenting sequence from the uncolored edge `start`
     /// (Algorithm 1): it satisfies (A1), (A2), (A4), (A5) but possibly not
     /// (A3). Returns `None` if no sequence is found within `max_iterations`
@@ -151,62 +203,26 @@ impl<'a, G: GraphView> AugmentationContext<'a, G> {
             coloring.color(start).is_none(),
             "augmenting sequences start at an uncolored edge"
         );
-        let g = self.graph;
-        let mut state = GrowthState::new(g, start);
-        let build_sequence = |terminal: EdgeId,
-                              terminal_color: Color,
-                              state: &GrowthState,
-                              coloring: &PartialEdgeColoring|
-         -> AugmentingSequence {
-            let mut steps = vec![(terminal, terminal_color)];
-            let mut cur = terminal;
-            while cur != start {
-                let p = state.parent[cur.index()].expect("parents chain back to the start edge");
-                let color_of_cur = coloring
-                    .color(cur)
-                    .expect("every non-start sequence edge is colored");
-                steps.push((p, color_of_cur));
-                cur = p;
-            }
-            steps.reverse();
-            AugmentingSequence { steps }
-        };
+        let mut state = GrowthState::new(self.graph, start);
         for _ in 0..max_iterations {
-            // E_i is state.ordered[..frontier_len]; adjacency tests run
-            // against E_i's endpoints as of the start of the iteration.
-            let frontier_len = state.len();
-            let touched_snapshot = state.touched.clone();
-            for snapshot_index in 0..frontier_len {
-                let e = state.ordered[snapshot_index];
-                for &c in self.lists.palette(e) {
-                    if coloring.color(e) == Some(c) {
-                        continue;
+            match self.grow(coloring, &mut state) {
+                Growth::Grew => {}
+                Growth::Stalled => return None,
+                Growth::Terminal(terminal, terminal_color) => {
+                    let mut steps = vec![(terminal, terminal_color)];
+                    let mut cur = terminal;
+                    while cur != start {
+                        let p = state.parent[cur.index()]
+                            .expect("parents chain back to the start edge");
+                        let color_of_cur = coloring
+                            .color(cur)
+                            .expect("every non-start sequence edge is colored");
+                        steps.push((p, color_of_cur));
+                        cur = p;
                     }
-                    match self.color_path(coloring, e, c) {
-                        None => {
-                            // C(e, c) is empty: almost augmenting sequence found.
-                            return Some(build_sequence(e, c, &state, coloring));
-                        }
-                        Some(path) => {
-                            for x in path {
-                                if state.in_set[x.index()] || !self.edge_allowed(x) {
-                                    continue;
-                                }
-                                // Only edges adjacent to the current edge set
-                                // E_i join E_{i+1} (Algorithm 1, line 7).
-                                let (u, v) = g.endpoints(x);
-                                if touched_snapshot[u.index()] || touched_snapshot[v.index()] {
-                                    state.insert(g, x, Some(e));
-                                }
-                            }
-                        }
-                    }
+                    steps.reverse();
+                    return Some(AugmentingSequence { steps });
                 }
-            }
-            if state.len() == frontier_len {
-                // No growth: with valid preconditions this cannot happen
-                // before termination; bail out to avoid looping forever.
-                return None;
             }
         }
         None
@@ -214,8 +230,8 @@ impl<'a, G: GraphView> AugmentationContext<'a, G> {
 
     /// Records the size of the growing edge set `E_i` of Algorithm 1 for each
     /// iteration until an almost augmenting sequence is found (or the
-    /// iteration cap is hit). Used by the benchmark harness to reproduce the
-    /// `(1+ε)` growth behaviour illustrated in Figure 2 of the paper.
+    /// iteration cap is hit): the `(1+ε)` growth behaviour illustrated in
+    /// Figure 2 of the paper.
     pub fn growth_trace(
         &self,
         coloring: &PartialEdgeColoring,
@@ -223,40 +239,13 @@ impl<'a, G: GraphView> AugmentationContext<'a, G> {
         max_iterations: usize,
     ) -> Vec<usize> {
         assert!(coloring.color(start).is_none());
-        let g = self.graph;
-        let mut state = GrowthState::new(g, start);
+        let mut state = GrowthState::new(self.graph, start);
         let mut trace = vec![state.len()];
         for _ in 0..max_iterations {
-            let frontier_len = state.len();
-            let touched_snapshot = state.touched.clone();
-            let mut terminated = false;
-            for snapshot_index in 0..frontier_len {
-                let e = state.ordered[snapshot_index];
-                for &c in self.lists.palette(e) {
-                    if coloring.color(e) == Some(c) {
-                        continue;
-                    }
-                    match self.color_path(coloring, e, c) {
-                        None => {
-                            terminated = true;
-                        }
-                        Some(path) => {
-                            for x in path {
-                                if !state.in_set[x.index()] && self.edge_allowed(x) {
-                                    let (u, v) = g.endpoints(x);
-                                    if touched_snapshot[u.index()] || touched_snapshot[v.index()] {
-                                        state.insert(g, x, Some(e));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+            match self.grow(coloring, &mut state) {
+                Growth::Grew => trace.push(state.len()),
+                Growth::Stalled | Growth::Terminal(..) => break,
             }
-            if terminated || state.len() == frontier_len {
-                break;
-            }
-            trace.push(state.len());
         }
         trace
     }
@@ -656,6 +645,35 @@ mod tests {
         // Empty sequences are rejected.
         let bad = AugmentingSequence { steps: vec![] };
         assert!(!ctx.is_valid_augmenting_sequence(&coloring, &bad));
+    }
+
+    #[test]
+    fn growth_trace_from_the_first_stuck_edge_of_k16() {
+        // First-fit over α = 8 colors gets stuck on K16 at edge 92. Algorithm
+        // 1 grows E_0 = {e92} to 17 edges, and the next iteration finds a
+        // terminal, so the trace stops there.
+        let g = CsrGraph::from_multigraph(&generators::complete_graph(16));
+        let lists = ListAssignment::uniform(g.num_edges(), 8);
+        let mut coloring = PartialEdgeColoring::new_uncolored(g.num_edges());
+        let mut conn = ColorConnectivity::new(g.num_vertices());
+        conn.prime(8);
+        let mut stuck = None;
+        for (e, u, v) in g.edges() {
+            match lists
+                .palette(e)
+                .iter()
+                .find(|&&c| conn.place(&g, &coloring, None, c, u, v))
+            {
+                Some(&c) => coloring.set(e, c),
+                None => {
+                    stuck = Some(e);
+                    break;
+                }
+            }
+        }
+        assert_eq!(stuck, Some(EdgeId::new(92)));
+        let ctx = AugmentationContext::new(&g, &lists);
+        assert_eq!(ctx.growth_trace(&coloring, EdgeId::new(92), 60), [1, 17]);
     }
 
     #[test]

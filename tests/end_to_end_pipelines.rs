@@ -129,8 +129,8 @@ fn star_forest_pipelines_on_simple_graphs() {
     sfd.validate(g.graph()).unwrap();
     // alpha + O(sqrt(log Delta) + log alpha) primary colors plus the O(eps alpha)
     // leftover recoloring: allow a generous constant-factor envelope here (the
-    // precise comparison against Corollary 1.2 is produced by the benchmark
-    // binaries).
+    // Corollary 1.2 and Theorem 5.4 rows of `bench::CLAIMS` print the
+    // precise comparison).
     assert!(
         sfd.num_colors <= 3 * alpha + 4,
         "colors = {}",
