@@ -23,7 +23,7 @@ use forest_graph::decomposition::{
 };
 use forest_graph::{
     generators, matroid, orientation, Color, CsrGraph, EdgeId, GraphView, ListAssignment,
-    MultiGraph, VertexId,
+    MultiGraph, SimpleGraph, VertexId,
 };
 use local_model::RoundLedger;
 use rand::rngs::StdRng;
@@ -31,12 +31,24 @@ use rand::SeedableRng;
 
 /// Every reproduced result of the paper, in the paper's order: its name
 /// and the check that prints its rows and panics, naming the row, when one
-/// breaks the paper's bound.
+/// breaks the paper's bound. The claims that also cover [`families`] take
+/// their suites as arguments, so a test can run the family rows alone.
 pub const CLAIMS: &[(&str, fn())] = &[
-    ("Table 1", table1),
-    ("Corollary 1.1", corollary_1_1),
-    ("Corollary 1.2", corollary_1_2),
-    ("Theorem 2.1", theorem_2_1),
+    ("Table 1", || {
+        table1(vec![(multigraph_suite(42), 7), (families(2), 3)])
+    }),
+    ("Corollary 1.1", || {
+        corollary_1_1(multigraph_suite(17), families(3))
+    }),
+    ("Corollary 1.2", || {
+        corollary_1_2(simple_suite(99), families(5))
+    }),
+    ("Theorem 2.1", || {
+        theorem_2_1(vec![
+            (multigraph_suite(5), &[0.5, 0.25, 0.1]),
+            (families(4), &[0.5]),
+        ])
+    }),
     ("Theorem 2.3", theorem_2_3),
     ("Proposition 2.4", proposition_2_4),
     ("Figure 1", figure1),
@@ -96,9 +108,9 @@ fn lsfd_request(alpha: usize, delta: usize, bound: usize) -> (usize, Decompositi
 /// Table 1 at ε = 0.5: Barenboim–Elkin uses at most `⌊(2+ε)α*⌋` forests,
 /// Theorem 4.6 at most `⌈(1+ε)α⌉` (α the workload's bound), its
 /// `O(1/ε)`-diameter variant has trees of diameter at most `2⌈2/ε⌉`, and
-/// Theorem 4.10's list decomposition validates against its palettes. The
-/// facade seed is 7 on the workload suite and 3 on the families.
-fn table1() {
+/// Theorem 4.10's list decomposition validates against its palettes. Each
+/// suite runs at the facade seed paired with it.
+pub fn table1(suites: Vec<(Vec<Workload>, u64)>) {
     let epsilon = 0.5;
     let mut table = TextTable::new(&[
         "workload",
@@ -110,7 +122,7 @@ fn table1() {
         "rounds",
         "diameter",
     ]);
-    for (suite, seed) in [(multigraph_suite(42), 7), (families(2), 3)] {
+    for (suite, seed) in suites {
         for workload in suite {
             let g = &workload.graph;
             let frozen = CsrGraph::from_multigraph(g);
@@ -188,9 +200,9 @@ fn table1() {
 
 /// Corollary 1.1 at ε = 0.5: the flow orientation reaches out-degree α*,
 /// Barenboim–Elkin's stays within `⌊(2+ε)α*⌋` and the paper's within
-/// `⌈(1+ε)α⌉`; on the families, the exact matroid decomposition oriented
-/// toward its roots stays within α.
-fn corollary_1_1() {
+/// `⌈(1+ε)α⌉` on `workloads`; on `exact_only`, the exact matroid
+/// decomposition oriented toward its roots stays within α.
+pub fn corollary_1_1(workloads: Vec<Workload>, exact_only: Vec<Workload>) {
     let epsilon = 0.5;
     let mut table = TextTable::new(&[
         "workload",
@@ -200,7 +212,7 @@ fn corollary_1_1() {
         "max out-degree",
         "rounds",
     ]);
-    for (suite, exact_only) in [(multigraph_suite(17), false), (families(3), true)] {
+    for (suite, exact_only) in [(workloads, false), (exact_only, true)] {
         for workload in suite {
             let g = &workload.graph;
             let frozen = CsrGraph::from_multigraph(g);
@@ -273,10 +285,10 @@ fn corollary_1_1() {
 }
 
 /// Corollary 1.2 at ε = 0.25: the folklore construction uses at most 2α
-/// star forests, and Section 5's SFD and LSFD succeed and validate. For
-/// simple graphs the paper shows `α_star ≤ α + O(√log Δ + log α)` and
-/// `α_liststar ≤ α + O(log Δ)`.
-fn corollary_1_2() {
+/// star forests, and Section 5's SFD and LSFD succeed and validate on the
+/// simple graphs. For simple graphs the paper shows
+/// `α_star ≤ α + O(√log Δ + log α)` and `α_liststar ≤ α + O(log Δ)`.
+pub fn corollary_1_2(simple: Vec<(String, SimpleGraph, usize)>, folklore_only: Vec<Workload>) {
     let epsilon = 0.25;
     let mut table = TextTable::new(&[
         "workload",
@@ -286,15 +298,13 @@ fn corollary_1_2() {
         "star forests",
         "excess over alpha",
     ]);
-    let simple = simple_suite(99);
-    let families = families(5);
-    // The star-forest pipelines need simple graphs; the families include
-    // a fat path, so they get the folklore row only, at the default seed.
+    // The star-forest pipelines need simple graphs; `folklore_only` may hold
+    // multigraphs, so it gets the folklore row only, at the default seed.
     let rows = simple
         .iter()
         .map(|(name, g, bound)| (name, g.graph(), *bound, 31, true))
         .chain(
-            families
+            folklore_only
                 .iter()
                 .map(|w| (&w.name, &w.graph, w.alpha_bound, 0, false)),
         );
@@ -351,9 +361,8 @@ fn corollary_1_2() {
 
 /// Theorem 2.1: the H-partition has the degree property, its acyclic
 /// orientation has out-degree at most `t`, the 3t star forests validate
-/// and the `t`-LFD succeeds — at three ε on the workload suite, at ε = 0.5
-/// on the families.
-fn theorem_2_1() {
+/// and the `t`-LFD succeeds, on each suite at each of its ε.
+pub fn theorem_2_1(sweeps: Vec<(Vec<Workload>, &[f64])>) {
     let mut table = TextTable::new(&[
         "workload",
         "eps",
@@ -365,10 +374,6 @@ fn theorem_2_1() {
         "3t-SFD colors",
         "t-LFD ok",
     ]);
-    let sweeps: [(Vec<Workload>, &[f64]); 2] = [
-        (multigraph_suite(5), &[0.5, 0.25, 0.1]),
-        (families(4), &[0.5]),
-    ];
     for (suite, epsilons) in sweeps {
         for workload in suite {
             let g = &CsrGraph::from_multigraph(&workload.graph);

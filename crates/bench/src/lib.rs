@@ -18,7 +18,7 @@ use rand::SeedableRng;
 
 mod claims;
 
-pub use claims::CLAIMS;
+pub use claims::{corollary_1_1, corollary_1_2, table1, theorem_2_1, CLAIMS};
 
 /// A named benchmark workload with its planted/exact arboricity bound.
 pub struct Workload {

@@ -51,6 +51,38 @@ fn exact_baseline_matches_nash_williams_lower_bound() {
     }
 }
 
+// The next four tests run one claim of `bench::CLAIMS` on the families
+// alone; the bounds live in the claim, which `paper_claims` also prints.
+
+#[test]
+fn pipeline_beats_barenboim_elkin_on_colors() {
+    // Table 1 at facade seed 3: Barenboim–Elkin within ⌊(2+ε)α*⌋ forests,
+    // the paper's pipeline within ⌈(1+ε)α⌉ for the family's arboricity
+    // bound α, every report validated.
+    bench::table1(vec![(families(2), 3)]);
+}
+
+#[test]
+fn corollary_1_1_orientation_from_every_family() {
+    // The exact matroid decomposition oriented toward its roots has
+    // out-degree at most α.
+    bench::corollary_1_1(Vec::new(), families(3));
+}
+
+#[test]
+fn theorem_2_1_star_forests_on_every_family() {
+    // At ε = 0.5: the degree property, an acyclic orientation of
+    // out-degree at most t, a validated 3t-SFD and the t-LFD.
+    bench::theorem_2_1(vec![(families(4), &[0.5])]);
+}
+
+#[test]
+fn folklore_two_alpha_star_bound_holds_everywhere() {
+    // The folklore construction: a validated decomposition into at most
+    // 2α star forests.
+    bench::corollary_1_2(Vec::new(), families(5));
+}
+
 #[test]
 fn network_decomposition_feeds_algorithm2_clusters() {
     // The local-model network decomposition must satisfy the properties
