@@ -49,6 +49,15 @@
 //! the pass adopts it instead of recomputing it; everything else the pass
 //! returns (no leftover, zero counters, the same ledger) is unchanged.
 //!
+//! Such a partition can also settle the decomposition without the BFS.
+//! Its color 0 is Kruskal's spanning forest of the graph: each component
+//! is one tree of color 0, so there are `n` minus that color's edge count
+//! of them, and the partition's largest tree diameter `D` bounds every
+//! component's diameter, hence every eccentricity the BFS would measure.
+//! When the pipeline measured `D` (its report needs it anyway) and `2D`
+//! is at most `2(R+R')`, the pass runs with no BFS; otherwise the BFS
+//! decides as above, and the outputs are the same either way.
+//!
 //! # Ball-local execution
 //!
 //! Otherwise [`network_decomposition`] decomposes `G^{2(R+R')}` from one
@@ -205,32 +214,63 @@ pub fn algorithm2_frozen<C: GraphView, R: Rng + ?Sized>(
     config: &Algorithm2Config,
     rng: &mut R,
 ) -> Result<Algorithm2Output, FdError> {
-    algorithm2_adopting(csr, lists, config, rng, None)
+    algorithm2_adopting(csr, lists, config, rng, None).map(|(out, _)| out)
+}
+
+/// An exact partition that never left first-fit, handed to
+/// [`algorithm2_adopting`]: what first-fit over the colors `0..k` computes
+/// in ascending edge-id order when it never finds all `k` forests blocked
+/// ([`exchanges`](forest_graph::matroid::ExactForestDecomposition::exchanges)
+/// is 0).
+#[derive(Clone, Debug)]
+pub(crate) struct FirstFit {
+    /// The partition.
+    pub partition: ForestDecomposition,
+    /// Its largest tree diameter
+    /// ([`ForestDecomposition::max_diameter`]), when the caller measured it.
+    pub max_diameter: Option<usize>,
+}
+
+impl FirstFit {
+    /// The number of connected components when the partition certifies the
+    /// decomposition of `G^power` trivial, that is when twice its largest
+    /// tree diameter is at most `power`. Color 0 is Kruskal's spanning
+    /// forest of the graph, so the partition's diameter bounds every
+    /// component's, and twice it bounds the BFS estimate the pass would
+    /// otherwise compute; each component is one tree of color 0.
+    fn trivial_components(&self, n: usize, power: usize) -> Option<usize> {
+        let diameter = self.max_diameter?;
+        (2 * diameter <= power).then(|| {
+            let spanning = self.partition.colors().iter().filter(|c| c.index() == 0);
+            n - spanning.count()
+        })
+    }
 }
 
 /// [`algorithm2_frozen`], except that the [trivial pass](self#the-trivial-pass)
-/// adopts `first_fit` when it runs, instead of augmenting every edge.
+/// adopts `first_fit` when it runs, instead of augmenting every edge, and
+/// needs no component BFS when `first_fit`'s measured diameter certifies it.
 ///
-/// `first_fit`, when given, must be what first-fit over the colors `0..k`
-/// computes in ascending edge-id order when it never finds all `k` forests
-/// blocked (an exact partition with no exchanges), and every palette must
-/// start with `0..k`, as uniform palettes of `⌈(1+ε)k⌉` colors do. The
-/// trivial pass then returns the same output either way; a non-trivial
-/// decomposition ignores `first_fit` and runs the cluster loop.
+/// Every palette must start with the colors `0..k` of `first_fit`, as
+/// uniform palettes of `⌈(1+ε)k⌉` colors do. The trivial pass then returns
+/// the same output either way; a non-trivial decomposition ignores
+/// `first_fit` and runs the cluster loop. Alongside the output comes
+/// `first_fit`'s measured diameter when the pass adopted it, which is then
+/// the output coloring's.
 pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
     csr: &C,
     lists: &ListAssignment,
     config: &Algorithm2Config,
     rng: &mut R,
-    first_fit: Option<ForestDecomposition>,
-) -> Result<Algorithm2Output, FdError> {
+    first_fit: Option<FirstFit>,
+) -> Result<(Algorithm2Output, Option<usize>), FdError> {
     check_epsilon(config.epsilon)?;
     RUNS.inc();
     let n = csr.num_vertices();
     let m = csr.num_edges();
     let mut ledger = RoundLedger::new();
     if m == 0 {
-        return Ok(Algorithm2Output {
+        let out = Algorithm2Output {
             coloring: PartialEdgeColoring::new_uncolored(0),
             leftover: Vec::new(),
             all_cuts_good: true,
@@ -243,7 +283,8 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
             radii: (0, 0),
             ledger,
             pipeline_stats: PipelineStats::default(),
-        });
+        };
+        return Ok((out, None));
     }
     check_palettes(
         lists,
@@ -291,30 +332,21 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
     // view is skipped in that common case.
     let power = 2 * (cut_radius + locality_radius);
     let mut pipeline_stats = PipelineStats::default();
-    // The bounded-BFS scratch serves the diameter bound here and the
-    // per-cluster region collection below; it is allocated once per run.
-    let mut region = BfsScratch::new(n);
-    // One BFS per component, from its minimum vertex, numbers the
-    // components (in the order of that vertex) and bounds the diameter by
-    // twice the largest eccentricity. The sweeps run on the epoch-stamped
-    // scratch, so each touches only its own component.
-    let mut comp = vec![u32::MAX; n];
-    let mut num_comp = 0u32;
-    let mut diameter_upper = 0usize;
-    for r in csr.vertices() {
-        if comp[r.index()] != u32::MAX {
-            continue;
+    // The component of every vertex (empty when the partition's diameter
+    // certified the decomposition trivial), the number of components, and
+    // the bounded-BFS scratch, kept for the cluster loop's region
+    // collection when the decomposition is not trivial.
+    let (comp, num_comp, cluster_scratch) = match first_fit
+        .as_ref()
+        .and_then(|f| f.trivial_components(n, power))
+    {
+        Some(num_comp) => (Vec::new(), num_comp, None),
+        None => {
+            let mut region = BfsScratch::new(n);
+            let (comp, num_comp, diameter_upper) = number_components(csr, &mut region);
+            (comp, num_comp, (power < diameter_upper).then_some(region))
         }
-        region.run_bounded(csr, &[r], usize::MAX, |_| true);
-        for &v in region.visited() {
-            comp[v.index()] = num_comp;
-        }
-        // BFS order has nondecreasing distances, so the last visited
-        // vertex realizes the eccentricity of `r`.
-        let far = region.visited().last().map_or(0, |&v| region.distance(v));
-        diameter_upper = diameter_upper.max(2 * far);
-        num_comp += 1;
-    }
+    };
 
     let unrestricted = AugmentationContext::new(csr, lists);
     // All clusters of a class are processed in parallel in the LOCAL
@@ -322,7 +354,7 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
     // class.
     let class_rounds = (cut_radius + locality_radius) * costs::log2_ceil(n).max(1);
 
-    if power >= diameter_upper {
+    let Some(mut region) = cluster_scratch else {
         // Trivial decomposition: one class, one cluster per connected
         // component. Each cluster's view is then its whole component, so
         // CUT finds no eligible edge (none leaves the core) and draws no
@@ -336,15 +368,16 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
             "network decomposition of G^{2(R+R')} (trivial: radius exceeds diameter)",
             costs::network_decomposition(n, 1),
         );
-        CLUSTERS.add(u64::from(num_comp));
+        CLUSTERS.add(num_comp as u64);
         let _cluster_span = Span::enter("algo2.cluster_loop");
         ledger.charge("process class 0 clusters", class_rounds);
-        let (coloring, leftover) = match first_fit {
+        let (coloring, leftover, adopted_diameter) = match first_fit {
             // First-fit that never missed is what the pass below computes,
             // edge by edge, with no search and nothing left over.
             Some(first_fit) => {
-                debug_assert_eq!(first_fit.num_edges(), m);
-                (first_fit.to_partial(), Vec::new())
+                debug_assert_eq!(first_fit.partition.num_edges(), m);
+                let coloring = first_fit.partition.to_partial();
+                (coloring, Vec::new(), first_fit.max_diameter)
             }
             None => {
                 let mut coloring = PartialEdgeColoring::new_uncolored(m);
@@ -365,10 +398,10 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
                 }
                 // The loop's leftover order: by component, then by id.
                 leftover.sort_by_key(|&e| comp[csr.endpoints(e).0.index()]);
-                (coloring, leftover)
+                (coloring, leftover, None)
             }
         };
-        return Ok(Algorithm2Output {
+        let out = Algorithm2Output {
             coloring,
             // The loop retries every failed search unrestricted (the same
             // search, which fails again), then leaves its edge over.
@@ -379,12 +412,13 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
             forced_cut_removals: 0,
             max_cut_load: cut_state.max_load(),
             num_classes: 1,
-            num_clusters: num_comp as usize,
+            num_clusters: num_comp,
             radii: (cut_radius, locality_radius),
             ledger,
             pipeline_stats,
-        });
-    }
+        };
+        return Ok((out, adopted_diameter));
+    };
 
     // Simulating the decomposition on G^power costs a factor `power`.
     ledger.charge(
@@ -557,7 +591,7 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
     }
     BFS_NANOS.add(bfs_nanos);
 
-    Ok(Algorithm2Output {
+    let out = Algorithm2Output {
         coloring,
         leftover,
         all_cuts_good,
@@ -570,7 +604,34 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
         radii: (cut_radius, locality_radius),
         ledger,
         pipeline_stats,
-    })
+    };
+    Ok((out, None))
+}
+
+/// One BFS per connected component, from its minimum vertex, on the
+/// epoch-stamped `region` scratch, so each sweep touches only its own
+/// component: the component of every vertex (numbered in the order of
+/// that vertex), the number of components, and twice the largest
+/// eccentricity of those vertices, an upper bound on the diameter.
+fn number_components<C: GraphView>(csr: &C, region: &mut BfsScratch) -> (Vec<u32>, usize, usize) {
+    let mut comp = vec![u32::MAX; csr.num_vertices()];
+    let mut num_comp = 0u32;
+    let mut diameter_upper = 0usize;
+    for r in csr.vertices() {
+        if comp[r.index()] != u32::MAX {
+            continue;
+        }
+        region.run_bounded(csr, &[r], usize::MAX, |_| true);
+        for &v in region.visited() {
+            comp[v.index()] = num_comp;
+        }
+        // BFS order has nondecreasing distances, so the last visited
+        // vertex realizes the eccentricity of `r`.
+        let far = region.visited().last().map_or(0, |&v| region.distance(v));
+        diameter_upper = diameter_upper.max(2 * far);
+        num_comp += 1;
+    }
+    (comp, num_comp as usize, diameter_upper)
 }
 
 #[cfg(test)]
@@ -682,32 +743,41 @@ mod tests {
     }
 
     /// Runs both entry points on `g` with palettes of `⌈1.5α⌉` colors, the
-    /// adopting one handed the exact partition, and requires equal outputs
-    /// and equal RNG streams afterwards. Returns the output.
+    /// adopting one handed the exact partition with its diameter measured
+    /// and unmeasured, and requires equal outputs and equal RNG streams
+    /// afterwards, and the measured diameter back exactly when the trivial
+    /// pass ran. Returns the output and whether the diameter certified the
+    /// pass (so that no BFS ran).
     fn assert_adoption_changes_nothing(
         g: &MultiGraph,
         config: &Algorithm2Config,
-    ) -> Algorithm2Output {
+    ) -> (Algorithm2Output, bool) {
         let csr = CsrGraph::from_multigraph(g);
         let exact = matroid::exact_forest_decomposition(&csr);
         assert_eq!(exact.exchanges, 0, "a first-fit input");
         assert_eq!(exact.arboricity, config.alpha);
+        let diameter = exact.decomposition.max_diameter(&csr).unwrap();
         let lists =
             ListAssignment::uniform(g.num_edges(), (1.5 * config.alpha as f64).ceil() as usize);
         let mut rng = StdRng::seed_from_u64(7);
         let computed = algorithm2_frozen(&csr, &lists, config, &mut rng).unwrap();
-        let mut adopting_rng = StdRng::seed_from_u64(7);
-        let adopted = algorithm2_adopting(
-            &csr,
-            &lists,
-            config,
-            &mut adopting_rng,
-            Some(exact.decomposition),
-        )
-        .unwrap();
-        assert_eq!(adopted, computed);
-        assert_eq!(adopting_rng.next_u64(), rng.next_u64());
-        computed
+        let after = rng.next_u64();
+        let trivial = computed.pipeline_stats.power_ball_expansions == 0;
+        for max_diameter in [Some(diameter), None] {
+            let first_fit = FirstFit {
+                partition: exact.decomposition.clone(),
+                max_diameter,
+            };
+            let mut adopting_rng = StdRng::seed_from_u64(7);
+            let (adopted, adopted_diameter) =
+                algorithm2_adopting(&csr, &lists, config, &mut adopting_rng, Some(first_fit))
+                    .unwrap();
+            assert_eq!(adopted, computed);
+            assert_eq!(adopting_rng.next_u64(), after);
+            assert_eq!(adopted_diameter, max_diameter.filter(|_| trivial));
+        }
+        let power = 2 * (computed.radii.0 + computed.radii.1);
+        (computed, 2 * diameter <= power)
     }
 
     #[test]
@@ -724,15 +794,42 @@ mod tests {
             ] {
                 let mut config = Algorithm2Config::new(0.5, alpha);
                 config.cut = cut;
-                let out = assert_adoption_changes_nothing(&g, &config);
+                let (out, certified) = assert_adoption_changes_nothing(&g, &config);
                 assert_eq!(out.pipeline_stats.power_ball_expansions, 0, "trivial");
+                assert!(certified, "derived radii exceed the diameter");
                 assert!(out.leftover.is_empty());
             }
         }
+        // A 12-cycle at 2(R+R') = 12: the partition's path of 11 edges
+        // fails the certificate, and the BFS, reaching 6 from vertex 0,
+        // finds the decomposition trivial.
+        let config = Algorithm2Config::new(0.5, 2).with_radii(4, 2);
+        let (out, certified) = assert_adoption_changes_nothing(&generators::cycle(12), &config);
+        assert!(!certified);
+        assert_eq!(
+            (out.num_clusters, out.pipeline_stats.power_ball_expansions),
+            (1, 0)
+        );
+        // Two interleaved 4×3 grids on the odd and even ids 1..=24, and
+        // the isolated vertices 0, 25, 26 and 27: six components, counted
+        // from the partition's color 0.
+        let grid = generators::grid(4, 3);
+        let mut g = MultiGraph::new(28);
+        for (_, u, v) in grid.edges() {
+            for copy in 1..=2 {
+                let id = |x: VertexId| VertexId::new(2 * x.index() + copy);
+                g.add_edge(id(u), id(v)).unwrap();
+            }
+        }
+        let (out, certified) = assert_adoption_changes_nothing(&g, &Algorithm2Config::new(0.5, 2));
+        assert!(certified);
+        assert_eq!(out.num_clusters, 6);
         // Radii below the diameter: the cluster loop runs and ignores the
         // partition.
         let config = Algorithm2Config::new(0.5, 2).with_radii(8, 4);
-        let out = assert_adoption_changes_nothing(&generators::fat_path(120, 2), &config);
+        let (out, certified) =
+            assert_adoption_changes_nothing(&generators::fat_path(120, 2), &config);
+        assert!(!certified);
         assert!(out.pipeline_stats.power_ball_expansions > 0, "non-trivial");
     }
 

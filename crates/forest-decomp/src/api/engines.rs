@@ -8,9 +8,10 @@
 //! [`Decomposer::run`](super::Decomposer::run) and
 //! [`Decomposer::run_batch`](super::Decomposer::run_batch);
 //! [`decompose_shard`] serves both sharded drivers through the `stitch`
-//! module. Each run's diameter is measured once, in
-//! [`decomposition_outcome`]; shard runs measure none (the stitch measures
-//! the whole graph once).
+//! module. Each run's diameter is measured once: in
+//! [`decomposition_outcome`], or already by the Forest pipeline on the
+//! exact partition it adopted, which the run's decomposition then is.
+//! Shard runs measure none (the stitch measures the whole graph once).
 
 use super::report::Artifact;
 use super::{DecompositionRequest, Engine, ProblemKind};
@@ -106,7 +107,7 @@ pub(super) fn execute(
 ) -> Result<EngineOutcome, FdError> {
     let result = match (request.engine, request.problem) {
         (Engine::HarrisSuVu, ProblemKind::Forest | ProblemKind::Orientation) => {
-            forest_decomposition(&csr, request, rng)?
+            forest_decomposition(&csr, request, rng, true)?
         }
         (Engine::HarrisSuVu, ProblemKind::ListForest) => {
             let lists = required_lists(lists, request.problem)?;
@@ -135,6 +136,7 @@ pub(super) fn execute(
             );
             FdResult {
                 decomposition: two_color_star_forests(&csr, &exact.decomposition),
+                max_diameter: None,
                 arboricity: exact.arboricity,
                 leftover_edges: 0,
                 ledger,
@@ -155,7 +157,8 @@ pub(super) fn execute(
 
 /// Forest-decomposes one zero-copy CSR shard — the sharded drivers' hot
 /// path. No per-shard diameter is measured (the stitch measures once
-/// globally).
+/// globally), so an HSV shard that adopts its exact partition still runs
+/// Algorithm 2's component BFS.
 ///
 /// # Errors
 ///
@@ -167,7 +170,7 @@ pub(super) fn decompose_shard(
     rng: &mut SmallRng,
 ) -> Result<ShardOutcome, FdError> {
     let (result, connectivity) = match request.engine {
-        Engine::HarrisSuVu => (forest_decomposition(&csr, request, rng)?, None),
+        Engine::HarrisSuVu => (forest_decomposition(&csr, request, rng, false)?, None),
         Engine::BarenboimElkin => (barenboim_elkin(&csr, request)?, None),
         Engine::ExactMatroid => {
             // The matroid partition maintained exactly the per-color forests
@@ -229,6 +232,7 @@ fn barenboim_elkin(csr: &CsrRef<'_>, request: &DecompositionRequest) -> Result<F
     let baseline = barenboim_elkin_forest_decomposition(csr, request.epsilon, bound, &mut ledger)?;
     Ok(FdResult {
         decomposition: baseline.decomposition,
+        max_diameter: None,
         arboricity: bound,
         leftover_edges: 0,
         ledger,
@@ -243,6 +247,7 @@ fn exact_matroid(csr: &CsrRef<'_>) -> (FdResult, ColorConnectivity) {
     ledger.charge("centralized matroid partition (non-LOCAL)", 0);
     let result = FdResult {
         decomposition: exact.decomposition,
+        max_diameter: None,
         arboricity: exact.arboricity,
         leftover_edges: 0,
         ledger,
@@ -279,24 +284,29 @@ fn shard_connectivity(
     conn
 }
 
-/// Packages a pipeline result, measuring its color count and its maximum
-/// tree diameter once.
+/// Packages a pipeline result, counting its colors and measuring its
+/// maximum tree diameter once: not at all when the pipeline measured it
+/// already ([`FdResult::max_diameter`]).
 ///
 /// # Errors
 ///
 /// [`FdError::InvalidDecomposition`] when a color class is not a forest: the
-/// diameter measurement is every engine's forest check.
+/// diameter measurement is every engine's forest check, wherever it ran.
 fn decomposition_outcome(csr: &CsrRef<'_>, result: FdResult) -> Result<EngineOutcome, FdError> {
     let FdResult {
         decomposition,
+        max_diameter,
         arboricity,
         leftover_edges,
         ledger,
     } = result;
     let num_colors = decomposition.num_colors_used();
-    let max_diameter = {
-        let _span = Span::enter("decomp.max_diameter");
-        decomposition.max_diameter(csr)?
+    let max_diameter = match max_diameter {
+        Some(measured) => measured,
+        None => {
+            let _span = Span::enter("decomp.max_diameter");
+            decomposition.max_diameter(csr)?
+        }
     };
     Ok(EngineOutcome {
         artifact: Artifact::Decomposition(decomposition),

@@ -21,6 +21,15 @@
 //! needed exchanges and a non-trivial network decomposition run the pass
 //! or the cluster loop as before.
 //!
+//! A run whose report carries the diameter (a facade run, not a shard of
+//! a sharded one) measures the partition's largest tree diameter before
+//! Algorithm 2, in the report's `decomp.max_diameter` span. Twice that
+//! diameter, when within `2(R+R')`, settles the trivial pass without
+//! Algorithm 2's component BFS. When the pass adopts the partition, the
+//! partition is the decomposition, so the measurement is the report's and
+//! the colors are checked to form forests by it; a diameter reduction
+//! recolors, and the report then measures its output instead.
+//!
 //! Theorem 4.10 handles per-edge palettes: a vertex-color-splitting
 //! (Theorem 4.9) reserves a back-up side `Q₁` of every palette; Algorithm 2
 //! runs on the main side `Q₀`; the leftover is recolored from `Q₁` (by
@@ -29,7 +38,7 @@
 //! the merge of the two sides is still a list-forest decomposition.
 
 use crate::algorithm2::{
-    algorithm2_adopting, algorithm2_frozen, Algorithm2Config, Algorithm2Output,
+    algorithm2_adopting, algorithm2_frozen, Algorithm2Config, Algorithm2Output, FirstFit,
 };
 use crate::api::DecompositionRequest;
 use crate::augmenting::complete_by_augmentation;
@@ -55,6 +64,9 @@ pub(crate) struct FdResult {
     /// The complete decomposition (for list problems every color comes from
     /// the edge's palette; for star problems every class is a star forest).
     pub decomposition: ForestDecomposition,
+    /// The decomposition's largest tree diameter, when the pipeline has
+    /// measured it already (and so checked every class to be a forest).
+    pub max_diameter: Option<usize>,
     /// The arboricity bound the run was based on.
     pub arboricity: usize,
     /// Number of edges that went through a leftover recoloring.
@@ -69,6 +81,7 @@ impl FdResult {
     pub(crate) fn edgeless(arboricity: usize, ledger: RoundLedger) -> Self {
         FdResult {
             decomposition: ForestDecomposition::from_colors(Vec::new()),
+            max_diameter: None,
             arboricity,
             leftover_edges: 0,
             ledger,
@@ -108,6 +121,11 @@ fn algorithm2_config(
 /// shard. Reads the request's `ε`, `α`, CUT rule, radii and diameter
 /// target.
 ///
+/// `measure_diameter` says whether the caller reports the run's largest
+/// tree diameter; it then gets it in [`FdResult::max_diameter`] when the
+/// run adopted the exact partition and no diameter reduction recolored
+/// (see the [module docs](self)).
+///
 /// # Errors
 ///
 /// Returns an error for invalid parameters or if an internal phase fails.
@@ -115,6 +133,7 @@ pub(crate) fn forest_decomposition<C: GraphView, R: Rng + ?Sized>(
     csr: &C,
     request: &DecompositionRequest,
     rng: &mut R,
+    measure_diameter: bool,
 ) -> Result<FdResult, FdError> {
     let epsilon = request.epsilon;
     check_epsilon(epsilon)?;
@@ -127,33 +146,54 @@ pub(crate) fn forest_decomposition<C: GraphView, R: Rng + ?Sized>(
     let (alpha, first_fit) = match request.alpha {
         Some(alpha) => (alpha.max(1), None),
         None => {
-            let _span = Span::enter("decomp.arboricity");
-            let exact = forest_graph::matroid::exact_forest_decomposition(csr);
-            let first_fit = (exact.exchanges == 0).then_some(exact.decomposition);
+            let exact = {
+                let _span = Span::enter("decomp.arboricity");
+                forest_graph::matroid::exact_forest_decomposition(csr)
+            };
+            let first_fit = if exact.exchanges == 0 {
+                let max_diameter = if measure_diameter {
+                    let _span = Span::enter("decomp.max_diameter");
+                    Some(exact.decomposition.max_diameter(csr)?)
+                } else {
+                    None
+                };
+                Some(FirstFit {
+                    partition: exact.decomposition,
+                    max_diameter,
+                })
+            } else {
+                None
+            };
             (exact.arboricity.max(1), first_fit)
         }
     };
     let primary_colors = ((1.0 + epsilon) * alpha as f64).ceil() as usize;
     let lists = ListAssignment::uniform(csr.num_edges(), primary_colors);
     let config = algorithm2_config(request, epsilon, alpha);
-    let Algorithm2Output {
-        mut coloring,
-        leftover,
-        mut ledger,
-        ..
-    } = algorithm2_adopting(csr, &lists, &config, rng, first_fit)?;
+    let (
+        Algorithm2Output {
+            mut coloring,
+            leftover,
+            mut ledger,
+            ..
+        },
+        mut max_diameter,
+    ) = algorithm2_adopting(csr, &lists, &config, rng, first_fit)?;
     // Recolor the leftover as star forests with fresh colors (Theorem 2.1(3)).
     if !leftover.is_empty() {
         let mask = crate::cut::dense_mask(csr.num_edges(), leftover.iter().copied());
         recolor_as_fresh_stars(csr, &mask, primary_colors, &mut coloring, &mut ledger)?;
     }
-    // Optional diameter reduction (Corollary 2.5).
+    // Optional diameter reduction (Corollary 2.5). It recolors, so the
+    // adopted partition's diameter is no longer the decomposition's.
     if let Some(target) = request.diameter_target {
         let reduced = reduce_diameter(csr, &coloring, epsilon, target, rng, &mut ledger)?;
         coloring = reduced.coloring;
+        max_diameter = None;
     }
     Ok(FdResult {
         decomposition: coloring.into_complete()?,
+        max_diameter,
         arboricity: alpha,
         leftover_edges: leftover.len(),
         ledger,
@@ -273,6 +313,7 @@ pub(crate) fn list_forest_decomposition<C: GraphView, R: Rng + ?Sized>(
     validate_list_coloring(csr, &coloring, lists)?;
     Ok(FdResult {
         decomposition: coloring.into_complete()?,
+        max_diameter: None,
         arboricity: alpha,
         leftover_edges: leftover_set.len(),
         ledger,
@@ -299,7 +340,7 @@ mod tests {
         let g = generators::planted_forest_union(60, 4, &mut rng);
         let csr = CsrGraph::from_multigraph(&g);
         let result =
-            forest_decomposition(&csr, &request(ProblemKind::Forest, 0.5), &mut rng).unwrap();
+            forest_decomposition(&csr, &request(ProblemKind::Forest, 0.5), &mut rng, true).unwrap();
         let num_colors = result.decomposition.num_colors_used();
         validate_forest_decomposition(&g, &result.decomposition, Some(num_colors))
             .expect("valid FD");
@@ -322,7 +363,7 @@ mod tests {
             .with_alpha(3)
             .with_diameter_target(DiameterTarget::OneOverEpsilon);
         let csr = CsrGraph::from_multigraph(&g);
-        let result = forest_decomposition(&csr, &request, &mut rng).unwrap();
+        let result = forest_decomposition(&csr, &request, &mut rng, true).unwrap();
         validate_forest_decomposition(&g, &result.decomposition, None).expect("valid FD");
         // Diameter O(1/eps): z = ceil(2/0.4) = 5, so at most 2z = 10.
         let max_diameter = max_forest_diameter(&csr, &result.decomposition.to_partial());
@@ -340,7 +381,7 @@ mod tests {
             .with_alpha(2)
             .with_radii(8, 4);
         let csr = CsrGraph::from_multigraph(&g);
-        let result = forest_decomposition(&csr, &request, &mut rng).unwrap();
+        let result = forest_decomposition(&csr, &request, &mut rng, true).unwrap();
         validate_forest_decomposition(&g, &result.decomposition, None).expect("valid FD");
         assert!(result.decomposition.num_colors_used() >= 2);
     }
@@ -395,7 +436,8 @@ mod tests {
     fn empty_graph_pipelines() {
         let mut rng = StdRng::seed_from_u64(7);
         let csr = CsrGraph::from_multigraph(&MultiGraph::new(3));
-        let fd = forest_decomposition(&csr, &request(ProblemKind::Forest, 0.5), &mut rng).unwrap();
+        let fd =
+            forest_decomposition(&csr, &request(ProblemKind::Forest, 0.5), &mut rng, true).unwrap();
         assert_eq!(fd.decomposition.num_edges(), 0);
         assert_eq!(fd.arboricity, 0);
         let lists = ListAssignment::uniform(0, 1);

@@ -202,6 +202,7 @@ pub(crate) fn star_forest_decomposition_simple<G: GraphView, R: Rng + ?Sized>(
     }
     Ok(FdResult {
         decomposition: coloring.into_complete()?,
+        max_diameter: None,
         arboricity: alpha,
         leftover_edges,
         ledger,
@@ -288,6 +289,7 @@ pub(crate) fn list_star_forest_decomposition_simple<G: GraphView, R: Rng + ?Size
     ledger.charge("greedy completion of unmatched edges", 1);
     Ok(FdResult {
         decomposition: coloring.into_complete()?,
+        max_diameter: None,
         arboricity: alpha,
         leftover_edges,
         ledger,

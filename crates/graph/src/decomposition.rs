@@ -15,9 +15,10 @@
 //! by *leaf peeling*:
 //!
 //! * Per vertex it keeps the number of unpeeled class edges, the XOR of
-//!   their edge ids and the height of the longest branch peeled into it.
-//!   A forest vertex of degree 1 has exactly one edge left, and the XOR is
-//!   that edge's id — no adjacency scan is needed to find it.
+//!   their far endpoints' ids and the height of the longest branch peeled
+//!   into it. A forest vertex of degree 1 has exactly one edge left, and
+//!   the XOR is that edge's other end — the peel needs no adjacency scan
+//!   and reads no endpoints.
 //! * Peeling a leaf offers `height + 1` to its neighbor. The sum of the
 //!   neighbor's best branch so far and the offer is a path through the
 //!   neighbor, so the class diameter is the best such sum at any vertex.
@@ -238,11 +239,14 @@ impl ForestDecomposition {
     ///
     /// # Errors
     ///
+    /// [`ValidationError::LengthMismatch`] when the decomposition does not
+    /// cover exactly the edges of `g`, and
     /// [`ValidationError::CycleInColorClass`] for the lowest color class
     /// that is not a forest (a cycle, two parallel edges or a self-loop),
     /// naming the lowest-id edge of that class the peel left.
     pub fn max_diameter<G: GraphView>(&self, g: &G) -> Result<usize, ValidationError> {
-        max_diameter_of_colors(g, self.colors[..g.num_edges()].iter().map(|&c| Some(c)))
+        check_length(g, self.colors.len())?;
+        max_diameter_of_colors(g, self.colors.iter().map(|&c| Some(c)))
     }
 
     /// View as a partial coloring (every edge colored).
@@ -455,7 +459,8 @@ where
 struct PeelSlot {
     /// Class edges at this vertex not yet peeled.
     degree: u32,
-    /// XOR of the ids of those edges: the last one's id at degree 1.
+    /// XOR of the far endpoints' ids of those edges: the last one's far
+    /// endpoint at degree 1.
     xor: u32,
     /// Length of the longest branch peeled into this vertex.
     height: u32,
@@ -491,13 +496,13 @@ impl LeafPeeler {
         self.touched.clear();
         for &e in class {
             let (u, v) = g.endpoints(e);
-            for x in [u, v] {
+            for (x, y) in [(u, v), (v, u)] {
                 let slot = &mut slots[x.index()];
                 if slot.degree == 0 {
                     self.touched.push(x);
                 }
                 slot.degree += 1;
-                slot.xor ^= e.raw();
+                slot.xor ^= y.raw();
             }
         }
         self.leaves.clear();
@@ -513,12 +518,11 @@ impl LeafPeeler {
                 continue;
             }
             slots[x.index()].degree = 0;
-            let e = EdgeId::new(leaf.xor as usize);
-            let y = g.other_endpoint(e, x);
+            let y = VertexId::new(leaf.xor as usize);
             let offer = leaf.height + 1;
             let slot = &mut slots[y.index()];
             slot.degree -= 1;
-            slot.xor ^= e.raw();
+            slot.xor ^= x.raw();
             diameter = diameter.max(slot.height + offer);
             slot.height = slot.height.max(offer);
             if slot.degree == 1 {
@@ -549,13 +553,16 @@ impl LeafPeeler {
 ///
 /// # Errors
 ///
-/// Returns [`ValidationError::DiameterExceeded`] for the first violating
-/// color class.
+/// Returns [`ValidationError::LengthMismatch`] when the coloring does not
+/// cover exactly the edges of `g`, and
+/// [`ValidationError::DiameterExceeded`] for the first violating color
+/// class.
 pub fn validate_diameter_bound<G: GraphView>(
     g: &G,
     coloring: &PartialEdgeColoring,
     bound: usize,
 ) -> Result<(), ValidationError> {
+    check_length(g, coloring.len())?;
     let classes = group_by_color(g, |e| coloring.color(e));
     let mut in_class = vec![false; g.num_edges()];
     for (color, edges) in classes {
@@ -758,6 +765,24 @@ mod tests {
             MultiGraph::from_pairs(7, &[(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6)]).unwrap();
         let one_color = PartialEdgeColoring::from_colors(vec![Some(c(1)); 6]);
         assert_eq!(max_forest_diameter(&spider, &one_color), 5);
+    }
+
+    #[test]
+    fn diameter_checks_reject_a_coloring_of_the_wrong_length() {
+        let g = triangle();
+        for len in [2, 4] {
+            let mismatch = Err(ValidationError::LengthMismatch {
+                coloring_len: len,
+                num_edges: 3,
+            });
+            let fd = ForestDecomposition::from_colors((0..len).map(c).collect());
+            assert_eq!(fd.max_diameter(&g), mismatch, "{len} colors");
+            assert_eq!(
+                validate_diameter_bound(&g, &fd.to_partial(), 3),
+                mismatch.map(|_| ()),
+                "{len} colors"
+            );
+        }
     }
 
     /// Color 0 holds a forest edge; color 1 holds a pendant edge (id 1)

@@ -11,8 +11,8 @@
 //! restores the disabled/empty state before releasing it.
 
 use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind};
-use forest_graph::{generators, MultiGraph};
-use forest_obs::{event, recorder, Phase, Span};
+use forest_graph::{generators, matroid, MultiGraph, VertexId};
+use forest_obs::{event, recorder, Phase, Span, TraceEvent};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,32 +133,88 @@ proptest! {
     }
 }
 
+/// The recorded span begins of `run`, under the lock, with the recorder
+/// back to disabled and empty afterwards.
+fn recorded_begins(run: impl FnOnce()) -> Vec<TraceEvent> {
+    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    recorder().disable();
+    recorder().clear();
+    recorder().enable();
+    run();
+    let events = recorder().drain();
+    recorder().disable();
+    recorder().clear();
+    events
+        .into_iter()
+        .filter(|e| e.phase == Phase::Begin)
+        .collect()
+}
+
 /// Every α the facade resolves itself is timed: a recorded star-forest run
 /// with α unset emits a `decomp.arboricity` span directly under `decomp.run`.
 #[test]
 fn star_forest_alpha_resolution_is_traced() {
     let g = workload(24, 5);
-    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    recorder().disable();
-    recorder().clear();
-    recorder().enable();
-    Decomposer::new(DecompositionRequest::new(ProblemKind::StarForest).with_seed(3))
-        .run(&g)
-        .expect("a simple graph");
-    let events = recorder().drain();
-    recorder().disable();
-    recorder().clear();
-    drop(_guard);
-
-    let begins = |name: &str| {
-        events
-            .iter()
-            .filter(|e| e.name == name && e.phase == Phase::Begin)
-            .collect::<Vec<_>>()
-    };
+    let events = recorded_begins(|| {
+        Decomposer::new(DecompositionRequest::new(ProblemKind::StarForest).with_seed(3))
+            .run(&g)
+            .expect("a simple graph");
+    });
+    let begins = |name: &str| events.iter().filter(|e| e.name == name).collect::<Vec<_>>();
     let runs = begins("decomp.run");
     assert_eq!(runs.len(), 1, "one facade span");
     let arboricity = begins("decomp.arboricity");
     assert_eq!(arboricity.len(), 1, "α is resolved once, and timed");
     assert_eq!(arboricity[0].parent, runs[0].span);
+}
+
+/// Every report measures its diameter once. A Forest or Orientation run
+/// that computes α on a planted graph in generation order adopts the exact
+/// partition, measured before Algorithm 2, and measures nothing after; a
+/// sharded run's shards measure nothing and its stitch measures once.
+#[test]
+fn one_diameter_measurement_per_report() {
+    let mut rng = StdRng::seed_from_u64(9);
+    let planted = generators::planted_forest_union(200, 3, &mut rng);
+    assert_eq!(matroid::exact_forest_decomposition(&planted).exchanges, 0);
+    let one_under = |events: &[TraceEvent], parent: &str| {
+        let parents: Vec<u64> = events
+            .iter()
+            .filter(|e| e.name == parent)
+            .map(|e| e.span)
+            .collect();
+        let measured: Vec<&TraceEvent> = events
+            .iter()
+            .filter(|e| e.name == "decomp.max_diameter")
+            .collect();
+        assert_eq!(parents.len(), 1, "one {parent} span");
+        assert_eq!(measured.len(), 1, "one decomp.max_diameter span");
+        assert_eq!(measured[0].parent, parents[0], "under {parent}");
+    };
+    for problem in [ProblemKind::Forest, ProblemKind::Orientation] {
+        let request = DecompositionRequest::new(problem).with_seed(3);
+        let events = recorded_begins(|| {
+            Decomposer::new(request)
+                .run(&planted)
+                .expect("a planted graph");
+        });
+        one_under(&events, "decomp.run");
+    }
+    // Two planted copies on the vertices 0..100 and 100..200: each of the
+    // two shards is one copy, which adopts its own exact partition.
+    let mut copies = MultiGraph::new(200);
+    for base in [0, 100] {
+        let copy = generators::planted_forest_union(100, 3, &mut rng);
+        assert_eq!(matroid::exact_forest_decomposition(&copy).exchanges, 0);
+        for (_, u, v) in copy.edges() {
+            let id = |x: VertexId| VertexId::new(base + x.index());
+            copies.add_edge(id(u), id(v)).unwrap();
+        }
+    }
+    let events = recorded_begins(|| {
+        Decomposer::new(DecompositionRequest::new(ProblemKind::Forest).with_seed(3))
+            .run_sharded(&copies, 2)
+            .expect("a planted graph");
+    });
+    one_under(&events, "decomp.run_sharded");
 }

@@ -17,18 +17,23 @@
 //!
 //! A differential proptest covers the reuse of the exact partition: when
 //! the request fixes no α, the facade hands the partition that found α to
-//! the trivial pass, which adopts it when it is plain first-fit. A run
-//! with α computed must give the bytes of the same run with that α fixed
-//! (which never adopts), for Forest, Orientation and `run_sharded`.
+//! the trivial pass, which adopts it when it is plain first-fit, and whose
+//! measured diameter, when small enough, stands in for the component BFS
+//! and for the report's measurement. A run with α computed must give the
+//! bytes of the same run with that α fixed (which never adopts), for
+//! Forest, Orientation and `run_sharded`, at radii where the diameter
+//! certifies the pass, where the BFS decides it and where the cluster loop
+//! runs, and with a diameter target.
 
 use forest_decomp::algorithm2::{algorithm2_frozen, Algorithm2Config, Algorithm2Output};
 use forest_decomp::api::{
     Decomposer, DecompositionReport, DecompositionRequest, Engine, GraphInput, ProblemKind,
 };
-use forest_decomp::CutStrategyKind;
+use forest_decomp::{CutStrategyKind, DiameterTarget};
 use forest_graph::extsort::{
     build_csr_from_edge_file, write_binary_edge_file, EdgeListFormat, ExtsortConfig,
 };
+use forest_graph::traversal::{bfs_distances, UNREACHABLE};
 use forest_graph::{generators, matroid, CsrGraph, EdgeId, ListAssignment, MultiGraph, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -245,6 +250,26 @@ fn planted_copies(parts: usize, part_n: usize, k: usize, seed: u64, shuffled: bo
     g
 }
 
+/// Twice the largest eccentricity of each component's minimum vertex: the
+/// diameter bound of Algorithm 2's component BFS, which finds the
+/// decomposition trivial exactly when `2(R+R')` reaches it.
+fn bfs_diameter_bound(g: &MultiGraph) -> usize {
+    let mut seen = vec![false; g.num_vertices()];
+    let mut bound = 0;
+    for r in g.vertices() {
+        if seen[r.index()] {
+            continue;
+        }
+        for (v, d) in bfs_distances(g, r, |_| true).into_iter().enumerate() {
+            if d != UNREACHABLE {
+                seen[v] = true;
+                bound = bound.max(2 * d);
+            }
+        }
+    }
+    bound
+}
+
 /// The default HSV request for `problem`, seeded.
 fn hsv_request(problem: ProblemKind, seed: u64) -> DecompositionRequest {
     DecompositionRequest::new(problem)
@@ -280,26 +305,53 @@ proptest! {
     /// Orientation runs and `run_sharded` at the copy count must give the
     /// same bytes with α computed as with that α fixed, and every batch
     /// must cover both kinds of partition.
+    ///
+    /// Forest and Orientation also run at `2(R+R')` equal to the BFS
+    /// bound `B` (trivial; unless twice the partition's diameter is also
+    /// `B`, only the BFS says so), at `B − 2` (the cluster loop runs), and
+    /// with a diameter target (which recolors, so the report must measure
+    /// again). Every batch must hold a first-fit partition the BFS decides
+    /// on and one the cluster loop ignores.
     #[test]
     fn computed_alpha_gives_the_bytes_of_fixed_alpha(
         batch in proptest::collection::vec((1..4usize, 2..21usize, 1..5usize, 0..u64::MAX), 6)
     ) {
         let (mut first_fit, mut exchanged) = (0, 0);
+        let (mut bfs_decided, mut cluster_loop) = (0, 0);
         for (parts, part_n, k, seed) in batch {
             for shuffled in [false, true] {
                 let g = planted_copies(parts, part_n, k, seed, shuffled);
-                if matroid::exact_forest_decomposition(&g).exchanges == 0 {
+                let exact = matroid::exact_forest_decomposition(&g);
+                let half = bfs_diameter_bound(&g) / 2;
+                if exact.exchanges == 0 {
                     first_fit += 1;
+                    let diameter = exact.decomposition.max_diameter(&g).unwrap();
+                    bfs_decided += usize::from(diameter > half);
+                    cluster_loop += usize::from(half >= 3);
                 } else {
                     exchanged += 1;
                 }
                 let case = format!("{parts} × planted({part_n}, {k}), seed {seed}, shuffled {shuffled}");
                 for problem in [ProblemKind::Forest, ProblemKind::Orientation] {
-                    same_bytes_with_alpha_fixed(
-                        hsv_request(problem, seed),
-                        |d| d.run(&g).unwrap(),
-                        &format!("{problem:?} on {case}"),
-                    )?;
+                    let request = hsv_request(problem, seed);
+                    let mut variants = vec![
+                        ("default radii", request.clone()),
+                        ("2(R+R') = B", request.clone().with_radii(half - 1, 1)),
+                        (
+                            "a diameter target",
+                            request.clone().with_diameter_target(DiameterTarget::OneOverEpsilon),
+                        ),
+                    ];
+                    if half >= 3 {
+                        variants.push(("2(R+R') = B − 2", request.with_radii(half - 2, 1)));
+                    }
+                    for (what, request) in variants {
+                        same_bytes_with_alpha_fixed(
+                            request,
+                            |d| d.run(&g).unwrap(),
+                            &format!("{problem:?} at {what} on {case}"),
+                        )?;
+                    }
                 }
                 if parts > 1 {
                     same_bytes_with_alpha_fixed(
@@ -313,6 +365,10 @@ proptest! {
         prop_assert!(
             first_fit > 0 && exchanged > 0,
             "first-fit partitions {first_fit}, partitions with exchanges {exchanged}"
+        );
+        prop_assert!(
+            bfs_decided > 0 && cluster_loop > 0,
+            "first-fit partitions the BFS decides on {bfs_decided}, at B − 2 {cluster_loop}"
         );
     }
 }
