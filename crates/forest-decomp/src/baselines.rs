@@ -4,14 +4,14 @@
 //!   `(2+ε)α`-forest decomposition from the H-partition \[BE10\] — the starting
 //!   point of Open Problem 11.10 that the paper improves on.
 //! * [`two_color_star_forests`]: the folklore `α_star ≤ 2α` bound obtained by
-//!   two-coloring the vertices of each tree by depth parity.
+//!   two-coloring the vertices of each tree by depth parity, read from the
+//!   [rooting kernel](forest_graph::decomposition#rooting-kernel).
 //! * The Gabow–Westermann-style exact `α`-forest decomposition (matroid
 //!   partition), the centralized ground truth, is
 //!   [`forest_graph::matroid::exact_forest_decomposition`].
 
 use crate::error::FdError;
 use crate::hpartition::{acyclic_orientation, h_partition, out_edge_labels};
-use forest_graph::traversal::root_forest;
 use forest_graph::{Color, ForestDecomposition, GraphView};
 use local_model::RoundLedger;
 
@@ -53,33 +53,30 @@ pub fn barenboim_elkin_forest_decomposition<G: GraphView>(
 }
 
 /// The folklore `2α`-star-forest decomposition: root every tree of every
-/// color class and split its edges by the depth parity of the parent
-/// endpoint. Color `2c + p` holds the class-`c` edges whose parent sits at
-/// even (`p = 0`) or odd (`p = 1`) depth.
+/// color class at its minimum vertex (the
+/// [rooting kernel](forest_graph::decomposition#rooting-kernel)) and split
+/// its edges by the depth parity of the parent endpoint. Color `2c + p`
+/// holds the class-`c` edges whose parent sits at even (`p = 0`) or odd
+/// (`p = 1`) depth.
+///
+/// # Panics
+///
+/// Panics if `decomposition` does not cover exactly the edges of `g` or a
+/// color class is not a forest.
 pub fn two_color_star_forests<G: GraphView>(
     g: &G,
     decomposition: &ForestDecomposition,
 ) -> ForestDecomposition {
-    let mut colors = vec![Color::new(0); g.num_edges()];
-    let mut in_class = vec![false; g.num_edges()];
-    for c in decomposition.colors_used() {
-        let class = decomposition.edges_with_color(c);
-        for &e in &class {
-            in_class[e.index()] = true;
-        }
-        let rooted = root_forest(g, |e| in_class[e.index()], |_| 0);
-        for v in g.vertices() {
-            if let Some(pe) = rooted.parent_edge[v.index()] {
-                if in_class[pe.index()] {
-                    let parent_depth = rooted.depth[v.index()] - 1;
-                    colors[pe.index()] = Color::new(2 * c.index() + parent_depth % 2);
-                }
-            }
-        }
-        for &e in &class {
-            in_class[e.index()] = false;
-        }
-    }
+    let rooted = decomposition.rooted_edges(g);
+    let colors = rooted
+        .expect("a forest decomposition of g")
+        .into_iter()
+        .zip(decomposition.colors())
+        .map(|(r, c)| {
+            let parent_depth = r.expect("every edge is colored").depth - 1;
+            Color::new(2 * c.index() + parent_depth % 2)
+        })
+        .collect();
     ForestDecomposition::from_colors(colors)
 }
 

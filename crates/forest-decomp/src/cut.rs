@@ -471,8 +471,10 @@ pub fn execute_cut_scoped<G: GraphView, R: Rng + ?Sized>(
                             }
                         }
                     }
-                    // Same root rule as `traversal::root_forest`: minimize
-                    // (not-in-core, vertex id) over the component.
+                    // Root at the least core vertex, else the least vertex:
+                    // minimize (not-in-core, vertex id) over the component.
+                    // A component without core vertices gets the rooting
+                    // kernel's rule (`forest_graph::decomposition`).
                     let root = scratch
                         .component
                         .iter()

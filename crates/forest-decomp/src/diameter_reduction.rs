@@ -2,10 +2,12 @@
 //! (Proposition 2.4 and Corollary 2.5).
 //!
 //! Given any (list-)forest decomposition, the trees may be arbitrarily deep.
-//! The reduction roots every tree of every color class, deletes one random
-//! depth layer out of every `z` consecutive layers, and recolors the deleted
-//! edges with `O(εα)` fresh colors (as star forests via Theorem 2.1(3)). The
-//! surviving trees have diameter `O(z)`:
+//! The reduction roots every tree of every color class at its minimum vertex
+//! (the [rooting kernel](forest_graph::decomposition#rooting-kernel)),
+//! deletes one random depth layer out of every `z` consecutive layers, and
+//! recolors the deleted edges with `O(εα)` fresh colors as star forests
+//! via Theorem 2.1(3), the recoloring the Theorem 4.6 and 5.4(1) leftovers
+//! take too. The surviving trees have diameter `O(z)`:
 //!
 //! * `z = Θ(log n / ε)` works for every `α` (Proposition 2.4, first case);
 //! * `z = Θ(1/ε)` needs `α ≥ Ω(min(log n / ε, log Δ / ε²))` for the new-color
@@ -16,14 +18,13 @@
 //! Proposition C.1 shows the `Ω(1/ε)` diameter is optimal for multigraphs.
 
 use crate::error::{check_epsilon, FdError};
-use crate::hpartition::{acyclic_orientation, h_partition, star_forest_decomposition};
-use forest_graph::decomposition::{max_forest_diameter, PartialEdgeColoring};
-use forest_graph::traversal::root_forest;
-use forest_graph::{Color, EdgeId, GraphView};
+use crate::hpartition::recolor_as_fresh_stars;
+use forest_graph::decomposition::PartialEdgeColoring;
+use forest_graph::GraphView;
 use local_model::rounds::costs;
 use local_model::RoundLedger;
 use rand::Rng;
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
 /// Target diameter regime of the reduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,21 +36,19 @@ pub enum DiameterTarget {
     OneOverEpsilon,
 }
 
-/// Outcome of a diameter reduction.
+/// Outcome of a diameter reduction. Its largest tree diameter is
+/// [`max_forest_diameter`](forest_graph::decomposition::max_forest_diameter)
+/// of [`coloring`](Self::coloring); the reduction does not measure it.
 #[derive(Clone, Debug)]
 pub struct DiameterReductionOutcome {
     /// The new coloring: kept edges keep their colors, deleted edges receive
-    /// fresh colors at or above [`Self::new_color_offset`]. Edges that were
+    /// fresh colors above every color of the input. Edges that were
     /// uncolored on input stay uncolored.
     pub coloring: PartialEdgeColoring,
-    /// Colors `>= new_color_offset` were introduced by the reduction.
-    pub new_color_offset: usize,
     /// Number of fresh colors used for the recolored (deleted) edges.
     pub num_new_colors: usize,
     /// Number of edges that were deleted from their original class.
     pub removed_edges: usize,
-    /// Maximum tree diameter of the resulting decomposition.
-    pub max_diameter: usize,
     /// The layer spacing `z` that was used.
     pub layer_spacing: usize,
 }
@@ -60,8 +59,9 @@ pub struct DiameterReductionOutcome {
 ///
 /// # Errors
 ///
-/// Returns an error for invalid `ε` or if the internal recoloring of the
-/// deleted edges fails.
+/// Returns an error for invalid `ε`, for a coloring that is not a partial
+/// forest decomposition of `g` (wrong length, or a class with a cycle), or
+/// if the recoloring of the deleted edges fails.
 pub fn reduce_diameter<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     coloring: &PartialEdgeColoring,
@@ -86,58 +86,40 @@ pub fn reduce_diameter<G: GraphView, R: Rng + ?Sized>(
         layer_spacing,
     );
 
+    // Root every tree at its minimum vertex, draw one layer offset per
+    // color class, and delete every edge whose child sits at that offset
+    // modulo `z`. Drawing in ascending color order fixes the RNG stream.
+    let rooted = coloring.rooted_edges(g)?;
+    let offsets: BTreeMap<_, _> = coloring
+        .colors_used()
+        .into_iter()
+        .map(|c| (c, rng.gen_range(0..layer_spacing)))
+        .collect();
     let mut result = coloring.clone();
-    let mut removed: Vec<EdgeId> = Vec::new();
-    let colors: Vec<Color> = coloring.colors_used().into_iter().collect();
-    for &c in &colors {
-        let class: HashSet<EdgeId> = coloring.edges_with_color(c).into_iter().collect();
-        if class.is_empty() {
-            continue;
-        }
-        let rooted = root_forest(g, |e| class.contains(&e), |_| 0);
-        let offset = rng.gen_range(0..layer_spacing);
-        for v in g.vertices() {
-            if let Some(pe) = rooted.parent_edge[v.index()] {
-                if class.contains(&pe) && rooted.depth[v.index()] % layer_spacing == offset {
-                    result.clear(pe);
-                    removed.push(pe);
-                }
+    let mut deleted = vec![false; g.num_edges()];
+    let mut removed_edges = 0;
+    for e in g.edge_ids() {
+        if let (Some(c), Some(r)) = (coloring.color(e), rooted[e.index()]) {
+            if r.depth % layer_spacing == offsets[&c] {
+                result.clear(e);
+                deleted[e.index()] = true;
+                removed_edges += 1;
             }
         }
     }
 
     // Recolor the deleted edges as star forests with fresh colors
     // (Theorem 2.1(3) applied to the deleted subgraph).
-    let new_color_offset = coloring
-        .colors_used()
-        .into_iter()
-        .map(|c| c.index() + 1)
-        .max()
-        .unwrap_or(0);
-    let removed_set: HashSet<EdgeId> = removed.iter().copied().collect();
-    let mut num_new_colors = 0usize;
-    if !removed.is_empty() {
-        let (sub, back) = forest_graph::edge_subgraph(g, |e| removed_set.contains(&e));
-        let pseudo = forest_graph::orientation::pseudoarboricity(&sub).max(1);
-        let hp = h_partition(&sub, 0.5, pseudo, ledger)?;
-        let orientation = acyclic_orientation(&sub, &hp);
-        let sfd = star_forest_decomposition(&sub, &orientation, ledger);
-        let mut used = HashSet::new();
-        for (i, &orig) in back.iter().enumerate() {
-            let c = sfd.color(EdgeId::new(i));
-            used.insert(c);
-            result.set(orig, Color::new(new_color_offset + c.index()));
-        }
-        num_new_colors = used.len();
-    }
-
-    let max_diameter = max_forest_diameter(g, &result);
+    let first_color = offsets.keys().next_back().map_or(0, |c| c.index() + 1);
+    let num_new_colors = if removed_edges > 0 {
+        recolor_as_fresh_stars(g, &deleted, first_color, &mut result, ledger)?
+    } else {
+        0
+    };
     Ok(DiameterReductionOutcome {
         coloring: result,
-        new_color_offset,
         num_new_colors,
-        removed_edges: removed.len(),
-        max_diameter,
+        removed_edges,
         layer_spacing,
     })
 }
@@ -145,9 +127,10 @@ pub fn reduce_diameter<G: GraphView, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use forest_graph::decomposition::{validate_partial_forest_decomposition, ForestDecomposition};
-    use forest_graph::generators;
-    use forest_graph::MultiGraph;
+    use forest_graph::decomposition::{
+        max_forest_diameter, validate_partial_forest_decomposition, ForestDecomposition,
+    };
+    use forest_graph::{generators, Color, EdgeId, MultiGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -179,12 +162,9 @@ mod tests {
         assert!(out.coloring.is_complete());
         // z = ceil(2/0.25) = 8; surviving runs have at most z-1 edges, and the
         // recolored edges form stars (diameter <= 2).
-        assert!(
-            out.max_diameter <= 2 * out.layer_spacing,
-            "diameter {}",
-            out.max_diameter
-        );
-        assert!(out.max_diameter < 299, "diameter did not shrink");
+        let diameter = max_forest_diameter(&g, &out.coloring);
+        assert!(diameter <= 2 * out.layer_spacing, "diameter {diameter}");
+        assert!(diameter < 299, "diameter did not shrink");
         assert!(out.removed_edges > 0);
         assert!(out.num_new_colors >= 1);
     }
@@ -203,7 +183,7 @@ mod tests {
             &mut ledger,
         )
         .unwrap();
-        assert!(out.max_diameter <= 2 * out.layer_spacing);
+        assert!(max_forest_diameter(&g, &out.coloring) <= 2 * out.layer_spacing);
         validate_partial_forest_decomposition(&g, &out.coloring).expect("valid");
     }
 
@@ -227,7 +207,7 @@ mod tests {
         )
         .unwrap();
         validate_partial_forest_decomposition(&g, &out.coloring).expect("valid");
-        assert!(out.max_diameter <= 2 * out.layer_spacing);
+        assert!(max_forest_diameter(&g, &out.coloring) <= 2 * out.layer_spacing);
         // The number of extra colors stays modest on this benign instance.
         assert!(
             out.num_new_colors <= 3 * 2 * 3,
@@ -273,7 +253,7 @@ mod tests {
         )
         .unwrap();
         validate_partial_forest_decomposition(&g, &out.coloring).expect("valid");
-        assert!(out.max_diameter <= 2);
+        assert!(max_forest_diameter(&g, &out.coloring) <= 2);
     }
 
     #[test]
@@ -313,12 +293,13 @@ mod tests {
         )
         .unwrap();
         // Diameter stays Theta(1/eps): at most 2z = O(1/eps)...
-        assert!(out.max_diameter <= 2 * out.layer_spacing);
+        let diameter = max_forest_diameter(&g, &out.coloring);
+        assert!(diameter <= 2 * out.layer_spacing);
         // ...and the decomposition cannot be much shallower than 1/(2 eps)
         // unless it spent far more than (1+eps) alpha colors (C.1 lower bound).
         let total_colors = out.coloring.num_colors_used();
         if total_colors <= ((1.0 + epsilon) * 3.0).ceil() as usize {
-            assert!(out.max_diameter as f64 >= 1.0 / (4.0 * epsilon));
+            assert!(diameter as f64 >= 1.0 / (4.0 * epsilon));
         }
     }
 }

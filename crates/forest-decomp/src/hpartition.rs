@@ -233,8 +233,10 @@ pub fn star_forest_decomposition<G: GraphView>(
 /// Recolors the edges of `g` that `leftover` marks as star forests in fresh
 /// colors `first_color, first_color + 1, ...` (Theorem 2.1(3) on the
 /// leftover subgraph, peeled at `ε = 0.5` against its own
-/// pseudo-arboricity): the leftover step of the Theorem 4.6 forest and the
-/// Theorem 5.4(1) star-forest pipelines.
+/// pseudo-arboricity), and returns how many fresh colors it used: the
+/// leftover step of the Theorem 4.6 forest and the Theorem 5.4(1)
+/// star-forest pipelines, and the recoloring of Proposition 2.4's deleted
+/// layers.
 ///
 /// # Errors
 ///
@@ -245,7 +247,7 @@ pub(crate) fn recolor_as_fresh_stars<G: GraphView>(
     first_color: usize,
     coloring: &mut PartialEdgeColoring,
     ledger: &mut RoundLedger,
-) -> Result<(), FdError> {
+) -> Result<usize, FdError> {
     let (sub, back) = forest_graph::edge_subgraph(g, |e| leftover[e.index()]);
     let pseudo = forest_graph::orientation::pseudoarboricity(&sub).max(1);
     let hp = h_partition(&sub, 0.5, pseudo, ledger)?;
@@ -255,7 +257,7 @@ pub(crate) fn recolor_as_fresh_stars<G: GraphView>(
         let c = sfd.color(EdgeId::new(i)).index();
         coloring.set(orig, Color::new(first_color + c));
     }
-    Ok(())
+    Ok(sfd.num_colors_used())
 }
 
 /// Theorem 2.1(4): a `t`-list-forest decomposition from an acyclic

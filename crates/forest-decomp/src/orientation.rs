@@ -5,41 +5,34 @@
 //! every edge toward its root, so each vertex has at most one out-edge per
 //! color. This gives the first `(1+ε)α`-orientation algorithms with a linear
 //! dependence on `1/ε`.
+//!
+//! The trees are rooted at their minimum vertices by the
+//! [rooting kernel](forest_graph::decomposition#rooting-kernel), the one
+//! rooting that Proposition 2.4's layer deletion and the folklore
+//! star-forest split read as well.
 
-use forest_graph::traversal::root_forest;
-use forest_graph::{EdgeId, ForestDecomposition, GraphView, Orientation};
+use forest_graph::{ForestDecomposition, GraphView, Orientation};
 
 /// Orients every edge of a complete forest decomposition toward the root of
-/// its tree (per color class). The resulting out-degree of a vertex is at
-/// most the number of colors, since it has at most one parent edge per color.
+/// its tree (per color class): its tail is the endpoint the
+/// [rooting kernel](forest_graph::decomposition#rooting-kernel) calls the
+/// child. The resulting out-degree of a vertex is at most the number of
+/// colors, since it has at most one parent edge per color.
+///
+/// # Panics
+///
+/// Panics if `decomposition` does not cover exactly the edges of `g` or a
+/// color class is not a forest; every engine has checked both by measuring
+/// the diameter.
 pub fn orientation_from_decomposition<G: GraphView>(
     g: &G,
     decomposition: &ForestDecomposition,
 ) -> Orientation {
-    let mut tails = vec![None; g.num_edges()];
-    let mut in_class = vec![false; g.num_edges()];
-    for c in decomposition.colors_used() {
-        let class = decomposition.edges_with_color(c);
-        for &e in &class {
-            in_class[e.index()] = true;
-        }
-        let rooted = root_forest(g, |e| in_class[e.index()], |_| 0);
-        for v in g.vertices() {
-            if let Some(pe) = rooted.parent_edge[v.index()] {
-                if in_class[pe.index()] {
-                    // The edge points from the child v toward its parent.
-                    tails[pe.index()] = Some(v);
-                }
-            }
-        }
-        for &e in &class {
-            in_class[e.index()] = false;
-        }
-    }
-    let tails: Vec<_> = tails
+    let rooted = decomposition.rooted_edges(g);
+    let tails = rooted
+        .expect("a forest decomposition of g")
         .into_iter()
-        .enumerate()
-        .map(|(i, t)| t.unwrap_or_else(|| g.endpoints(EdgeId::new(i)).0))
+        .map(|r| r.expect("every edge is colored").child)
         .collect();
     Orientation::from_tails(g, tails).expect("tails are endpoints by construction")
 }

@@ -37,6 +37,21 @@
 //! union-find check, and [`validate_diameter_bound`] keeps the BFS sweeps
 //! of [`traversal::forest_diameter`], so it checks the kernel's output with
 //! independent code.
+//!
+//! # Rooting kernel
+//!
+//! Corollary 1.1 (orient toward the root), Proposition 2.4 (delete one depth
+//! layer in every `z`) and the folklore `α_star ≤ 2α` split (depth parity)
+//! read every tree of every color class rooted at its minimum vertex:
+//! `rooted_edges` gives each colored edge its [`RootedEdge`], the endpoint
+//! away from the root and its depth. Tree paths are unique, so the root
+//! alone fixes both. The kernel scans the vertices in ascending id order;
+//! the first to touch a colored edge not yet reached is the minimum of that
+//! edge's tree, and a BFS from it over that color roots the tree, so no
+//! per-color scan of the graph remains. Two rootings stay apart on purpose:
+//! CUT (`forest_decomp::cut`) roots at core vertices first, and
+//! `ColoringSnapshot::build` (`forest_decomp::api::versioned`) fills a root
+//! table over the live graph's stable ids.
 
 use crate::error::ValidationError;
 use crate::ids::{Color, EdgeId, VertexId};
@@ -133,14 +148,20 @@ impl PartialEdgeColoring {
         self.colors_used().len()
     }
 
-    /// Edges currently assigned color `c`.
-    pub fn edges_with_color(&self, c: Color) -> Vec<EdgeId> {
-        self.colors
-            .iter()
-            .enumerate()
-            .filter(|(_, x)| **x == Some(c))
-            .map(|(i, _)| EdgeId::new(i))
-            .collect()
+    /// Every tree of every color class rooted at its minimum vertex, by the
+    /// [rooting kernel](self#rooting-kernel): per edge id, the colored
+    /// edge's [`RootedEdge`], `None` for an uncolored edge.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`ForestDecomposition::max_diameter`], with the same class
+    /// and witness.
+    pub fn rooted_edges<G: GraphView>(
+        &self,
+        g: &G,
+    ) -> Result<Vec<Option<RootedEdge>>, ValidationError> {
+        check_length(g, self.colors.len())?;
+        root_classes(g, |i| self.colors[i])
     }
 
     /// Converts into a complete [`ForestDecomposition`].
@@ -247,6 +268,22 @@ impl ForestDecomposition {
     pub fn max_diameter<G: GraphView>(&self, g: &G) -> Result<usize, ValidationError> {
         check_length(g, self.colors.len())?;
         max_diameter_of_colors(g, self.colors.iter().map(|&c| Some(c)))
+    }
+
+    /// Every tree of every color class rooted at its minimum vertex, by the
+    /// [rooting kernel](self#rooting-kernel): the [`RootedEdge`] of every
+    /// edge, by edge id (all `Some`).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`ForestDecomposition::max_diameter`], with the same class
+    /// and witness.
+    pub fn rooted_edges<G: GraphView>(
+        &self,
+        g: &G,
+    ) -> Result<Vec<Option<RootedEdge>>, ValidationError> {
+        check_length(g, self.colors.len())?;
+        root_classes(g, |i| Some(self.colors[i]))
     }
 
     /// View as a partial coloring (every edge colored).
@@ -403,10 +440,13 @@ pub fn validate_list_coloring<G: GraphView>(
 ///
 /// # Panics
 ///
-/// Panics if a color class is not a forest;
-/// [`ForestDecomposition::max_diameter`] returns that as an error instead.
+/// Panics with the [`ValidationError::LengthMismatch`] message if the
+/// coloring does not cover exactly the edges of `g`, and if a color class
+/// is not a forest; [`ForestDecomposition::max_diameter`] returns both as
+/// errors instead.
 pub fn max_forest_diameter<G: GraphView>(g: &G, coloring: &PartialEdgeColoring) -> usize {
-    max_diameter_of_colors(g, coloring.colors[..g.num_edges()].iter().copied())
+    check_length(g, coloring.len()).unwrap_or_else(|mismatch| panic!("{mismatch}"));
+    max_diameter_of_colors(g, coloring.colors.iter().copied())
         .expect("every color class is a forest")
 }
 
@@ -549,6 +589,66 @@ impl LeafPeeler {
     }
 }
 
+/// One colored edge of a rooted forest decomposition, from the
+/// [rooting kernel](self#rooting-kernel).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RootedEdge {
+    /// The endpoint away from the root of the edge's tree: the edge is this
+    /// vertex's parent edge in its class.
+    pub child: VertexId,
+    /// Depth of [`child`](Self::child) below the root (at least 1).
+    pub depth: usize,
+}
+
+/// The rooting kernel over per-edge colors by edge index (`None` =
+/// uncolored): every tree of every class rooted at its minimum vertex.
+fn root_classes<G, F>(g: &G, color_of: F) -> Result<Vec<Option<RootedEdge>>, ValidationError>
+where
+    G: GraphView,
+    F: Fn(usize) -> Option<Color> + Copy,
+{
+    let mut rooted: Vec<Option<RootedEdge>> = vec![None; g.num_edges()];
+    // `reached_by[v]` is the number of the last search that reached `v`.
+    let mut reached_by = vec![0usize; g.num_vertices()];
+    let mut searches = 0;
+    let mut queue: Vec<(VertexId, usize)> = Vec::new();
+    for root in g.vertices() {
+        for (_, e) in g.incidences(root) {
+            // `root` is the minimum of an unreached edge's tree: a smaller
+            // vertex of that tree would have rooted it.
+            let c = match color_of(e.index()) {
+                Some(c) if rooted[e.index()].is_none() => c,
+                _ => continue,
+            };
+            searches += 1;
+            reached_by[root.index()] = searches;
+            queue.clear();
+            queue.push((root, 0));
+            let mut head = 0;
+            while let Some(&(u, depth)) = queue.get(head) {
+                head += 1;
+                for (w, f) in g.incidences(u) {
+                    if rooted[f.index()].is_some() || color_of(f.index()) != Some(c) {
+                        continue;
+                    }
+                    if reached_by[w.index()] == searches {
+                        // `f` closes a cycle: report the class and witness
+                        // the diameter kernel names.
+                        let colors = (0..g.num_edges()).map(color_of);
+                        return Err(max_diameter_of_colors(g, colors)
+                            .expect_err("a class that is not a forest"));
+                    }
+                    reached_by[w.index()] = searches;
+                    let depth = depth + 1;
+                    rooted[f.index()] = Some(RootedEdge { child: w, depth });
+                    queue.push((w, depth));
+                }
+            }
+        }
+    }
+    Ok(rooted)
+}
+
 /// Checks that every tree in every color class has diameter at most `bound`.
 ///
 /// # Errors
@@ -646,7 +746,6 @@ mod tests {
         assert_eq!(pc.color(e(1)), None);
         assert_eq!(pc.colored_count(), 2);
         assert_eq!(pc.uncolored_edges(), vec![e(1)]);
-        assert_eq!(pc.edges_with_color(c(1)), vec![e(0), e(2)]);
         assert_eq!(pc.num_colors_used(), 1);
         pc.clear(e(0));
         assert_eq!(pc.color(e(0)), None);
@@ -779,10 +878,25 @@ mod tests {
             assert_eq!(fd.max_diameter(&g), mismatch, "{len} colors");
             assert_eq!(
                 validate_diameter_bound(&g, &fd.to_partial(), 3),
-                mismatch.map(|_| ()),
+                mismatch.clone().map(|_| ()),
                 "{len} colors"
             );
+            let mismatch = mismatch.map(|_| vec![]);
+            assert_eq!(fd.rooted_edges(&g), mismatch, "{len} colors");
+            assert_eq!(fd.to_partial().rooted_edges(&g), mismatch, "{len} colors");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "coloring has 2 entries but the graph has 3 edges")]
+    fn max_forest_diameter_panics_on_a_short_coloring() {
+        max_forest_diameter(&triangle(), &PartialEdgeColoring::new_uncolored(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "coloring has 8 entries but the graph has 3 edges")]
+    fn max_forest_diameter_panics_on_a_long_coloring() {
+        max_forest_diameter(&triangle(), &PartialEdgeColoring::new_uncolored(8));
     }
 
     /// Color 0 holds a forest edge; color 1 holds a pendant edge (id 1)
@@ -813,14 +927,15 @@ mod tests {
         ];
         for (what, rest) in cases {
             let (g, fd) = pendant_then(rest);
-            assert_eq!(
-                fd.max_diameter(&g),
-                Err(ValidationError::CycleInColorClass {
-                    color: c(1),
-                    witness: e(2),
-                }),
-                "{what}"
-            );
+            let cycle = ValidationError::CycleInColorClass {
+                color: c(1),
+                witness: e(2),
+            };
+            assert_eq!(fd.max_diameter(&g), Err(cycle.clone()), "{what}");
+            // The rooting kernel reports the class and witness the peel
+            // names, from both coloring types.
+            assert_eq!(fd.rooted_edges(&g), Err(cycle.clone()), "{what}");
+            assert_eq!(fd.to_partial().rooted_edges(&g), Err(cycle), "{what}");
         }
         // With its last edge moved to color 2, the triangle leaves the path
         // 3-0-1-2 and the parallel pair the path 3-0-1.

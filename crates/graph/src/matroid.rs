@@ -17,7 +17,7 @@
 
 use crate::connectivity::ColorConnectivity;
 use crate::decomposition::{ForestDecomposition, PartialEdgeColoring};
-use crate::ids::{Color, EdgeId, VertexId};
+use crate::ids::{Color, EdgeId};
 use crate::traversal::path_between;
 use crate::view::GraphView;
 use std::collections::VecDeque;
@@ -236,47 +236,12 @@ pub fn arboricity_lower_bound<G: GraphView>(g: &G) -> usize {
     }
 }
 
-/// A vertex-labelled witness that the arboricity is at least `bound`:
-/// a subgraph `H` with `|E(H)| > (bound - 1) * (|V(H)| - 1)`.
-///
-/// Searching all subgraphs is exponential in general, so this helper only
-/// checks the whole graph and each connected component — enough for the
-/// planted workloads used in tests. Returns `None` when no witness is found
-/// at this granularity.
-pub fn density_witness<G: GraphView>(g: &G, bound: usize) -> Option<Vec<VertexId>> {
-    if bound == 0 {
-        return Some(g.vertices().collect());
-    }
-    let check = |vertices: &[VertexId]| -> bool {
-        if vertices.len() < 2 {
-            return false;
-        }
-        let in_set: std::collections::HashSet<VertexId> = vertices.iter().copied().collect();
-        let edges = g
-            .edges()
-            .filter(|(_, u, v)| in_set.contains(u) && in_set.contains(v))
-            .count();
-        edges > (bound - 1) * (vertices.len() - 1)
-    };
-    let all: Vec<VertexId> = g.vertices().collect();
-    if check(&all) {
-        return Some(all);
-    }
-    let (comp, num_comp) = crate::traversal::connected_components(g, |_| true);
-    for c in 0..num_comp {
-        let vertices: Vec<VertexId> = g.vertices().filter(|v| comp[v.index()] == c).collect();
-        if check(&vertices) {
-            return Some(vertices);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decomposition::validate_forest_decomposition;
     use crate::generators;
+    use crate::ids::VertexId;
     use crate::multigraph::MultiGraph;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -340,15 +305,6 @@ mod tests {
         let empty = MultiGraph::new(4);
         assert_eq!(arboricity_lower_bound(&empty), 0);
         assert_eq!(arboricity(&empty), 0);
-    }
-
-    #[test]
-    fn density_witness_on_dense_graph() {
-        let g = complete_graph(5);
-        // alpha(K5) = 3, so a witness against 2 forests must exist.
-        assert!(density_witness(&g, 3).is_some());
-        assert!(density_witness(&g, 4).is_none());
-        assert!(density_witness(&g, 0).is_some());
     }
 
     /// Plain first-fit over the colors `0..k` in ascending edge-id order,

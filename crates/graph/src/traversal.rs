@@ -167,15 +167,6 @@ where
     dist
 }
 
-/// Returns all vertices within distance `radius` of `source` (the closed
-/// `radius`-neighborhood `N^r(source)` of the paper's Section 1.1).
-pub fn ball<G: GraphView>(g: &G, source: VertexId, radius: usize) -> Vec<VertexId> {
-    let dist = bfs_distances(g, source, |_| true);
-    g.vertices()
-        .filter(|v| dist[v.index()] != UNREACHABLE && dist[v.index()] <= radius)
-        .collect()
-}
-
 /// Finds the (edge, vertex) path from `u` to `v` using only edges accepted by
 /// `edge_filter`. Returns the edge ids of the path, or `None` if `v` is not
 /// reachable from `u`. The empty path is returned when `u == v`.
@@ -371,95 +362,6 @@ where
         .unwrap_or(0)
 }
 
-/// A rooting of the forest spanned by a set of edges: per-vertex parent edge,
-/// parent vertex, depth and root.
-#[derive(Clone, Debug)]
-pub struct RootedForest {
-    /// Parent edge of each vertex (`None` for roots and vertices outside the forest).
-    pub parent_edge: Vec<Option<EdgeId>>,
-    /// Parent vertex of each vertex (`None` for roots).
-    pub parent_vertex: Vec<Option<VertexId>>,
-    /// Depth of each vertex below its root (roots have depth 0).
-    pub depth: Vec<usize>,
-    /// Root of the tree containing each vertex (itself for isolated vertices).
-    pub root: Vec<VertexId>,
-}
-
-impl RootedForest {
-    /// Children lists derived from the parent pointers.
-    pub fn children(&self) -> Vec<Vec<VertexId>> {
-        let n = self.parent_vertex.len();
-        let mut ch = vec![Vec::new(); n];
-        for v in 0..n {
-            if let Some(p) = self.parent_vertex[v] {
-                ch[p.index()].push(VertexId::new(v));
-            }
-        }
-        ch
-    }
-
-    /// Maximum depth over all vertices.
-    pub fn max_depth(&self) -> usize {
-        self.depth.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// Roots every tree of the forest spanned by the accepted edges.
-///
-/// Roots are chosen by `prefer_root`: within each component the vertex
-/// minimizing `(prefer_root(v), v)` becomes the root, so passing `|_| 0`
-/// simply roots at the smallest vertex id. The filtered subgraph must be a
-/// forest.
-pub fn root_forest<G, F, P>(g: &G, mut edge_filter: F, mut prefer_root: P) -> RootedForest
-where
-    G: GraphView,
-    F: FnMut(EdgeId) -> bool,
-    P: FnMut(VertexId) -> usize,
-{
-    let n = g.num_vertices();
-    let accepted: Vec<bool> = g.edge_ids().map(&mut edge_filter).collect();
-    let filter = |e: EdgeId| accepted[e.index()];
-    let (comp, num_comp) = connected_components(g, filter);
-    let mut best: Vec<Option<(usize, VertexId)>> = vec![None; num_comp];
-    for v in g.vertices() {
-        let key = (prefer_root(v), v);
-        let slot = &mut best[comp[v.index()]];
-        if slot.is_none() || key < slot.unwrap() {
-            *slot = Some(key);
-        }
-    }
-    let mut parent_edge = vec![None; n];
-    let mut parent_vertex = vec![None; n];
-    let mut depth = vec![0usize; n];
-    let mut root = vec![VertexId::new(0); n];
-    let mut visited = vec![false; n];
-    let mut queue = VecDeque::new();
-    for slot in &best {
-        let (_, r) = slot.expect("component representative");
-        visited[r.index()] = true;
-        root[r.index()] = r;
-        queue.push_back(r);
-        while let Some(u) = queue.pop_front() {
-            for (w, e) in g.incidences(u) {
-                if !visited[w.index()] && filter(e) {
-                    visited[w.index()] = true;
-                    parent_edge[w.index()] = Some(e);
-                    parent_vertex[w.index()] = Some(u);
-                    depth[w.index()] = depth[u.index()] + 1;
-                    root[w.index()] = r;
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    RootedForest {
-        parent_edge,
-        parent_vertex,
-        depth,
-        root,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,15 +400,6 @@ mod tests {
         let g = path_graph(7);
         let d = multi_source_bfs(&g, &[v(0), v(6)], |_| true);
         assert_eq!(d, vec![0, 1, 2, 3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn ball_contains_radius_neighborhood() {
-        let g = path_graph(7);
-        let b = ball(&g, v(3), 2);
-        let mut got: Vec<usize> = b.iter().map(|x| x.index()).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -559,24 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn root_forest_produces_consistent_parents() {
-        let g = MultiGraph::from_pairs(7, &[(0, 1), (1, 2), (1, 3), (4, 5)]).unwrap();
-        let rooted = root_forest(&g, |_| true, |_| 0);
-        // Roots are the smallest ids of each component: 0, 4, 6.
-        assert_eq!(rooted.root[2], v(0));
-        assert_eq!(rooted.root[5], v(4));
-        assert_eq!(rooted.root[6], v(6));
-        assert_eq!(rooted.depth[0], 0);
-        assert_eq!(rooted.depth[2], 2);
-        assert_eq!(rooted.parent_vertex[3], Some(v(1)));
-        assert_eq!(rooted.parent_vertex[0], None);
-        assert_eq!(rooted.max_depth(), 2);
-        let children = rooted.children();
-        assert!(children[1].contains(&v(2)));
-        assert!(children[1].contains(&v(3)));
-    }
-
-    #[test]
     fn bfs_scratch_matches_bounded_multi_source_bfs() {
         let g =
             MultiGraph::from_pairs(9, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (6, 7)])
@@ -617,13 +492,5 @@ mod tests {
         assert_eq!(scratch.distance(v(0)), UNREACHABLE);
         assert_eq!(scratch.distance(v(4)), 1);
         assert_eq!(scratch.visited(), &[v(5), v(4)]);
-    }
-
-    #[test]
-    fn root_forest_prefers_requested_roots() {
-        let g = path_graph(4);
-        let rooted = root_forest(&g, |_| true, |x| if x == v(3) { 0 } else { 1 });
-        assert_eq!(rooted.root[0], v(3));
-        assert_eq!(rooted.depth[0], 3);
     }
 }

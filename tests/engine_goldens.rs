@@ -12,13 +12,14 @@
 //! * the three leftover routes of the list-forest pipeline;
 //! * the simple-graph precondition of both star problems;
 //! * a star problem over an mmap-backed CSR;
+//! * the diameter reduction after HSV Forest and Orientation;
 //! * `run_sharded` for every engine that solves forests.
 
 use forest_decomp::api::{
     Decomposer, DecompositionReport, DecompositionRequest, Engine, GraphInput, PaletteSpec,
     ProblemKind,
 };
-use forest_decomp::FdError;
+use forest_decomp::{DiameterTarget, FdError};
 use forest_graph::{generators, CsrGraph, MultiGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -220,6 +221,42 @@ fn golden_star_forest_from_mmap() {
         .unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!(hash(&report), 0x008e86745eebc933);
+}
+
+/// Golden: the diameter reduction (Proposition 2.4) after HSV, for Forest
+/// with each target and Orientation with `O(1/ε)`, on a planted simple
+/// graph and on a fat path whose exact partition is deep paths.
+#[test]
+fn golden_diameter_reduction() {
+    use DiameterTarget::*;
+    use ProblemKind::*;
+    let cases: [(&str, MultiGraph, [u64; 3]); 2] = [
+        (
+            "planted simple",
+            planted_simple(120, 4, 3),
+            [0xd6b729fc066b2778, 0x0c819bbf2077ba87, 0xa53deee1181a49c7],
+        ),
+        (
+            "fat path",
+            generators::fat_path(300, 4),
+            [0xb72fa96bd66df3ec, 0x60aa6767854a4f10, 0xa7d7b2c647921710],
+        ),
+    ];
+    for (name, g, hashes) in cases {
+        let runs = [
+            (Forest, OneOverEpsilon),
+            (Forest, LogOverEpsilon),
+            (Orientation, OneOverEpsilon),
+        ];
+        for ((problem, target), h) in runs.into_iter().zip(hashes) {
+            let report = Decomposer::new(
+                request(problem, Engine::HarrisSuVu, 17).with_diameter_target(target),
+            )
+            .run(&g)
+            .unwrap();
+            assert_eq!(hash(&report), h, "{name}: {problem} with {target:?}");
+        }
+    }
 }
 
 /// Golden: `run_sharded` with 3 shards for every engine that solves

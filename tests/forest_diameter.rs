@@ -1,8 +1,13 @@
-//! Differential test of the leaf-peeling diameter kernel: on random valid
-//! partial forest colorings, `max_forest_diameter` must equal the largest
-//! per-class diameter the BFS oracle `traversal::forest_diameter` measures,
-//! and on their completions `ForestDecomposition::max_diameter` must equal
-//! `max_forest_diameter` of the same coloring as a partial one.
+//! Differential tests of the two per-class kernels of
+//! `forest_graph::decomposition` on random valid partial forest colorings
+//! and their completions:
+//!
+//! * leaf peeling: `max_forest_diameter` must equal the largest per-class
+//!   diameter the BFS oracle `traversal::forest_diameter` measures, and
+//!   `ForestDecomposition::max_diameter` must equal `max_forest_diameter`
+//!   of the same coloring as a partial one;
+//! * rooting: `rooted_edges` must give every edge the child and depth of a
+//!   `traversal::bfs_distances` sweep from its tree's minimum vertex.
 //!
 //! The colorings mix random forests, paths and stars, leave some edges
 //! uncolored (parallel to colored ones or not), skip color indices the way
@@ -10,9 +15,9 @@
 
 use forest_graph::decomposition::{
     max_forest_diameter, validate_forest_decomposition, validate_partial_forest_decomposition,
-    PartialEdgeColoring,
+    PartialEdgeColoring, RootedEdge,
 };
-use forest_graph::traversal::forest_diameter;
+use forest_graph::traversal::{bfs_distances, forest_diameter, UNREACHABLE};
 use forest_graph::{
     Color, CsrGraph, EdgeId, ForestDecomposition, GraphView, MultiGraph, UnionFind, VertexId,
 };
@@ -94,6 +99,25 @@ fn oracle<G: GraphView>(g: &G, coloring: &PartialEdgeColoring) -> usize {
         .unwrap_or(0)
 }
 
+/// The rooting oracle: each colored edge's child is its endpoint farther
+/// from the minimum vertex of its tree, by two BFS sweeps per edge.
+fn rooting_oracle<G: GraphView>(g: &G, coloring: &PartialEdgeColoring) -> Vec<Option<RootedEdge>> {
+    let rooted = g.edges().map(|(e, u, v)| {
+        let c = coloring.color(e)?;
+        let in_class = |f: EdgeId| coloring.color(f) == Some(c);
+        let tree = bfs_distances(g, u, in_class);
+        let root = g.vertices().find(|x| tree[x.index()] != UNREACHABLE)?;
+        let dist = bfs_distances(g, root, in_class);
+        let (child, depth) = if dist[u.index()] > dist[v.index()] {
+            (u, dist[u.index()])
+        } else {
+            (v, dist[v.index()])
+        };
+        Some(RootedEdge { child, depth })
+    });
+    rooted.collect()
+}
+
 /// Completes a forest coloring by giving every uncolored edge a fresh color
 /// of its own, above every color in use.
 fn complete(coloring: &PartialEdgeColoring) -> ForestDecomposition {
@@ -128,5 +152,22 @@ proptest! {
         let as_partial = max_forest_diameter(&g, &fd.to_partial());
         prop_assert_eq!(fd.max_diameter(&g), Ok(as_partial));
         prop_assert_eq!(fd.max_diameter(&csr), Ok(as_partial));
+    }
+
+    #[test]
+    fn rooting_matches_the_bfs_oracle(
+        (n, classes, seed) in (1..40usize, 0..6usize, 0..u64::MAX)
+    ) {
+        let (g, coloring) = colored_forests(n, classes, seed);
+        let expected = rooting_oracle(&g, &coloring);
+        prop_assert_eq!(coloring.rooted_edges(&g), Ok(expected.clone()));
+        let csr = CsrGraph::from_multigraph(&g);
+        prop_assert_eq!(coloring.rooted_edges(&csr), Ok(expected));
+        // The completion's fresh colors root each uncolored edge alone.
+        let fd = complete(&coloring);
+        let expected = rooting_oracle(&g, &fd.to_partial());
+        prop_assert!(expected.iter().all(Option::is_some));
+        prop_assert_eq!(fd.rooted_edges(&g), Ok(expected.clone()));
+        prop_assert_eq!(fd.rooted_edges(&csr), Ok(expected));
     }
 }
