@@ -26,6 +26,18 @@
 //!   touched are reset before the next one, so the whole pass costs
 //!   `O(n + m + k)` for `k` the largest color index plus one, with one
 //!   allocation per array.
+//! * Leaves are peeled from a FIFO queue, and the leaf test takes no
+//!   branch: a queued vertex that is no longer a leaf (the far end of its
+//!   tree's last edge, which the near end peeled) passes its updates
+//!   through a zero mask, and a push is an unconditional write followed by
+//!   a conditional increment of the tail. Consecutive pops then depend on
+//!   no earlier load or branch, and their cache misses overlap. Either
+//!   half alone gained little or nothing over a LIFO stack with branches:
+//!   LIFO pops the vertex the last step pushed, and with branches every
+//!   step waits on a data-dependent test. Together they cut the kernel by
+//!   about 30% on `planted_forest_union(20000, 3)` (release build, 2-core
+//!   x86-64 host). The diameter and the 2-core below do not depend on the
+//!   order.
 //!
 //! Peeling never removes an edge of a cycle, nor of a path joining two
 //! cycles (the class's 2-core), and every edge of a forest is peeled. So
@@ -510,7 +522,10 @@ struct PeelSlot {
 struct LeafPeeler {
     slots: Vec<PeelSlot>,
     touched: Vec<VertexId>,
-    leaves: Vec<VertexId>,
+    /// FIFO of leaves to peel. Each vertex enters at most once (as an
+    /// initial leaf or when its degree drops to 1), so `n + 1` slots hold
+    /// every class's queue plus the unconditional write past its tail.
+    queue: Vec<u32>,
 }
 
 impl LeafPeeler {
@@ -518,7 +533,7 @@ impl LeafPeeler {
         LeafPeeler {
             slots: vec![PeelSlot::default(); n],
             touched: Vec::new(),
-            leaves: Vec::new(),
+            queue: vec![0; n + 1],
         }
     }
 
@@ -533,6 +548,7 @@ impl LeafPeeler {
     #[inline(never)]
     fn class_diameter<G: GraphView>(&mut self, g: &G, class: &[EdgeId]) -> Result<usize, EdgeId> {
         let slots = &mut self.slots;
+        let queue = &mut self.queue;
         self.touched.clear();
         for &e in class {
             let (u, v) = g.endpoints(e);
@@ -545,30 +561,36 @@ impl LeafPeeler {
                 slot.xor ^= y.raw();
             }
         }
-        self.leaves.clear();
-        let leaves = self.touched.iter().filter(|x| slots[x.index()].degree == 1);
-        self.leaves.extend(leaves);
+        // Pushes are an unconditional write and a conditional increment.
+        let mut tail = 0;
+        for x in &self.touched {
+            queue[tail] = x.raw();
+            tail += usize::from(slots[x.index()].degree == 1);
+        }
         let mut diameter = 0;
         let mut peeled = 0usize;
-        while let Some(x) = self.leaves.pop() {
-            let leaf = slots[x.index()];
-            // Both ends of a tree's last edge were leaves; the first peel
-            // took the edge.
-            if leaf.degree != 1 {
-                continue;
-            }
-            slots[x.index()].degree = 0;
-            let y = VertexId::new(leaf.xor as usize);
-            let offer = leaf.height + 1;
-            let slot = &mut slots[y.index()];
-            slot.degree -= 1;
-            slot.xor ^= x.raw();
-            diameter = diameter.max(slot.height + offer);
+        let mut head = 0;
+        while head < tail {
+            let x = queue[head];
+            head += 1;
+            let leaf = slots[x as usize];
+            // `mask` is all ones while `x` is still a leaf. Both ends of a
+            // tree's last edge were queued and the first peel took the
+            // edge, leaving the other at degree 0 and XOR 0: its masked
+            // updates of slot 0 below change nothing.
+            let live = u32::from(leaf.degree == 1);
+            let mask = live.wrapping_neg();
+            slots[x as usize].degree = 0;
+            let y = leaf.xor;
+            let offer = (leaf.height + 1) & mask;
+            let slot = &mut slots[y as usize];
+            slot.degree -= live;
+            slot.xor ^= x & mask;
+            diameter = diameter.max((slot.height + offer) & mask);
             slot.height = slot.height.max(offer);
-            if slot.degree == 1 {
-                self.leaves.push(y);
-            }
-            peeled += 1;
+            queue[tail] = y;
+            tail += usize::from((slot.degree & mask) == 1);
+            peeled += live as usize;
         }
         // A peeled edge left its leaf end at degree 0; an unpeeled one
         // still counts at both ends.

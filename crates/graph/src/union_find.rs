@@ -1,11 +1,19 @@
-//! Disjoint-set union (union-find) with path compression and union by rank.
+//! Disjoint-set union (union-find) in one `i32` array: union by size and
+//! single-pass path halving.
+//!
+//! Each entry holds its element's parent, or minus the size of its set at
+//! a root, so a `find` step reads one array and a `union` reads the two
+//! sizes where it already read the roots. Path halving points every other
+//! element of a walked path at its grandparent in the same pass that finds
+//! the root, so no second walk follows. Elements are `i32`: a structure
+//! holds at most `i32::MAX` of them.
 //!
 //! Used by spanning-forest extraction, forest validation and the matroid
-//! partition baseline.
+//! partition baseline. Every caller reads connectivity only: which element
+//! `find` returns as a set's representative is not part of the contract.
 
-use crate::ids::u32_of;
-
-/// A disjoint-set union structure over `0..n`.
+/// A disjoint-set union structure over `0..n`, `n ≤ i32::MAX`: one `i32`
+/// per element, the parent or, at a root, minus the set size.
 ///
 /// ```
 /// use forest_graph::UnionFind;
@@ -18,12 +26,11 @@ use crate::ids::u32_of;
 /// ```
 #[derive(Clone, Debug)]
 pub struct UnionFind {
-    /// Compact `u32` parents: half the memory traffic of `usize` — these
-    /// arrays are the hot working set of the matroid fast path and shard
-    /// stitching, so cache residency matters more than headroom (graphs are
-    /// `u32`-indexed throughout the workspace anyway).
-    parent: Vec<u32>,
-    rank: Vec<u8>,
+    /// Parent of each element, or minus its set's size at a root. Four
+    /// bytes per element: this array is the hot working set of the matroid
+    /// fast path and shard stitching, so cache residency matters more than
+    /// headroom.
+    link: Vec<i32>,
 }
 
 impl UnionFind {
@@ -31,14 +38,14 @@ impl UnionFind {
     ///
     /// # Panics
     ///
-    /// Panics if `n` exceeds `u32::MAX` (the workspace's graphs are
-    /// `u32`-indexed everywhere).
+    /// Panics if `n` exceeds `i32::MAX`: parents and set sizes share one
+    /// `i32` per element.
     pub fn new(n: usize) -> Self {
-        assert!(n <= u32::MAX as usize, "UnionFind is u32-indexed");
-        UnionFind {
-            parent: (0..u32_of(n)).collect(),
-            rank: vec![0; n],
-        }
+        assert!(
+            n <= i32::MAX as usize,
+            "UnionFind holds at most i32::MAX elements"
+        );
+        UnionFind { link: vec![-1; n] }
     }
 
     /// Builds a structure over `0..n` with every pair in `edges` unioned —
@@ -57,47 +64,47 @@ impl UnionFind {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.link.len()
     }
 
     /// Returns `true` if the structure is empty.
     pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
+        self.link.is_empty()
     }
 
-    /// Finds the representative of `x` (with path compression).
-    pub fn find(&mut self, x: usize) -> usize {
-        let mut root = u32_of(x);
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
+    /// Finds the representative of `x`, halving the path on the way: each
+    /// element visited is pointed at its grandparent.
+    pub fn find(&mut self, mut x: usize) -> usize {
+        loop {
+            let parent = self.link[x];
+            if parent < 0 {
+                return x;
+            }
+            let grandparent = self.link[parent as usize];
+            if grandparent < 0 {
+                return parent as usize;
+            }
+            self.link[x] = grandparent;
+            x = grandparent as usize;
         }
-        let mut cur = u32_of(x);
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root as usize
     }
 
-    /// Merges the sets containing `x` and `y`.
+    /// Merges the sets containing `x` and `y`, hanging the smaller under
+    /// the larger.
     ///
     /// Returns `true` if the sets were previously distinct.
     pub fn union(&mut self, x: usize, y: usize) -> bool {
-        let rx = self.find(x);
-        let ry = self.find(y);
+        let (mut rx, mut ry) = (self.find(x), self.find(y));
         if rx == ry {
             return false;
         }
-        let (hi, lo) = if self.rank[rx] >= self.rank[ry] {
-            (rx, ry)
-        } else {
-            (ry, rx)
-        };
-        self.parent[lo] = u32_of(hi);
-        if self.rank[hi] == self.rank[lo] {
-            self.rank[hi] += 1;
+        // Sizes are stored negated: the larger set has the smaller entry.
+        if self.link[rx] > self.link[ry] {
+            std::mem::swap(&mut rx, &mut ry);
         }
+        self.link[rx] += self.link[ry];
+        // forest-lint: allow(FL004) rx < n ≤ i32::MAX, asserted in `new`
+        self.link[ry] = rx as i32;
         true
     }
 
@@ -110,6 +117,9 @@ impl UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn singletons_initially() {
@@ -131,19 +141,87 @@ mod tests {
         assert!(!uf.connected(0, 3));
     }
 
+    /// A 1,000-element chain unioned forwards and backwards, and the same
+    /// elements merged pairwise in rounds of doubling span, which builds
+    /// the deepest trees union by size allows (depth log2 of the size);
+    /// every element is then found and the root holds the size.
     #[test]
     fn chain_unions_produce_single_component() {
-        let n = 100;
-        let mut uf = UnionFind::new(n);
-        for i in 0..n - 1 {
-            assert!(uf.union(i, i + 1));
+        let n = 1000;
+        let forwards: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let backwards: Vec<(usize, usize)> = (0..n - 1).rev().map(|i| (i + 1, i)).collect();
+        let doubling: Vec<(usize, usize)> = (0..10)
+            .flat_map(|round| {
+                let span = 1 << round;
+                (0..n)
+                    .step_by(2 * span)
+                    .filter_map(move |i| (i + span < n).then_some((i, i + span)))
+            })
+            .collect();
+        for pairs in [forwards, backwards, doubling] {
+            let mut uf = UnionFind::new(n);
+            for &(x, y) in &pairs {
+                assert!(uf.union(x, y));
+                assert!(!uf.union(y, x));
+            }
+            assert!(uf.connected(0, n - 1));
+            let root = uf.find(0);
+            for x in (0..n).rev() {
+                assert_eq!(uf.find(x), root);
+            }
+            assert_eq!(uf.link[root], -(n as i32));
         }
-        assert!(uf.connected(0, n - 1));
     }
 
     #[test]
     fn empty_structure() {
         let uf = UnionFind::new(0);
         assert!(uf.is_empty());
+        assert_eq!(uf.len(), 0);
+        assert!(UnionFind::from_edges(0, []).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sequences of `union`, `connected` and `find` on at most
+        /// 64 elements against a labelling oracle that relabels the second
+        /// set on every merge.
+        #[test]
+        fn matches_a_relabelling_oracle((n, seed) in (1..65usize, 0..u64::MAX)) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut uf = UnionFind::new(n);
+            let mut label: Vec<usize> = (0..n).collect();
+            for _ in 0..rng.gen_range(0..4 * n) {
+                let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                match rng.gen_range(0..3usize) {
+                    0 => {
+                        let (lx, ly) = (label[x], label[y]);
+                        prop_assert_eq!(uf.union(x, y), lx != ly);
+                        for l in &mut label {
+                            if *l == ly {
+                                *l = lx;
+                            }
+                        }
+                    }
+                    1 => prop_assert_eq!(uf.connected(x, y), label[x] == label[y]),
+                    _ => {
+                        let r = uf.find(x);
+                        prop_assert_eq!(uf.find(r), r);
+                        prop_assert_eq!(label[r], label[x]);
+                    }
+                }
+            }
+            // `find` is constant on each set, and each root stores its
+            // set's size.
+            let roots: Vec<usize> = (0..n).map(|x| uf.find(x)).collect();
+            for x in 0..n {
+                for y in 0..n {
+                    prop_assert_eq!(roots[x] == roots[y], label[x] == label[y]);
+                }
+                let size = label.iter().filter(|&&l| l == label[x]).count();
+                prop_assert_eq!(uf.link[roots[x]], -(size as i32));
+            }
+        }
     }
 }

@@ -232,11 +232,6 @@ impl PartialNetworkDecomposition {
             .count();
         cut as f64 / g.num_edges() as f64
     }
-
-    /// Maximum (unshifted) BFS depth of any vertex below its center.
-    pub fn max_depth(&self) -> usize {
-        self.depth_of.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// Computes an MPX random-shift clustering with parameter `beta`, charging
@@ -399,7 +394,7 @@ mod tests {
         // Each vertex belongs to exactly one cluster, identified by a center.
         assert_eq!(pnd.center_of.len(), 64);
         // Depth is bounded by the graph diameter.
-        assert!(pnd.max_depth() <= 14);
+        assert!(pnd.depth_of.iter().all(|&depth| depth <= 14));
         // Every cluster center captures itself.
         for v in g.vertices() {
             let c = pnd.center_of[v.index()];
