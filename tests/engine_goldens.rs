@@ -13,11 +13,12 @@
 //! * the simple-graph precondition of both star problems;
 //! * a star problem over an mmap-backed CSR;
 //! * the diameter reduction after HSV Forest and Orientation;
-//! * `run_sharded` for every engine that solves forests.
+//! * `run_sharded` for every engine that solves forests, and along the
+//!   BFS and RCM orders.
 
 use forest_decomp::api::{
     Decomposer, DecompositionReport, DecompositionRequest, Engine, GraphInput, PaletteSpec,
-    ProblemKind,
+    ProblemKind, ReorderKind,
 };
 use forest_decomp::{DiameterTarget, FdError};
 use forest_graph::{generators, CsrGraph, MultiGraph};
@@ -273,5 +274,30 @@ fn golden_run_sharded_per_engine() {
             .run_sharded(&g, 3)
             .unwrap();
         assert_eq!(hash(&report), h, "{engine}");
+    }
+}
+
+/// Golden: `run_sharded` along the BFS and RCM orders at 3 and 8 shards,
+/// for HSV and the exact matroid partition.
+#[test]
+fn golden_run_sharded_reordered() {
+    use Engine::*;
+    use ReorderKind::*;
+    let g = planted_simple(120, 4, 3);
+    for (engine, reorder, k, h) in [
+        (HarrisSuVu, Bfs, 3, 0xe1d9620502aa39a7),
+        (HarrisSuVu, Bfs, 8, 0xdeafd09357dea2c7),
+        (HarrisSuVu, Rcm, 3, 0x42600757f2400fd5),
+        (HarrisSuVu, Rcm, 8, 0xe799a4d331b60168),
+        (ExactMatroid, Bfs, 3, 0x063409ed8e794880),
+        (ExactMatroid, Bfs, 8, 0xa3474c5a0c8a8cd2),
+        (ExactMatroid, Rcm, 3, 0x745f4c6989a4ba5a),
+        (ExactMatroid, Rcm, 8, 0x3a5ab0c77055c693),
+    ] {
+        let report =
+            Decomposer::new(request(ProblemKind::Forest, engine, 17).with_shard_reorder(reorder))
+                .run_sharded(&g, k)
+                .unwrap();
+        assert_eq!(hash(&report), h, "{engine} {reorder:?} k = {k}");
     }
 }
