@@ -2,9 +2,9 @@
 //! [`ProblemKind`], running the pipeline modules over a frozen [`CsrRef`].
 //!
 //! Every input reaches this module as a zero-copy `CsrRef` — owned arrays,
-//! an mmap-backed file or one shard of a
-//! [`CsrPartition`](forest_graph::CsrPartition) — and every pipeline reads
-//! that view and the request only. [`execute`] serves
+//! an mmap-backed file or one shard extracted from a
+//! [`ShardPlan`](forest_graph::ShardPlan) — and every pipeline reads that
+//! view and the request only. [`execute`] serves
 //! [`Decomposer::run`](super::Decomposer::run) and
 //! [`Decomposer::run_batch`](super::Decomposer::run_batch);
 //! [`decompose_shard`] serves both sharded drivers through the `stitch`

@@ -39,19 +39,19 @@
 //!   inputs on all cores, with per-input derived seeds ([`derive_seed`]) —
 //!   many graphs, or one frozen [`CsrGraph`](forest_graph::CsrGraph)
 //!   repeated for a seed sweep;
-//! * [`Decomposer::run_sharded`] decomposes one *large* graph by splitting
-//!   its frozen topology into zero-copy shards — along an opt-in BFS/RCM
-//!   locality order ([`ShardingSpec`], [`ReorderKind`]) when vertex ids are
-//!   not already banded — decomposing them in parallel straight over the
-//!   borrowed views;
+//! * [`Decomposer::run_sharded`] decomposes one *large* graph by cutting
+//!   its frozen topology into contiguous shards ([`ShardPlan`]) — after
+//!   relabelling it along an opt-in BFS/RCM locality order
+//!   ([`ShardingSpec`], [`ReorderKind`]) when vertex ids are not already
+//!   banded — extracting and decomposing the shards in parallel;
 //! * [`Decomposer::run_out_of_core`] does the same from an on-disk CSR file
 //!   under a memory budget, one shard at a time (identity order only).
 //!
-//! Both sharded drivers share one boundary stitch (the private `stitch`
-//! module): boundary edges join the shard forests where they fit, the
-//! residue is recolored reusing colors, and the optional
-//! [`StitchPolicy::ExactAlpha`] exchange pass closes the `α + 1` gap on
-//! capacity-tight workloads.
+//! Both sharded drivers share one plan, one per-shard step and one boundary
+//! stitch (the private `stitch` module): boundary edges join the shard
+//! forests where they fit, the residue is recolored reusing colors, and the
+//! optional [`StitchPolicy::ExactAlpha`] exchange pass closes the `α + 1`
+//! gap on capacity-tight workloads.
 //!
 //! # Streams: the [`DynamicDecomposer`]
 //!
@@ -105,7 +105,7 @@ pub use forest_graph::ReorderKind;
 
 use crate::error::FdError;
 use engines::ShardOutcome;
-use forest_graph::{Color, CsrPartition, CsrRef, GraphView, ListAssignment};
+use forest_graph::{reorder, Color, CsrRef, GraphView, ListAssignment, ShardPlan};
 use forest_obs::{clock::Stopwatch, LazyCounter, LazyHistogram, Span};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -204,16 +204,16 @@ impl Decomposer {
             .collect()
     }
 
-    /// Decomposes one *large* graph by sharding it: splits the frozen
-    /// topology into `num_shards` zero-copy shards
-    /// ([`CsrPartition`]) — along a
-    /// locality-improving BFS/RCM order when the request's [`ShardingSpec`]
-    /// asks for one — decomposes every shard's internal edges in parallel
-    /// straight over the borrowed `CsrRef` views (shard `i` seeded with
-    /// [`derive_seed`]`(seed, i)`), merges the per-shard forests directly
-    /// (shards are vertex-disjoint, so same-colored trees never touch), and
-    /// stitches the explicit boundary-edge list through
-    /// the two-phase stitch of the private `stitch` module — the paper's
+    /// Decomposes one *large* graph by sharding it: cuts the frozen
+    /// topology into `num_shards` contiguous shards ([`ShardPlan`]) — of
+    /// the graph relabelled along a locality-improving BFS/RCM order
+    /// ([`reorder::permute`]) when the request's [`ShardingSpec`] asks for
+    /// one — extracts and decomposes every shard's internal edges in
+    /// parallel (shard `i` seeded with [`derive_seed`]`(seed, i)`), merges
+    /// the per-shard forests directly (shards are vertex-disjoint, so
+    /// same-colored trees never touch), and stitches the explicit
+    /// boundary-edge list through the two-phase stitch of the private
+    /// `stitch` module — the paper's
     /// compose-per-part-partitions-plus-leftover shape, shared with
     /// [`Decomposer::run_out_of_core`].
     ///
@@ -229,9 +229,10 @@ impl Decomposer {
     /// bound) — boundary edges can push the true value higher, and only an
     /// exact full-graph run pins it down.
     ///
-    /// Deterministic for a fixed `(request, num_shards)`: the split order is
-    /// a deterministic function of the topology, shard seeds are derived,
-    /// shards are merged in index order, and the stitch is sequential.
+    /// Deterministic for a fixed `(request, num_shards)`: the relabelling
+    /// order is a deterministic function of the topology, shard seeds are
+    /// derived, shards are merged in index order, and the stitch is
+    /// sequential.
     ///
     /// # Errors
     ///
@@ -256,51 +257,41 @@ impl Decomposer {
         let input = input.into();
         let mut scratch = None;
         let csr = input.resolve(&mut scratch);
-        let partition = match request.sharding.reorder.order(&csr) {
-            None => CsrPartition::split(&csr, num_shards),
-            Some(perm) => CsrPartition::split_ordered(&csr, num_shards, &perm),
-        };
-        let k = partition.num_shards();
-        // Decompose every shard in parallel over zero-copy views; results
-        // come back in shard order, so the merge below is deterministic.
+        // A split along an order is the identity split of the graph
+        // relabelled along it; edge ids, and so colors, are unchanged.
+        let relabelled = request
+            .sharding
+            .reorder
+            .order(&csr)
+            .map(|perm| reorder::permute(&csr, &perm));
+        let planned = relabelled.as_ref().map_or(csr, |g| g.view());
+        let plan = ShardPlan::new(&planned, num_shards);
+        let k = plan.num_shards();
+        // Extract and decompose every shard in parallel; results come back
+        // in shard order, so the merge below is deterministic.
         let shard_ids: Vec<usize> = (0..k).collect();
-        let per_shard: Vec<Result<ShardOutcome, FdError>> = shard_ids
+        let per_shard: Vec<Result<(Vec<u32>, ShardOutcome), FdError>> = shard_ids
             .par_iter()
-            .map(|&s| {
-                let mut rng = SmallRng::seed_from_u64(derive_seed(request.seed, s as u64));
-                engines::decompose_shard(partition.shard(s), request, &mut rng)
-            })
+            .map(|&s| stitch::decompose_planned_shard(planned, &plan, s, request))
             .collect();
-        let per_shard = per_shard
-            .into_iter()
-            .collect::<Result<Vec<ShardOutcome>, FdError>>()?;
+        let per_shard = per_shard.into_iter().collect::<Result<Vec<_>, FdError>>()?;
         // Merge: shards are vertex-disjoint, so reusing the same color space
         // across shards keeps every class a forest. Every edge is written
-        // exactly once: the partition covers internal edges shard by shard,
-        // the stitch covers the boundary.
-        let boundary = partition.boundary_edges();
-        let by_shard = stitch::boundary_vertices(&csr, boundary, k, |v| partition.shard_of(v));
+        // exactly once: the plan covers internal edges shard by shard, the
+        // stitch covers the boundary.
+        let boundary = plan.boundary_edges(&planned);
+        let by_shard = stitch::boundary_vertices(&planned, &boundary, &plan);
         let mut colors = vec![Color::new(0); csr.num_edges()];
         let mut written = 0usize;
         let mut stitch = Stitch::default();
-        for (s, outcome) in per_shard.into_iter().enumerate() {
-            for (&global, &color) in partition
-                .global_edges(s)
-                .iter()
-                .zip(outcome.decomposition.colors())
-            {
+        for (s, (global_edges, outcome)) in per_shard.into_iter().enumerate() {
+            for (&global, &color) in global_edges.iter().zip(outcome.decomposition.colors()) {
                 colors[global as usize] = color;
                 written += 1;
             }
-            stitch.absorb(
-                s,
-                outcome,
-                &by_shard[s],
-                |v| partition.local_vertex(v),
-                |local| partition.global_vertex(s, local),
-            );
+            stitch.absorb(s, outcome, &by_shard[s], &plan);
         }
-        for (&e, c) in boundary.iter().zip(stitch.stitch(&csr, boundary)) {
+        for (&e, c) in boundary.iter().zip(stitch.stitch(&planned, &boundary)) {
             colors[e.index()] = c;
             written += 1;
         }

@@ -8,21 +8,20 @@
 //! resident. The run composes three bounded phases:
 //!
 //! 1. **Plan.** The file is demand-page mapped
-//!    ([`MmapCsr::load_mmap`](forest_graph::MmapCsr)) and split with a
-//!    [`ShardPlan`] — the `O(k)`-resident twin of
-//!    `CsrPartition` that cuts in exactly the same places — with `k` either
-//!    given or derived from the budget so one shard's working set fits.
-//!    The plan supports only the identity order: a BFS/RCM reorder needs
-//!    the `O(n)` permutation the plan exists to avoid, so a request asking
-//!    for one fails with [`FdError::ReorderUnsupported`].
-//! 2. **Walk.** Shards are decomposed *sequentially* through the same
-//!    `decompose_shard` path `run_sharded` fans out in parallel:
-//!    one shard's CSR is extracted, decomposed, its coloring **spilled to
-//!    disk**, and — before everything is dropped — the shared stitch
-//!    records the per-color component representatives of its *boundary*
-//!    vertices (a few words per boundary endpoint). Per-shard seeds,
-//!    ledgers and outcomes are identical to the in-memory run because the
-//!    extracted shard bytes are.
+//!    ([`MmapCsr::load_mmap`](forest_graph::MmapCsr)) and cut with the
+//!    `O(k)`-resident [`ShardPlan`], the plan `run_sharded` cuts with too,
+//!    with `k` either given or derived from the budget so one shard's
+//!    working set fits. Only the identity order is cut: `run_sharded` reorders by
+//!    relabelling the whole graph first, an `O(n + m)` copy this driver
+//!    exists to avoid, so a request asking for a BFS/RCM order fails with
+//!    [`FdError::ReorderUnsupported`].
+//! 2. **Walk.** Shards go *sequentially* through the per-shard step
+//!    `run_sharded` fans out in parallel: one shard's CSR is extracted and
+//!    decomposed, its coloring is **spilled to disk**, and — before
+//!    everything is dropped — the shared stitch records the per-color
+//!    component representatives of its *boundary* vertices (a few words
+//!    per boundary endpoint). Per-shard seeds, ledgers and outcomes are
+//!    identical to the in-memory run because the shard bytes are.
 //! 3. **Stitch.** The boundary edges go through the one two-phase stitch
 //!    both sharded drivers share (the private `stitch` module), over
 //!    sparse union-finds keyed by the recorded representatives —
@@ -40,14 +39,11 @@
 //! scratch is proportional to one shard and rides inside the same budget
 //! headroom; mapped file pages are the kernel's to evict and are not heap).
 
-use super::engines;
 use super::stitch::{self, Stitch};
-use super::{derive_seed, Decomposer, DecompositionReport};
+use super::{Decomposer, DecompositionReport};
 use crate::error::FdError;
 use forest_graph::{Color, CsrGraph, EdgeId, GraphView, ReorderKind, ShardPlan};
 use forest_obs::{clock::Stopwatch, LazyCounter, LazyGauge, Span};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -164,7 +160,8 @@ impl ResidentMeter {
 /// of the budget (the rest covers the plan, boundary state, spill buffers
 /// and engine scratch). Per-shard transients: the extracted CSR
 /// (`≈ 24m/k + 4n/k` bytes), its edge map and coloring (`8m/k`), and the
-/// per-color connectivity (`≈ 16·span·n/k`).
+/// per-color connectivity (`≈ 16·span·n/k`); the extraction's slot tags
+/// (`16m/k`) are freed before the coloring and connectivity exist.
 fn shards_for_budget(n: usize, m: usize, budget: usize) -> usize {
     let per_shard_total = 40 * m + 72 * n;
     let avail = (2 * budget / 5).max(1);
@@ -225,7 +222,7 @@ impl Decomposer {
             return Err(FdError::InvalidShardCount { requested: 0 });
         }
         // The plan cuts contiguous id ranges; a reordered cut needs the
-        // O(n) permutation the bounded plan exists to avoid.
+        // relabelled O(n + m) copy of the graph this driver exists to avoid.
         let reorder = request.sharding.reorder;
         if reorder != ReorderKind::Identity {
             return Err(FdError::ReorderUnsupported { reorder });
@@ -252,16 +249,15 @@ impl Decomposer {
         let k = config
             .num_shards
             .unwrap_or_else(|| shards_for_budget(n, m, config.memory_budget_bytes));
-        let plan = ShardPlan::new(&mapped, k);
+        let plan = ShardPlan::new(&csr, k);
         let k = plan.num_shards();
         stats.num_shards = k;
         meter.alloc(plan.resident_bytes());
-        let boundary_list = plan.boundary_edges(&mapped);
+        let boundary_list = plan.boundary_edges(&csr);
         let boundary = boundary_list.len();
         stats.boundary_edges = boundary;
         meter.alloc(boundary_list.len() * std::mem::size_of::<EdgeId>());
-        let boundary_verts =
-            stitch::boundary_vertices(&csr, &boundary_list, k, |v| plan.shard_of(v));
+        let boundary_verts = stitch::boundary_vertices(&csr, &boundary_list, &plan);
         meter.alloc(boundary_verts.iter().map(|v| 4 * v.len() + 32).sum());
         OOC_PLAN_NANOS.add(plan_start.elapsed_nanos());
         drop(plan_span);
@@ -293,47 +289,38 @@ impl Decomposer {
         })?);
 
         // --- phase 2: sequential shard walk --------------------------------
-        // Mirrors run_sharded's parallel fan-out: per-shard derived seeds
-        // over byte-identical shard CSRs give identical outcomes, and
-        // walking in index order reproduces the merge/ledger order.
+        // run_sharded's per-shard step, one shard at a time: walking in
+        // index order reproduces its merge/ledger order.
         let walk_span = Span::enter("ooc.shard_walk");
         let walk_start = Stopwatch::start();
         let mut stitch = Stitch::default();
         let mut written = 0usize;
         for (s, shard_boundary) in boundary_verts.iter().enumerate() {
             let _shard_span = Span::enter("ooc.shard");
-            let extracted = plan.extract_shard(&mapped, s);
-            let shard_n = extracted.csr.num_vertices();
-            let shard_m = extracted.csr.num_edges();
-            let extracted_bytes =
-                4 * ((shard_n + 1) + 6 * shard_m) + 4 * extracted.global_edges.len();
-            meter.alloc(extracted_bytes);
-            let mut rng = SmallRng::seed_from_u64(derive_seed(request.seed, s as u64));
-            let outcome = engines::decompose_shard(extracted.csr.view(), request, &mut rng)?;
-            // Outcome working set: the shard coloring plus the per-color
-            // union-finds (estimated; dropped at the end of this iteration).
+            let (global_edges, outcome) = stitch::decompose_planned_shard(csr, &plan, s, request)?;
+            // The extracted CSR and its edge map beside the extraction's
+            // slot tags (8 bytes per internal incidence, freed before the
+            // decomposition), then the outcome's working set: the shard
+            // coloring plus the per-color union-finds (estimated; dropped
+            // at the end of this iteration).
+            let shard_n = outcome.connectivity.num_vertices();
+            let shard_m = global_edges.len();
+            let extracted_bytes = 4 * ((shard_n + 1) + 6 * shard_m) + 4 * shard_m;
+            let tag_bytes = 16 * shard_m;
+            meter.alloc(extracted_bytes + tag_bytes);
+            meter.free(tag_bytes);
             let outcome_bytes = 4 * shard_m + 16 * outcome.color_span * shard_n;
             meter.alloc(outcome_bytes);
-            for (&global, &color) in extracted
-                .global_edges
-                .iter()
-                .zip(outcome.decomposition.colors())
-            {
+            for (&global, &color) in global_edges.iter().zip(outcome.decomposition.colors()) {
                 spill_pair(&mut spill, global, color.raw())
                     .map_err(|err| io_err(format!("spilling shard {s} coloring: {err}")))?;
                 written += 1;
             }
-            stats.spilled_coloring_bytes += 8 * extracted.global_edges.len() as u64;
+            stats.spilled_coloring_bytes += 8 * shard_m as u64;
             // The recorded representatives outlive the shard: one entry per
             // boundary vertex, one word per shard color.
             meter.alloc(shard_boundary.len() * (48 + 4 * outcome.color_span));
-            stitch.absorb(
-                s,
-                outcome,
-                shard_boundary,
-                |v| plan.local_vertex(v),
-                |local| plan.global_vertex(s, local),
-            );
+            stitch.absorb(s, outcome, shard_boundary, &plan);
             meter.free(extracted_bytes + outcome_bytes);
         }
         spill
@@ -412,6 +399,7 @@ mod tests {
     use crate::api::{DecompositionRequest, Engine, ProblemKind, StitchPolicy};
     use forest_graph::generators;
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn temp_csr(tag: &str, g: &forest_graph::MultiGraph) -> PathBuf {
         let path = std::env::temp_dir().join(format!(

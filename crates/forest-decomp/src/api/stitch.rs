@@ -5,10 +5,13 @@
 //! (shards walked one at a time, colorings spilled to disk).
 //!
 //! It is Harris–Su–Vu's compose-per-part, then recolor-the-leftover step
-//! (Section 4), applied to the edges that cross shards. Shards are
-//! vertex-disjoint, so their forests merge into one color space unchanged;
-//! only the boundary edges need a color. Each driver hands every
-//! [`ShardOutcome`] to one [`Stitch`] in shard-index order, then:
+//! (Section 4), applied to the edges that cross shards. Both drivers cut
+//! with one [`ShardPlan`] and run one per-shard step,
+//! [`decompose_planned_shard`]; `run_sharded` first relabels the graph
+//! along the request's BFS or RCM order, if any, and plans the relabelled
+//! graph. Shards are vertex-disjoint, so their forests merge into one color
+//! space unchanged; only the boundary edges need a color. Each driver hands
+//! every [`ShardOutcome`] to one [`Stitch`] in shard-index order, then:
 //!
 //! 1. **Representatives** ([`Stitch::absorb`]). Before a shard's per-color
 //!    union-finds are dropped, the component representative of each of its
@@ -31,22 +34,28 @@
 //!    optional [`StitchPolicy::ExactAlpha`] exchange pass, the diameter
 //!    measurement, the report and its validation.
 //!
-//! Every step is a deterministic function of the shard outcomes (in index
-//! order) and the ascending boundary list, so both drivers produce
-//! byte-identical reports for the same request and shard count.
+//! Steps 1 and 2 key vertices by the ids of the graph that was planned
+//! (relabelled under a reorder); they read connectivity only, which no
+//! relabelling changes. Step 3 reads the caller's graph. Every step is a
+//! deterministic function of the shard outcomes (in index order) and the
+//! ascending boundary list, so both drivers produce byte-identical reports
+//! for the same request and shard count.
 
 use super::engines::{self, ShardOutcome};
 use super::{
-    Artifact, DecompositionReport, DecompositionRequest, ProblemKind, StitchPolicy, Validate,
-    ValidationStatus,
+    derive_seed, Artifact, DecompositionReport, DecompositionRequest, ProblemKind, StitchPolicy,
+    Validate, ValidationStatus,
 };
 use crate::error::FdError;
 use forest_graph::decomposition::PartialEdgeColoring;
 use forest_graph::{
-    Color, CsrRef, DynamicColorConnectivity, EdgeId, ForestDecomposition, GraphView, VertexId,
+    Color, CsrRef, DynamicColorConnectivity, EdgeId, ExtractedShard, ForestDecomposition,
+    GraphView, ShardPlan, VertexId,
 };
 use forest_obs::{clock::Stopwatch, Span};
 use local_model::RoundLedger;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// The checks both sharded drivers run before touching the graph: only
@@ -67,21 +76,39 @@ pub(super) fn check_sharded(request: &DecompositionRequest) -> Result<(), FdErro
     Ok(())
 }
 
-/// The endpoints of `boundary`, grouped by owning shard (`shard_of`),
+/// The per-shard step both drivers share: extracts shard `s` of `plan`
+/// from `csr` and decomposes it seeded with [`derive_seed`]`(seed, s)`.
+/// The shard's CSR is dropped here; the caller gets its local → global
+/// edge map and the outcome.
+pub(super) fn decompose_planned_shard(
+    csr: CsrRef<'_>,
+    plan: &ShardPlan,
+    s: usize,
+    request: &DecompositionRequest,
+) -> Result<(Vec<u32>, ShardOutcome), FdError> {
+    let ExtractedShard {
+        csr: shard,
+        global_edges,
+    } = plan.extract_shard(&csr, s);
+    let mut rng = SmallRng::seed_from_u64(derive_seed(request.seed, s as u64));
+    let outcome = engines::decompose_shard(shard.view(), request, &mut rng)?;
+    Ok((global_edges, outcome))
+}
+
+/// The endpoints of `boundary`, grouped by the `plan` shard owning them,
 /// sorted and deduplicated: the vertices whose representatives
 /// [`Stitch::absorb`] must record before each shard's connectivity is
 /// dropped.
 pub(super) fn boundary_vertices(
     csr: &CsrRef<'_>,
     boundary: &[EdgeId],
-    num_shards: usize,
-    shard_of: impl Fn(VertexId) -> usize,
+    plan: &ShardPlan,
 ) -> Vec<Vec<u32>> {
-    let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
+    let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); plan.num_shards()];
     for &e in boundary {
         let (u, v) = csr.endpoints(e);
-        by_shard[shard_of(u)].push(u.raw());
-        by_shard[shard_of(v)].push(v.raw());
+        by_shard[plan.shard_of(u)].push(u.raw());
+        by_shard[plan.shard_of(v)].push(v.raw());
     }
     for verts in &mut by_shard {
         verts.sort_unstable();
@@ -153,23 +180,23 @@ pub(super) struct Stitch {
 impl Stitch {
     /// Folds shard `s`'s outcome in (call in shard-index order) and records
     /// the per-color representatives of its `boundary` vertices (global
-    /// ids), mapping them through the split's `local_vertex` and
-    /// `global_vertex` renumbering. The caller places the shard's own
-    /// coloring before handing the outcome over.
+    /// ids), mapping them through `plan`'s renumbering. The caller places
+    /// the shard's own coloring before handing the outcome over.
     pub(super) fn absorb(
         &mut self,
         s: usize,
         outcome: ShardOutcome,
         boundary: &[u32],
-        local_vertex: impl Fn(VertexId) -> VertexId,
-        global_vertex: impl Fn(VertexId) -> VertexId,
+        plan: &ShardPlan,
     ) {
         let mut connectivity = outcome.connectivity;
         for &gv in boundary {
-            let local = local_vertex(VertexId::new(gv as usize));
+            let local = plan.local_vertex(VertexId::new(gv as usize));
             let per_color: Vec<u32> = (0..outcome.color_span)
                 .map(|c| match connectivity.cached_forest(Color::new(c)) {
-                    Some(uf) => global_vertex(VertexId::new(uf.find(local.index()))).raw(),
+                    Some(uf) => plan
+                        .global_vertex(s, VertexId::new(uf.find(local.index())))
+                        .raw(),
                     None => gv,
                 })
                 .collect();
@@ -181,9 +208,9 @@ impl Stitch {
         self.ledger.absorb(&format!("shard {s}"), outcome.ledger);
     }
 
-    /// Colors the `boundary` edges (ascending ids) by the two-phase rule and
-    /// returns their colors in `boundary` order. Call once, after every
-    /// shard was absorbed.
+    /// Colors the `boundary` edges (ascending ids) of the planned graph
+    /// `csr` by the two-phase rule and returns their colors in `boundary`
+    /// order. Call once, after every shard was absorbed.
     pub(super) fn stitch(&mut self, csr: &CsrRef<'_>, boundary: &[EdgeId]) -> Vec<Color> {
         let budget = self.budget;
         self.forests = (0..budget).map(|_| SparseUf::default()).collect();
@@ -257,9 +284,10 @@ impl Stitch {
         self.forests.iter().map(|f| f.parent.len() * 48).sum()
     }
 
-    /// The report tail: floors the arboricity, runs the optional exact-α
-    /// pass over the complete `colors`, measures the diameter and validates
-    /// when the request asks to. `start` times the whole run.
+    /// The report tail over the caller's graph `csr`: floors the
+    /// arboricity, runs the optional exact-α pass over the complete
+    /// `colors`, measures the diameter and validates when the request asks
+    /// to. `start` times the whole run.
     pub(super) fn finish(
         mut self,
         request: &DecompositionRequest,

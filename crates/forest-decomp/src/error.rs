@@ -86,16 +86,17 @@ pub enum FdError {
         /// The problem that was requested.
         problem: ProblemKind,
     },
-    /// `run_sharded` was asked for zero shards. (The low-level
-    /// `CsrPartition::split` clamps instead, documented; the facade rejects
-    /// so a misconfigured caller hears about it.)
+    /// `run_sharded` or `run_out_of_core` was asked for zero shards. (The
+    /// low-level `ShardPlan::new` clamps instead, documented; the facade
+    /// rejects so a misconfigured caller hears about it.)
     InvalidShardCount {
         /// The shard count that was requested.
         requested: usize,
     },
     /// `run_out_of_core` cuts along the identity vertex order only: a
-    /// BFS/RCM reorder needs the `O(n)` permutation its bounded shard plan
-    /// exists to avoid. (`run_sharded` supports every order.)
+    /// BFS/RCM reorder relabels the whole graph first, an `O(n + m)` copy
+    /// its bounded shard walk exists to avoid. (`run_sharded` supports
+    /// every order.)
     ReorderUnsupported {
         /// The order the request asked for.
         reorder: ReorderKind,

@@ -83,8 +83,10 @@
 //! [`CsrRef`](forest_graph::CsrRef). The CSR is storage-generic
 //! ([`forest_graph::CsrStorage`]), so the same code runs over owned arrays,
 //! an mmap-backed on-disk graph ([`api::GraphInput::from_mmap`]) or one
-//! shard of a [`CsrPartition`](forest_graph::CsrPartition).
-//! [`api::Decomposer::run_sharded`] decomposes shards in parallel and
+//! shard extracted from a [`ShardPlan`](forest_graph::ShardPlan). Both
+//! sharded drivers cut with that one plan:
+//! [`api::Decomposer::run_sharded`] decomposes its shards in parallel (after
+//! relabelling the graph along a BFS/RCM order, when asked) and
 //! [`api::Decomposer::run_out_of_core`] walks them one at a time from disk
 //! (identity order only); both stitch the boundary through one shared
 //! module, the paper's compose-per-part-plus-leftover step.

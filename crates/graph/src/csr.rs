@@ -18,9 +18,8 @@
 //! * [`OwnedCsr`] (`CsrGraph<Vec<u32>>`, the default) — heap-owned arrays,
 //!   what [`CsrGraph::from_multigraph`] builds.
 //! * [`CsrRef`] (`CsrGraph<&[u32]>`) — borrowed slices. Every storage can
-//!   produce one with [`CsrGraph::view`] at zero cost, and
-//!   [`CsrPartition`](crate::CsrPartition) hands out per-shard `CsrRef`s
-//!   without copying.
+//!   produce one with [`CsrGraph::view`] at zero cost; it is the type every
+//!   engine and shard worker consumes.
 //! * [`MmapCsr`] (`CsrGraph<MmapStorage>`) — arrays backed by a
 //!   memory-mapped file ([`MmapCsr::load_mmap`]), sharing one buffer across
 //!   clones so batch workers share pages.
@@ -487,56 +486,11 @@ impl<S: CsrStorage> CsrGraph<S> {
         .expect("CSR endpoints are valid by construction")
     }
 
-    /// The raw interleaved endpoints array (`u_0, v_0, u_1, v_1, ...`):
-    /// the shard splitter's allocation-free edge scan.
-    pub(crate) fn endpoint_words(&self) -> &[u32] {
-        self.endpoints.as_u32s()
-    }
-
     /// The contiguous range of incidence-slot indices belonging to `v`.
     #[inline]
-    pub fn incidence_range(&self, v: VertexId) -> std::ops::Range<usize> {
+    fn incidence_range(&self, v: VertexId) -> std::ops::Range<usize> {
         let offsets = self.offsets.as_u32s();
         offsets[v.index()] as usize..offsets[v.index() + 1] as usize
-    }
-
-    /// Total number of incidence slots, i.e. `2m`.
-    #[inline]
-    pub fn num_incidences(&self) -> usize {
-        self.neighbors.as_u32s().len()
-    }
-
-    /// The neighbor stored at incidence slot `slot`.
-    #[inline]
-    pub fn slot_neighbor(&self, slot: usize) -> VertexId {
-        VertexId::new(self.neighbors.as_u32s()[slot] as usize)
-    }
-
-    /// The edge stored at incidence slot `slot`.
-    #[inline]
-    pub fn slot_edge(&self, slot: usize) -> EdgeId {
-        EdgeId::new(self.edge_ids.as_u32s()[slot] as usize)
-    }
-
-    /// For every incidence slot, the slot of the *same edge* at the other
-    /// endpoint: a permutation of `0..2m` that message-passing simulators use
-    /// to exchange per-edge messages without any per-vertex allocation.
-    pub fn mirror_slots(&self) -> Vec<u32> {
-        let edge_ids = self.edge_ids.as_u32s();
-        let slots = edge_ids.len();
-        // First slot seen for each edge, then matched by its partner.
-        let mut first = vec![u32::MAX; self.num_edges()];
-        let mut mirror = vec![0u32; slots];
-        for (slot, &e) in edge_ids.iter().enumerate() {
-            let other = &mut first[e as usize];
-            if *other == u32::MAX {
-                *other = u32_of(slot);
-            } else {
-                mirror[slot] = *other;
-                mirror[*other as usize] = u32_of(slot);
-            }
-        }
-        mirror
     }
 
     /// Encodes the graph in the versioned little-endian on-disk format: a
@@ -638,10 +592,6 @@ impl<S: CsrStorage> GraphView for CsrGraph<S> {
 mod tests {
     use super::*;
 
-    fn v(i: usize) -> VertexId {
-        VertexId::new(i)
-    }
-
     fn temp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("forest-graph-csr-{tag}-{}.csr", std::process::id()))
     }
@@ -652,7 +602,7 @@ mod tests {
         let csr = CsrGraph::from_multigraph(&g);
         assert_eq!(csr.num_vertices(), 5);
         assert_eq!(csr.num_edges(), 5);
-        assert_eq!(csr.num_incidences(), 10);
+        assert_eq!(g.vertices().map(|x| csr.degree(x)).sum::<usize>(), 10);
         for x in g.vertices() {
             assert_eq!(csr.degree(x), g.degree(x));
             let mg: Vec<_> = g.incidences(x).collect();
@@ -685,20 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn mirror_slots_pair_up_edges() {
-        let g = MultiGraph::from_pairs(4, &[(0, 1), (1, 2), (0, 1), (2, 3)]).unwrap();
-        let csr = CsrGraph::from_multigraph(&g);
-        let mirror = csr.mirror_slots();
-        assert_eq!(mirror.len(), csr.num_incidences());
-        for slot in 0..csr.num_incidences() {
-            let other = mirror[slot] as usize;
-            assert_ne!(slot, other);
-            assert_eq!(mirror[other] as usize, slot, "mirror is an involution");
-            assert_eq!(csr.slot_edge(slot), csr.slot_edge(other));
-        }
-    }
-
-    #[test]
     fn default_is_the_valid_empty_graph() {
         let d = OwnedCsr::default();
         assert_eq!(d.num_vertices(), 0);
@@ -715,19 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_accessors_match_incidences() {
-        let g = MultiGraph::from_pairs(3, &[(0, 2), (2, 1)]).unwrap();
-        let csr = CsrGraph::from_multigraph(&g);
-        let r = csr.incidence_range(v(2));
-        assert_eq!(r.len(), 2);
-        let slots: Vec<_> = r
-            .map(|s| (csr.slot_neighbor(s), csr.slot_edge(s)))
-            .collect();
-        let incidences: Vec<_> = csr.incidences(v(2)).collect();
-        assert_eq!(slots, incidences);
-    }
-
-    #[test]
     fn borrowed_view_is_equal_and_copy() {
         let g = MultiGraph::from_pairs(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]).unwrap();
         let csr = CsrGraph::from_multigraph(&g);
@@ -735,7 +658,6 @@ mod tests {
         let copy = view; // CsrRef is Copy
         assert_eq!(view, csr);
         assert_eq!(copy.to_multigraph(), g);
-        assert_eq!(copy.mirror_slots(), csr.mirror_slots());
         for x in g.vertices() {
             let a: Vec<_> = csr.incidences(x).collect();
             let b: Vec<_> = view.incidences(x).collect();

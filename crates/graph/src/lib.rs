@@ -17,12 +17,14 @@
 //!   arrays; conversion preserves incidence order, so outputs are identical
 //!   on every representation. All traversal, orientation, density and
 //!   validation helpers in this crate are generic over `GraphView`.
-//! * [`CsrPartition`] — zero-copy sharding of one frozen graph: per-shard
-//!   [`CsrRef`] views (local renumbering kept as two small index arrays)
-//!   plus the explicit boundary-edge list shard-parallel decomposition
-//!   stitches through. [`reorder`] supplies the locality-improving vertex
-//!   orders (BFS / reverse Cuthill–McKee as [`VertexPermutation`]s) that
-//!   [`CsrPartition::split_ordered`] cuts along when vertex ids are not
+//! * [`ShardPlan`] — the one sharding of a frozen graph both sharded
+//!   drivers decompose: `k` contiguous vertex-id ranges balanced by
+//!   incidence count, `O(k)` resident, each shard extracted on its own as a
+//!   locally renumbered CSR plus its edge map, and the explicit
+//!   boundary-edge list the stitch recolors. [`reorder`] supplies the
+//!   locality-improving vertex orders (BFS / reverse Cuthill–McKee as
+//!   [`VertexPermutation`]s) and [`reorder::permute`], which relabels a
+//!   graph along one so that the plan cuts along it when vertex ids are not
 //!   already banded.
 //! * [`dynamic`] — structures for graphs that *mutate*: splay-backed
 //!   Euler-tour trees ([`DynamicForest`]: `link` / `cut` / `connected` in
@@ -110,7 +112,7 @@ pub use ids::{u32_of, Color, EdgeId, VertexId};
 pub use multigraph::{edge_subgraph, MultiGraph, SimpleGraph};
 pub use orientation::Orientation;
 pub use palette::ListAssignment;
-pub use partition::{CsrPartition, ExtractedShard, ShardPlan};
+pub use partition::{ExtractedShard, ShardPlan};
 pub use reorder::{ReorderKind, VertexPermutation};
 pub use union_find::UnionFind;
 pub use view::GraphView;

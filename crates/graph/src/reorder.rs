@@ -1,12 +1,13 @@
 //! Locality-improving vertex orderings: BFS and reverse Cuthill–McKee.
 //!
-//! [`CsrPartition::split`](crate::CsrPartition::split) cuts contiguous vertex
-//! ranges, which is optimal for banded/grid-like vertex ids and adversarial
-//! for random ids: when neighbors carry unrelated identifiers, almost every
-//! edge crosses a range boundary. The classical fix from the sparse-matrix
-//! world is a cheap bandwidth-reducing reordering — visit the graph by BFS
-//! (or its degree-sorted reverse Cuthill–McKee refinement) so that neighbors
-//! receive nearby positions, *then* split by contiguous position ranges.
+//! [`ShardPlan`](crate::ShardPlan) cuts contiguous vertex ranges, which is
+//! optimal for banded/grid-like vertex ids and adversarial for random ids:
+//! when neighbors carry unrelated identifiers, almost every edge crosses a
+//! range boundary. The classical fix from the sparse-matrix world is a
+//! cheap bandwidth-reducing reordering — visit the graph by BFS (or its
+//! degree-sorted reverse Cuthill–McKee refinement) so that neighbors
+//! receive nearby positions, relabel every vertex by its position with
+//! [`permute`], *then* cut the relabelled graph into contiguous ranges.
 //!
 //! The module is built around [`VertexPermutation`], a validated bijection on
 //! vertex ids that maps both ways in O(1). **Edge ids round-trip untouched**:
@@ -22,7 +23,6 @@
 
 use crate::csr::{CsrGraph, CsrStorage, OwnedCsr};
 use crate::ids::{u32_of, VertexId};
-use crate::multigraph::MultiGraph;
 use crate::view::GraphView;
 use std::collections::VecDeque;
 
@@ -93,12 +93,6 @@ impl VertexPermutation {
     /// The old vertex behind new id `v`.
     pub fn old_id(&self, v: VertexId) -> VertexId {
         VertexId::new(self.old_of_new[v.index()] as usize)
-    }
-
-    /// The visit order: `as_new_order()[pos]` is the old id at new position
-    /// `pos`.
-    pub fn as_new_order(&self) -> &[u32] {
-        &self.old_of_new
     }
 }
 
@@ -217,9 +211,14 @@ pub fn rcm_order<G: GraphView>(g: &G) -> VertexPermutation {
     VertexPermutation::from_new_order(order)
 }
 
-/// Applies `perm` to a frozen graph: vertex `v` becomes `perm.new_id(v)`,
-/// edges are emitted in their **original id order** (edge ids round-trip as
-/// the identity). Equivalent to freezing the relabeled multigraph.
+/// Applies `perm` to a frozen graph by relabelling its arrays directly:
+/// row `p` of the result is row `perm.old_id(p)` of `csr`, in the same
+/// order, with every neighbor mapped through [`VertexPermutation::new_id`];
+/// edge ids are kept, and edge `e`'s endpoints are `csr`'s mapped in the
+/// same order. `O(n + m)`, no re-sort: on a freeze of a
+/// [`MultiGraph`](crate::MultiGraph) this equals freezing the relabelled
+/// multigraph, and on any valid CSR a [`ShardPlan`](crate::ShardPlan) of
+/// the result cuts along `perm`'s order.
 ///
 /// # Panics
 ///
@@ -230,18 +229,33 @@ pub fn permute<S: CsrStorage>(csr: &CsrGraph<S>, perm: &VertexPermutation) -> Ow
         csr.num_vertices(),
         "permutation length must match the vertex count"
     );
-    let mut g = MultiGraph::new(csr.num_vertices());
-    for (_, u, v) in csr.edges() {
-        g.add_edge(perm.new_id(u), perm.new_id(v))
-            .expect("permuted endpoints stay in range");
+    let n = csr.num_vertices();
+    let slots = 2 * csr.num_edges();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut neighbors = Vec::with_capacity(slots);
+    let mut edge_ids = Vec::with_capacity(slots);
+    offsets.push(0u32);
+    for p in 0..n {
+        for (u, e) in csr.incidences(perm.old_id(VertexId::new(p))) {
+            neighbors.push(perm.new_id(u).raw());
+            edge_ids.push(e.raw());
+        }
+        offsets.push(u32_of(neighbors.len()));
     }
-    OwnedCsr::from_multigraph(&g)
+    let mut endpoints = Vec::with_capacity(slots);
+    for (_, u, v) in csr.edges() {
+        endpoints.push(perm.new_id(u).raw());
+        endpoints.push(perm.new_id(v).raw());
+    }
+    OwnedCsr::from_raw_parts(offsets, neighbors, edge_ids, endpoints)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::ids::EdgeId;
+    use crate::multigraph::MultiGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -334,5 +348,28 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(permuted.degree(perm.new_id(v)), g.degree(v));
         }
+    }
+
+    #[test]
+    fn permute_keeps_each_rows_order() {
+        // Vertex 0's row lists edge 1 before edge 0, which no freeze of a
+        // MultiGraph does: relabelling must keep that order, not re-sort.
+        let csr = OwnedCsr::from_raw_parts(
+            vec![0, 2, 3, 4],
+            vec![2, 1, 0, 0],
+            vec![1, 0, 0, 1],
+            vec![0, 1, 0, 2],
+        );
+        assert_eq!(permute(&csr, &VertexPermutation::identity(3)), csr);
+        let swap = VertexPermutation::from_new_order(vec![2, 0, 1]);
+        let permuted = permute(&csr, &swap);
+        let row: Vec<_> = permuted.incidences(swap.new_id(VertexId::new(0))).collect();
+        assert_eq!(
+            row,
+            [
+                (swap.new_id(VertexId::new(2)), EdgeId::new(1)),
+                (swap.new_id(VertexId::new(1)), EdgeId::new(0)),
+            ]
+        );
     }
 }

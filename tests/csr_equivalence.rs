@@ -46,15 +46,6 @@ proptest! {
         for e in g.edge_ids() {
             prop_assert_eq!(csr.endpoints(e), g.endpoints(e));
         }
-        // The mirror permutation is a fixed-point-free involution that maps
-        // each incidence slot to the same edge's slot at the other endpoint.
-        let mirror = csr.mirror_slots();
-        for slot in 0..csr.num_incidences() {
-            let other = mirror[slot] as usize;
-            prop_assert!(slot != other);
-            prop_assert_eq!(mirror[other] as usize, slot);
-            prop_assert_eq!(csr.slot_edge(slot), csr.slot_edge(other));
-        }
     }
 
     /// Running a request through `run` (freezes internally) and through an

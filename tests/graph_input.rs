@@ -1,5 +1,5 @@
-//! Storage-generic input contract tests: `CsrPartition::split` preserves
-//! every edge exactly once, the on-disk CSR format round-trips
+//! Storage-generic input contract tests: a `ShardPlan` preserves every
+//! edge exactly once, the on-disk CSR format round-trips
 //! byte-identically through `save` → `load_mmap`, an mmap-loaded graph
 //! decomposes to a byte-identical report for every `(problem, engine)`
 //! combination, and `run_sharded` produces validated, deterministic
@@ -10,7 +10,7 @@ use forest_decomp::api::{
 };
 use forest_decomp::FdError;
 use forest_graph::{
-    generators, CsrGraph, CsrPartition, GraphView, MmapCsr, MultiGraph, OwnedCsr, VertexId,
+    generators, CsrGraph, EdgeId, GraphView, MmapCsr, MultiGraph, OwnedCsr, ShardPlan, VertexId,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -51,24 +51,24 @@ proptest! {
         (g, k) in (arb_multigraph(24, 80), 1usize..7)
     ) {
         let csr = CsrGraph::from_multigraph(&g);
-        let part = CsrPartition::split(&csr, k);
+        let plan = ShardPlan::new(&csr, k);
         let mut seen = vec![0usize; g.num_edges()];
-        for s in 0..part.num_shards() {
-            let shard = part.shard(s);
-            for (local, lu, lv) in shard.edges() {
-                let e = part.global_edge(s, local);
+        for s in 0..plan.num_shards() {
+            let shard = plan.extract_shard(&csr, s);
+            for (local, lu, lv) in shard.csr.edges() {
+                let e = EdgeId::new(shard.global_edges[local.index()] as usize);
                 seen[e.index()] += 1;
                 let (gu, gv) = g.endpoints(e);
-                prop_assert_eq!(part.global_vertex(s, lu), gu);
-                prop_assert_eq!(part.global_vertex(s, lv), gv);
-                prop_assert_eq!(part.shard_of(gu), s);
-                prop_assert_eq!(part.shard_of(gv), s);
+                prop_assert_eq!(plan.global_vertex(s, lu), gu);
+                prop_assert_eq!(plan.global_vertex(s, lv), gv);
+                prop_assert_eq!(plan.shard_of(gu), s);
+                prop_assert_eq!(plan.shard_of(gv), s);
             }
         }
-        for &e in part.boundary_edges() {
+        for e in plan.boundary_edges(&csr) {
             seen[e.index()] += 1;
             let (u, v) = g.endpoints(e);
-            prop_assert!(part.shard_of(u) != part.shard_of(v));
+            prop_assert!(plan.shard_of(u) != plan.shard_of(v));
         }
         prop_assert!(seen.iter().all(|&c| c == 1), "shard-local U boundary must cover each edge once");
     }
@@ -151,7 +151,7 @@ fn run_sharded_validates_and_is_deterministic() {
     );
     let unsharded = decomposer.run(&g).unwrap();
     for k in [2usize, 4, 8] {
-        let part = CsrPartition::split(&csr, k);
+        let boundary = ShardPlan::new(&csr, k).boundary_edges(&csr).len();
         let report = decomposer.run_sharded(&g, k).unwrap();
         assert_eq!(report.validation, ValidationStatus::Validated);
         report.validate(&g).unwrap();
@@ -161,11 +161,10 @@ fn run_sharded_validates_and_is_deterministic() {
         // only that residue plus per-shard leftovers (zero here), never the
         // whole boundary as the pre-PR-4 accounting did.
         assert!(
-            report.leftover_edges < part.boundary_edges().len().max(1),
+            report.leftover_edges < boundary.max(1),
             "phase-1 stitching must place some boundary edges directly \
-             (leftover {} vs boundary {})",
+             (leftover {} vs boundary {boundary})",
             report.leftover_edges,
-            part.boundary_edges().len()
         );
         assert!(report.num_colors >= unsharded.arboricity);
         let again = decomposer.run_sharded(&g, k).unwrap();

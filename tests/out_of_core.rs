@@ -172,7 +172,8 @@ proptest! {
             .unwrap();
         let _ = std::fs::remove_file(&csr_file);
         prop_assert_eq!(ooc.report.canonical_bytes(), sharded.canonical_bytes());
-        // The plan clamps k to the vertex count, mirroring `CsrPartition`.
+        // Both drivers cut with one `ShardPlan`, which clamps k to the
+        // vertex count.
         prop_assert!(ooc.stats.num_shards >= 1 && ooc.stats.num_shards <= num_shards);
     }
 }

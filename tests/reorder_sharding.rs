@@ -10,7 +10,7 @@ use forest_decomp::api::{
 };
 use forest_decomp::FdError;
 use forest_graph::reorder::{bfs_order, permute, rcm_order};
-use forest_graph::{generators, CsrGraph, CsrPartition, GraphView, MultiGraph, VertexId};
+use forest_graph::{generators, CsrGraph, GraphView, MultiGraph, ShardPlan, VertexId};
 use proptest::prelude::*;
 
 /// Strategy: a random multigraph with up to `max_n` vertices and `max_m`
@@ -51,35 +51,46 @@ proptest! {
     }
 
     /// A reordered run is the unreordered run modulo relabeling: `permute`
-    /// keeps edge ids fixed while relabeling endpoints, so the exact-matroid
-    /// run on the permuted graph produces the *same per-edge colors*, the
-    /// same color count, and a decomposition that validates — and the edge
-    /// multiset maps back through the permutation.
+    /// keeps edge ids fixed while relabeling endpoints, and row `p` of the
+    /// permuted graph is row `perm.old_id(p)` of the input, mapped through
+    /// `new_id`, in the same order. So the exact-matroid run on the
+    /// permuted graph produces the *same per-edge colors*, the same color
+    /// count, and a decomposition that validates — for the BFS and the RCM
+    /// order alike.
     #[test]
     fn permuted_run_is_equivalent_modulo_relabeling(g in arb_multigraph(28, 90)) {
         let csr = CsrGraph::from_multigraph(&g);
-        let perm = rcm_order(&csr);
-        let permuted_csr = permute(&csr, &perm);
-        let permuted = permuted_csr.to_multigraph();
-        // Edge multiset preserved: edge e's endpoints map exactly through
-        // the permutation (edge ids round-trip as the identity).
-        for (e, u, v) in csr.edges() {
-            let (pu, pv) = permuted.endpoints(e);
-            prop_assert_eq!((pu, pv), (perm.new_id(u), perm.new_id(v)));
-        }
         let decomposer = Decomposer::new(
             DecompositionRequest::new(ProblemKind::Forest)
                 .with_engine(Engine::ExactMatroid)
                 .with_seed(3),
         );
         let original = decomposer.run(&g).unwrap();
-        let relabeled = decomposer.run(&permuted).unwrap();
         original.validate(&g).unwrap();
-        relabeled.validate(&permuted).unwrap();
-        prop_assert_eq!(original.num_colors, relabeled.num_colors);
-        let a = original.artifact.decomposition().unwrap();
-        let b = relabeled.artifact.decomposition().unwrap();
-        prop_assert_eq!(a.colors(), b.colors());
+        for perm in [bfs_order(&csr), rcm_order(&csr)] {
+            let permuted_csr = permute(&csr, &perm);
+            for p in permuted_csr.vertices() {
+                let row: Vec<_> = permuted_csr.incidences(p).collect();
+                let mapped: Vec<_> = csr
+                    .incidences(perm.old_id(p))
+                    .map(|(u, e)| (perm.new_id(u), e))
+                    .collect();
+                prop_assert_eq!(row, mapped);
+            }
+            // Edge multiset preserved: edge e's endpoints map exactly
+            // through the permutation (edge ids round-trip as the identity).
+            let permuted = permuted_csr.to_multigraph();
+            for (e, u, v) in csr.edges() {
+                let (pu, pv) = permuted.endpoints(e);
+                prop_assert_eq!((pu, pv), (perm.new_id(u), perm.new_id(v)));
+            }
+            let relabeled = decomposer.run(&permuted).unwrap();
+            relabeled.validate(&permuted).unwrap();
+            prop_assert_eq!(original.num_colors, relabeled.num_colors);
+            let a = original.artifact.decomposition().unwrap();
+            let b = relabeled.artifact.decomposition().unwrap();
+            prop_assert_eq!(a.colors(), b.colors());
+        }
     }
 
     /// `run_sharded` with a BFS/RCM `ShardingSpec` still produces a valid,
@@ -118,14 +129,16 @@ fn sharded_colors_bounded_and_non_increasing_in_locality() {
         .with_epsilon(0.5)
         .with_alpha(alpha)
         .with_seed(17);
+    let relabelled = permute(&frozen, &rcm_order(&frozen));
+    let boundary_fraction = |csr: &CsrGraph, k: usize| {
+        ShardPlan::new(csr, k).boundary_edges(csr).len() as f64 / csr.num_edges() as f64
+    };
     for k in [2usize, 4] {
-        let identity = CsrPartition::split(&frozen, k);
-        let rcm = CsrPartition::split_ordered(&frozen, k, &rcm_order(&frozen));
+        let identity = boundary_fraction(&frozen, k);
+        let rcm = boundary_fraction(&relabelled, k);
         assert!(
-            rcm.boundary_fraction() < identity.boundary_fraction(),
-            "k = {k}: rcm boundary fraction {} must beat identity {}",
-            rcm.boundary_fraction(),
-            identity.boundary_fraction()
+            rcm < identity,
+            "k = {k}: rcm boundary fraction {rcm} must beat identity {identity}"
         );
         let identity_report = Decomposer::new(base.clone())
             .run_sharded(&frozen, k)
