@@ -243,8 +243,10 @@ mod tests {
     use crate::generators;
     use crate::ids::VertexId;
     use crate::multigraph::MultiGraph;
+    use crate::union_find::UnionFind;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     fn complete_graph(n: usize) -> MultiGraph {
@@ -361,6 +363,100 @@ mod tests {
                 }
             }
             assert_exchanges_contract(&g);
+        }
+    }
+
+    /// The exact partition over plain per-color `UnionFind`s, each asked
+    /// `connected` before its union, so no color is ever skipped:
+    /// first-fit over `0..k` from the lower bound, and on a miss the same
+    /// exchange search and `k` bumps, after which every forest is rebuilt
+    /// from the coloring. The colors, the arboricity and the misses.
+    fn exact_oracle(g: &MultiGraph) -> (Vec<Color>, usize, usize) {
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        if m == 0 {
+            return (Vec::new(), 0, 0);
+        }
+        let mut k = m.div_ceil(n.saturating_sub(1).max(1)).max(1);
+        let mut coloring = PartialEdgeColoring::new_uncolored(m);
+        let forest = |coloring: &PartialEdgeColoring, c: usize| {
+            let class = g
+                .edges()
+                .filter(|&(e, _, _)| coloring.color(e) == Some(Color::new(c)));
+            UnionFind::from_edges(n, class.map(|(_, u, v)| (u.index(), v.index())))
+        };
+        let mut forests: Vec<UnionFind> = (0..k).map(|c| forest(&coloring, c)).collect();
+        let mut exchanges = 0;
+        for (e, u, v) in g.edges() {
+            let (u, v) = (u.index(), v.index());
+            if let Some(c) = (0..k).find(|&c| !forests[c].connected(u, v)) {
+                forests[c].union(u, v);
+                coloring.set(e, Color::new(c));
+                continue;
+            }
+            exchanges += 1;
+            while try_augment_traced(g, &mut coloring, e, k, usize::MAX).is_none() {
+                k += 1;
+            }
+            forests = (0..k).map(|c| forest(&coloring, c)).collect();
+        }
+        let complete = coloring.into_complete().expect("every edge colored");
+        (complete.colors().to_vec(), k, exchanges)
+    }
+
+    /// Planted unions of one to three random spanning trees on 2 to 8
+    /// vertices each, with up to two random extra edges inside each:
+    /// `connected` gives one such part; otherwise one to three parts side by
+    /// side plus up to two isolated vertices, at least one part or vertex
+    /// more than a single part. In generation order, where each color in
+    /// turn spans a connected graph, or shuffled.
+    fn planted_parts(connected: bool, seed: u64) -> MultiGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let parts = if connected {
+            1
+        } else {
+            rng.gen_range(1..4usize)
+        };
+        let mut pairs = Vec::new();
+        let mut n = 0;
+        for _ in 0..parts {
+            let size = rng.gen_range(2..9usize);
+            let trees = rng.gen_range(1..4usize);
+            let part = generators::planted_forest_union(size, trees, &mut rng);
+            pairs.extend(part.edges().map(|(_, u, v)| (n + u.index(), n + v.index())));
+            for _ in 0..rng.gen_range(0..3usize) {
+                let (u, v) = (rng.gen_range(0..size), rng.gen_range(0..size));
+                if u != v {
+                    pairs.push((n + u, n + v));
+                }
+            }
+            n += size;
+        }
+        if !connected {
+            n += rng.gen_range(usize::from(parts == 1)..3);
+        }
+        if rng.gen_range(0..2usize) == 0 {
+            pairs.shuffle(&mut rng);
+        }
+        MultiGraph::from_pairs(n, &pairs).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The partition, its arboricity and its exchange count equal the
+        /// plain-`UnionFind` oracle's, on connected graphs (where a color
+        /// that spans the graph refuses every later edge) and on
+        /// disconnected ones (where no color ever spans).
+        #[test]
+        fn exact_partition_matches_a_first_fit_oracle(
+            (connected, seed) in (0..2usize, 0..u64::MAX)
+        ) {
+            let g = planted_parts(connected == 1, seed);
+            let exact = exact_forest_decomposition(&g);
+            let (colors, arboricity, exchanges) = exact_oracle(&g);
+            prop_assert_eq!(exact.decomposition.colors(), &colors[..]);
+            prop_assert_eq!(exact.arboricity, arboricity);
+            prop_assert_eq!(exact.exchanges, exchanges);
         }
     }
 

@@ -11,15 +11,20 @@
 //! * the peel's witness: on colorings whose classes may hold a planted
 //!   triangle, parallel pair or self-loop, both kernels must name the
 //!   lowest class with a non-empty 2-core and that 2-core's lowest-id edge,
-//!   found by a naive pruning that does not depend on the peel's order.
+//!   found by a naive pruning that does not depend on the peel's order;
+//! * the validators: every one, and the diameter kernel, must give what
+//!   oracles that group the edges in a `BTreeMap` and check each class
+//!   afresh give, error variant, class and witness included, on colorings
+//!   with color ids near 0 and near 2^16.
 //!
 //! The colorings mix random forests, paths and stars, leave some edges
 //! uncolored (parallel to colored ones or not), skip color indices the way
 //! the Harris–Su–Vu leftover star colors do, and keep isolated vertices.
 
 use forest_graph::decomposition::{
-    max_forest_diameter, validate_forest_decomposition, validate_partial_forest_decomposition,
-    PartialEdgeColoring, RootedEdge,
+    max_forest_diameter, validate_diameter_bound, validate_forest_decomposition,
+    validate_partial_forest_decomposition, validate_star_forest_decomposition, PartialEdgeColoring,
+    RootedEdge,
 };
 use forest_graph::traversal::{bfs_distances, forest_diameter, UNREACHABLE};
 use forest_graph::{
@@ -30,6 +35,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// An edge list: endpoints and color (`None` = uncolored).
 type Edges = Vec<(usize, usize, Option<Color>)>;
@@ -55,7 +61,49 @@ fn colored_forests(n: usize, classes: usize, seed: u64) -> (MultiGraph, PartialE
 fn colored_with_cycles(n: usize, classes: usize, seed: u64) -> (LoopyGraph, PartialEdgeColoring) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (colors, mut edges) = forest_edges(n, classes, &mut rng);
-    for c in colors {
+    plant_cycles(n, &colors, &mut edges, &mut rng);
+    let (pairs, coloring) = shuffled(edges, &mut rng);
+    (LoopyGraph::new(n, pairs), coloring)
+}
+
+/// [`forest_edges`] with each class's color replaced by `base` plus a
+/// draw from `0..8`, so two classes may share a color (and then need not
+/// be a forest together), and with each class left uncolored with
+/// probability 1/4. With `plant`, [`colored_with_cycles`]' cycles are
+/// planted first.
+fn recolored(
+    n: usize,
+    classes: usize,
+    base: usize,
+    plant: bool,
+    seed: u64,
+) -> (LoopyGraph, PartialEdgeColoring) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (colors, mut edges) = forest_edges(n, classes, &mut rng);
+    if plant {
+        plant_cycles(n, &colors, &mut edges, &mut rng);
+    }
+    let ids: Vec<Option<Color>> = colors
+        .iter()
+        .map(|_| {
+            let id = Color::new(base + rng.gen_range(0..8usize));
+            (rng.gen_range(0..4usize) > 0).then_some(id)
+        })
+        .collect();
+    for edge in &mut edges {
+        if let Some(c) = edge.2 {
+            let class = colors.iter().position(|&x| x == c).expect("a class color");
+            edge.2 = ids[class];
+        }
+    }
+    let (pairs, coloring) = shuffled(edges, &mut rng);
+    (LoopyGraph::new(n, pairs), coloring)
+}
+
+/// Plants a triangle, a parallel pair or a self-loop in each class of
+/// `colors` with probability 3/5.
+fn plant_cycles(n: usize, colors: &[Color], edges: &mut Edges, rng: &mut StdRng) {
+    for &c in colors {
         let a = rng.gen_range(0..n);
         match rng.gen_range(0..5usize) {
             0 if n >= 3 => {
@@ -76,8 +124,6 @@ fn colored_with_cycles(n: usize, classes: usize, seed: u64) -> (LoopyGraph, Part
             _ => {}
         }
     }
-    let (pairs, coloring) = shuffled(edges, &mut rng);
-    (LoopyGraph::new(n, pairs), coloring)
 }
 
 /// The edges of `classes` random forest color classes on `n` vertices plus
@@ -260,8 +306,156 @@ fn complete(coloring: &PartialEdgeColoring) -> ForestDecomposition {
     ForestDecomposition::from_colors(colors)
 }
 
+/// The colored edges of `coloring` by color, ascending ids within a class:
+/// the grouping every oracle below reads.
+fn classes<G: GraphView>(g: &G, coloring: &PartialEdgeColoring) -> BTreeMap<Color, Vec<EdgeId>> {
+    let mut classes: BTreeMap<Color, Vec<EdgeId>> = BTreeMap::new();
+    for e in g.edge_ids() {
+        if let Some(c) = coloring.color(e) {
+            classes.entry(c).or_default().push(e);
+        }
+    }
+    classes
+}
+
+/// The color-count check of the complete validators, `used` colors
+/// against `bound`.
+fn count_oracle(used: usize, bound: Option<usize>) -> Result<(), ValidationError> {
+    match bound {
+        Some(bound) if used > bound => Err(ValidationError::TooManyColors { used, bound }),
+        _ => Ok(()),
+    }
+}
+
+/// Each class, ascending, unioned edge by edge into a fresh union-find:
+/// the first edge that closes a cycle.
+fn forest_oracle<G: GraphView>(
+    g: &G,
+    coloring: &PartialEdgeColoring,
+) -> Result<(), ValidationError> {
+    for (color, edges) in classes(g, coloring) {
+        let mut uf = UnionFind::new(g.num_vertices());
+        for e in edges {
+            let (u, v) = g.endpoints(e);
+            if !uf.union(u.index(), v.index()) {
+                return Err(ValidationError::CycleInColorClass { color, witness: e });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Each class, ascending, with its degrees counted afresh: the first
+/// endpoint of the first edge whose two ends both have class degree two
+/// or more.
+fn star_oracle<G: GraphView>(g: &G, coloring: &PartialEdgeColoring) -> Result<(), ValidationError> {
+    for (color, edges) in classes(g, coloring) {
+        let mut degree = vec![0usize; g.num_vertices()];
+        for &e in &edges {
+            let (u, v) = g.endpoints(e);
+            degree[u.index()] += 1;
+            degree[v.index()] += 1;
+        }
+        for e in edges {
+            let (u, v) = g.endpoints(e);
+            if degree[u.index()] >= 2 && degree[v.index()] >= 2 {
+                return Err(ValidationError::NotAStarForest { color, witness: u });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Each class, ascending, measured by the BFS oracle: the first one wider
+/// than `bound`. Every class must be a forest.
+fn diameter_oracle<G: GraphView>(
+    g: &G,
+    coloring: &PartialEdgeColoring,
+    bound: usize,
+) -> Result<(), ValidationError> {
+    for (color, edges) in classes(g, coloring) {
+        let measured = forest_diameter(g, |e| edges.binary_search(&e).is_ok());
+        if measured > bound {
+            return Err(ValidationError::DiameterExceeded {
+                color,
+                measured,
+                bound,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// What the diameter kernel must give: the lowest class with a non-empty
+/// 2-core and that core's lowest-id edge, or else the largest class
+/// diameter the BFS oracle measures.
+fn peel_oracle<G: GraphView>(
+    g: &G,
+    coloring: &PartialEdgeColoring,
+) -> Result<usize, ValidationError> {
+    let classes = classes(g, coloring);
+    for &color in classes.keys() {
+        if let Some(&witness) = two_core(g, coloring, color).first() {
+            return Err(ValidationError::CycleInColorClass { color, witness });
+        }
+    }
+    let diameters = classes
+        .values()
+        .map(|edges| forest_diameter(g, |e| edges.binary_search(&e).is_ok()));
+    Ok(diameters.max().unwrap_or(0))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every validator and the diameter kernel against the grouping
+    /// oracles, on colorings with ids drawn from `0..8` or from around 2^16
+    /// (so classes share ids, and gaps leave empty classes), uncolored
+    /// edges and classes, and, with `plant`, triangles, parallel pairs and
+    /// self-loops. The completion gives each uncolored edge, a self-loop
+    /// too, a fresh class of its own.
+    #[test]
+    fn validators_and_kernel_match_the_grouping_oracles(
+        (n, classes, mode, seed) in (1..40usize, 0..6usize, 0..4usize, 0..u64::MAX)
+    ) {
+        // Bit 0 picks the ids near 2^16, bit 1 plants the cycles.
+        let base = if mode & 1 == 1 { (1 << 16) - 4 } else { 0 };
+        let (g, coloring) = recolored(n, classes, base, mode & 2 == 2, seed);
+        let fd = complete(&coloring);
+        let full = fd.to_partial();
+        prop_assert_eq!(
+            validate_partial_forest_decomposition(&g, &coloring),
+            forest_oracle(&g, &coloring)
+        );
+        let used = fd.colors_used().len();
+        prop_assert_eq!(fd.num_colors_used(), used);
+        prop_assert_eq!(coloring.num_colors_used(), coloring.colors_used().len());
+        for bound in [None, Some(used), Some(used.saturating_sub(1))] {
+            let counted = count_oracle(used, bound);
+            prop_assert_eq!(
+                validate_forest_decomposition(&g, &fd, bound),
+                counted.clone().and_then(|()| forest_oracle(&g, &full))
+            );
+            prop_assert_eq!(
+                validate_star_forest_decomposition(&g, &fd, bound),
+                counted.and_then(|()| star_oracle(&g, &full))
+            );
+        }
+        prop_assert_eq!(fd.max_diameter(&g), peel_oracle(&g, &full));
+        for colors in [&coloring, &full] {
+            // The BFS sweeps take forests only.
+            if forest_oracle(&g, colors).is_err() {
+                continue;
+            }
+            prop_assert_eq!(Ok(max_forest_diameter(&g, colors)), peel_oracle(&g, colors));
+            for bound in 0..5 {
+                prop_assert_eq!(
+                    validate_diameter_bound(&g, colors, bound),
+                    diameter_oracle(&g, colors, bound)
+                );
+            }
+        }
+    }
 
     #[test]
     fn leaf_peeling_matches_the_bfs_oracle(
