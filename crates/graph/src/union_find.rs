@@ -8,6 +8,15 @@
 //! the root, so no second walk follows. Elements are `i32`: a structure
 //! holds at most `i32::MAX` of them.
 //!
+//! The structure also counts its sets, one less per successful union, so
+//! a caller learns in `O(1)` that the elements are all joined and no
+//! `union` can succeed: first-fit placement
+//! ([`ColorConnectivity::place`](crate::ColorConnectivity::place)) skips
+//! such a color without a `find`. [`UnionFind::reset`] makes every set a
+//! singleton again at the cost of the elements a caller lists, so one
+//! structure serves many small element sets in turn (the per-class forest
+//! check of `decomposition`).
+//!
 //! Used by spanning-forest extraction, forest validation and the matroid
 //! partition baseline. Every caller reads connectivity only: which element
 //! `find` returns as a set's representative is not part of the contract.
@@ -31,6 +40,8 @@ pub struct UnionFind {
     /// fast path and shard stitching, so cache residency matters more than
     /// headroom.
     link: Vec<i32>,
+    /// Number of disjoint sets.
+    sets: usize,
 }
 
 impl UnionFind {
@@ -45,7 +56,10 @@ impl UnionFind {
             n <= i32::MAX as usize,
             "UnionFind holds at most i32::MAX elements"
         );
-        UnionFind { link: vec![-1; n] }
+        UnionFind {
+            link: vec![-1; n],
+            sets: n,
+        }
     }
 
     /// Builds a structure over `0..n` with every pair in `edges` unioned —
@@ -70,6 +84,32 @@ impl UnionFind {
     /// Returns `true` if the structure is empty.
     pub fn is_empty(&self) -> bool {
         self.link.is_empty()
+    }
+
+    /// Number of disjoint sets: the element count less the successful
+    /// unions. At one set every `union` fails, so a first-fit caller can
+    /// pass over the structure without a `find`
+    /// ([`ColorConnectivity::place`](crate::ColorConnectivity::place)).
+    pub fn num_sets(&self) -> usize {
+        self.sets
+    }
+
+    /// Makes every set a singleton again in `O(listed)`: `touched` must
+    /// list every element of every set of two or more (repeats and
+    /// singletons do no harm). A caller that checks many small element
+    /// sets in turn reuses one structure this way instead of building an
+    /// `O(n)` one per set.
+    pub fn reset<I: IntoIterator<Item = usize>>(&mut self, touched: I) {
+        for x in touched {
+            self.link[x] = -1;
+        }
+        self.sets = self.link.len();
+    }
+
+    /// Makes every set a singleton again in `O(n)`, without reallocating.
+    pub fn clear(&mut self) {
+        self.link.fill(-1);
+        self.sets = self.link.len();
     }
 
     /// Finds the representative of `x`, halving the path on the way: each
@@ -105,6 +145,7 @@ impl UnionFind {
         self.link[rx] += self.link[ry];
         // forest-lint: allow(FL004) rx < n ≤ i32::MAX, asserted in `new`
         self.link[ry] = rx as i32;
+        self.sets -= 1;
         true
     }
 
@@ -184,16 +225,31 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random sequences of `union`, `connected` and `find` on at most
-        /// 64 elements against a labelling oracle that relabels the second
-        /// set on every merge.
+        /// Random sequences of `union`, `connected`, `find` and now and
+        /// then a `reset` (of the elements in sets of two or more, each
+        /// listed twice) or a `clear`, on at most 64 elements, against a
+        /// labelling oracle that relabels the second set on every merge.
         #[test]
         fn matches_a_relabelling_oracle((n, seed) in (1..65usize, 0..u64::MAX)) {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut uf = UnionFind::new(n);
             let mut label: Vec<usize> = (0..n).collect();
+            // Each set's label is one of its elements, labelled itself.
+            let distinct = |label: &[usize]| (0..n).filter(|&x| label[x] == x).count();
             for _ in 0..rng.gen_range(0..4 * n) {
                 let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                prop_assert_eq!(uf.num_sets(), distinct(&label));
+                if rng.gen_range(0..32usize) == 0 {
+                    if rng.gen_range(0..2usize) == 0 {
+                        let joined = (0..n).filter(|&x| label.iter().filter(|&&l| l == label[x]).count() > 1);
+                        let joined: Vec<usize> = joined.collect();
+                        uf.reset(joined.iter().chain(&joined).copied());
+                    } else {
+                        uf.clear();
+                    }
+                    label = (0..n).collect();
+                    continue;
+                }
                 match rng.gen_range(0..3usize) {
                     0 => {
                         let (lx, ly) = (label[x], label[y]);
@@ -212,6 +268,7 @@ mod tests {
                     }
                 }
             }
+            prop_assert_eq!(uf.num_sets(), distinct(&label));
             // `find` is constant on each set, and each root stores its
             // set's size.
             let roots: Vec<usize> = (0..n).map(|x| uf.find(x)).collect();
