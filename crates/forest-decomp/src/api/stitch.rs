@@ -57,7 +57,6 @@ use local_model::RoundLedger;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// The checks both sharded drivers run before touching the graph: only
 /// forest decompositions merge safely across shards, and the engine must
@@ -118,39 +117,6 @@ pub(super) fn boundary_vertices(
     by_shard
 }
 
-/// A map keyed by vertex ids, hashed by [`U32Hasher`].
-type U32Map<V> = HashMap<u32, V, BuildHasherDefault<U32Hasher>>;
-
-/// One multiply by an odd 64-bit constant, folded so that both the low
-/// bits a hash table indexes by and the high bits it tags with depend on
-/// every key bit. The stitch's maps are only looked up, never iterated, so
-/// the order a hasher gives them is never observed; std's SipHash cost
-/// more than the placements it served (`run_sharded` on a 60k-edge graph
-/// read about a third faster at 4 and 8 shards with this hasher). The keys are
-/// the caller's vertex ids: a graph built so that its boundary vertices
-/// collide can slow the stitch, never change its output.
-#[derive(Default)]
-struct U32Hasher(u64);
-
-/// 2^64 divided by the golden ratio, rounded to odd.
-const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
-
-impl Hasher for U32Hasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIBONACCI);
-        }
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.0 = u64::from(x).wrapping_mul(FIBONACCI);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
 /// Union-find over a sparse set of `u32` keys: absent keys are their own
 /// roots. Connectivity answers match a dense `UnionFind` over the same
 /// unions, which is all the stitch observes — only boundary-endpoint
@@ -158,7 +124,7 @@ impl Hasher for U32Hasher {
 /// per color.
 #[derive(Default)]
 struct SparseUf {
-    parent: U32Map<u32>,
+    parent: HashMap<u32, u32>,
 }
 
 impl SparseUf {
@@ -196,7 +162,7 @@ pub(super) struct Stitch {
     /// Boundary vertex → its component representative in each color
     /// `0..span` of its shard; colors past a shard's span map to the vertex
     /// itself (the shard has no forest there).
-    reps: U32Map<Vec<u32>>,
+    reps: HashMap<u32, Vec<u32>>,
     /// The shard color budget: the largest color *span* any shard used.
     /// HSV colorings leave index gaps, so this is not a distinct-color
     /// count (gap colors are legal, empty forests).

@@ -24,8 +24,11 @@
 //!   validation that fails at its first class, and so is mostly the
 //!   bucketing, took 0.38–0.41 ms with one cursor per color and 0.16–0.22
 //!   ms with four blocks (four alternating runs each) on the exact
-//!   partitions of `planted_forest_union(20000, 3)` (release build, 2-core
-//!   x86-64 host).
+//!   partitions of `planted_forest_union(20000, 3)`, and a whole
+//!   decomposition of such a graph (the `cold_random` benchmark's op, which
+//!   buckets in its diameter kernel and its validation) took 2.40 ms with
+//!   one cursor against 1.80 ms with four blocks, in ten alternating pairs
+//!   of 25 s runs (release build, 2-core x86-64 host).
 //! * **Memory.** While the largest id is below `2m`, the ids index the
 //!   cursors directly (`4 × span` of `u32`). Past that, each id is first
 //!   replaced by its rank among the sorted distinct ids, so the bucketing
@@ -83,12 +86,9 @@
 //! [`validate_partial_forest_decomposition`],
 //! [`validate_forest_decomposition`] and
 //! [`validate_star_forest_decomposition`] read the same bucketing and
-//! reuse one union-find or degree array across classes, so a call costs
-//! `O(n + m)` whatever the number of classes. Between classes the array is
-//! reset at the class's endpoints, or refilled whole once the class has
-//! `n / 32` edges or more: on the exact partitions above, whose three
-//! classes are spanning trees, resetting at the endpoints cost the forest
-//! check about 0.2 ms of 0.5–0.7 ms. [`validate_diameter_bound`] measures
+//! reuse one union-find or degree array across classes, refilled whole
+//! between them, so a call costs `O(m + n·k)` for `k` non-empty classes
+//! with one allocation per array. [`validate_diameter_bound`] measures
 //! each class by whole-graph BFS sweeps, `O(n + m)` per class, since it
 //! exists to check the kernel with independent code.
 //!
@@ -280,23 +280,18 @@ impl ForestDecomposition {
 
     /// Number of distinct colors in use: two linear scans over a bitmap of
     /// the ids while the largest is below `2m`, as it is for every engine's
-    /// coloring, and otherwise the distinct values of a sorted copy, so the
+    /// coloring, and otherwise the count of the sorted distinct ids, so the
     /// memory never grows with the largest id.
     pub fn num_colors_used(&self) -> usize {
-        let Some(max) = self.colors.iter().map(|c| c.index()).max() else {
-            return 0;
-        };
-        if max < 2 * self.colors.len() {
-            let mut seen = vec![false; max + 1];
-            for c in &self.colors {
-                seen[c.index()] = true;
+        match ColorIds::of(&self.colors) {
+            ColorIds::Dense(span) => {
+                let mut seen = vec![false; span];
+                for c in &self.colors {
+                    seen[c.index()] = true;
+                }
+                seen.iter().filter(|&&s| s).count()
             }
-            seen.iter().filter(|&&s| s).count()
-        } else {
-            let mut sorted = self.colors.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            sorted.len()
+            ColorIds::Sparse(distinct) => distinct.len(),
         }
     }
 
@@ -389,6 +384,32 @@ impl EdgeColor for Option<Color> {
     }
 }
 
+/// How a per-color pass addresses a coloring's ids. While the largest is
+/// below `2m`, as in every engine's coloring, an array indexed by id is
+/// `O(m)`; past that, a pass works on the sorted distinct ids instead, so
+/// its memory never grows with the largest id (`tests/hostile_inputs.rs`).
+enum ColorIds {
+    /// Every colored edge's id is below this span (0 when none is colored).
+    Dense(usize),
+    /// The distinct ids, ascending.
+    Sparse(Vec<Color>),
+}
+
+impl ColorIds {
+    fn of<C: EdgeColor>(colors: &[C]) -> Self {
+        match colors.iter().filter_map(|c| c.color()).max() {
+            None => ColorIds::Dense(0),
+            Some(max) if max.index() < 2 * colors.len() => ColorIds::Dense(max.index() + 1),
+            Some(_) => {
+                let mut distinct: Vec<Color> = colors.iter().filter_map(|c| c.color()).collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                ColorIds::Sparse(distinct)
+            }
+        }
+    }
+}
+
 /// The colored edge ids of a coloring bucketed by color, ascending ids
 /// within a class: the [color bucketing](self#color-bucketing) every
 /// per-class kernel and validator reads.
@@ -405,21 +426,13 @@ struct ColorClasses {
 const BLOCKS: usize = 4;
 
 impl ColorClasses {
-    /// Buckets `colors` (one entry per edge id). Ids below `2m` index the
-    /// cursors directly; larger ones are first replaced by their ranks
-    /// among the sorted distinct ids.
+    /// Buckets `colors` (one entry per edge id). [Dense](ColorIds) ids
+    /// index the cursors directly; sparse ones are first replaced by their
+    /// ranks among the distinct ids.
     fn new<C: EdgeColor>(colors: &[C]) -> Self {
-        let max = colors.iter().filter_map(|c| c.color()).max();
-        match max {
-            None => ColorClasses {
-                edges: Vec::new(),
-                ends: Vec::new(),
-            },
-            Some(max) if max.index() < 2 * colors.len() => Self::bucket(colors, max.index() + 1),
-            Some(_) => {
-                let mut distinct: Vec<Color> = colors.iter().filter_map(|c| c.color()).collect();
-                distinct.sort_unstable();
-                distinct.dedup();
+        match ColorIds::of(colors) {
+            ColorIds::Dense(span) => Self::bucket(colors, span),
+            ColorIds::Sparse(distinct) => {
                 let rank = |c: Color| Color::new(distinct.binary_search(&c).expect("a listed id"));
                 let ranks: Vec<Option<Color>> =
                     colors.iter().map(|c| c.color().map(rank)).collect();
@@ -503,26 +516,6 @@ impl ColorClasses {
     }
 }
 
-/// Whether a per-vertex array that only `class` touched is cheaper to
-/// reset entry by entry at the class's endpoints than to refill whole:
-/// below `n / 32` edges, as a reset writes up to two scattered entries per
-/// edge and a refill streams `n` in order. Either way a class costs
-/// `O(its edges)`, so a pass over every class stays `O(n + m)`.
-fn reset_at_endpoints(class: &[EdgeId], n: usize) -> bool {
-    32 * class.len() < n
-}
-
-/// The endpoints of `class`, two per edge.
-fn endpoints_of<'a, G: GraphView>(
-    g: &'a G,
-    class: &'a [EdgeId],
-) -> impl Iterator<Item = usize> + 'a {
-    class.iter().flat_map(|&e| {
-        let (u, v) = g.endpoints(e);
-        [u.index(), v.index()]
-    })
-}
-
 /// Checks that every color class of a (possibly partial) coloring is a forest.
 ///
 /// # Errors
@@ -539,23 +532,18 @@ pub fn validate_partial_forest_decomposition<G: GraphView>(
 
 /// The per-class forest check of both forest validators: the first cycle
 /// edge of the lowest color class that has one. One union-find serves every
-/// class, reset between them, so a call costs `O(n + m)`.
+/// class, cleared between them.
 fn check_classes_are_forests<G, C>(g: &G, colors: &[C]) -> Result<(), ValidationError>
 where
     G: GraphView,
     C: EdgeColor,
 {
-    let n = g.num_vertices();
-    let mut uf = UnionFind::new(n);
+    let mut uf = UnionFind::new(g.num_vertices());
     for (color, class) in ColorClasses::new(colors).iter() {
         if let Some(witness) = first_cycle_edge(g, class, &mut uf) {
             return Err(ValidationError::CycleInColorClass { color, witness });
         }
-        if reset_at_endpoints(class, n) {
-            uf.reset(endpoints_of(g, class));
-        } else {
-            uf.clear();
-        }
+        uf.clear();
     }
     Ok(())
 }
@@ -618,11 +606,12 @@ pub fn validate_star_forest_decomposition<G: GraphView>(
         }
     }
     // One degree array serves every class, zeroed between them.
-    let n = g.num_vertices();
-    let mut class_degree = vec![0u32; n];
+    let mut class_degree = vec![0u32; g.num_vertices()];
     for (color, class) in ColorClasses::new(&fd.colors).iter() {
-        for x in endpoints_of(g, class) {
-            class_degree[x] += 1;
+        for &e in class {
+            let (u, v) = g.endpoints(e);
+            class_degree[u.index()] += 1;
+            class_degree[v.index()] += 1;
         }
         for &e in class {
             let (u, v) = g.endpoints(e);
@@ -630,13 +619,7 @@ pub fn validate_star_forest_decomposition<G: GraphView>(
                 return Err(ValidationError::NotAStarForest { color, witness: u });
             }
         }
-        if reset_at_endpoints(class, n) {
-            for x in endpoints_of(g, class) {
-                class_degree[x] = 0;
-            }
-        } else {
-            class_degree.fill(0);
-        }
+        class_degree.fill(0);
     }
     Ok(())
 }

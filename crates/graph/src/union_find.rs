@@ -12,10 +12,9 @@
 //! a caller learns in `O(1)` that the elements are all joined and no
 //! `union` can succeed: first-fit placement
 //! ([`ColorConnectivity::place`](crate::ColorConnectivity::place)) skips
-//! such a color without a `find`. [`UnionFind::reset`] makes every set a
-//! singleton again at the cost of the elements a caller lists, so one
-//! structure serves many small element sets in turn (the per-class forest
-//! check of `decomposition`).
+//! such a color without a `find`. [`UnionFind::clear`] makes every set a
+//! singleton again without reallocating, so one structure serves the
+//! per-class forest check of `decomposition` class after class.
 //!
 //! Used by spanning-forest extraction, forest validation and the matroid
 //! partition baseline. Every caller reads connectivity only: which element
@@ -92,18 +91,6 @@ impl UnionFind {
     /// ([`ColorConnectivity::place`](crate::ColorConnectivity::place)).
     pub fn num_sets(&self) -> usize {
         self.sets
-    }
-
-    /// Makes every set a singleton again in `O(listed)`: `touched` must
-    /// list every element of every set of two or more (repeats and
-    /// singletons do no harm). A caller that checks many small element
-    /// sets in turn reuses one structure this way instead of building an
-    /// `O(n)` one per set.
-    pub fn reset<I: IntoIterator<Item = usize>>(&mut self, touched: I) {
-        for x in touched {
-            self.link[x] = -1;
-        }
-        self.sets = self.link.len();
     }
 
     /// Makes every set a singleton again in `O(n)`, without reallocating.
@@ -226,9 +213,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random sequences of `union`, `connected`, `find` and now and
-        /// then a `reset` (of the elements in sets of two or more, each
-        /// listed twice) or a `clear`, on at most 64 elements, against a
-        /// labelling oracle that relabels the second set on every merge.
+        /// then a `clear`, on at most 64 elements, against a labelling
+        /// oracle that relabels the second set on every merge.
         #[test]
         fn matches_a_relabelling_oracle((n, seed) in (1..65usize, 0..u64::MAX)) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -240,13 +226,7 @@ mod tests {
                 let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
                 prop_assert_eq!(uf.num_sets(), distinct(&label));
                 if rng.gen_range(0..32usize) == 0 {
-                    if rng.gen_range(0..2usize) == 0 {
-                        let joined = (0..n).filter(|&x| label.iter().filter(|&&l| l == label[x]).count() > 1);
-                        let joined: Vec<usize> = joined.collect();
-                        uf.reset(joined.iter().chain(&joined).copied());
-                    } else {
-                        uf.clear();
-                    }
+                    uf.clear();
                     label = (0..n).collect();
                     continue;
                 }
