@@ -1,6 +1,6 @@
 //! The observability smoke run CI executes: one instrumented end-to-end
 //! pipeline — raw edge file → external-sort CSR build → out-of-core
-//! decomposition → in-process server publish/query (including the PR 10
+//! decomposition → in-process server publish/query (including the
 //! `Metrics` op) — whose drained spans must validate structurally and
 //! cover all three instrumented layers (`extsort.*` in forest-graph,
 //! `ooc.*` in forest-decomp, `versioned.publish` and the lazy
@@ -22,8 +22,8 @@ use forest_graph::extsort::{
 };
 use forest_graph::generators;
 use forest_obs::clock::Stopwatch;
-use forest_obs::export::{chrome_trace_json, prometheus_text, validate_trace};
-use forest_obs::{recorder, Phase, Registry, Span, TraceEvent};
+use forest_obs::export::{chrome_trace_json, validate_trace};
+use forest_obs::{recorder, Phase, Span, TraceEvent};
 use forest_serve::{GraphSource, Request, Response, ServerState};
 
 /// Recorder-off `Span::enter` calls timed to price one disabled span site.
@@ -200,31 +200,5 @@ fn main() {
         json.len(),
         events.len()
     );
-
-    // The metric registry made it through the same run; print the
-    // prometheus exposition head so the CI log carries real numbers.
-    let snapshot = Registry::global().snapshot();
-    assert!(
-        snapshot.iter().any(|m| m.name == "extsort.builds_total"),
-        "registry missing extsort counters"
-    );
-    assert!(
-        snapshot.iter().any(|m| m.name == "ooc.runs_total"),
-        "registry missing out-of-core counters"
-    );
-    assert!(
-        snapshot
-            .iter()
-            .any(|m| m.name == "versioned.cold_run_nanos"),
-        "registry missing the snapshot cold-run histogram"
-    );
-    let text = prometheus_text(&snapshot);
-    for line in text.lines().take(12) {
-        eprintln!("obs_smoke: {line}");
-    }
-    println!(
-        "obs_smoke: ok ({} events, {} metrics)",
-        events.len(),
-        snapshot.len()
-    );
+    println!("obs_smoke: ok ({} events)", events.len());
 }

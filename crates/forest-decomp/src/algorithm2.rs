@@ -81,17 +81,10 @@ use forest_graph::decomposition::PartialEdgeColoring;
 use forest_graph::kernels::{self, StampSet};
 use forest_graph::traversal::BfsScratch;
 use forest_graph::{EdgeId, ForestDecomposition, GraphView, ListAssignment, VertexId};
-use forest_obs::{clock::Stopwatch, LazyCounter, Span};
+use forest_obs::Span;
 use local_model::rounds::costs;
 use local_model::{network_decomposition, RoundLedger};
 use rand::Rng;
-
-/// Algorithm 2 counters in the `forest-obs` registry (cumulative across
-/// runs).
-static BFS_NANOS: LazyCounter = LazyCounter::new("algo2.cluster_bfs_nanos_total");
-static BALL_EXPANSIONS: LazyCounter = LazyCounter::new("algo2.ball_expansions_total");
-static CLUSTERS: LazyCounter = LazyCounter::new("algo2.clusters_total");
-static RUNS: LazyCounter = LazyCounter::new("algo2.runs_total");
 
 /// Which CUT rule Algorithm 2 should use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -265,7 +258,6 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
     first_fit: Option<FirstFit>,
 ) -> Result<(Algorithm2Output, Option<usize>), FdError> {
     check_epsilon(config.epsilon)?;
-    RUNS.inc();
     let n = csr.num_vertices();
     let m = csr.num_edges();
     let mut ledger = RoundLedger::new();
@@ -368,7 +360,6 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
             "network decomposition of G^{2(R+R')} (trivial: radius exceeds diameter)",
             costs::network_decomposition(n, 1),
         );
-        CLUSTERS.add(num_comp as u64);
         let _cluster_span = Span::enter("algo2.cluster_loop");
         ledger.charge("process class 0 clusters", class_rounds);
         let (coloring, leftover, adopted_diameter) = match first_fit {
@@ -428,7 +419,6 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
     // Each power neighbourhood is one bounded BFS ball in G, so the
     // quadratic power graph is never materialized.
     let nd = network_decomposition(csr, power, &mut ledger);
-    BALL_EXPANSIONS.add(nd.ball_expansions);
     pipeline_stats.power_ball_expansions = nd.ball_expansions;
     let mut classes: Vec<Vec<Vec<VertexId>>> = vec![Vec::new(); nd.num_classes];
     for (cluster_id, members) in nd.clusters.iter().enumerate() {
@@ -458,8 +448,6 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
     let mut scope_edges: Vec<EdgeId> = Vec::new();
     let mut view_edge_list: Vec<EdgeId> = Vec::new();
     let mut edge_seen = StampSet::new(m);
-    let mut bfs_nanos = 0u64;
-    CLUSTERS.add(num_clusters_total as u64);
 
     let _cluster_span = Span::enter("algo2.cluster_loop");
     for (class_index, clusters) in classes.iter().enumerate() {
@@ -470,7 +458,6 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
         for cluster in clusters {
             // C' = N^{R'}(C), C'' = N^{R+R'}(C): one bounded BFS touches
             // exactly the view ball and nothing else.
-            let ball_start = Stopwatch::start();
             region.run_bounded(csr, cluster, locality_radius + cut_radius, |_| true);
             touched.clear();
             touched.extend_from_slice(region.visited());
@@ -491,7 +478,6 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
                 &mut edge_seen,
                 &mut scope_edges,
             );
-            bfs_nanos += ball_start.elapsed_nanos();
             // CUT(C', R).
             let scope = CutScope {
                 core_vertices: &core_list,
@@ -589,7 +575,6 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
             }
         }
     }
-    BFS_NANOS.add(bfs_nanos);
 
     let out = Algorithm2Output {
         coloring,

@@ -55,27 +55,8 @@ use forest_graph::matroid::{try_augment_traced, ExchangeStep};
 use forest_graph::{
     Color, DynamicColorConnectivity, EdgeId, GraphError, GraphView, MultiGraph, VertexId,
 };
-use forest_obs::{clock::Stopwatch, LazyCounter, LazyHistogram};
+use forest_obs::clock::Stopwatch;
 use std::time::Duration;
-
-/// The dynamic update stream's fast/exchange/fallback split as typed
-/// `forest-obs` counters (cumulative across decomposer instances).
-static UPDATES: LazyCounter = LazyCounter::new("dynamic.updates_total");
-static FAST_PATH: LazyCounter = LazyCounter::new("dynamic.fast_path_total");
-static EXCHANGES: LazyCounter = LazyCounter::new("dynamic.exchanges_total");
-static BUDGET_RAISES: LazyCounter = LazyCounter::new("dynamic.budget_raises_total");
-static COMPACTIONS: LazyCounter = LazyCounter::new("dynamic.compactions_total");
-static APPLY_NANOS: LazyHistogram = LazyHistogram::new("dynamic.apply_nanos");
-static BATCH_NANOS: LazyHistogram = LazyHistogram::new("dynamic.batch_nanos");
-
-fn count_path(path: UpdatePath) {
-    match path {
-        UpdatePath::FastInsert | UpdatePath::FastDelete => FAST_PATH.inc(),
-        UpdatePath::Exchange => EXCHANGES.inc(),
-        UpdatePath::BudgetRaise => BUDGET_RAISES.inc(),
-        UpdatePath::Compact => COMPACTIONS.inc(),
-    }
-}
 
 /// Compaction only chases the top color once it holds at most this many
 /// edges, so a delete pays for at most this many bounded exchanges.
@@ -365,9 +346,6 @@ impl DynamicDecomposer {
             EdgeUpdate::Delete { edge } => self.apply_delete(edge)?,
         };
         self.stats.updates += 1;
-        UPDATES.inc();
-        count_path(path);
-        APPLY_NANOS.observe(start.elapsed_nanos());
         Ok(DeltaReport {
             update,
             edge,
@@ -409,8 +387,6 @@ impl DynamicDecomposer {
                     EdgeUpdate::Delete { edge } => self.apply_delete(edge)?,
                 };
                 self.stats.updates += 1;
-                UPDATES.inc();
-                count_path(path);
                 report.applied += 1;
                 report.recolored_edges += recolored;
                 match path {
@@ -432,7 +408,6 @@ impl DynamicDecomposer {
         report.color_budget = self.counts.len();
         report.live_edges = self.graph.num_live_edges();
         report.wall_clock = start.elapsed();
-        BATCH_NANOS.observe(start.elapsed_nanos());
         Ok(report)
     }
 

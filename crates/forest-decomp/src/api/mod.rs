@@ -106,15 +106,11 @@ pub use forest_graph::ReorderKind;
 use crate::error::FdError;
 use engines::ShardOutcome;
 use forest_graph::{reorder, Color, CsrRef, GraphView, ListAssignment, ShardPlan};
-use forest_obs::{clock::Stopwatch, LazyCounter, LazyHistogram, Span};
+use forest_obs::{clock::Stopwatch, Span};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use stitch::Stitch;
-
-/// Facade-level run accounting in the `forest-obs` registry.
-static FACADE_RUNS: LazyCounter = LazyCounter::new("facade.runs_total");
-static FACADE_RUN_NANOS: LazyHistogram = LazyHistogram::new("facade.run_nanos");
 
 /// Derives the seed used for graph `index` of a batch run with base seed
 /// `base`.
@@ -296,10 +292,7 @@ impl Decomposer {
             written += 1;
         }
         debug_assert_eq!(written, csr.num_edges(), "every edge colored exactly once");
-        let report = stitch.finish(request, &csr, colors, &start)?;
-        FACADE_RUNS.inc();
-        FACADE_RUN_NANOS.observe(start.elapsed_nanos());
-        Ok(report)
+        stitch.finish(request, &csr, colors, &start)
     }
 
     fn run_seeded(&self, csr: CsrRef<'_>, seed: u64) -> Result<DecompositionReport, FdError> {
@@ -340,8 +333,6 @@ impl Decomposer {
             wall_clock: start.elapsed(),
             validation: ValidationStatus::Skipped,
         };
-        FACADE_RUNS.inc();
-        FACADE_RUN_NANOS.observe(start.elapsed_nanos());
         if request.validate {
             let _span = Span::enter("decomp.validate");
             report.validate(&csr)?;

@@ -43,23 +43,11 @@ use super::stitch::{self, Stitch};
 use super::{Decomposer, DecompositionReport};
 use crate::error::FdError;
 use forest_graph::{Color, CsrGraph, EdgeId, GraphView, ReorderKind, ShardPlan};
-use forest_obs::{clock::Stopwatch, LazyCounter, LazyGauge, Span};
+use forest_obs::{clock::Stopwatch, Span};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Phase timings and [`OocStats`] residency accounting in the `forest-obs`
-/// registry. Counters are cumulative across runs; the gauges report the
-/// latest run's plan and the high-watermark residency.
-static OOC_RUNS: LazyCounter = LazyCounter::new("ooc.runs_total");
-static OOC_PLAN_NANOS: LazyCounter = LazyCounter::new("ooc.plan_nanos_total");
-static OOC_DECOMPOSE_NANOS: LazyCounter = LazyCounter::new("ooc.decompose_nanos_total");
-static OOC_STITCH_NANOS: LazyCounter = LazyCounter::new("ooc.stitch_nanos_total");
-static OOC_ASSEMBLE_NANOS: LazyCounter = LazyCounter::new("ooc.assemble_nanos_total");
-static OOC_NUM_SHARDS: LazyGauge = LazyGauge::new("ooc.num_shards");
-static OOC_BOUNDARY_EDGES: LazyGauge = LazyGauge::new("ooc.boundary_edges");
-static OOC_PEAK_RESIDENT: LazyGauge = LazyGauge::new("ooc.peak_resident_bytes");
 
 /// Distinguishes concurrent drivers' spill directories within one process.
 static SPILL_COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -103,7 +91,7 @@ impl OocConfig {
 }
 
 /// What one out-of-core run measured: the budget and residency accounting.
-/// Phase wall-clock lives in the `ooc.*` spans and registry counters.
+/// Phase wall-clock lives in the `ooc.*` spans.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OocStats {
     /// Shards the run walked.
@@ -236,7 +224,6 @@ impl Decomposer {
 
         // --- phase 1: plan -------------------------------------------------
         let plan_span = Span::enter("ooc.plan");
-        let plan_start = Stopwatch::start();
         let mapped = CsrGraph::load_mmap(path)
             .map_err(|err| io_err(format!("loading CSR file {}: {err}", path.display())))?;
         stats.demand_paged = mapped.is_demand_paged();
@@ -254,15 +241,11 @@ impl Decomposer {
         stats.num_shards = k;
         meter.alloc(plan.resident_bytes());
         let boundary_list = plan.boundary_edges(&csr);
-        let boundary = boundary_list.len();
-        stats.boundary_edges = boundary;
+        stats.boundary_edges = boundary_list.len();
         meter.alloc(boundary_list.len() * std::mem::size_of::<EdgeId>());
         let boundary_verts = stitch::boundary_vertices(&csr, &boundary_list, &plan);
         meter.alloc(boundary_verts.iter().map(|v| 4 * v.len() + 32).sum());
-        OOC_PLAN_NANOS.add(plan_start.elapsed_nanos());
         drop(plan_span);
-        OOC_NUM_SHARDS.set(k as u64);
-        OOC_BOUNDARY_EDGES.set(boundary as u64);
 
         // Spill stream for the per-shard colorings.
         let spill_root = config
@@ -292,7 +275,6 @@ impl Decomposer {
         // run_sharded's per-shard step, one shard at a time: walking in
         // index order reproduces its merge/ledger order.
         let walk_span = Span::enter("ooc.shard_walk");
-        let walk_start = Stopwatch::start();
         let mut stitch = Stitch::default();
         let mut written = 0usize;
         for (s, shard_boundary) in boundary_verts.iter().enumerate() {
@@ -327,24 +309,19 @@ impl Decomposer {
             .flush()
             .map_err(|err| io_err(format!("flushing coloring spill: {err}")))?;
         drop(spill);
-        OOC_DECOMPOSE_NANOS.add(walk_start.elapsed_nanos());
         drop(walk_span);
 
         // --- phase 3: boundary stitch --------------------------------------
         let stitch_span = Span::enter("ooc.stitch");
-        let stitch_start = Stopwatch::start();
         let boundary_colors = stitch.stitch(&csr, &boundary_list);
         written += boundary_colors.len();
         meter.alloc(stitch.forest_bytes() + 8 * boundary_colors.len());
         debug_assert_eq!(written, m, "every edge colored exactly once");
-        OOC_STITCH_NANOS.add(stitch_start.elapsed_nanos());
         drop(stitch_span);
         stats.peak_resident_bytes = meter.peak;
-        OOC_PEAK_RESIDENT.set_max(meter.peak as u64);
 
         // --- report assembly (after the bounded phases) --------------------
         let assemble_span = Span::enter("ooc.assemble");
-        let assemble_start = Stopwatch::start();
         let mut colors = vec![Color::new(0); m];
         let mut spill_in = BufReader::new(File::open(&spill_path).map_err(|err| {
             io_err(format!(
@@ -365,9 +342,7 @@ impl Decomposer {
         }
         stats.report_assembly_bytes = 12 * m;
         let report = stitch.finish(request, &csr, colors, &start)?;
-        OOC_ASSEMBLE_NANOS.add(assemble_start.elapsed_nanos());
         drop(assemble_span);
-        OOC_RUNS.inc();
         Ok(OocOutcome { report, stats })
     }
 }

@@ -68,7 +68,7 @@ use super::{Decomposer, DecompositionRequest};
 use crate::error::FdError;
 use forest_graph::dynamic::EdgeIdRemap;
 use forest_graph::{u32_of, Color, EdgeId, GraphView, MultiGraph, VertexId};
-use forest_obs::{clock::Stopwatch, LazyCounter, LazyGauge, LazyHistogram, Span};
+use forest_obs::Span;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, TryLockError};
 
@@ -328,9 +328,8 @@ impl ColoringSnapshot {
     /// [`compact_graph`](ColoringSnapshot::compact_graph) with its request:
     /// identical to what [`Decomposer::run`] returns on the same graph with
     /// the same request, because it *is* that run. It runs once, on the
-    /// first call (the `versioned.cold_run` span, timed into the
-    /// `versioned.cold_run_nanos` histogram, building the compact graph too
-    /// if nothing has yet), and is cached — so `SnapshotBytes` requests
+    /// first call (the `versioned.cold_run` span, building the compact graph
+    /// too if nothing has yet), and is cached — so `SnapshotBytes` requests
     /// after the first are a memcpy.
     ///
     /// The report carries the *cold run's* coloring, which in general
@@ -344,17 +343,12 @@ impl ColoringSnapshot {
     /// Whatever the cold run returned (cached too: the run is attempted
     /// once per snapshot).
     pub fn canonical_bytes(&self) -> Result<Vec<u8>, FdError> {
-        /// Wall time of each snapshot's one cold run.
-        static COLD_RUN_NANOS: LazyHistogram = LazyHistogram::new("versioned.cold_run_nanos");
         self.cold
             .get_or_init(|| {
                 let _span = Span::enter("versioned.cold_run");
-                let clock = Stopwatch::start();
-                let bytes = Decomposer::new(self.request.clone())
+                Decomposer::new(self.request.clone())
                     .run(self.compact_graph().0)
-                    .map(|r| r.canonical_bytes());
-                COLD_RUN_NANOS.observe(clock.elapsed_nanos());
-                bytes
+                    .map(|r| r.canonical_bytes())
             })
             .clone()
     }
@@ -665,23 +659,10 @@ impl VersionedDecomposer {
     /// this returns, every [`SnapshotReader::current`] — including on
     /// other threads — observes the new epoch.
     pub fn publish(&mut self) -> Arc<ColoringSnapshot> {
-        /// Cumulative publish count across decomposer instances.
-        static PUBLISHES: LazyCounter = LazyCounter::new("versioned.publishes_total");
-        /// The most recently published epoch (high watermark — a gauge,
-        /// since epochs are per-instance).
-        static PUBLISHED_EPOCH: LazyGauge = LazyGauge::new("versioned.published_epoch");
-        /// Publish latency — the epoch lag between the live state and
-        /// readers: how long [`SnapshotReader::current`] answers stay one
-        /// epoch behind while the freeze runs.
-        static PUBLISH_LAG_NANOS: LazyHistogram = LazyHistogram::new("versioned.publish_lag_nanos");
         let _span = Span::enter("versioned.publish");
-        let lag = Stopwatch::start();
         self.epoch += 1;
         let snap = Arc::new(ColoringSnapshot::build(&self.inner, self.epoch));
         self.cell.publish(Arc::clone(&snap));
-        PUBLISHES.inc();
-        PUBLISHED_EPOCH.set_max(self.epoch);
-        PUBLISH_LAG_NANOS.observe(lag.elapsed_nanos());
         snap
     }
 

@@ -19,16 +19,9 @@ use forest_graph::kernels;
 use forest_graph::{
     u32_of, Color, EdgeId, ForestDecomposition, GraphView, ListAssignment, Orientation, VertexId,
 };
-use forest_obs::{clock::Stopwatch, LazyCounter, Span};
+use forest_obs::Span;
 use local_model::cole_vishkin::{cole_vishkin_three_coloring, RootedForestView};
 use local_model::RoundLedger;
-
-/// Observability counters for the peeling primitive (cumulative across
-/// partitions).
-static PEEL_ROUNDS: LazyCounter = LazyCounter::new("hpartition.peel_rounds_total");
-static PEELED_VERTICES: LazyCounter = LazyCounter::new("hpartition.peeled_vertices_total");
-static PEEL_NANOS: LazyCounter = LazyCounter::new("hpartition.peel_nanos_total");
-static FORCED_CLASSES: LazyCounter = LazyCounter::new("hpartition.forced_classes_total");
 
 /// The result of the H-partition peeling process.
 #[derive(Clone, Debug)]
@@ -88,7 +81,6 @@ pub fn h_partition<G: GraphView>(
         });
     }
     let _peel_span = Span::enter("hpartition.peel");
-    let peel_start = Stopwatch::start();
     let threshold = ((2.0 + epsilon) * pseudoarboricity_bound as f64).floor() as usize;
     let n = g.num_vertices();
     let mut class_of = vec![usize::MAX; n];
@@ -153,10 +145,6 @@ pub fn h_partition<G: GraphView>(
         class += 1;
     }
     ledger.charge("H-partition peeling", rounds.max(1));
-    PEEL_ROUNDS.add(rounds.max(1) as u64);
-    PEELED_VERTICES.add(n as u64);
-    FORCED_CLASSES.add(forced_classes as u64);
-    PEEL_NANOS.add(peel_start.elapsed_nanos());
     Ok(HPartition {
         class_of,
         num_classes: class,

@@ -36,19 +36,11 @@
 //! reached so callers can assert their ceiling held.
 
 use crate::csr::{FORMAT_MAGIC, FORMAT_VERSION, HEADER_BYTES};
-use forest_obs::{clock::Stopwatch, LazyCounter, Span};
+use forest_obs::Span;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Build phase timings and [`BuildStats`] spill counts in the `forest-obs`
-/// registry (cumulative across builds).
-static READ_SPILL_NANOS: LazyCounter = LazyCounter::new("extsort.read_spill_nanos_total");
-static MERGE_NANOS: LazyCounter = LazyCounter::new("extsort.merge_nanos_total");
-static SPILLED_RUNS: LazyCounter = LazyCounter::new("extsort.spilled_runs_total");
-static EDGES_READ: LazyCounter = LazyCounter::new("extsort.edges_read_total");
-static BUILDS: LazyCounter = LazyCounter::new("extsort.builds_total");
 
 /// Bytes of one incidence record `(endpoint, edge_id, other)` on disk and in
 /// the sort buffer.
@@ -117,7 +109,7 @@ impl ExtsortConfig {
 
 /// What one external-sort build measured: the degree/density watermark and
 /// the buffer and spill accounting. Phase wall-clock lives in the
-/// `extsort.read_spill` / `extsort.merge` spans and registry counters.
+/// `extsort.read_spill` / `extsort.merge` spans.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BuildStats {
     /// Vertices in the output CSR.
@@ -357,7 +349,6 @@ where
 
     // --- pass 1: chunked read, run spill, endpoints side-stream ---------
     let read_span = Span::enter("extsort.read_spill");
-    let read_start = Stopwatch::start();
     let mut source = EdgeSource::open(input, format)?;
     let endpoints_path = temp_dir.join("endpoints.sec");
     let mut endpoints_out = BufWriter::new(File::create(&endpoints_path)?);
@@ -414,10 +405,7 @@ where
     drop(endpoints_out);
     stats.peak_buffer_bytes = stats.peak_buffer_bytes.max(buffer.len() * RECORD_BYTES);
     stats.spilled_runs = run_paths.len();
-    READ_SPILL_NANOS.add(read_start.elapsed_nanos());
     drop(read_span);
-    SPILLED_RUNS.add(stats.spilled_runs as u64);
-    EDGES_READ.add(num_edges);
 
     let m = num_edges as usize;
     if 2 * (m as u64) > u64::from(u32::MAX) {
@@ -445,7 +433,6 @@ where
 
     // --- pass 2: k-way merge into the section files ----------------------
     let merge_span = Span::enter("extsort.merge");
-    let merge_start = Stopwatch::start();
     // Sort the last buffer in place; it participates as the in-memory run.
     buffer.sort_unstable_by_key(Record::key);
     let mut runs: Vec<RunSource> = Vec::with_capacity(run_paths.len() + 1);
@@ -530,9 +517,7 @@ where
         io::copy(&mut reader, &mut out)?;
     }
     out.flush()?;
-    MERGE_NANOS.add(merge_start.elapsed_nanos());
     drop(merge_span);
-    BUILDS.inc();
     stats.output_bytes = (HEADER_BYTES + 4 * ((n + 1) + 6 * m)) as u64;
     debug_assert_eq!(stats.output_bytes, std::fs::metadata(output)?.len());
     drop(guard);

@@ -6,17 +6,9 @@
 //! distributed execution would have used to a [`RoundLedger`]. The ledger
 //! keeps per-phase provenance so the benchmark harness can report where the
 //! rounds went (network decomposition, cluster processing, recoloring, ...).
+//! Every report carries its own ledger.
 
-use forest_obs::LazyCounter;
 use std::fmt;
-
-/// LOCAL rounds charged process-wide, as a typed `forest-obs` counter.
-/// Counted in [`RoundLedger::charge`] only — [`RoundLedger::absorb`] moves
-/// charges between ledgers without re-charging, so shard-local rounds are
-/// counted exactly once.
-static ROUNDS_CHARGED: LazyCounter = LazyCounter::new("local_model.rounds_charged_total");
-/// Number of individual [`RoundLedger::charge`] calls process-wide.
-static CHARGES: LazyCounter = LazyCounter::new("local_model.charges_total");
 
 /// A single charged phase of a distributed algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,8 +42,6 @@ impl RoundLedger {
 
     /// Charges `rounds` LOCAL rounds under the given phase label.
     pub fn charge(&mut self, label: impl Into<String>, rounds: usize) {
-        ROUNDS_CHARGED.add(rounds as u64);
-        CHARGES.inc();
         self.charges.push(RoundCharge {
             label: label.into(),
             rounds,

@@ -1,13 +1,10 @@
-//! Exporters: chrome-trace JSON and prometheus-style text exposition,
-//! plus the schema checker CI's `obs-smoke` step runs over captured
-//! traces.
+//! The chrome-trace JSON exporter, plus the schema checker CI's
+//! `obs-smoke` step runs over captured traces.
 //!
-//! Both exporters are plain string builders — no serializer dependency,
-//! per the offline-vendored policy — and both are deterministic given the
-//! same events/snapshot (metric lines come out in registry name order,
-//! trace lines in drain order).
+//! The exporter is a plain string builder — no serializer dependency, per
+//! the offline-vendored policy — and deterministic given the same events
+//! (trace lines come out in drain order).
 
-use crate::metrics::{MetricDetail, MetricSnapshot};
 use crate::trace::{Phase, TraceEvent};
 
 /// Escapes a string for a JSON literal. Names here are static Rust string
@@ -59,54 +56,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         out.push('}');
     }
     out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
-}
-
-/// Sanitizes a dotted metric name into a prometheus-legal one.
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// Renders a registry snapshot in prometheus text exposition format.
-/// Counters and gauges become single samples; histograms emit cumulative
-/// `_bucket{le="2^i"}` samples plus `_sum` and `_count`.
-pub fn prometheus_text(snapshot: &[MetricSnapshot]) -> String {
-    let mut out = String::new();
-    for m in snapshot {
-        let name = prom_name(m.name);
-        match &m.detail {
-            MetricDetail::Counter => {
-                out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", m.value));
-            }
-            MetricDetail::Gauge => {
-                out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", m.value));
-            }
-            MetricDetail::Histogram(h) => {
-                out.push_str(&format!("# TYPE {name} histogram\n"));
-                let mut cumulative = 0u64;
-                for (i, &b) in h.buckets.iter().enumerate() {
-                    if b == 0 {
-                        continue;
-                    }
-                    cumulative += b;
-                    // Bucket i ≥ 1 holds values < 2^i; bucket 0 holds zeros.
-                    let le = if i == 0 { 1u128 } else { 1u128 << i };
-                    out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-                }
-                out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-                out.push_str(&format!("{name}_sum {}\n", h.sum));
-                out.push_str(&format!("{name}_count {}\n", h.count));
-            }
-        }
-    }
     out
 }
 
@@ -189,7 +138,6 @@ pub fn validate_trace(events: &[TraceEvent]) -> Result<(), TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
 
     fn ev(name: &'static str, phase: Phase, ts: u64, tid: u32, span: u64) -> TraceEvent {
         TraceEvent {
@@ -217,24 +165,6 @@ mod tests {
         assert!(json.contains("\"ts\":1.000"));
         assert!(json.contains("\"s\":\"t\""));
         assert!(json.ends_with("}"));
-    }
-
-    #[test]
-    fn prometheus_shape() {
-        let reg = Registry::new();
-        let c = reg.counter("x.reqs_total");
-        c.add(3);
-        let h = reg.histogram("x.lat_nanos");
-        h.observe(5);
-        h.observe(0);
-        let text = prometheus_text(&reg.snapshot());
-        assert!(text.contains("# TYPE x_lat_nanos histogram\n"));
-        assert!(text.contains("x_lat_nanos_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("x_lat_nanos_bucket{le=\"8\"} 2\n"));
-        assert!(text.contains("x_lat_nanos_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("x_lat_nanos_sum 5\n"));
-        assert!(text.contains("x_lat_nanos_count 2\n"));
-        assert!(text.contains("# TYPE x_reqs_total counter\nx_reqs_total 3\n"));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The span/event tracing core.
 //!
-//! Tracing is the *opt-in* half of the substrate (metrics are always on).
-//! Everything is gated behind the process [`Recorder`]: while it is
-//! disabled — the default — [`Span::enter`] is a single relaxed atomic
-//! load returning an inert guard, and [`event`] is the same load plus an
-//! early return. No allocation, no clock read, no thread-local touch.
+//! Tracing is opt-in: everything is gated behind the process [`Recorder`].
+//! While it is disabled — the default — [`Span::enter`] is a single relaxed
+//! atomic load returning an inert guard, and [`event`] is the same load
+//! plus an early return. No allocation, no clock read, no thread-local touch.
 //! Because instrumentation neither consumes RNG state nor reorders work,
 //! `canonical_bytes` of every decomposition is byte-identical with the
 //! recorder disabled, enabled, or drained mid-run (proptested in the
@@ -56,7 +55,7 @@ pub struct TraceEvent {
     /// Begin / end / instant.
     pub phase: Phase,
     /// Timestamp from [`clock::now_nanos`] (nanoseconds since the process
-    /// anchor; deterministic under a `ManualClock`).
+    /// anchor).
     pub ts_nanos: u64,
     /// A small dense thread id (assigned in first-record order, not the
     /// OS tid).

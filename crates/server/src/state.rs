@@ -26,11 +26,9 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 /// answering epoch's stream counters).
 ///
 /// These are *service-level* counters (what did this tenant ask of the
-/// server), distinct from the process-wide `forest-obs` registry that
-/// the library layers feed: a multi-tenant process has one registry but
-/// one `TenantMetrics` per registered graph. Counter names are dynamic
-/// per tenant, which is exactly what the static-`&str`-keyed registry
-/// is not for — hence a plain struct of atomics.
+/// server), one `TenantMetrics` per registered graph, and the only
+/// metrics a client can read: the library layers keep no process-wide
+/// counters, only the stats they return and their trace spans.
 ///
 /// All counters are monotonically non-decreasing for the lifetime of
 /// the entry; `server_smoke` pins that down across update batches.

@@ -3,14 +3,21 @@
 //! whether the span recorder is disabled (the default), enabled, or
 //! enabled with a sink already holding thousands of buffered events —
 //! across the full `(problem, engine)` support matrix. The instrumentation
-//! sweep only ever *reads* the clock and *writes* metrics/spans; the
-//! moment it consumed randomness or reordered work, these tests would
-//! catch the drift.
+//! sweep only ever *reads* the clock and *writes* spans; the moment it
+//! consumed randomness or reordered work, these tests would catch the
+//! drift. The spans are also the only timing of the phases they wrap, so
+//! the last tests pin where each phase span is recorded.
 //!
 //! The recorder is process-global, so every case serializes on a lock and
 //! restores the disabled/empty state before releasing it.
 
-use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind};
+use forest_decomp::api::oocore::OocConfig;
+use forest_decomp::api::{
+    Decomposer, DecompositionRequest, Engine, ProblemKind, VersionedDecomposer,
+};
+use forest_graph::extsort::{
+    build_csr_from_edge_file, write_binary_edge_file, EdgeListFormat, ExtsortConfig,
+};
 use forest_graph::{generators, matroid, MultiGraph, VertexId};
 use forest_obs::{event, recorder, Phase, Span, TraceEvent};
 use proptest::prelude::*;
@@ -217,4 +224,86 @@ fn one_diameter_measurement_per_report() {
             .expect("a planted graph");
     });
     one_under(&events, "decomp.run_sharded");
+}
+
+/// The phase spans are the only timing of the phases they wrap: the
+/// extsort build's two passes, the out-of-core driver's phases (each
+/// directly under `ooc.run`, one `ooc.shard` per shard under the walk), a
+/// versioned publish, a snapshot's cold run (with the facade run under
+/// it) and Barenboim–Elkin's H-partition peel.
+#[test]
+fn every_phase_span_is_recorded() {
+    let begins = |events: &[TraceEvent], name: &str| -> Vec<TraceEvent> {
+        events.iter().filter(|e| e.name == name).cloned().collect()
+    };
+    let one = |events: &[TraceEvent], name: &str| -> TraceEvent {
+        let named = begins(events, name);
+        assert_eq!(named.len(), 1, "one {name} span");
+        named[0].clone()
+    };
+    let g = generators::fat_path(200, 2);
+    let tag = |ext: &str| std::env::temp_dir().join(format!("nw-obs-{}.{ext}", std::process::id()));
+    let (edge_file, csr_file) = (tag("edges"), tag("csr"));
+    write_binary_edge_file(&edge_file, g.edges().map(|(_, u, v)| (u.raw(), v.raw())))
+        .expect("write edge file");
+
+    let events = recorded_begins(|| {
+        build_csr_from_edge_file(
+            &edge_file,
+            EdgeListFormat::BinaryU32,
+            &csr_file,
+            &ExtsortConfig::with_budget(1 << 10),
+        )
+        .expect("extsort build");
+    });
+    one(&events, "extsort.read_spill");
+    one(&events, "extsort.merge");
+
+    let shards = 3;
+    let events = recorded_begins(|| {
+        let outcome = Decomposer::new(DecompositionRequest::new(ProblemKind::Forest).with_seed(3))
+            .run_out_of_core(
+                &csr_file,
+                &OocConfig::with_budget(1 << 20).num_shards(shards),
+            )
+            .expect("out-of-core run");
+        assert_eq!(outcome.stats.num_shards, shards);
+    });
+    std::fs::remove_file(&edge_file).ok();
+    std::fs::remove_file(&csr_file).ok();
+    let run = one(&events, "ooc.run");
+    for phase in ["ooc.plan", "ooc.shard_walk", "ooc.stitch", "ooc.assemble"] {
+        assert_eq!(
+            one(&events, phase).parent,
+            run.span,
+            "{phase} under ooc.run"
+        );
+    }
+    let walk = one(&events, "ooc.shard_walk");
+    let per_shard = begins(&events, "ooc.shard");
+    assert_eq!(per_shard.len(), shards, "one ooc.shard span per shard");
+    assert!(per_shard.iter().all(|s| s.parent == walk.span));
+
+    let request = DecompositionRequest::new(ProblemKind::Forest).with_seed(3);
+    let mut versioned = VersionedDecomposer::from_graph(request, &g).expect("a valid graph");
+    let mut published = None;
+    let events = recorded_begins(|| published = Some(versioned.publish()));
+    one(&events, "versioned.publish");
+    let snapshot = published.expect("published");
+    let events = recorded_begins(|| {
+        snapshot.canonical_bytes().expect("cold run");
+    });
+    let cold = one(&events, "versioned.cold_run");
+    assert_eq!(one(&events, "decomp.run").parent, cold.span);
+
+    let events = recorded_begins(|| {
+        Decomposer::new(
+            DecompositionRequest::new(ProblemKind::Forest)
+                .with_engine(Engine::BarenboimElkin)
+                .with_seed(3),
+        )
+        .run(&g)
+        .expect("a fat path");
+    });
+    assert!(!begins(&events, "hpartition.peel").is_empty());
 }
