@@ -15,6 +15,11 @@
 //! Exits non-zero on any violated contract; prints a one-line summary per
 //! stage so the CI log shows where a failure happened.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
+
 use forest_decomp::api::oocore::OocConfig;
 use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind};
 use forest_graph::extsort::{
@@ -43,6 +48,10 @@ fn pipeline(edge_file: &std::path::Path, csr_file: &std::path::Path) -> Vec<u8> 
     )
     .expect("extsort build");
     assert!(build.spilled_runs > 1, "budget too big to exercise spills");
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the size of a file of a few KiB this run just wrote"
+    )]
     let csr_bytes = std::fs::metadata(csr_file).expect("csr metadata").len() as usize;
     let outcome = Decomposer::new(
         DecompositionRequest::new(ProblemKind::Forest)
@@ -83,12 +92,12 @@ fn drive_server() {
         }
     };
     let (_, before) = metrics(&state);
-    for batch in 0..2u64 {
+    for batch in 0..2usize {
         let resp = state.handle(&Request::ApplyUpdates {
             tenant: "ci".into(),
             graph: "smoke".into(),
             updates: (0..8)
-                .map(|i| EdgeUpdate::insert(i, (i + batch as usize * 8 + 9) % 64))
+                .map(|i| EdgeUpdate::insert(i, (i + batch * 8 + 9) % 64))
                 .collect(),
         });
         assert!(matches!(resp, Response::Applied { .. }), "{resp:?}");

@@ -59,16 +59,28 @@ pub const CLAIMS: &[(&str, fn())] = &[
 ];
 
 /// `⌈x·k⌉`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a ceiling of a finite non-negative count; `as` saturates"
+)]
 fn ceil_times(x: f64, k: usize) -> usize {
     (x * k as f64).ceil() as usize
 }
 
 /// `⌊x·k⌋`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the floor is the intended rounding; `as` saturates"
+)]
 fn floor_times(x: f64, k: usize) -> usize {
     (x * k as f64).floor() as usize
 }
 
 /// `colors − alpha`, signed.
+#[expect(
+    clippy::cast_possible_wrap,
+    reason = "color counts of small seeded inputs"
+)]
 fn excess(colors: usize, alpha: usize) -> String {
     format!("{:+}", colors as i64 - alpha as i64)
 }
@@ -95,6 +107,10 @@ fn out_degree(report: &DecompositionReport) -> usize {
 /// `α + 2⌈log₂ Δ⌉ + 4` colors drawn from twice as many. Returns the
 /// palette size too.
 fn lsfd_request(alpha: usize, delta: usize, bound: usize) -> (usize, DecompositionRequest) {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "⌈log₂ Δ⌉ < 64 for every usize Δ ≥ 1"
+    )]
     let palette = alpha + 2 * ((delta as f64).log2().ceil() as usize) + 4;
     let request = DecompositionRequest::new(ProblemKind::ListStarForest)
         .with_alpha(bound)

@@ -11,6 +11,10 @@
 //! library holds the seeded workload suites and plain-text table rendering.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
 
 use forest_graph::{generators, MultiGraph, SimpleGraph};
 use rand::rngs::StdRng;

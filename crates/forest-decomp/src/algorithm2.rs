@@ -75,7 +75,7 @@
 
 use crate::augmenting::{AugmentationContext, ColorConnectivity};
 use crate::cut::{execute_cut_scoped, CutOutcome, CutScope, CutScratch, CutState, CutStrategy};
-use crate::error::{check_epsilon, check_palettes, FdError};
+use crate::error::{check_epsilon, check_palettes, one_plus_eps_ceil, FdError};
 use crate::hpartition::{acyclic_orientation, h_partition};
 use forest_graph::decomposition::PartialEdgeColoring;
 use forest_graph::kernels::{self, StampSet};
@@ -183,6 +183,10 @@ pub struct Algorithm2Output {
     pub pipeline_stats: PipelineStats,
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a ceiling of a finite positive radius; `as` saturates"
+)]
 fn derived_radius(n: usize, epsilon: f64) -> usize {
     let ln_n = costs::ln_ceil(n).max(1) as f64;
     ((ln_n / epsilon).ceil() as usize).max(2)
@@ -278,10 +282,7 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
         };
         return Ok((out, None));
     }
-    check_palettes(
-        lists,
-        ((1.0 + config.epsilon) * config.alpha as f64).ceil() as usize,
-    )?;
+    check_palettes(lists, one_plus_eps_ceil(config.epsilon, config.alpha))?;
     let locality_radius = config
         .locality_radius
         .unwrap_or_else(|| derived_radius(n, config.epsilon));
@@ -299,6 +300,10 @@ pub(crate) fn algorithm2_adopting<C: GraphView, R: Rng + ?Sized>(
             levels: (cut_radius / 2).max(1),
         },
         CutStrategyKind::ConditionedSampling => {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a ceiling of a finite non-negative load; `as` saturates"
+            )]
             let load_cap = ((config.epsilon * config.alpha as f64).ceil() as usize).max(1);
             let probability = ((config.alpha as f64) * (costs::ln_ceil(n).max(1) as f64)
                 / (0.5 * cut_radius as f64))

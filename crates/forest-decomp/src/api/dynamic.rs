@@ -48,7 +48,7 @@
 
 use super::report::DecompositionReport;
 use super::{Decomposer, DecompositionRequest, ProblemKind};
-use crate::error::FdError;
+use crate::error::{one_plus_eps_ceil, FdError};
 use forest_graph::decomposition::{validate_partial_forest_decomposition, PartialEdgeColoring};
 use forest_graph::dynamic::{DynamicGraph, EdgeIdRemap};
 use forest_graph::matroid::{try_augment_traced, ExchangeStep};
@@ -457,7 +457,7 @@ impl DynamicDecomposer {
     /// search run.
     fn slack_cap(&self) -> usize {
         let lb = self.arboricity_lower_bound().max(1);
-        ((lb as f64) * (1.0 + self.request.epsilon)).ceil() as usize + 1
+        one_plus_eps_ceil(self.request.epsilon, lb) + 1
     }
 
     fn apply_insert(

@@ -344,7 +344,6 @@ impl Decomposer {
     /// Materializes the palettes for list problems (`None` otherwise). Also
     /// returns the exact arboricity when sizing the auto palettes had to
     /// compute it, so the run can reuse it instead of computing it twice.
-    #[allow(clippy::type_complexity)]
     fn resolve_lists(
         &self,
         csr: &CsrRef<'_>,

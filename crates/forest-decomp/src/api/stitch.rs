@@ -56,6 +56,10 @@ use forest_obs::{clock::Stopwatch, Span};
 use local_model::RoundLedger;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+#[expect(
+    clippy::disallowed_types,
+    reason = "for the lookup-only maps of SparseUf and Stitch"
+)]
 use std::collections::HashMap;
 
 /// The checks both sharded drivers run before touching the graph: only
@@ -123,6 +127,10 @@ pub(super) fn boundary_vertices(
 /// representatives ever enter, so this is `O(touched)` instead of `O(n)`
 /// per color.
 #[derive(Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only: find and try_union read parents by key, never iterate"
+)]
 struct SparseUf {
     parent: HashMap<u32, u32>,
 }
@@ -158,6 +166,10 @@ impl SparseUf {
 /// representatives, the accounting every shard contributes, and the stitch
 /// forests. See the [module docs](self).
 #[derive(Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only: `reps` is read by vertex key, never iterated"
+)]
 pub(super) struct Stitch {
     /// Boundary vertex → its component representative in each color
     /// `0..span` of its shard; colors past a shard's span map to the vertex

@@ -18,10 +18,18 @@ use crate::error::{check_epsilon, FdError};
 use forest_graph::{Color, EdgeId, GraphView, ListAssignment, VertexId};
 use local_model::{partial_network_decomposition, RoundLedger};
 use rand::Rng;
+#[expect(
+    clippy::disallowed_types,
+    reason = "for the lookup-only sets of VertexColorSplitting"
+)]
 use std::collections::HashSet;
 
 /// A per-vertex split of the color space into side 0 and side 1.
 #[derive(Clone, Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only: `side` asks each set for membership, never iterates"
+)]
 pub struct VertexColorSplitting {
     /// For each vertex, the colors assigned to side 1 (`C_{v,1}`); every
     /// other color is on side 0.
@@ -73,6 +81,10 @@ fn all_colors(lists: &ListAssignment) -> Vec<Color> {
 /// # Errors
 ///
 /// Returns an error for an invalid `ε`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only: fills the side-1 sets and keys one coin per cluster center"
+)]
 pub fn split_colors_clustered<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     lists: &ListAssignment,

@@ -44,7 +44,7 @@ use crate::api::DecompositionRequest;
 use crate::augmenting::complete_by_augmentation;
 use crate::color_splitting::split_colors_clustered;
 use crate::diameter_reduction::reduce_diameter;
-use crate::error::{check_epsilon, check_palettes, FdError};
+use crate::error::{check_epsilon, check_palettes, one_plus_eps_ceil, FdError};
 use crate::hpartition::recolor_as_fresh_stars;
 use crate::lsfd_degeneracy::list_star_forest_decomposition_degeneracy;
 use forest_graph::decomposition::{
@@ -55,6 +55,10 @@ use forest_graph::{EdgeId, ForestDecomposition, GraphView, ListAssignment};
 use forest_obs::Span;
 use local_model::RoundLedger;
 use rand::Rng;
+#[expect(
+    clippy::disallowed_types,
+    reason = "for the lookup-only sets of list_forest_decomposition"
+)]
 use std::collections::HashSet;
 
 /// What every end-to-end pipeline hands back to the engine dispatch, which
@@ -167,7 +171,7 @@ pub(crate) fn forest_decomposition<C: GraphView, R: Rng + ?Sized>(
             (exact.arboricity.max(1), first_fit)
         }
     };
-    let primary_colors = ((1.0 + epsilon) * alpha as f64).ceil() as usize;
+    let primary_colors = one_plus_eps_ceil(epsilon, alpha);
     let lists = ListAssignment::uniform(csr.num_edges(), primary_colors);
     let config = algorithm2_config(request, epsilon, alpha);
     let (
@@ -208,6 +212,10 @@ pub(crate) fn forest_decomposition<C: GraphView, R: Rng + ?Sized>(
 ///
 /// Returns an error if the palettes are too small, the splitting repeatedly
 /// fails to leave a large enough main side, or an internal phase fails.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only: an empty side-1 splitting and the leftover membership test"
+)]
 pub(crate) fn list_forest_decomposition<C: GraphView, R: Rng + ?Sized>(
     csr: &C,
     lists: &ListAssignment,
@@ -220,10 +228,10 @@ pub(crate) fn list_forest_decomposition<C: GraphView, R: Rng + ?Sized>(
         return Ok(FdResult::edgeless(0, RoundLedger::new()));
     }
     let alpha = resolve_alpha(csr, request.alpha);
-    check_palettes(lists, ((1.0 + epsilon) * alpha as f64).ceil() as usize)?;
+    check_palettes(lists, one_plus_eps_ceil(epsilon, alpha))?;
     let mut ledger = RoundLedger::new();
     // Algorithm 2 on the main side needs palettes of size (1 + eps/2) alpha.
-    let main_needed = ((1.0 + epsilon / 2.0) * alpha as f64).ceil() as usize;
+    let main_needed = one_plus_eps_ceil(epsilon / 2.0, alpha);
     // Draw the vertex-color-splitting; retry a few times if the main side
     // comes out too small (the paper's w.h.p. guarantee needs alpha >= log n,
     // which bench-scale instances may not satisfy).

@@ -357,7 +357,10 @@ fn find_escaping_path_scoped<G: GraphView>(
 /// callers with many small clusters should build a [`CutScope`] per cluster
 /// and call [`execute_cut_scoped`] with a shared [`CutScratch`] instead. Both
 /// consume the RNG identically.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's CUT(C', R) signature
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's CUT(C', R) signature"
+)]
 pub fn execute_cut<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     coloring: &PartialEdgeColoring,
@@ -394,7 +397,10 @@ pub fn execute_cut<G: GraphView, R: Rng + ?Sized>(
 /// [`CutScope`] and all working memory comes from the caller's
 /// [`CutScratch`]. `core` / `view` stay dense whole-graph masks — the caller
 /// maintains them incrementally via its touched-vertex lists.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's CUT(C', R) signature
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's CUT(C', R) signature"
+)]
 pub fn execute_cut_scoped<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     coloring: &PartialEdgeColoring,

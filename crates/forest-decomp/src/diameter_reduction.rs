@@ -72,6 +72,10 @@ pub fn reduce_diameter<G: GraphView, R: Rng + ?Sized>(
 ) -> Result<DiameterReductionOutcome, FdError> {
     check_epsilon(epsilon)?;
     let n = g.num_vertices();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "ceilings of finite positive spacings; `as` saturates"
+    )]
     let layer_spacing = match target {
         DiameterTarget::LogOverEpsilon => {
             (((costs::ln_ceil(n).max(1) as f64) / epsilon).ceil() as usize).max(2)

@@ -227,6 +227,16 @@ pub fn check_epsilon(epsilon: f64) -> Result<(), FdError> {
     }
 }
 
+/// `⌈(1+ε)·x⌉`: the palette size and out-degree budget of the paper's
+/// `(1+ε)α` bounds.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a ceiling of a finite non-negative count; `as` saturates"
+)]
+pub(crate) fn one_plus_eps_ceil(epsilon: f64, x: usize) -> usize {
+    ((1.0 + epsilon) * x as f64).ceil() as usize
+}
+
 /// Validates that every palette holds at least `needed` colors, naming the
 /// first edge whose palette is short.
 pub(crate) fn check_palettes(lists: &ListAssignment, needed: usize) -> Result<(), FdError> {

@@ -81,6 +81,10 @@ pub fn h_partition<G: GraphView>(
         });
     }
     let _peel_span = Span::enter("hpartition.peel");
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the floor is the intended rounding; `as` saturates"
+    )]
     let threshold = ((2.0 + epsilon) * pseudoarboricity_bound as f64).floor() as usize;
     let n = g.num_vertices();
     let mut class_of = vec![usize::MAX; n];

@@ -117,6 +117,14 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_types
+    )
+)]
 
 pub mod algorithm2;
 pub mod api;

@@ -22,6 +22,10 @@ use forest_graph::decomposition::PartialEdgeColoring;
 use forest_graph::{Color, EdgeId, GraphView, ListAssignment, Orientation};
 use local_model::rounds::costs;
 use local_model::RoundLedger;
+#[expect(
+    clippy::disallowed_types,
+    reason = "for the lookup-only sets of greedy_lsfd_from_orientation"
+)]
 use std::collections::HashSet;
 
 /// Theorem 2.2 (constructive form): greedily list-colors the edges against an
@@ -36,6 +40,10 @@ use std::collections::HashSet;
 /// # Errors
 ///
 /// Returns [`FdError::PaletteTooSmall`] if some palette runs out of colors.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only: each vertex's out-edge colors answer membership, never iterated"
+)]
 fn greedy_lsfd_from_orientation<G: GraphView>(
     g: &G,
     orientation: &Orientation,

@@ -17,7 +17,7 @@
 //! `α_liststar ≤ α + O(log Δ)` for simple graphs.
 
 use crate::combine::FdResult;
-use crate::error::{check_epsilon, FdError};
+use crate::error::{check_epsilon, one_plus_eps_ceil, FdError};
 use crate::hpartition::recolor_as_fresh_stars;
 use crate::matching::maximum_bipartite_matching;
 use forest_graph::decomposition::PartialEdgeColoring;
@@ -27,6 +27,10 @@ use local_model::rounds::costs;
 use local_model::RoundLedger;
 use rand::seq::SliceRandom;
 use rand::Rng;
+#[expect(
+    clippy::disallowed_types,
+    reason = "for the lookup-only set of list_star_forest_decomposition_simple"
+)]
 use std::collections::HashSet;
 
 /// Maximum number of LLL resampling rounds before giving up on the
@@ -73,7 +77,10 @@ fn matching_for_vertex<G: GraphView>(
 
 /// Internal driver shared by the ordinary and list variants: returns the
 /// partial coloring and the number of unmatched edges.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one driver for the ordinary and the list variant takes the inputs of both"
+)]
 fn star_forest_by_matching<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     orientation: &Orientation,
@@ -138,7 +145,7 @@ fn t_orientation<G: GraphView>(
     alpha: usize,
     ledger: &mut RoundLedger,
 ) -> Result<(usize, Orientation), FdError> {
-    let t = ((1.0 + epsilon) * alpha as f64).ceil() as usize;
+    let t = one_plus_eps_ceil(epsilon, alpha);
     // The paper uses the Su–Vu CONGEST algorithm (O~(log^2 n / eps^2)
     // rounds); we take the exact flow orientation and charge the same round
     // budget.
@@ -148,6 +155,10 @@ fn t_orientation<G: GraphView>(
             required: forest_graph::orientation::pseudoarboricity(g),
         })?;
     let log_n = costs::log2_ceil(g.num_vertices()).max(1);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a ceiling of a finite positive round count; `as` saturates"
+    )]
     ledger.charge(
         "t-orientation (Su-Vu style)",
         log_n * log_n * ((1.0 / (epsilon * epsilon)).ceil() as usize),
@@ -175,6 +186,10 @@ pub(crate) fn star_forest_decomposition_simple<G: GraphView, R: Rng + ?Sized>(
     let (t, orientation) = t_orientation(g, epsilon, alpha, &mut ledger)?;
     let colorspace: Vec<Color> = (0..t).map(Color::new).collect();
     let subset_size = alpha.min(t);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a ceiling of a finite non-negative count; `as` saturates"
+    )]
     let allowed_deficiency = (2.0 * epsilon * alpha as f64).ceil() as usize;
     let indices: Vec<usize> = (0..t).collect();
     let mut sample = |rng: &mut R, _v: VertexId| -> Vec<bool> {
@@ -219,6 +234,10 @@ pub(crate) fn star_forest_decomposition_simple<G: GraphView, R: Rng + ?Sized>(
 /// Returns an error for invalid `ε`, or [`FdError::NotConverged`] if some
 /// vertex never obtains a perfect matching and its unmatched edges cannot be
 /// finished greedily from their palettes.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only: the colors next to an unmatched edge, never iterated"
+)]
 pub(crate) fn list_star_forest_decomposition_simple<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     lists: &ListAssignment,

@@ -379,6 +379,10 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 }
 
 /// Validates the 32-byte header and the payload length, returning `(n, m)`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the length check bounds n and m by the file's byte length, a usize"
+)]
 fn parse_header(bytes: &[u8]) -> io::Result<(usize, usize)> {
     if bytes.len() < HEADER_BYTES {
         return Err(invalid(format!(

@@ -55,6 +55,7 @@ fn denser_than<G: GraphView>(g: &G, guess_num: i64, scale: i64) -> Option<Vec<Ve
     }
     let flow = net.max_flow(source, sink);
     // max_H (scale*|E(H)| - guess_num*|V(H)|) = scale*m - mincut.
+    #[expect(clippy::cast_possible_wrap, reason = "m counts u32 edge ids")]
     let surplus = scale * m as i64 - flow;
     if surplus <= 0 {
         return None;
@@ -74,6 +75,7 @@ fn denser_than<G: GraphView>(g: &G, guess_num: i64, scale: i64) -> Option<Vec<Ve
 /// Computes the exact maximum subgraph density `max_H |E(H)| / |V(H)|` and a
 /// witnessing subgraph. Returns a density of 0 with all vertices for an
 /// edgeless graph.
+#[expect(clippy::cast_possible_wrap, reason = "n and m count u32 ids")]
 pub fn densest_subgraph<G: GraphView>(g: &G) -> DensestSubgraph {
     let n = g.num_vertices();
     let m = g.num_edges();

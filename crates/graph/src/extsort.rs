@@ -407,6 +407,10 @@ where
     stats.spilled_runs = run_paths.len();
     drop(read_span);
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the read loop stops at u32::MAX edges"
+    )]
     let m = num_edges as usize;
     if 2 * (m as u64) > u64::from(u32::MAX) {
         return Err(invalid(

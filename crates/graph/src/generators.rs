@@ -163,7 +163,8 @@ pub fn preferential_attachment<R: Rng + ?Sized>(
         let targets_wanted = attach.min(v);
         // Deduplicated in insertion order: `targets` is tiny (≤ attach), and
         // a Vec keeps the edge-insertion order — and hence the generated
-        // graph — identical across runs, where a HashSet would not (FL001).
+        // graph — identical across runs, where a HashSet would not (clippy's
+        // `disallowed_types` and `iter_over_hash_type` keep one out).
         let mut targets: Vec<usize> = Vec::with_capacity(targets_wanted);
         let mut guard = 0;
         while targets.len() < targets_wanted && guard < 50 * (targets_wanted + 1) {

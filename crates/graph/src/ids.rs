@@ -11,12 +11,15 @@ use std::fmt;
 /// Every identifier in the workspace is internally `u32` (graphs are bounded
 /// at `u32::MAX` vertices/edges), so this conversion is lossless for every
 /// reachable index; the debug assertion documents and enforces that bound.
-/// Code outside this helper must not write bare `expr as u32` — the FL004
-/// lint rejects it.
+/// Code outside this helper must not write bare `expr as u32` — clippy's
+/// `cast_possible_truncation` rejects it.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the single audited usize -> u32 narrowing; the bound is asserted above"
+)]
 pub fn u32_of(index: usize) -> u32 {
     debug_assert!(index <= u32::MAX as usize, "index {index} overflows u32");
-    // forest-lint: allow(FL004) the single audited usize->u32 narrowing; bound asserted above
     index as u32
 }
 

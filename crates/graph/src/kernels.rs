@@ -35,6 +35,11 @@ const LANES: usize = 16;
 /// # Panics
 ///
 /// Panics if `values` and `active` have different lengths.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "base + i < values.len(), one entry per vertex of the u32 vertex space; \
+              u32_of's debug_assert stays out of this hot loop"
+)]
 pub fn select_le_masked(values: &[u32], active: &[u8], threshold: u32, out: &mut Vec<u32>) {
     assert_eq!(
         values.len(),

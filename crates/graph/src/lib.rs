@@ -80,6 +80,14 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_types
+    )
+)]
 
 pub mod connectivity;
 mod csr;

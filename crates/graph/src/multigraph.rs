@@ -201,8 +201,7 @@ impl MultiGraph {
     /// Returns `true` if the graph has no parallel edges (it can never have
     /// self-loops by construction).
     pub fn is_simple(&self) -> bool {
-        use std::collections::HashSet;
-        let mut seen = HashSet::with_capacity(self.num_edges());
+        let mut seen = PairSet::with_capacity(self.num_edges());
         for &(u, v) in &self.edges {
             let key = if u < v { (u, v) } else { (v, u) };
             if !seen.insert(key) {
@@ -302,15 +301,24 @@ where
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimpleGraph {
     inner: MultiGraph,
-    present: std::collections::HashSet<(VertexId, VertexId)>,
+    present: PairSet,
 }
+
+/// A set of normalized endpoint pairs, for the parallel-edge tests. An
+/// alias rather than an `#[expect]` on [`SimpleGraph`], whose derived `Eq`
+/// names the field type.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only: the parallel-edge tests, never iterated"
+)]
+type PairSet = std::collections::HashSet<(VertexId, VertexId)>;
 
 impl SimpleGraph {
     /// Creates an edgeless simple graph with `n` vertices.
     pub fn new(n: usize) -> Self {
         SimpleGraph {
             inner: MultiGraph::new(n),
-            present: std::collections::HashSet::new(),
+            present: PairSet::new(),
         }
     }
 
@@ -364,7 +372,7 @@ impl SimpleGraph {
     /// Returns [`GraphError::ParallelEdge`] if the multigraph contains
     /// parallel edges.
     pub fn try_from_multigraph(g: MultiGraph) -> Result<Self, GraphError> {
-        let mut present = std::collections::HashSet::with_capacity(g.num_edges());
+        let mut present = PairSet::with_capacity(g.num_edges());
         for (_, u, v) in g.edges() {
             let key = if u < v { (u, v) } else { (v, u) };
             if !present.insert(key) {

@@ -156,6 +156,11 @@ impl Orientation {
 /// Tries to orient `g` so that every vertex has out-degree at most `k`, using
 /// a bipartite edge/vertex flow gadget. Returns `None` if no such orientation
 /// exists (i.e. `k` is below the pseudo-arboricity).
+#[expect(
+    clippy::cast_possible_wrap,
+    reason = "m counts u32 edge ids; a k of 2^63 or more wraps negative and trips \
+              FlowNetwork's capacity assert"
+)]
 pub fn bounded_outdegree_orientation<G: GraphView>(g: &G, k: usize) -> Option<Orientation> {
     let m = g.num_edges();
     let n = g.num_vertices();

@@ -172,6 +172,10 @@ impl ShardPlan {
 /// even positional split on edgeless graphs). The midpoint rule keeps the
 /// first/last shards from starving; the shard index is non-decreasing along
 /// the walk, so shards are contiguous id ranges.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "each shard index s is below k, a usize"
+)]
 fn assignment_walk<S: CsrStorage>(csr: &CsrGraph<S>, k: usize) -> impl Iterator<Item = usize> + '_ {
     let n = csr.num_vertices();
     let total: u64 = 2 * csr.num_edges() as u64;

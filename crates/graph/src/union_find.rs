@@ -120,6 +120,11 @@ impl UnionFind {
     /// the larger.
     ///
     /// Returns `true` if the sets were previously distinct.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "a root rx < n ≤ i32::MAX, asserted in `new`"
+    )]
     pub fn union(&mut self, x: usize, y: usize) -> bool {
         let (mut rx, mut ry) = (self.find(x), self.find(y));
         if rx == ry {
@@ -130,7 +135,6 @@ impl UnionFind {
             std::mem::swap(&mut rx, &mut ry);
         }
         self.link[rx] += self.link[ry];
-        // forest-lint: allow(FL004) rx < n ≤ i32::MAX, asserted in `new`
         self.link[ry] = rx as i32;
         self.sets -= 1;
         true

@@ -35,6 +35,14 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_types
+    )
+)]
 
 pub mod cole_vishkin;
 pub mod decomposition;

@@ -110,6 +110,10 @@ pub mod costs {
 
     /// Rounds charged for an MPX `(O(log n / β), β)` partial network
     /// decomposition: `O(log n / β)`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a ceiling of a finite non-negative round count; `as` saturates"
+    )]
     pub fn partial_network_decomposition(n: usize, beta: f64) -> usize {
         let log_n = log2_ceil(n).max(1) as f64;
         (log_n / beta.max(1e-9)).ceil() as usize
@@ -132,6 +136,10 @@ pub mod costs {
     }
 
     /// Natural-log-based `⌈ln n⌉`, used by the `O(log n / ε)` formulas.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "⌈ln n⌉ < 45 for every usize n"
+    )]
     pub fn ln_ceil(n: usize) -> usize {
         if n <= 1 {
             0

@@ -3,11 +3,12 @@
 //! Every elapsed-time measurement in the pipeline — facade and dynamic
 //! update wall-clocks, trace timestamps, bench medians — reads the clock
 //! through here. No other first-party module may call
-//! `Instant::now`/`SystemTime::now` (enforced by forest-lint FL005; this
-//! file carries the one checked-in allow entry). Centralizing the read
-//! keeps the byte-determinism contract auditable: timings flow into stats
-//! ledgers and traces, which are excluded from `canonical_bytes`, and the
-//! lint proves nothing else can sneak a clock read into an artifact path.
+//! `Instant::now`/`SystemTime::now` (clippy's `disallowed_methods`, per the
+//! root `clippy.toml`; this file's two reads carry the only `#[expect]`s).
+//! Centralizing the read keeps the byte-determinism contract auditable:
+//! timings flow into stats ledgers and traces, which are excluded from
+//! `canonical_bytes`, and the lint proves nothing else can sneak a clock
+//! read into an artifact path.
 //!
 //! Readings are **monotonic nanoseconds anchored at the first read** of the
 //! process (so they fit comfortably in a `u64` and are directly usable as
@@ -17,6 +18,10 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The process anchor: all readings are relative to this instant.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the clock authority's anchor read"
+)]
 fn anchor() -> &'static Instant {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     ANCHOR.get_or_init(Instant::now)
@@ -25,6 +30,10 @@ fn anchor() -> &'static Instant {
 /// Nanoseconds since the process anchor (the first clock read). Monotonic:
 /// never decreases. This is the only first-party function that touches
 /// `std::time::Instant`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the clock authority's one timed read"
+)]
 pub fn now_nanos() -> u64 {
     let a = *anchor();
     let d = Instant::now().saturating_duration_since(a);

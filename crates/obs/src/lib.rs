@@ -3,8 +3,9 @@
 //! One crate, zero external dependencies, two pieces:
 //!
 //! * [`clock`] — the workspace's **single wall-clock module** (the only
-//!   FL005-allowed `Instant::now` site). [`clock::Stopwatch`] replaces the
-//!   `Instant::now()/elapsed()` idiom everywhere.
+//!   `Instant::now` site that clippy's `disallowed_methods` lets through).
+//!   [`clock::Stopwatch`] replaces the `Instant::now()/elapsed()` idiom
+//!   everywhere.
 //! * [`trace`] — opt-in spans and instants behind the process
 //!   [`trace::Recorder`]. Disabled (default) cost is one relaxed atomic
 //!   load per site; instrumentation is provably behavior-neutral —
@@ -44,6 +45,10 @@
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
 
 pub mod clock;
 pub mod export;

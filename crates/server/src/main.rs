@@ -6,6 +6,11 @@
 //! `forest-serve listening on ADDR` before serving, so harnesses that
 //! start the binary with port 0 can read the port back.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
+
 use forest_serve::Server;
 use std::io::Write;
 use std::process::ExitCode;

@@ -15,7 +15,20 @@
 //! unvalidated input (collection counts are checked against the bytes
 //! actually remaining before reserving). The round-trip identity
 //! (`decode(encode(x)) == x`) and the never-panics property are
-//! proptested in `tests/protocol.rs`.
+//! proptested in `tests/protocol.rs`, and the lints below keep every
+//! panicking construct out of this module: `clippy.toml` lists the
+//! `assert!` family under `disallowed-macros`.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 
 use forest_decomp::api::EdgeUpdate;
 use forest_decomp::{Engine, FdError};
@@ -82,7 +95,6 @@ impl Opcode {
     /// Enum-to-integer is the one place `as` is unavoidable; the
     /// discriminants are declared `1..=10` above, so the cast is lossless.
     fn wire(self) -> u8 {
-        // forest-lint: allow(FL004) audited: Opcode discriminants are declared in u8 range
         self as u8
     }
 }
@@ -337,7 +349,6 @@ impl ErrorCode {
     /// Enum-to-integer is the one place `as` is unavoidable; the
     /// discriminants are declared `1..=10` above, so the cast is lossless.
     fn wire(self) -> u16 {
-        // forest-lint: allow(FL004) audited: ErrorCode discriminants are declared in u16 range
         self as u16
     }
 }
@@ -429,14 +440,16 @@ fn engine_from_wire(b: u8) -> Option<Engine> {
 /// Propagates the writer's I/O errors; rejects payloads over
 /// [`MAX_FRAME_LEN`] with `InvalidInput`.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
-        ));
-    }
-    // forest-lint: allow(FL004) bounded: the MAX_FRAME_LEN check above caps payload.len()
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_LEN)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("frame of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
+            )
+        })?;
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
 }
@@ -599,12 +612,9 @@ impl<'a> Dec<'a> {
     /// anyway would truncate (or panic in debug builds).
     fn id(&mut self) -> DecResult<usize> {
         let v = self.u64()?;
-        if v > u32::MAX as u64 {
-            return Err(WireError::malformed(format!(
-                "id {v} exceeds the u32 id space"
-            )));
-        }
-        Ok(v as usize)
+        u32::try_from(v)
+            .map(|id| id as usize)
+            .map_err(|_| WireError::malformed(format!("id {v} exceeds the u32 id space")))
     }
 
     fn str(&mut self) -> DecResult<String> {

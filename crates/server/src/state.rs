@@ -388,13 +388,12 @@ fn already_registered(tenant: &str, graph: &str) -> WireError {
 /// identifier (vertex, edge, color, vertex count) lives in — constructing
 /// an id past that would truncate.
 fn usize_of(v: u64) -> Result<usize, WireError> {
-    if v > u32::MAX as u64 {
-        return Err(WireError::new(
+    u32::try_from(v).map(|id| id as usize).map_err(|_| {
+        WireError::new(
             ErrorCode::OutOfRange,
             format!("value {v} exceeds the u32 id space"),
-        ));
-    }
-    Ok(v as usize)
+        )
+    })
 }
 
 #[cfg(test)]
@@ -567,6 +566,26 @@ mod tests {
         };
         assert_eq!(epoch, 1);
         assert_eq!(live_edges, 4);
+    }
+
+    /// A vertex one past the `u32` id space answers `usize_of`'s
+    /// `OutOfRange`, not the range check's: `VertexId::new` would
+    /// otherwise truncate it to vertex 0 in release builds.
+    #[test]
+    fn vertex_past_the_u32_id_space_is_out_of_range() {
+        let state = ServerState::new();
+        register_triangle(&state);
+        let resp = state.handle(&Request::ForestOfVertex {
+            tenant: "acme".into(),
+            graph: "g".into(),
+            color: 0,
+            vertex: 1 << 32,
+        });
+        let Response::Error(err) = resp else {
+            panic!("{resp:?}");
+        };
+        assert_eq!(err.code, ErrorCode::OutOfRange);
+        assert_eq!(err.message, "value 4294967296 exceeds the u32 id space");
     }
 
     fn metric(entries: &[(String, u64)], name: &str) -> u64 {

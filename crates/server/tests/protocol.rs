@@ -256,6 +256,39 @@ fn oversized_counts_are_rejected_without_allocating() {
     assert_eq!(err.code, ErrorCode::Malformed);
 }
 
+/// An insert endpoint one past the `u32` id space is malformed rather
+/// than truncated; `u32::MAX` itself decodes.
+#[test]
+fn ids_past_the_u32_id_space_are_malformed() {
+    let frame = |endpoint: u64| {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.push(2); // ApplyUpdates
+        buf.extend_from_slice(&0u32.to_le_bytes()); // tenant ""
+        buf.extend_from_slice(&0u32.to_le_bytes()); // graph ""
+        buf.extend_from_slice(&1u32.to_le_bytes()); // update count
+        buf.push(0); // insert
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&endpoint.to_le_bytes());
+        buf.push(0); // reserved trailer
+        buf
+    };
+    let max = u64::from(u32::MAX);
+    let err = decode_request(&frame(max + 1)).expect_err("id past u32::MAX accepted");
+    assert_eq!(err.code, ErrorCode::Malformed);
+    assert!(err.message.contains("exceeds the u32 id space"), "{err}");
+    let req = decode_request(&frame(max)).expect("id u32::MAX refused");
+    assert_eq!(
+        req,
+        Request::ApplyUpdates {
+            tenant: String::new(),
+            graph: String::new(),
+            updates: vec![EdgeUpdate::insert(0, u32::MAX as usize)],
+        }
+    );
+}
+
 /// Same hostile-count discipline for the `Metrics` response decoder: a
 /// claimed 4-billion-entry report in a 23-byte frame fails typed before
 /// the entries `Vec` is ever sized.

@@ -19,6 +19,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
 
 pub use forest_decomp;
 pub use forest_graph;
