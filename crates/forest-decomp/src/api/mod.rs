@@ -103,7 +103,7 @@ pub use versioned::{ArboricityWatermark, ColoringSnapshot, SnapshotReader, Versi
 
 pub use forest_graph::ReorderKind;
 
-use crate::error::FdError;
+use crate::error::{one_plus_eps_ceil, FdError};
 use engines::ShardOutcome;
 use forest_graph::{reorder, Color, CsrRef, GraphView, ListAssignment, ShardPlan};
 use forest_obs::{clock::Stopwatch, Span};
@@ -128,6 +128,23 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Fails a Harris–Su–Vu request whose fixed α sizes its `⌈(1+ε)α⌉`
+/// palette past the `u32` color ids, before anything is allocated.
+fn check_alpha(request: &DecompositionRequest) -> Result<(), FdError> {
+    if let (Some(alpha), Engine::HarrisSuVu) = (request.alpha, request.engine) {
+        color_space(alpha, Some(one_plus_eps_ceil(request.epsilon, alpha)))?;
+    }
+    Ok(())
+}
+
+/// `space` when the ids `0..space` all fit in `u32`; an overflowed
+/// (`None`) or larger space is [`FdError::AlphaTooLarge`].
+fn color_space(alpha: usize, space: Option<usize>) -> Result<usize, FdError> {
+    space
+        .filter(|&s| u32::try_from(s.saturating_sub(1)).is_ok())
+        .ok_or(FdError::AlphaTooLarge { alpha })
 }
 
 /// Executes [`DecompositionRequest`]s: the single entrypoint over every
@@ -159,8 +176,10 @@ impl Decomposer {
     /// # Errors
     ///
     /// Returns [`FdError::UnsupportedCombination`] for an engine that cannot
-    /// solve the requested problem, and propagates every pipeline error;
-    /// the facade never panics on any `(problem, engine)` pair.
+    /// solve the requested problem, [`FdError::AlphaTooLarge`] for a fixed α
+    /// whose palette needs color ids past `u32::MAX`, and propagates every
+    /// pipeline error; the facade never panics on any `(problem, engine)`
+    /// pair.
     pub fn run<'a>(
         &self,
         input: impl Into<GraphInput<'a>>,
@@ -236,8 +255,9 @@ impl Decomposer {
     /// [`ProblemKind::Forest`] (per-shard star forests / orientations do not
     /// merge safely across boundary recoloring),
     /// [`FdError::UnsupportedCombination`] for an engine that cannot solve
-    /// forests, [`FdError::InvalidShardCount`] for `num_shards == 0`, and
-    /// propagates any per-shard or validation failure.
+    /// forests, [`FdError::AlphaTooLarge`] as for [`Decomposer::run`],
+    /// [`FdError::InvalidShardCount`] for `num_shards == 0`, and propagates
+    /// any per-shard or validation failure.
     pub fn run_sharded<'a>(
         &self,
         input: impl Into<GraphInput<'a>>,
@@ -305,6 +325,7 @@ impl Decomposer {
                 engine: request.engine,
             });
         }
+        check_alpha(request)?;
         let mut rng = SmallRng::seed_from_u64(seed);
         let (lists, resolved_alpha) = self.resolve_lists(&csr, &mut rng)?;
         // If palette resolution already paid for the exact arboricity, hand
@@ -364,12 +385,19 @@ impl Decomposer {
                     exact
                 });
                 let alpha = alpha.max(1);
-                match request.problem {
-                    ProblemKind::ListForest => ListAssignment::uniform(m, 2 * (alpha + 1)),
-                    _ => {
-                        let palette = 3 * alpha + 6;
-                        ListAssignment::random(m, 2 * palette, palette, rng)
+                // `2(α+1)` colors, or `3α+6` of `2(3α+6)`: a fixed α may
+                // size these past the color ids.
+                let space = color_space(
+                    alpha,
+                    match request.problem {
+                        ProblemKind::ListForest => alpha.checked_add(1),
+                        _ => alpha.checked_mul(3).and_then(|a| a.checked_add(6)),
                     }
+                    .and_then(|palette| palette.checked_mul(2)),
+                )?;
+                match request.problem {
+                    ProblemKind::ListForest => ListAssignment::uniform(m, space),
+                    _ => ListAssignment::random(m, space, space / 2, rng),
                 }
             }
             PaletteSpec::Uniform { colors } => ListAssignment::uniform(m, *colors),

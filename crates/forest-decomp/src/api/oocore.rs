@@ -192,7 +192,8 @@ impl Decomposer {
     /// colorings), [`FdError::ShardingUnsupported`] for problems other than
     /// [`ProblemKind::Forest`](super::ProblemKind::Forest),
     /// [`FdError::UnsupportedCombination`] for an engine that cannot solve
-    /// forests, [`FdError::InvalidShardCount`] for an explicit shard count
+    /// forests, [`FdError::AlphaTooLarge`] as for `run`,
+    /// [`FdError::InvalidShardCount`] for an explicit shard count
     /// of 0, [`FdError::ReorderUnsupported`] for a request whose
     /// [`ShardingSpec`](super::ShardingSpec) asks for a BFS or RCM order,
     /// and propagates per-shard failures.

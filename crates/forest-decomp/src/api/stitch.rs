@@ -63,8 +63,8 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// The checks both sharded drivers run before touching the graph: only
-/// forest decompositions merge safely across shards, and the engine must
-/// solve them.
+/// forest decompositions merge safely across shards, the engine must
+/// solve them, and a fixed α must size a palette of `u32` color ids.
 pub(super) fn check_sharded(request: &DecompositionRequest) -> Result<(), FdError> {
     if request.problem != ProblemKind::Forest {
         return Err(FdError::ShardingUnsupported {
@@ -77,7 +77,7 @@ pub(super) fn check_sharded(request: &DecompositionRequest) -> Result<(), FdErro
             engine: request.engine,
         });
     }
-    Ok(())
+    super::check_alpha(request)
 }
 
 /// The per-shard step both drivers share: extracts shard `s` of `plan`

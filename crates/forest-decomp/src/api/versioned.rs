@@ -1,6 +1,6 @@
 //! Epoch-pinned publication over the streaming decomposer: one writer
 //! mutates a [`DynamicDecomposer`], many readers query immutable
-//! [`ColoringSnapshot`]s without ever blocking on the writer.
+//! [`ColoringSnapshot`]s while it works.
 //!
 //! This is the snapshot-isolation core the serving layer
 //! (`forest-serve`) sits on. The contract has three parts:
@@ -12,18 +12,17 @@
 //!   bare [`DynamicDecomposer`]; nothing a reader can reach changes until
 //!   the writer calls [`publish`](VersionedDecomposer::publish), which
 //!   freezes the live coloring into an `Arc<ColoringSnapshot>` stamped
-//!   with the next epoch id and swaps it into the shared cell. The freeze
-//!   is one O(k·n + m) pass over flat arrays (k colors, n vertices, m live
-//!   edges): no per-vertex allocation and no sort beyond each vertex's at
-//!   most k out-edges.
-//! * **Readers pin an epoch, lock-free.** A [`SnapshotReader`] (cheap to
-//!   clone, `Send + Sync`) answers [`current`](SnapshotReader::current)
-//!   by cloning the latest published `Arc` out of a publication ring —
-//!   a handful of atomic operations with no wait on a concurrent publish,
-//!   however fast the writer churns. The clone
-//!   pins that epoch for as long as the reader holds it: every query it
-//!   answers is consistent with exactly that publication, however far the
-//!   writer has moved on.
+//!   with the next epoch id and swaps it into the shared
+//!   `RwLock<Arc<ColoringSnapshot>>`. The freeze is one O(k·n + m) pass
+//!   over flat arrays (k colors, n vertices, m live edges): no per-vertex
+//!   allocation and no sort beyond each vertex's at most k out-edges.
+//! * **Readers pin an epoch.** A [`SnapshotReader`] (cheap to clone,
+//!   `Send + Sync`) answers [`current`](SnapshotReader::current) by
+//!   cloning the latest published `Arc` under the read lock, which the
+//!   writer takes only to swap one pointer, never while it applies
+//!   updates or freezes. The clone pins that epoch for as long as the
+//!   reader holds it: every query it answers is consistent with exactly
+//!   that publication, however far the writer has moved on.
 //! * **Snapshots answer everything the wire protocol asks.** Per-edge
 //!   colors ([`color_of_edge`](ColoringSnapshot::color_of_edge)),
 //!   per-color forest roots, each tree's minimum vertex, found at publish
@@ -69,8 +68,7 @@ use crate::error::FdError;
 use forest_graph::dynamic::EdgeIdRemap;
 use forest_graph::{u32_of, Color, EdgeId, GraphView, MultiGraph, VertexId};
 use forest_obs::Span;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock, TryLockError};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// The arboricity watermark one published epoch reports: how many forests
 /// the maintained coloring is using against the best lower bound the
@@ -435,139 +433,24 @@ impl Fnv {
     }
 }
 
-/// Slots in the publication ring. A reader retries only if the single
-/// writer laps the whole ring — `SLOTS` publishes — inside the reader's
-/// few-instruction clone window; 8 makes that practically impossible
-/// while keeping the ring cache-resident.
-const SLOTS: usize = 8;
-
-/// The shared publication point: a ring of slots holding the most recent
-/// `Arc<ColoringSnapshot>`s, with one slot marked current by an atomic
-/// index.
-///
-/// **Reader protocol** (`current`): load the current index, `try_read`
-/// that slot, clone the `Arc` out. `try_read` never waits — and it never
-/// even *fails* in steady state, because the writer only ever
-/// write-locks the slot **after** the current one (the oldest
-/// publication, `SLOTS` epochs stale), never the slot readers are
-/// directed at. A reader observes a locked slot only if the writer laps
-/// the entire ring inside the reader's few-instruction window between
-/// loading the index and acquiring the slot; it then re-loads the (by
-/// then updated) index and succeeds. So readers never block on the
-/// writer: every retry implies the writer *completed* `SLOTS` publishes
-/// — system-wide progress — and the loop is obstruction-free.
-///
-/// **Writer protocol** (`publish`; externally serialized — only
-/// [`VersionedDecomposer::publish`], which takes `&mut self`, calls it):
-/// write-lock the slot after the current one, replace its content, drop
-/// the lock, then swap the current index. The write-lock acquisition
-/// waits only for readers still cloning out of that `SLOTS`-stale slot —
-/// a clone is a handful of instructions, so the writer's wait is bounded
-/// and tiny, and it is always the writer that waits, never the readers.
-///
-/// Lock poisoning cannot occur: no panic site exists between lock and
-/// unlock (the guarded code is an `Option<Arc>` assignment or clone);
-/// both paths still handle a poisoned lock by taking the guard anyway,
-/// so even an unforeseen panic elsewhere can not wedge the ring.
-struct SnapshotCell {
-    current: AtomicUsize,
-    epoch_hint: AtomicU64,
-    slots: [RwLock<Option<Arc<ColoringSnapshot>>>; SLOTS],
-}
-
-impl std::fmt::Debug for SnapshotCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotCell")
-            .field("current", &self.current.load(Ordering::SeqCst))
-            .field("epoch_hint", &self.epoch_hint.load(Ordering::SeqCst))
-            .finish_non_exhaustive()
-    }
-}
-
-impl SnapshotCell {
-    /// A cell whose slot 0 holds `first` (published as the current slot).
-    fn new(first: Arc<ColoringSnapshot>) -> Self {
-        let epoch = first.epoch();
-        let slots = [(); SLOTS].map(|_| RwLock::new(None));
-        *slots[0].write().unwrap_or_else(PoisonError::into_inner) = Some(first);
-        SnapshotCell {
-            current: AtomicUsize::new(0),
-            epoch_hint: AtomicU64::new(epoch),
-            slots,
-        }
-    }
-
-    /// Publishes `snap` as the new current snapshot (single writer only;
-    /// see the type docs).
-    fn publish(&self, snap: Arc<ColoringSnapshot>) {
-        let epoch = snap.epoch();
-        let next = (self.current.load(Ordering::SeqCst) + 1) % SLOTS;
-        {
-            // Waits only for readers still cloning out of this
-            // `SLOTS`-stale slot (nanoseconds); new readers are directed
-            // at `current`, which still points elsewhere.
-            let mut guard = self.slots[next]
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            *guard = Some(snap);
-        }
-        self.current.store(next, Ordering::SeqCst);
-        self.epoch_hint.store(epoch, Ordering::SeqCst);
-    }
-
-    /// Clones the current snapshot out without ever blocking on the
-    /// writer (see the type docs).
-    fn current(&self) -> Arc<ColoringSnapshot> {
-        loop {
-            let idx = self.current.load(Ordering::SeqCst);
-            let guard = match self.slots[idx].try_read() {
-                Ok(guard) => guard,
-                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-                Err(TryLockError::WouldBlock) => {
-                    // The writer lapped the whole ring onto this slot
-                    // inside our window; the current index has already
-                    // moved on — re-read it.
-                    std::hint::spin_loop();
-                    continue;
-                }
-            };
-            if let Some(snap) = guard.as_ref() {
-                return Arc::clone(snap);
-            }
-            // Unreachable in practice: the cell is constructed with slot
-            // 0 occupied and `current` only ever points at published
-            // slots. Retry defensively.
-            std::hint::spin_loop();
-        }
-    }
-
-    /// The epoch of the latest publish, without touching the slots — what
-    /// a lag probe polls.
-    fn epoch_hint(&self) -> u64 {
-        self.epoch_hint.load(Ordering::SeqCst)
-    }
-}
-
 /// A cloneable, `Send + Sync` handle that reads the latest published
-/// [`ColoringSnapshot`] lock-free. Hand one to every serving thread; the
-/// writer keeps the [`VersionedDecomposer`].
+/// [`ColoringSnapshot`]. Hand one to every serving thread; the writer keeps
+/// the [`VersionedDecomposer`].
+///
+/// The writer and every reader share one lock around the latest snapshot:
+/// a reader holds it only to clone the `Arc` out, the writer only to swap
+/// a finished snapshot in. No code that can panic runs under either guard;
+/// both still take a poisoned guard rather than wedge the cell.
 #[derive(Clone)]
 pub struct SnapshotReader {
-    cell: Arc<SnapshotCell>,
+    cell: Arc<RwLock<Arc<ColoringSnapshot>>>,
 }
 
 impl SnapshotReader {
-    /// The latest published snapshot (a cheap `Arc` clone; never blocks
-    /// on the writer).
+    /// The latest published snapshot: an `Arc` clone under the read lock,
+    /// which a publish holds only to swap one pointer.
     pub fn current(&self) -> Arc<ColoringSnapshot> {
-        self.cell.current()
-    }
-
-    /// The epoch of the latest publish, from a single atomic load — the
-    /// cheapest way to poll for visibility of a publish (the
-    /// publish-to-read lag probe in the benchmarks).
-    pub fn current_epoch(&self) -> u64 {
-        self.cell.epoch_hint()
+        Arc::clone(&self.cell.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -584,7 +467,7 @@ impl std::fmt::Debug for SnapshotReader {
 #[derive(Debug)]
 pub struct VersionedDecomposer {
     inner: DynamicDecomposer,
-    cell: Arc<SnapshotCell>,
+    reader: SnapshotReader,
     epoch: u64,
 }
 
@@ -623,7 +506,9 @@ impl VersionedDecomposer {
         let first = Arc::new(ColoringSnapshot::build(&inner, 0));
         VersionedDecomposer {
             inner,
-            cell: Arc::new(SnapshotCell::new(first)),
+            reader: SnapshotReader {
+                cell: Arc::new(RwLock::new(first)),
+            },
             epoch: 0,
         }
     }
@@ -662,7 +547,13 @@ impl VersionedDecomposer {
         let _span = Span::enter("versioned.publish");
         self.epoch += 1;
         let snap = Arc::new(ColoringSnapshot::build(&self.inner, self.epoch));
-        self.cell.publish(Arc::clone(&snap));
+        let cell = &self.reader.cell;
+        let mut guard = cell.write().unwrap_or_else(PoisonError::into_inner);
+        let replaced = std::mem::replace(&mut *guard, Arc::clone(&snap));
+        drop(guard);
+        // Unlock first: this drop may free the replaced epoch's arrays and
+        // cached cold-run bytes, and no reader should wait on that.
+        drop(replaced);
         snap
     }
 
@@ -674,14 +565,12 @@ impl VersionedDecomposer {
 
     /// The latest published snapshot.
     pub fn current(&self) -> Arc<ColoringSnapshot> {
-        self.cell.current()
+        self.reader.current()
     }
 
-    /// A lock-free reader handle onto this decomposer's publications.
+    /// A reader handle onto this decomposer's publications.
     pub fn reader(&self) -> SnapshotReader {
-        SnapshotReader {
-            cell: Arc::clone(&self.cell),
-        }
+        self.reader.clone()
     }
 
     /// The live (unpublished) decomposer state.
@@ -902,18 +791,18 @@ mod tests {
     }
 
     #[test]
-    fn ring_survives_many_publishes() {
+    fn pinned_snapshot_survives_many_publishes() {
         let mut vd = VersionedDecomposer::new(request(), 8).unwrap();
         let reader = vd.reader();
         let early = reader.current();
-        for i in 0..(3 * SLOTS as u64) {
+        for i in 0..24u64 {
             vd.apply(EdgeUpdate::insert((i as usize) % 8, (i as usize + 1) % 8))
                 .unwrap();
             let snap = vd.publish();
             assert_eq!(snap.epoch(), i + 1);
             assert_eq!(reader.current().epoch(), i + 1);
         }
-        // A snapshot pinned 3 laps ago is still intact.
+        // A snapshot pinned 24 publishes ago is still intact.
         assert_eq!(early.epoch(), 0);
         assert!(early.verify());
     }

@@ -24,6 +24,12 @@ pub enum FdError {
         /// The edge that could not be colored.
         edge: EdgeId,
     },
+    /// A fixed arboricity bound sizes a palette whose color ids do not all
+    /// fit in `u32` (`⌈(1+ε)α⌉` colors, or an auto list palette's space).
+    AlphaTooLarge {
+        /// The bound that was supplied.
+        alpha: usize,
+    },
     /// The provided arboricity bound is smaller than what the graph requires.
     ArboricityBoundTooSmall {
         /// The bound that was supplied.
@@ -132,6 +138,10 @@ impl fmt::Display for FdError {
             FdError::AugmentationFailed { edge } => {
                 write!(f, "no augmenting sequence found for edge {edge}")
             }
+            FdError::AlphaTooLarge { alpha } => write!(
+                f,
+                "arboricity bound {alpha} sizes a palette past the u32 color ids"
+            ),
             FdError::ArboricityBoundTooSmall { bound, required } => write!(
                 f,
                 "arboricity bound {bound} is below the required value {required}"

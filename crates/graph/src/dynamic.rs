@@ -418,11 +418,6 @@ impl DynamicGraph {
         Ok((u, v))
     }
 
-    /// Whether `e` names a live edge.
-    pub fn is_live(&self, e: EdgeId) -> bool {
-        matches!(self.endpoints.get(e.index()), Some(Some(_)))
-    }
-
     /// Number of live edges (the span of ever-assigned ids is
     /// [`GraphView::num_edges`]).
     pub fn num_live_edges(&self) -> usize {
@@ -646,7 +641,6 @@ mod tests {
         g.delete_edge(e1).unwrap();
         assert_eq!(g.num_live_edges(), 2);
         assert_eq!(GraphView::num_edges(&g), 3, "span keeps dead slots");
-        assert!(g.is_live(e0) && !g.is_live(e1) && g.is_live(e2));
         assert!(matches!(
             g.delete_edge(e1),
             Err(GraphError::EdgeOutOfRange { .. })

@@ -156,11 +156,6 @@ impl Orientation {
 /// Tries to orient `g` so that every vertex has out-degree at most `k`, using
 /// a bipartite edge/vertex flow gadget. Returns `None` if no such orientation
 /// exists (i.e. `k` is below the pseudo-arboricity).
-#[expect(
-    clippy::cast_possible_wrap,
-    reason = "m counts u32 edge ids; a k of 2^63 or more wraps negative and trips \
-              FlowNetwork's capacity assert"
-)]
 pub fn bounded_outdegree_orientation<G: GraphView>(g: &G, k: usize) -> Option<Orientation> {
     let m = g.num_edges();
     let n = g.num_vertices();
@@ -180,11 +175,14 @@ pub fn bounded_outdegree_orientation<G: GraphView>(g: &G, k: usize) -> Option<Or
         let hv = net.add_edge(edge_node(e.index()), vertex_node(v.index()), 1);
         choice_handles.push((hu, hv));
     }
+    // At most m units of flow reach the sink, so capping each vertex's
+    // capacity at m changes no orientation and keeps every k in range.
+    let cap = i64::try_from(k.min(m)).unwrap_or(i64::MAX);
     for v in 0..n {
-        net.add_edge(vertex_node(v), sink, k as i64);
+        net.add_edge(vertex_node(v), sink, cap);
     }
     let flow = net.max_flow(source, sink);
-    if flow < m as i64 {
+    if flow < i64::try_from(m).unwrap_or(i64::MAX) {
         return None;
     }
     let mut tails = Vec::with_capacity(m);
@@ -286,6 +284,9 @@ mod tests {
         let o = bounded_outdegree_orientation(&g, 1).unwrap();
         assert_eq!(o.max_out_degree(&g), 1);
         assert!(bounded_outdegree_orientation(&g, 0).is_none());
+        // Any bound past the edge count orients as the edge count does.
+        let at_m = bounded_outdegree_orientation(&g, g.num_edges());
+        assert_eq!(bounded_outdegree_orientation(&g, usize::MAX), at_m);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! assert!(json.contains("demo.run"));
 //! ```
 
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(
     not(test),

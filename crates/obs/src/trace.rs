@@ -10,10 +10,10 @@
 //! workspace `tests/observability.rs`).
 //!
 //! When recording, each thread appends to a thread-local buffer; the
-//! buffer is flushed into a lock-free global sink (a Treiber stack of
-//! boxed chunks) whenever the thread's span stack empties, and again when
-//! the thread exits. [`Recorder::drain`] pops the whole stack and restores
-//! per-thread chronological order, ready for
+//! buffer is appended to one global sink, a `Mutex<Vec<TraceEvent>>`,
+//! whenever the thread's span stack empties, and again when the thread
+//! exits. [`Recorder::drain`] takes the sink's vector: each thread's
+//! events in its own chronological order, ready for
 //! [`chrome_trace_json`](crate::export::chrome_trace_json).
 //!
 //! ```
@@ -30,8 +30,8 @@
 //! ```
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use crate::clock;
 
@@ -75,53 +75,10 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 /// Whether the process recorder is recording.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Head of the Treiber stack of flushed event chunks.
-static SINK_HEAD: AtomicPtr<Chunk> = AtomicPtr::new(std::ptr::null_mut());
-
-struct Chunk {
-    events: Vec<TraceEvent>,
-    next: *mut Chunk,
-}
-
-/// Pushes a chunk of events onto the global sink (lock-free).
-fn sink_push(events: Vec<TraceEvent>) {
-    if events.is_empty() {
-        return;
-    }
-    let chunk = Box::into_raw(Box::new(Chunk {
-        events,
-        next: std::ptr::null_mut(),
-    }));
-    let mut head = SINK_HEAD.load(Ordering::Acquire);
-    loop {
-        // SAFETY: `chunk` came from Box::into_raw above and is not yet
-        // shared; writing its `next` field before the CAS publishes it is
-        // the standard Treiber push.
-        unsafe { (*chunk).next = head };
-        match SINK_HEAD.compare_exchange_weak(head, chunk, Ordering::Release, Ordering::Acquire) {
-            Ok(_) => return,
-            Err(h) => head = h,
-        }
-    }
-}
-
-/// Pops the entire sink and returns the chunks oldest-first.
-fn sink_drain() -> Vec<Vec<TraceEvent>> {
-    let mut head = SINK_HEAD.swap(std::ptr::null_mut(), Ordering::AcqRel);
-    let mut chunks = Vec::new();
-    while !head.is_null() {
-        // SAFETY: the swap above made this thread the sole owner of the
-        // detached list; every node was created by Box::into_raw in
-        // sink_push and is reclaimed exactly once here.
-        let boxed = unsafe { Box::from_raw(head) };
-        head = boxed.next;
-        chunks.push(boxed.events);
-    }
-    // The stack is LIFO over push order; reverse to oldest-first so each
-    // thread's events come out chronologically.
-    chunks.reverse();
-    chunks
-}
+/// Every flushed event, each thread's flushes in the order it made them.
+/// No code that can panic runs under the lock; a poisoned guard is taken
+/// anyway.
+static SINK: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
 
 struct ThreadBuf {
     tid: u32,
@@ -142,7 +99,9 @@ impl ThreadBuf {
 
     fn flush(&mut self) {
         if !self.buf.is_empty() {
-            sink_push(std::mem::take(&mut self.buf));
+            SINK.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .append(&mut self.buf);
         }
     }
 }
@@ -163,8 +122,8 @@ pub struct Recorder(());
 
 /// The process recorder.
 pub fn recorder() -> &'static Recorder {
-    static RECORDER: OnceLock<Recorder> = OnceLock::new();
-    RECORDER.get_or_init(|| Recorder(()))
+    static RECORDER: Recorder = Recorder(());
+    &RECORDER
 }
 
 impl Recorder {
@@ -185,17 +144,13 @@ impl Recorder {
         ENABLED.store(false, Ordering::Relaxed);
     }
 
-    /// Flushes the current thread's buffer and drains every flushed chunk,
-    /// preserving per-thread chronological order. Other recording threads
-    /// should be quiescent (joined) for a complete picture — chunks they
+    /// Flushes the current thread's buffer and takes every flushed event,
+    /// each thread's in its chronological order. Other recording threads
+    /// should be quiescent (joined) for a complete picture — events they
     /// have not flushed yet are not visible.
     pub fn drain(&self) -> Vec<TraceEvent> {
         THREAD_BUF.with(|b| b.borrow_mut().flush());
-        let mut out = Vec::new();
-        for chunk in sink_drain() {
-            out.extend(chunk);
-        }
-        out
+        std::mem::take(&mut *SINK.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Drops everything recorded so far.
@@ -388,5 +343,76 @@ mod tests {
         let events = rec.drain();
         let tids: std::collections::BTreeSet<u32> = events.iter().map(|e| e.tid).collect();
         assert_eq!(tids.len(), 2, "two threads, two tids: {events:?}");
+    }
+
+    #[test]
+    fn concurrent_flushes_keep_every_event_once_in_thread_order() {
+        let _guard = TRACE_LOCK.lock().unwrap();
+        let rec = recorder();
+        rec.clear();
+        rec.enable();
+        // Each thread records 200 spans, each with a nested span and an
+        // instant, and returns its tid and every event's (phase, span,
+        // parent) in order. The barrier starts all four at once, so their
+        // flushes contend for the sink.
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut recorded = Vec::new();
+                    for _ in 0..200 {
+                        let outer = Span::enter("test.outer");
+                        let inner = Span::enter("test.inner");
+                        event("test.tick");
+                        let (o, i) = (outer.id(), inner.id());
+                        drop(inner);
+                        drop(outer);
+                        recorded.extend([
+                            (Phase::Begin, o, 0),
+                            (Phase::Begin, i, o),
+                            (Phase::Instant, i, i),
+                            (Phase::End, i, o),
+                            (Phase::End, o, 0),
+                        ]);
+                    }
+                    (THREAD_BUF.with(|b| b.borrow().tid), recorded)
+                })
+            })
+            .collect();
+        let recorded: Vec<_> = workers.into_iter().map(|h| h.join().unwrap()).collect();
+        rec.disable();
+        let events = rec.drain();
+        crate::export::validate_trace(&events).unwrap();
+        // Every one of the 4 × 200 × 5 events once, each thread's in order.
+        assert_eq!(events.len(), 4 * 200 * 5);
+        for (tid, recorded) in recorded {
+            let drained = events.iter().filter(|e| e.tid == tid);
+            let drained: Vec<_> = drained.map(|e| (e.phase, e.span, e.parent)).collect();
+            assert_eq!(drained, recorded, "thread {tid}");
+        }
+    }
+
+    #[test]
+    fn thread_exit_flushes_a_span_left_open() {
+        let _guard = TRACE_LOCK.lock().unwrap();
+        let rec = recorder();
+        rec.clear();
+        rec.enable();
+        let id = std::thread::spawn(|| {
+            let open = Span::enter("test.forgotten");
+            let id = open.id();
+            // The span stack never empties again, so only the flush at
+            // thread exit can hand this `Begin` to the sink.
+            std::mem::forget(open);
+            id
+        })
+        .join()
+        .unwrap();
+        rec.disable();
+        let events = rec.drain();
+        let drained: Vec<_> = events.iter().map(|e| (e.name, e.phase, e.span)).collect();
+        assert_eq!(drained, [("test.forgotten", Phase::Begin, id)]);
     }
 }

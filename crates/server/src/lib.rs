@@ -17,8 +17,8 @@
 //!   decoder.
 //! * [`state`] — the tenant registry and request handler over
 //!   [`VersionedDecomposer`](forest_decomp::api::VersionedDecomposer):
-//!   per-graph single-writer/multi-reader snapshot isolation, with the
-//!   query path lock-free against the writer.
+//!   per-graph single-writer/multi-reader snapshot isolation, with
+//!   queries that never wait for an update batch.
 //! * [`server`] / [`client`] — `std::net` front end (thread per
 //!   connection, clean shutdown) and the small blocking client the
 //!   tests, smoke job and benchmarks reuse.

@@ -399,6 +399,7 @@ impl From<FdError> for WireError {
             | FdError::InvalidShardCount { .. }
             | FdError::GraphMismatch { .. }
             | FdError::MissingPalettes { .. }
+            | FdError::AlphaTooLarge { .. }
             | FdError::ArboricityBoundTooSmall { .. }
             | FdError::PaletteTooSmall { .. } => ErrorCode::InvalidRequest,
             FdError::Io { .. } => ErrorCode::Io,

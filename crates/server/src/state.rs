@@ -6,10 +6,11 @@
 //! for writing only by `RegisterGraph`. Each entry owns its **writer**
 //! (the [`VersionedDecomposer`] behind a `Mutex` — update batches for the
 //! same graph serialize, different graphs proceed in parallel) and its
-//! **reader** (a lock-free [`SnapshotReader`]). The query path is a
-//! registry read-lock (uncontended once tenants are registered) plus a
-//! lock-free snapshot clone: queries never touch the writer mutex, so
-//! readers never block on a concurrent update batch — the property the
+//! **reader** (a [`SnapshotReader`]). The query path is a registry
+//! read-lock (uncontended once tenants are registered) plus a snapshot
+//! clone under the entry's publication lock, which a publish holds only
+//! to swap one pointer: queries never touch the writer mutex, so they
+//! never wait for a concurrent update batch — the property the
 //! concurrent-reader test and the `BENCH_pr6.json` service rows pin down.
 
 use crate::protocol::{ErrorCode, GraphSource, Request, Response, WireError};
@@ -89,8 +90,8 @@ impl TenantMetrics {
     }
 }
 
-/// One registered graph: the serialized writer, the lock-free reader,
-/// and the tenant's service counters.
+/// One registered graph: the serialized writer, the snapshot reader, and
+/// the tenant's service counters.
 pub struct GraphEntry {
     writer: Mutex<VersionedDecomposer>,
     reader: SnapshotReader,
@@ -107,7 +108,7 @@ impl GraphEntry {
         }
     }
 
-    /// The entry's lock-free snapshot reader.
+    /// The entry's snapshot reader.
     pub fn reader(&self) -> &SnapshotReader {
         &self.reader
     }
@@ -350,8 +351,8 @@ impl ServerState {
         }
     }
 
-    /// The read path: registry read-lock, lock-free snapshot clone, then
-    /// `f` against that pinned epoch. The writer mutex is never touched.
+    /// The read path: registry read-lock, snapshot clone, then `f` against
+    /// that pinned epoch. The writer mutex is never touched.
     fn query<F>(&self, tenant: &str, graph: &str, f: F) -> Response
     where
         F: FnOnce(&ColoringSnapshot) -> Result<Response, WireError>,

@@ -9,9 +9,12 @@
 //! ranks among the distinct ids, with an error naming the hostile id of
 //! its rank's class.
 //!
-//! The `Decomposer` facade is not run here: `ColorConnectivity` still keeps
-//! one slot per color id up to the largest.
+//! The `Decomposer` facade runs here only on a fixed α whose palette needs
+//! ids past `u32::MAX`, which it must refuse before allocating:
+//! `ColorConnectivity` still keeps one slot per color id up to the largest.
 
+use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind};
+use forest_decomp::FdError;
 use forest_graph::decomposition::{
     max_forest_diameter, validate_diameter_bound, validate_forest_decomposition,
     validate_list_coloring, validate_partial_forest_decomposition,
@@ -274,4 +277,30 @@ fn list_colorings_with_hostile_ids_validate() {
     );
     let fd = ForestDecomposition::from_colors(colors);
     assert_eq!(fd.num_colors_used(), HOSTILE.len());
+}
+
+#[test]
+fn a_fixed_alpha_past_the_color_ids_fails_typed() {
+    let g = generators::planted_simple_arboricity(30, 2, &mut StdRng::seed_from_u64(3));
+    let g = g.graph();
+    for alpha in [1 << 63, 1 << 32] {
+        let fixed = |problem, engine| {
+            Decomposer::new(
+                DecompositionRequest::new(problem)
+                    .with_engine(engine)
+                    .with_alpha(alpha),
+            )
+        };
+        let refused = Some(FdError::AlphaTooLarge { alpha });
+        for problem in ProblemKind::ALL {
+            let result = fixed(problem, Engine::HarrisSuVu).run(g);
+            assert_eq!(result.err(), refused, "{problem} at {alpha}");
+        }
+        let sharded = fixed(ProblemKind::Forest, Engine::HarrisSuVu).run_sharded(g, 2);
+        assert_eq!(sharded.err(), refused, "sharded at {alpha}");
+        for engine in [Engine::BarenboimElkin, Engine::ExactMatroid] {
+            let result = fixed(ProblemKind::Forest, engine).run(g);
+            assert!(result.is_ok(), "{engine} at {alpha}: {result:?}");
+        }
+    }
 }
